@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import warnings as _warnings
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, replace
 
 import numpy as np
 from scipy import linalg as sla
@@ -27,9 +27,10 @@ from scipy.special import ndtr
 from scipy.stats import t as student_t
 
 from . import hypothesis as hyp
-from .glm import FitResult
+from .glm import DataError, FitResult
 
 DEFAULT_DRAWS = 100_000
+ALTERNATIVES = ("unconstrained", "complement")
 
 
 class NumericError(ArithmeticError):
@@ -94,6 +95,18 @@ class FractionSpec:
         return cls(b, rule="explicit")
 
 
+def json_safe(obj):
+    """Copy of ``obj`` with infinite floats, at any depth of dicts, lists
+    and tuples, replaced by the strings "inf" / "-inf"."""
+    if isinstance(obj, dict):
+        return {k: json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    return obj
+
+
 @dataclass
 class EvidenceRecord:
     """One hypothesis evaluated in one study."""
@@ -112,23 +125,47 @@ class EvidenceRecord:
     alternative: str = "unconstrained"
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        for key, value in out.items():
-            if isinstance(value, float) and math.isinf(value):
-                out[key] = "inf" if value > 0 else "-inf"
-        return out
+        return json_safe(asdict(self))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "EvidenceRecord":
-        data = dict(data)
-        for key in ("fit", "complexity", "log_bf_iu", "log_bf_ic",
-                    "mc_se_fit", "mc_se_complexity"):
-            if data.get(key) is not None:
+    def from_dict(cls, data) -> "EvidenceRecord":
+        """Record from a decoded JSON object.
+
+        Raises
+        ------
+        DataError
+            If ``data`` is not an object, lacks a required field, has a
+            non-numeric number field, a non-string text field or an unknown
+            alternative.
+        """
+        if not isinstance(data, dict):
+            raise DataError(f"evidence record must be an object, "
+                            f"got {type(data).__name__}")
+        fields = cls.__dataclass_fields__
+        missing = [k for k, f in fields.items()
+                   if f.default is MISSING and k not in data]
+        if missing:
+            raise DataError(f"evidence record lacks fields {missing}")
+        data = {k: v for k, v in data.items() if k in fields}
+        try:
+            for key in ("fit", "complexity", "log_bf_iu", "mc_se_fit",
+                        "mc_se_complexity"):
                 data[key] = float(data[key])
-        data["mc_draws"] = int(data["mc_draws"])
-        data["n"] = int(data.get("n", 0))
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
+            if data["log_bf_ic"] is not None:
+                data["log_bf_ic"] = float(data["log_bf_ic"])
+            data["mc_draws"] = int(data["mc_draws"])
+            data["n"] = int(data.get("n", 0))
+        except (TypeError, ValueError) as exc:
+            raise DataError(
+                f"evidence record has a non-numeric field: {exc}") from None
+        for key in ("study_id", "hypothesis", "family", "alternative"):
+            if not isinstance(data.get(key, ""), str):
+                raise DataError(f"evidence record field {key!r} must be a string")
+        if data.get("alternative", "unconstrained") not in ALTERNATIVES:
+            raise DataError(f"evidence record has unknown alternative "
+                            f"{data['alternative']!r}; expected one of "
+                            f"{list(ALTERNATIVES)}")
+        return cls(**data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -257,6 +294,62 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
     return p, se, draws
 
 
+def _log(x: float) -> float:
+    """log x, with log 0 = -inf."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _log1m(x: float) -> float:
+    """log(1 - x), with log(1 - 1) = -inf."""
+    return math.log1p(-x) if x < 1.0 else -math.inf
+
+
+def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
+              rng, draws: int, method: str) -> tuple[float, float, float, int]:
+    """(log mass, mass, MC se, draws used) of ``dist`` under ``h``.
+
+    Mass means region probability for inequality-only systems, boundary
+    density for equality-only systems, and density times conditional
+    region probability for mixed systems.  One Cholesky factor of the
+    equality block gives both the boundary density and the Schur-complement
+    conditioning of the inequality block; for Student-t the degrees of
+    freedom are kept unchanged (documented approximation).
+    """
+    eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names,
+                                    dist.df)
+    ineq, dens = eta.ineq, 1.0
+    if eta.eq is not None:
+        k = eta.eq.mean.shape[0]
+        try:
+            chol = np.linalg.cholesky(eta.eq.scale)
+        except np.linalg.LinAlgError:
+            raise NumericError(
+                "equality rows give a rank-deficient transformed scale; "
+                "remove redundant equality constraints") from None
+        log_det = 2.0 * np.log(np.diag(chol)).sum()
+        q = sla.solve_triangular(chol, -eta.eq.mean, lower=True)
+        quad = float(q @ q)
+        if dist.kind == "normal":
+            log_pdf = -0.5 * (k * math.log(2.0 * math.pi) + log_det + quad)
+        else:
+            nu = dist.df
+            log_pdf = (math.lgamma((nu + k) / 2.0) - math.lgamma(nu / 2.0)
+                       - 0.5 * (k * math.log(nu * math.pi) + log_det)
+                       - (nu + k) / 2.0 * math.log1p(quad / nu))
+        dens = math.exp(log_pdf)
+        if ineq is not None:
+            cho = (chol, True)
+            mean_c = ineq.mean - eta.cross @ sla.cho_solve(cho, eta.eq.mean)
+            scale_c = ineq.scale - eta.cross @ sla.cho_solve(cho, eta.cross.T)
+            ineq = hyp.EtaDistribution(mean_c, (scale_c + scale_c.T) / 2.0,
+                                       dist.df)
+    p, se, used = 1.0, 0.0, 0
+    if ineq is not None:
+        p, se, used = _orthant_prob(dist.kind, ineq.mean, ineq.scale, dist.df,
+                                    rng, draws, method)
+    return _log(dens) + _log(p), dens * p, dens * se, used
+
+
 def prob_region(dist: CoefDistribution, h: hyp.ConstraintSystem,
                 rng=None, draws: int = DEFAULT_DRAWS,
                 method: str = "auto") -> tuple[float, float]:
@@ -268,90 +361,16 @@ def prob_region(dist: CoefDistribution, h: hyp.ConstraintSystem,
     """
     if h.n_eq:
         raise ValueError("prob_region requires an inequality-only hypothesis")
-    eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names,
-                                    dist.df).ineq
-    p, se, _ = _orthant_prob(dist.kind, eta.mean, eta.scale, dist.df,
-                             rng, draws, method)
+    _, p, se, _ = _log_mass(dist, h, rng, draws, method)
     return p, se
-
-
-def _eq_density(dist: CoefDistribution, h: hyp.ConstraintSystem) -> float:
-    """Marginal density of the equality rows evaluated at their boundary."""
-    eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names,
-                                    dist.df).eq
-    k = eta.mean.shape[0]
-    try:
-        chol = np.linalg.cholesky(eta.scale)
-    except np.linalg.LinAlgError:
-        raise NumericError("equality rows give a rank-deficient transformed scale; "
-                           "remove redundant equality constraints") from None
-    log_det = 2.0 * np.log(np.diag(chol)).sum()
-    q = sla.solve_triangular(chol, -eta.mean, lower=True)
-    quad = float(q @ q)
-    if dist.kind == "normal":
-        log_pdf = -0.5 * (k * math.log(2.0 * math.pi) + log_det + quad)
-    else:
-        nu = dist.df
-        log_pdf = (math.lgamma((nu + k) / 2.0) - math.lgamma(nu / 2.0)
-                   - 0.5 * (k * math.log(nu * math.pi) + log_det)
-                   - (nu + k) / 2.0 * math.log1p(quad / nu))
-    return math.exp(log_pdf)
-
-
-def _condition_on_equalities(dist: CoefDistribution,
-                             h: hyp.ConstraintSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and scale of the inequality rows given the equality rows hold.
-
-    Gaussian conditioning on the scale matrix; for Student-t the degrees of
-    freedom are kept unchanged (documented approximation).
-    """
-    R, r = hyp.embed_rows(h, dist.names)
-    m = R @ dist.mean - r
-    S = R @ dist.scale @ R.T
-    S = (S + S.T) / 2.0
-    ke = h.n_eq
-    try:
-        cho = sla.cho_factor(S[:ke, :ke])
-    except np.linalg.LinAlgError:
-        raise NumericError("equality rows give a rank-deficient transformed scale; "
-                           "remove redundant equality constraints") from None
-    cross = S[ke:, :ke]
-    mean_c = m[ke:] - cross @ sla.cho_solve(cho, m[:ke])
-    scale_c = S[ke:, ke:] - cross @ sla.cho_solve(cho, S[:ke, ke:])
-    return mean_c, (scale_c + scale_c.T) / 2.0
-
-
-def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
-              rng, draws: int, method: str) -> tuple[float, float, float, int]:
-    """(log mass, mass, MC se, draws used) of ``dist`` under ``h``.
-
-    Mass means region probability for inequality-only systems, boundary
-    density for equality-only systems, and density times conditional
-    region probability for mixed systems.
-    """
-    if h.n_eq and h.n_ineq:
-        dens = _eq_density(dist, h)
-        mean_c, scale_c = _condition_on_equalities(dist, h)
-        p, se, used = _orthant_prob(dist.kind, mean_c, scale_c, dist.df,
-                                    rng, draws, method)
-        log_dens = math.log(dens) if dens > 0.0 else -math.inf
-        log_p = math.log(p) if p > 0.0 else -math.inf
-        return log_dens + log_p, dens * p, dens * se, used
-    if h.n_eq:
-        dens = _eq_density(dist, h)
-        return (math.log(dens) if dens > 0.0 else -math.inf), dens, 0.0, 0
-    eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names,
-                                    dist.df).ineq
-    p, se, used = _orthant_prob(dist.kind, eta.mean, eta.scale, dist.df,
-                                rng, draws, method)
-    return (math.log(p) if p > 0.0 else -math.inf), p, se, used
 
 
 def density_at_equality(dist: CoefDistribution, h: hyp.ConstraintSystem) -> float:
     """Density of the equality rows of ``h`` at their stated values."""
     if h.n_eq == 0:
         raise ValueError("hypothesis has no equality rows")
-    return _eq_density(dist, h)
+    eq_only = replace(h, R_i=np.zeros((0, len(h.param_names))), r_i=np.zeros(0))
+    return _log_mass(dist, eq_only, None, 0, "auto")[1]
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +378,12 @@ def density_at_equality(dist: CoefDistribution, h: hyp.ConstraintSystem) -> floa
 
 def _log_complement_ratio(f: float, c: float) -> float | None:
     """log of (f / c) / ((1 - f) / (1 - c)) with sentinel handling."""
-    log_num = (math.log(f) if f > 0.0 else -math.inf) + \
-              (math.log1p(-c) if c < 1.0 else -math.inf)
-    log_den = (math.log(c) if c > 0.0 else -math.inf) + \
-              (math.log1p(-f) if f < 1.0 else -math.inf)
-    if math.isinf(log_num) and math.isinf(log_den):
+    log_num = _log(f) + _log1m(c)
+    log_den = _log(c) + _log1m(f)
+    if log_num == log_den == -math.inf:
         _warnings.warn("indeterminate complement Bayes factor (0/0)",
                        RuntimeWarning, stacklevel=3)
         return None
-    if log_num == -math.inf:
-        return -math.inf
-    if log_den == -math.inf:
-        return math.inf
     return log_num - log_den
 
 
@@ -396,23 +409,18 @@ def bf_iu(posterior: CoefDistribution, adjusted_prior: CoefDistribution,
     """
     log_f, f, f_se, used_f = _log_mass(posterior, h, rng, draws, method)
     log_c, c, c_se, used_c = _log_mass(adjusted_prior, h, rng, draws, method)
-    if log_f == -math.inf and log_c == -math.inf:
+    if log_f == log_c == -math.inf:
         raise NumericError("fit and complexity are both zero; "
                            "the Bayes factor is undefined")
     if log_c == -math.inf:
         _warnings.warn("complexity underflowed to zero; Bayes factor reported "
                        "as +inf", RuntimeWarning, stacklevel=2)
-        log_bf = math.inf
-    elif log_f == -math.inf:
-        log_bf = -math.inf
-    else:
-        log_bf = log_f - log_c
     log_ic = _log_complement_ratio(f, c) if h.n_eq == 0 else None
     return EvidenceRecord(study_id=study_id, hypothesis=label, fit=f,
-                          complexity=c, log_bf_iu=log_bf, log_bf_ic=log_ic,
-                          mc_se_fit=f_se, mc_se_complexity=c_se,
-                          mc_draws=max(used_f, used_c), family=family, n=n,
-                          alternative=alternative)
+                          complexity=c, log_bf_iu=log_f - log_c,
+                          log_bf_ic=log_ic, mc_se_fit=f_se,
+                          mc_se_complexity=c_se, mc_draws=max(used_f, used_c),
+                          family=family, n=n, alternative=alternative)
 
 
 def bf_ic(record: EvidenceRecord) -> float:
@@ -426,16 +434,24 @@ def bf_ic(record: EvidenceRecord) -> float:
 def bf_between(rec_i: EvidenceRecord, rec_j: EvidenceRecord) -> float:
     """log BF of hypothesis i against hypothesis j via transitivity."""
     a, b = rec_i.log_bf_iu, rec_j.log_bf_iu
-    if math.isinf(a) and math.isinf(b) and a == b:
+    if math.isinf(a) and a == b:
         raise NumericError("indeterminate between-hypothesis Bayes factor "
                            "(both sentinels)")
     if b == math.inf:
         _warnings.warn("denominator Bayes factor is +inf; ratio reported as 0",
                        RuntimeWarning, stacklevel=2)
-        return -math.inf
-    if b == -math.inf:
-        return math.inf
     return a - b
+
+
+def _prior_probs(priors, m: int) -> np.ndarray:
+    """Prior model probabilities over ``m`` models: uniform when ``priors``
+    is None, otherwise checked to be ``m`` positive values summing to 1."""
+    if priors is None:
+        return np.full(m, 1.0 / m)
+    priors = np.asarray(priors, dtype=float)
+    if priors.shape != (m,) or (priors <= 0).any() or abs(priors.sum() - 1.0) > 1e-9:
+        raise ValueError("priors must be positive and sum to 1")
+    return priors
 
 
 def pmps(log_bfs, priors=None) -> np.ndarray:
@@ -450,11 +466,7 @@ def pmps(log_bfs, priors=None) -> np.ndarray:
         raise ValueError("no hypotheses")
     if np.isnan(lb).any():
         raise NumericError("NaN log Bayes factor")
-    if priors is None:
-        priors = np.full(m, 1.0 / m)
-    priors = np.asarray(priors, dtype=float)
-    if priors.shape != (m,) or (priors <= 0).any() or abs(priors.sum() - 1.0) > 1e-9:
-        raise ValueError("priors must be positive and sum to 1")
+    priors = _prior_probs(priors, m)
     if np.isposinf(lb).any():
         top = np.isposinf(lb)
         return top / top.sum()

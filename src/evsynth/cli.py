@@ -31,6 +31,7 @@ import numpy as np
 
 from . import bf, glm, simgen, synthesis
 from . import hypothesis as hyp
+from .synthesis import synthesize_records
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -52,31 +53,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.10g}"
     return str(value)
-
-
-def _sigmoid(x: float) -> float:
-    if x == math.inf:
-        return 1.0
-    if x == -math.inf:
-        return 0.0
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
-
-
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
-
-
-def _parse_float(text: str) -> float:
-    return float(text)  # accepts "inf" / "-inf"
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +100,10 @@ def load_records(paths: list[str]) -> list[bf.EvidenceRecord]:
             files.append(p)
     records: list[bf.EvidenceRecord] = []
     for f in files:
-        data = json.loads(f.read_text(encoding="utf-8"))
+        try:
+            data = json.loads(f.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise glm.DataError(f"{f}: not valid JSON ({exc})") from None
         if isinstance(data, dict) and "records" in data:
             data = data["records"]
         if isinstance(data, dict):
@@ -133,73 +112,13 @@ def load_records(paths: list[str]) -> list[bf.EvidenceRecord]:
             raise glm.DataError(f"{f}: expected a record, a list of records, "
                                 "or an object with a 'records' key")
         for item in data:
-            records.append(bf.EvidenceRecord.from_dict(item))
+            try:
+                records.append(bf.EvidenceRecord.from_dict(item))
+            except glm.DataError as exc:
+                raise glm.DataError(f"{f}: {exc}") from None
     if not records:
         raise glm.DataError("no evidence records found")
     return records
-
-
-def synthesize_records(records: list[bf.EvidenceRecord],
-                       priors=None) -> tuple[synthesis.SynthesisState, str]:
-    alternatives = {rec.alternative for rec in records}
-    if len(alternatives) > 1:
-        raise synthesis.LabelMismatchError(
-            f"records mix alternatives {sorted(alternatives)}")
-    alternative = alternatives.pop()
-    labels = list(dict.fromkeys(rec.hypothesis for rec in records))
-    if alternative == "complement" and len(labels) != 1:
-        raise synthesis.LabelMismatchError(
-            "the complement alternative supports a single hypothesis label")
-
-    by_study: dict[str, dict[str, bf.EvidenceRecord]] = {}
-    for rec in records:
-        per = by_study.setdefault(rec.study_id, {})
-        if rec.hypothesis in per:
-            raise synthesis.LabelMismatchError(
-                f"study {rec.study_id!r} has duplicate records for "
-                f"{rec.hypothesis!r}")
-        per[rec.hypothesis] = rec
-
-    if alternative == "unconstrained":
-        full_labels = labels + ["unconstrained"]
-    else:
-        full_labels = labels + [f"complement({labels[0]})"]
-    state = synthesis.new_state(full_labels, priors)
-    for study_id, per in by_study.items():
-        missing = [lab for lab in labels if lab not in per]
-        if missing:
-            raise synthesis.LabelMismatchError(
-                f"study {study_id!r} lacks records for {missing}")
-        logs = {lab: per[lab].log_bf_iu for lab in labels}
-        if alternative == "unconstrained":
-            logs["unconstrained"] = 0.0
-        else:
-            rec = per[labels[0]]
-            if rec.log_bf_ic is None:
-                raise bf.NumericError(
-                    f"study {study_id!r} has no complement Bayes factor")
-            if math.isinf(rec.log_bf_iu) and math.isinf(rec.log_bf_ic):
-                logs[full_labels[-1]] = _complement_log_bf(rec)
-            else:
-                logs[full_labels[-1]] = synthesis.aggregate_log_bf(
-                    (rec.log_bf_iu, -rec.log_bf_ic))
-        state = synthesis.update(state, study_id, logs)
-    return state, alternative
-
-
-def _complement_log_bf(rec: bf.EvidenceRecord) -> float:
-    # recover log BF_cu = log((1-f)/(1-c)) when iu and ic are both sentinels
-    f, c = rec.fit, rec.complexity
-    num = math.log1p(-f) if f < 1.0 else -math.inf
-    den = math.log1p(-c) if c < 1.0 else -math.inf
-    if math.isinf(num) and math.isinf(den):
-        raise bf.NumericError("cannot recover the complement Bayes factor "
-                              "when fit and complexity are both 1")
-    if math.isinf(num):
-        return -math.inf
-    if math.isinf(den):
-        return math.inf
-    return num - den
 
 
 def cmd_synthesize(args) -> int:
@@ -211,7 +130,7 @@ def cmd_synthesize(args) -> int:
     summary = state.as_dict()
     summary["alternative"] = alternative
     Path(args.out).write_text(
-        json.dumps(_json_safe(summary), sort_keys=True, indent=2) + "\n",
+        json.dumps(bf.json_safe(summary), sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
     if args.trail:
         with open(args.trail, "w", newline="", encoding="utf-8") as fh:
@@ -240,7 +159,7 @@ class SimulationConfig:
     r2s: tuple[float, ...]
     seed: int
     draws: int = bf.DEFAULT_DRAWS
-    alternatives: tuple[str, ...] = ("unconstrained", "complement")
+    alternatives: tuple[str, ...] = bf.ALTERNATIVES
     n_studies: int | None = None
     decomposed: bool = False
     threads: int = 1
@@ -333,12 +252,13 @@ def run_iteration(sim_id: int, cond_idx: int, n: int, r2: float, iteration: int,
                                        n=rec.n, hypothesis=labels[text],
                                        alternative=alt, fit=rec.fit,
                                        complexity=rec.complexity, log_bf=v,
-                                       agg_log_bf=None, pmp=_sigmoid(v)))
+                                       agg_log_bf=None,
+                                       pmp=synthesis.pairwise_pmp(v)))
             agg_rows.append(dict(base, family=family_set, study=None,
                                  hypothesis=labels[text], alternative=alt,
                                  fit=None, complexity=None, log_bf=None,
-                                 agg_log_bf=agg, pmp=_sigmoid(agg),
-                                 mc_se=agg_se))
+                                 agg_log_bf=agg,
+                                 pmp=synthesis.pairwise_pmp(agg), mc_se=agg_se))
     return study_rows, agg_rows, []
 
 
@@ -418,7 +338,7 @@ def cmd_simulate(args) -> int:
     else:
         r2s = (simgen.SEQUENTIAL_R2,) if sequential else simgen.R2_GRID
     if args.alternative == "both":
-        alternatives = ("unconstrained", "complement")
+        alternatives = bf.ALTERNATIVES
     else:
         alternatives = (args.alternative,)
     config = SimulationConfig(sim_id=args.sim, iterations=args.iters, ns=ns,
@@ -431,7 +351,7 @@ def cmd_simulate(args) -> int:
     write_results_csv(result, args.out)
     if result.skips:
         sidecar = Path(str(args.out) + ".skips.json")
-        sidecar.write_text(json.dumps(_json_safe(result.skips), sort_keys=True,
+        sidecar.write_text(json.dumps(bf.json_safe(result.skips), sort_keys=True,
                                       indent=2) + "\n", encoding="utf-8")
         for skip in result.skips:
             print(f"skipped: sim {skip['sim_id']} n={skip['n']} r2={skip['r2']} "
@@ -458,8 +378,8 @@ def cmd_report(args) -> int:
             key = (row["sim_id"], row["family"], row["n"], row["r2"],
                    row["hypothesis"], row["alternative"])
             entry = groups.setdefault(key, {"log_bf": [], "pmp": []})
-            entry["log_bf"].append(_parse_float(row["agg_log_bf"]))
-            entry["pmp"].append(_parse_float(row["pmp"]))
+            entry["log_bf"].append(float(row["agg_log_bf"]))
+            entry["pmp"].append(float(row["pmp"]))
     if not groups:
         raise glm.DataError(f"{args.input}: no aggregate rows found")
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -513,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--hypothesis", required=True,
                     help="constraint string, e.g. 'x4 < x5 < x6'")
     pa.add_argument("--alternative", default="unconstrained",
-                    choices=("unconstrained", "complement"))
+                    choices=bf.ALTERNATIVES)
     pa.add_argument("--mc-draws", type=int, default=bf.DEFAULT_DRAWS)
     pa.add_argument("--fraction", type=_fraction_arg, default="auto",
                     help="'auto' (family rule) or an explicit fraction in (0, 1)")
@@ -542,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "simulation's grid)")
     pm.add_argument("--r2", help="comma-separated target R^2 values")
     pm.add_argument("--alternative", default="both",
-                    choices=("unconstrained", "complement", "both"))
+                    choices=bf.ALTERNATIVES + ("both",))
     pm.add_argument("--mc-draws", type=int, default=bf.DEFAULT_DRAWS)
     pm.add_argument("--studies", type=int,
                     help="study count per iteration (simulations 9-11)")

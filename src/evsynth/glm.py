@@ -253,14 +253,6 @@ def _probit_parts(X, y, beta):
     return loglik, grad, neg_hess, margin
 
 
-def _binomial_loglik(X, y, beta, family):
-    if family == "logit":
-        z = X @ beta
-        return float(y @ z - np.logaddexp(0.0, z).sum())
-    z = X @ beta
-    return float(y @ log_ndtr(z) + (1.0 - y) @ log_ndtr(-z))
-
-
 def fit_binomial(d: Dataset, max_iter: int = MAX_ITER, grad_tol: float = GRAD_TOL,
                  separation_eps: float = SEPARATION_EPS,
                  separation_beta_limit: float = SEPARATION_BETA_LIMIT,
@@ -306,18 +298,16 @@ def fit_binomial(d: Dataset, max_iter: int = MAX_ITER, grad_tol: float = GRAD_TO
         except np.linalg.LinAlgError:
             delta = np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
         step = 1.0
-        accepted = False
         while step > 2.0 ** -30:
             cand = beta + step * delta
-            cand_ll = _binomial_loglik(X, y, cand, d.family)
-            if cand_ll >= loglik - 1e-12:
-                beta = cand
-                accepted = True
+            cand_parts = parts(X, y, cand)
+            if cand_parts[0] >= loglik - 1e-12:
                 break
             step /= 2.0
-        if not accepted:
-            break
-        loglik, grad, neg_hess, margin = parts(X, y, beta)
+        else:
+            break  # no step length improves the log-likelihood
+        beta = cand
+        loglik, grad, neg_hess, margin = cand_parts
     else:
         trace.append(IrlsStep(loglik, float(np.abs(grad).max()),
                               float(np.abs(beta).max()), margin))

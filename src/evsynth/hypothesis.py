@@ -145,42 +145,6 @@ class Complement:
 
 
 @dataclass(frozen=True)
-class HypothesisSet:
-    """A labelled collection of hypotheses plus the alternative they face.
-
-    ``prior_probs`` covers the hypotheses followed by one slot for the
-    alternative; it must be positive and sum to one.
-    """
-
-    hypotheses: tuple[tuple[str, ConstraintSystem], ...]
-    alternative: str = "unconstrained"
-    prior_probs: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if not self.hypotheses:
-            raise ValueError("empty hypothesis set")
-        labels = [label for label, _ in self.hypotheses]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate hypothesis labels")
-        if self.alternative not in ("unconstrained", "complement"):
-            raise ValueError(f"unknown alternative {self.alternative!r}")
-        if self.alternative == "complement":
-            if len(self.hypotheses) != 1:
-                raise ValueError("complement alternative requires a single hypothesis")
-            Complement(self.hypotheses[0][1])
-        if self.prior_probs is not None:
-            pri = np.asarray(self.prior_probs, dtype=float)
-            if pri.shape != (len(self.hypotheses) + 1,):
-                raise ValueError("prior_probs must cover the hypotheses plus the alternative")
-            if (pri <= 0).any() or abs(pri.sum() - 1.0) > 1e-9:
-                raise ValueError("prior_probs must be positive and sum to 1")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.hypotheses)
-
-
-@dataclass(frozen=True)
 class EtaDistribution:
     """Distribution of eta = R @ beta - r for one block of rows."""
 
@@ -191,10 +155,15 @@ class EtaDistribution:
 
 @dataclass(frozen=True)
 class TransformedConstraints:
-    """Equality- and inequality-space images of a coefficient distribution."""
+    """Equality- and inequality-space images of a coefficient distribution.
+
+    ``cross`` is the inequality-by-equality block of the joint eta scale,
+    present when both blocks are.
+    """
 
     eq: EtaDistribution | None
     ineq: EtaDistribution | None
+    cross: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +522,7 @@ def transform_constraints(h: ConstraintSystem,
     -------
     TransformedConstraints
         With ``eq`` and/or ``ineq`` populated depending on the rows in
-        ``h``.
+        ``h``, and ``cross`` when both are.
     """
     mean = np.asarray(mean, dtype=float)
     scale = np.asarray(scale, dtype=float)
@@ -567,5 +536,7 @@ def transform_constraints(h: ConstraintSystem,
             return None
         return EtaDistribution(eta_mean[lo:hi], eta_scale[lo:hi, lo:hi], df)
 
-    return TransformedConstraints(eq=block(0, h.n_eq),
-                                  ineq=block(h.n_eq, h.n_eq + h.n_ineq))
+    ke = h.n_eq
+    cross = eta_scale[ke:, :ke] if ke and h.n_ineq else None
+    return TransformedConstraints(eq=block(0, ke),
+                                  ineq=block(ke, ke + h.n_ineq), cross=cross)

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bf import NumericError, pmps
+from .bf import EvidenceRecord, NumericError, _log1m, _prior_probs, pmps
 
 
 class LabelMismatchError(ValueError):
@@ -33,21 +33,13 @@ def aggregate_log_bf(values: Iterable[float]) -> float:
     :class:`NumericError`.
     """
     total = 0.0
-    seen_pos = seen_neg = False
     for v in values:
         v = float(v)
         if math.isnan(v):
             raise NumericError("NaN log Bayes factor in aggregation")
-        seen_pos |= v == math.inf
-        seen_neg |= v == -math.inf
-        if seen_pos and seen_neg:
+        total += v
+        if math.isnan(total):
             raise NumericError("conflicting +inf and -inf sentinels in aggregation")
-        if not math.isinf(v):
-            total += v
-    if seen_pos:
-        return math.inf
-    if seen_neg:
-        return -math.inf
     return total
 
 
@@ -85,13 +77,8 @@ def new_state(labels: Iterable[str], priors=None) -> SynthesisState:
         raise ValueError("no labels")
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels")
-    if priors is None:
-        priors = np.full(len(labels), 1.0 / len(labels))
-    priors = np.asarray(priors, dtype=float)
-    if priors.shape != (len(labels),) or (priors <= 0).any() \
-            or abs(priors.sum() - 1.0) > 1e-9:
-        raise ValueError("priors must be positive and sum to 1")
-    return SynthesisState(labels=labels, prior_probs=priors,
+    return SynthesisState(labels=labels,
+                          prior_probs=_prior_probs(priors, len(labels)),
                           cum_log_bf=np.zeros(len(labels)))
 
 
@@ -133,3 +120,92 @@ def merge(a: SynthesisState, b: SynthesisState) -> SynthesisState:
                           study_count=a.study_count + b.study_count,
                           study_ids=a.study_ids + b.study_ids,
                           trail=a.trail + b.trail)
+
+
+def pairwise_pmp(log_bf: float) -> float:
+    """Posterior probability of a hypothesis against one alternative at
+    equal prior odds: the logistic function of its log Bayes factor, with
+    the sentinels -inf and +inf giving 0 and 1."""
+    if log_bf >= 0:
+        return 1.0 / (1.0 + math.exp(-log_bf))
+    e = math.exp(log_bf)
+    return e / (1.0 + e)
+
+
+def _complement_log_bf(rec: EvidenceRecord) -> float:
+    # log BF_cu = log((1 - f) / (1 - c)), for when iu and ic are both sentinels
+    num, den = _log1m(rec.fit), _log1m(rec.complexity)
+    if num == den == -math.inf:
+        raise NumericError("cannot recover the complement Bayes factor "
+                           "when fit and complexity are both 1")
+    return num - den
+
+
+def synthesize_records(records: list[EvidenceRecord],
+                       priors=None) -> tuple[SynthesisState, str]:
+    """Aggregate evidence records across studies.
+
+    The records must share one alternative and, per study, cover every
+    hypothesis label exactly once.  Against the unconstrained alternative
+    each label is tracked next to an ``unconstrained`` label with log BF 0
+    per study; against the complement there is a single label and its
+    ``complement(<label>)`` counterpart.  ``priors`` covers the hypotheses
+    followed by the alternative.  Returns the final state and the
+    alternative.
+
+    Raises
+    ------
+    ValueError
+        If ``records`` is empty.
+    LabelMismatchError
+        On mixed alternatives, several labels against the complement, a
+        duplicate or missing record within a study.
+    NumericError
+        If a complement Bayes factor is unavailable or undefined.
+    """
+    if not records:
+        raise ValueError("no evidence records")
+    alternatives = {rec.alternative for rec in records}
+    if len(alternatives) > 1:
+        raise LabelMismatchError(
+            f"records mix alternatives {sorted(alternatives)}")
+    alternative = alternatives.pop()
+    labels = list(dict.fromkeys(rec.hypothesis for rec in records))
+    if alternative == "complement" and len(labels) != 1:
+        raise LabelMismatchError(
+            "the complement alternative supports a single hypothesis label")
+
+    by_study: dict[str, dict[str, EvidenceRecord]] = {}
+    for rec in records:
+        per = by_study.setdefault(rec.study_id, {})
+        if rec.hypothesis in per:
+            raise LabelMismatchError(
+                f"study {rec.study_id!r} has duplicate records for "
+                f"{rec.hypothesis!r}")
+        per[rec.hypothesis] = rec
+
+    if alternative == "unconstrained":
+        full_labels = labels + ["unconstrained"]
+    else:
+        full_labels = labels + [f"complement({labels[0]})"]
+    state = new_state(full_labels, priors)
+    for study_id, per in by_study.items():
+        missing = [lab for lab in labels if lab not in per]
+        if missing:
+            raise LabelMismatchError(
+                f"study {study_id!r} lacks records for {missing}")
+        logs = {lab: per[lab].log_bf_iu for lab in labels}
+        if alternative == "unconstrained":
+            logs["unconstrained"] = 0.0
+        else:
+            rec = per[labels[0]]
+            if rec.log_bf_ic is None:
+                raise NumericError(
+                    f"study {study_id!r} has no complement Bayes factor")
+            if math.isinf(rec.log_bf_iu) and math.isinf(rec.log_bf_ic):
+                logs[full_labels[-1]] = _complement_log_bf(rec)
+            else:
+                logs[full_labels[-1]] = aggregate_log_bf(
+                    (rec.log_bf_iu, -rec.log_bf_ic))
+        state = update(state, study_id, logs)
+    return state, alternative

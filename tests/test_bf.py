@@ -266,6 +266,36 @@ class TestBfIu:
         assert math.isclose(record.complexity, cx_oracle, rel_tol=1e-12)
         assert record.log_bf_ic is None
 
+    def test_two_equality_rows_schur_oracle(self):
+        cov = np.array([[1.0, 0.5, 0.3], [0.5, 2.0, -0.4], [0.3, -0.4, 1.5]])
+        mean = np.array([0.2, -0.1, 0.4])
+        h = parse("b1 = 0 & b2 = 0 & b3 > 0")
+        record = bf_iu(normal_dist(mean, cov), normal_dist(np.zeros(3), 3.0 * cov),
+                       h)
+        for m, S, got in ((mean, cov, record.fit),
+                          (np.zeros(3), 3.0 * cov, record.complexity)):
+            dens = multivariate_normal.pdf(np.zeros(2), mean=m[:2], cov=S[:2, :2])
+            gain = np.linalg.solve(S[:2, :2], S[:2, 2])
+            cond_mean = m[2] - gain @ m[:2]
+            cond_var = S[2, 2] - gain @ S[:2, 2]
+            oracle = float(dens * norm.cdf(cond_mean / math.sqrt(cond_var)))
+            assert math.isclose(got, oracle, rel_tol=1e-12)
+
+    def test_one_equality_two_inequality_rows_mc_oracle(self):
+        cov = np.array([[1.0, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 1.0]])
+        mean = np.array([0.3, 0.2, 0.1])
+        h = parse("b1 = 0 & b2 > 0 & b3 > 0")
+        record = bf_iu(normal_dist(mean, cov), normal_dist(np.zeros(3), 2.0 * cov),
+                       h, rng=np.random.default_rng(5), draws=100_000)
+        gain = cov[1:, 0] / cov[0, 0]
+        cond_mean = mean[1:] - gain * mean[0]
+        cond_cov = cov[1:, 1:] - np.outer(gain, cov[0, 1:])
+        oracle = float(norm.pdf(0.0, loc=mean[0], scale=1.0)
+                       * multivariate_normal.cdf(cond_mean, mean=np.zeros(2),
+                                                 cov=cond_cov))
+        assert record.mc_draws == 100_000
+        assert abs(record.fit - oracle) <= 4.0 * record.mc_se_fit
+
     def test_mixed_student_t_keeps_df(self):
         # documented approximation: marginal t density at the boundary times
         # the conditional (Schur) t probability with unchanged df

@@ -102,13 +102,17 @@ class TestAnalyze:
         assert code == 2
 
 
-def write_record(path, study_id, log_bf, fit, complexity):
-    record = {
+def record_dict(study_id="s1", log_bf=0.0, fit=0.5, complexity=0.5):
+    return {
         "study_id": study_id, "hypothesis": "h1", "fit": fit,
         "complexity": complexity, "log_bf_iu": log_bf, "log_bf_ic": 0.0,
         "mc_se_fit": 0.0, "mc_se_complexity": 0.0, "mc_draws": 0,
         "family": "gaussian", "n": 100, "alternative": "unconstrained",
     }
+
+
+def write_record(path, study_id, log_bf, fit, complexity):
+    record = record_dict(study_id, log_bf, fit, complexity)
     path.write_text(json.dumps([record]), encoding="utf-8")
 
 
@@ -167,6 +171,23 @@ class TestSynthesize:
         code = cli.main(["synthesize", "--records", str(tmp_path / "empty"),
                          "--out", str(tmp_path / "o.json")])
         assert code == 3
+
+    @pytest.mark.parametrize("text", [
+        '[{"study_id": "s1",',
+        json.dumps([{k: v for k, v in record_dict().items()
+                     if k != "mc_draws"}]),
+        json.dumps([dict(record_dict(), fit="abc")]),
+        json.dumps([record_dict(), 7]),
+        json.dumps([dict(record_dict(), alternative="bogus")]),
+    ], ids=["invalid-json", "missing-mc-draws", "non-numeric-fit",
+            "non-object-item", "unknown-alternative"])
+    def test_malformed_record_exit_3(self, tmp_path, capsys, text):
+        (tmp_path / "s1.json").write_text(text, encoding="utf-8")
+        code = cli.main(["synthesize", "--records", str(tmp_path),
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "s1.json" in err
 
     def test_sentinel_serialized_as_string(self, tmp_path):
         record = {

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from evsynth.hypothesis import (Complement, ConstraintSystem,
                                 EqualityComplementUnsupportedError,
-                                HypothesisSet, NameMappingError, ParseError,
-                                complement, embed_rows, parse,
-                                transform_constraints)
+                                NameMappingError, ParseError, complement,
+                                embed_rows, parse, transform_constraints)
 
 
 class TestWorkedExamples:
@@ -232,30 +231,6 @@ class TestEmbedAndTransform:
         scaled = transform_constraints(cs, np.zeros(3), s * S,
                                        ("b1", "b2", "b3"))
         assert np.allclose(scaled.ineq.scale, s * base.ineq.scale)
-
-
-class TestHypothesisSet:
-    def test_labels(self):
-        hs = HypothesisSet((("h1", parse("b1 > 0")), ("h2", parse("b1 < 0"))))
-        assert hs.labels == ("h1", "h2")
-        assert hs.alternative == "unconstrained"
-
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            HypothesisSet((("h", parse("b1 > 0")), ("h", parse("b1 < 0"))))
-
-    def test_complement_requires_single_inequality_hypothesis(self):
-        with pytest.raises(ValueError):
-            HypothesisSet((("a", parse("b1 > 0")), ("b", parse("b2 > 0"))),
-                          alternative="complement")
-        with pytest.raises(EqualityComplementUnsupportedError):
-            HypothesisSet((("a", parse("b1 = 0")),), alternative="complement")
-
-    def test_priors_validated(self):
-        with pytest.raises(ValueError):
-            HypothesisSet((("h", parse("b1 > 0")),), prior_probs=(0.5, 0.4))
-        hs = HypothesisSet((("h", parse("b1 > 0")),), prior_probs=(0.25, 0.75))
-        assert hs.prior_probs == (0.25, 0.75)
 
 
 class TestConstraintSystemValidation:

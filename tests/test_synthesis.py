@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evsynth.bf import NumericError
+from evsynth.bf import EvidenceRecord, NumericError
 from evsynth.synthesis import (DuplicateStudyError, LabelMismatchError,
                                SynthesisState, aggregate_log_bf, merge,
-                               new_state, update)
+                               new_state, synthesize_records, update)
 
 
 class TestAggregateLogBf:
@@ -178,3 +178,71 @@ class TestAsDict:
                             math.log(0.8), rel_tol=1e-12)
         assert math.isclose(sum(summary["pmps"].values()), 1.0, abs_tol=1e-12)
         assert len(summary["trail"]) == 3
+
+
+def record(study_id="s1", label="h", fit=0.5, complexity=0.5, log_bf_iu=0.0,
+           log_bf_ic=0.0, alternative="unconstrained"):
+    return EvidenceRecord(study_id=study_id, hypothesis=label, fit=fit,
+                          complexity=complexity, log_bf_iu=log_bf_iu,
+                          log_bf_ic=log_bf_ic, mc_se_fit=0.0,
+                          mc_se_complexity=0.0, mc_draws=0,
+                          alternative=alternative)
+
+
+class TestSynthesizeRecords:
+    def test_unconstrained_adds_zero_alternative(self):
+        recs = [record("s1", "a", log_bf_iu=0.5), record("s1", "b", log_bf_iu=-0.25),
+                record("s2", "a", log_bf_iu=0.25), record("s2", "b", log_bf_iu=1.0)]
+        state, alternative = synthesize_records(recs)
+        assert alternative == "unconstrained"
+        assert state.labels == ("a", "b", "unconstrained")
+        assert state.cum_log_bf.tolist() == [0.75, 0.75, 0.0]
+        assert state.study_ids == ("s1", "s2")
+
+    def test_complement_from_iu_and_ic(self):
+        # log BF_cu = log BF_iu - log BF_ic
+        state, alternative = synthesize_records(
+            [record(log_bf_iu=0.5, log_bf_ic=2.0, alternative="complement")])
+        assert alternative == "complement"
+        assert state.labels == ("h", "complement(h)")
+        assert state.cum_log_bf.tolist() == [0.5, -1.5]
+
+    def test_complement_sentinels_fit_one_complexity_zero(self):
+        rec = record(fit=1.0, complexity=0.0, log_bf_iu=math.inf,
+                     log_bf_ic=math.inf, alternative="complement")
+        state, _ = synthesize_records([rec])
+        assert state.cum_log_bf.tolist() == [math.inf, -math.inf]
+        assert state.pmps().tolist() == [1.0, 0.0]
+
+    def test_complement_sentinels_fit_and_complexity_one_raise(self):
+        rec = record(fit=1.0, complexity=1.0, log_bf_iu=math.inf,
+                     log_bf_ic=math.inf, alternative="complement")
+        with pytest.raises(NumericError):
+            synthesize_records([rec])
+
+    def test_complement_without_ic_raises(self):
+        with pytest.raises(NumericError):
+            synthesize_records([record(log_bf_ic=None, alternative="complement")])
+
+    def test_no_records_rejected(self):
+        with pytest.raises(ValueError):
+            synthesize_records([])
+
+    def test_mixed_alternatives_rejected(self):
+        with pytest.raises(LabelMismatchError):
+            synthesize_records([record("s1"),
+                                record("s2", alternative="complement")])
+
+    def test_complement_with_two_labels_rejected(self):
+        with pytest.raises(LabelMismatchError):
+            synthesize_records([record(label="a", alternative="complement"),
+                                record(label="b", alternative="complement")])
+
+    def test_study_missing_a_label_rejected(self):
+        recs = [record("s1", "a"), record("s1", "b"), record("s2", "a")]
+        with pytest.raises(LabelMismatchError, match="s2"):
+            synthesize_records(recs)
+
+    def test_duplicate_record_in_study_rejected(self):
+        with pytest.raises(LabelMismatchError):
+            synthesize_records([record("s1"), record("s1")])
