@@ -417,6 +417,22 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {value}")
+    return value
+
+
+_DRAWS_HELP = ("integration point budget (QMC lattice points or Monte Carlo "
+               f"draws); unused on exact paths (default {bf.DEFAULT_DRAWS})")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evsynth",
@@ -434,7 +450,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="constraint string, e.g. 'x4 < x5 < x6'")
     pa.add_argument("--alternative", default="unconstrained",
                     choices=bf.ALTERNATIVES)
-    pa.add_argument("--mc-draws", type=int, default=bf.DEFAULT_DRAWS)
+    pa.add_argument("--mc-draws", type=_positive_int, default=bf.DEFAULT_DRAWS,
+                    help=_DRAWS_HELP)
     pa.add_argument("--fraction", type=_fraction_arg, default="auto",
                     help="'auto' (family rule) or an explicit fraction in (0, 1)")
     pa.add_argument("--seed", type=_nonneg_int, required=True)
@@ -463,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--r2", help="comma-separated target R^2 values")
     pm.add_argument("--alternative", default="both",
                     choices=bf.ALTERNATIVES + ("both",))
-    pm.add_argument("--mc-draws", type=int, default=bf.DEFAULT_DRAWS)
+    pm.add_argument("--mc-draws", type=_positive_int, default=bf.DEFAULT_DRAWS,
+                    help=_DRAWS_HELP)
     pm.add_argument("--studies", type=int,
                     help="study count per iteration (simulations 9-11)")
     pm.add_argument("--decomposed", action="store_true",

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 from scipy.stats import t as student_t
+from scipy.stats._qmvnt import _qmvn, _qmvt
 
 from evsynth.bf import (CoefDistribution, EvidenceRecord, FractionSpec,
                         NumericError, adjustment_center, bf_between, bf_ic,
                         bf_iu, build_posterior, build_prior, constraint_count,
                         default_fraction, density_at_equality, evaluate, pmps,
                         prob_region)
-from evsynth.glm import Dataset, add_intercept, fit_ols
+from evsynth.glm import DataError, Dataset, add_intercept, fit_ols
 from evsynth.hypothesis import ConstraintSystem, parse
 
 
@@ -160,16 +161,24 @@ class TestProbRegion:
     def test_ordering_symmetry_one_sixth(self):
         dist = normal_dist(np.zeros(3), np.eye(3))
         p, se = prob_region(dist, parse("b1 < b2 < b3"),
-                            rng=np.random.default_rng(19), draws=200_000)
+                            rng=np.random.default_rng(19), draws=200_000,
+                            method="mc")
         assert se > 0.0
         assert abs(p - 1.0 / 6.0) < 3.0 * se + 1e-9
+
+    def test_ordering_symmetry_one_sixth_exact(self):
+        dist = normal_dist(np.zeros(3), np.eye(3))
+        p, se = prob_region(dist, parse("b1 < b2 < b3"), method="exact")
+        assert se == 0.0
+        assert math.isclose(p, 1.0 / 6.0, rel_tol=1e-15)
 
     def test_mc_matches_mvn_orthant_oracle(self):
         cov = np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.1], [0.2, 0.1, 1.0]])
         mean = np.array([0.3, -0.1, 0.5])
         dist = normal_dist(mean, cov)
         p, se = prob_region(dist, parse("{b1, b2, b3} > 0"),
-                            rng=np.random.default_rng(23), draws=200_000)
+                            rng=np.random.default_rng(23), draws=200_000,
+                            method="mc")
         oracle = float(multivariate_normal(mean=np.zeros(3), cov=cov).cdf(mean))
         assert abs(p - oracle) < 3.0 * se
 
@@ -286,7 +295,8 @@ class TestBfIu:
         mean = np.array([0.3, 0.2, 0.1])
         h = parse("b1 = 0 & b2 > 0 & b3 > 0")
         record = bf_iu(normal_dist(mean, cov), normal_dist(np.zeros(3), 2.0 * cov),
-                       h, rng=np.random.default_rng(5), draws=100_000)
+                       h, rng=np.random.default_rng(5), draws=100_000,
+                       method="mc")
         gain = cov[1:, 0] / cov[0, 0]
         cond_mean = mean[1:] - gain * mean[0]
         cond_cov = cov[1:, 1:] - np.outer(gain, cov[0, 1:])
@@ -295,6 +305,22 @@ class TestBfIu:
                                                  cov=cond_cov))
         assert record.mc_draws == 100_000
         assert abs(record.fit - oracle) <= 4.0 * record.mc_se_fit
+
+    def test_one_equality_two_inequality_rows_exact(self):
+        cov = np.array([[1.0, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 1.0]])
+        mean = np.array([0.3, 0.2, 0.1])
+        h = parse("b1 = 0 & b2 > 0 & b3 > 0")
+        record = bf_iu(normal_dist(mean, cov), normal_dist(np.zeros(3), 2.0 * cov),
+                       h, method="exact")
+        gain = cov[1:, 0] / cov[0, 0]
+        cond_mean = mean[1:] - gain * mean[0]
+        cond_cov = cov[1:, 1:] - np.outer(gain, cov[0, 1:])
+        oracle = float(norm.pdf(0.0, loc=mean[0], scale=1.0)
+                       * multivariate_normal.cdf(cond_mean, mean=np.zeros(2),
+                                                 cov=cond_cov))
+        assert record.mass_method == "exact"
+        assert record.mc_draws == 0 and record.mc_se_fit == 0.0
+        assert math.isclose(record.fit, oracle, rel_tol=1e-12)
 
     def test_mixed_student_t_keeps_df(self):
         # documented approximation: marginal t density at the boundary times
@@ -360,10 +386,164 @@ class TestBfIu:
         base = normal_dist(np.zeros(3), np.eye(3))
         wide = normal_dist(np.zeros(3), 9.0 * np.eye(3))
         p1, _ = prob_region(base, h, rng=np.random.default_rng(101),
-                            draws=50_000)
+                            draws=50_000, method="mc")
         p2, _ = prob_region(wide, h, rng=np.random.default_rng(101),
-                            draws=50_000)
+                            draws=50_000, method="mc")
         assert p1 == p2
+
+    def test_scale_invariance_exact_three_rows(self):
+        h = parse("b1 < b2 < b3")
+        cov = np.array([[1.0, 0.3, 0.1], [0.3, 2.0, -0.2], [0.1, -0.2, 1.5]])
+        p1, se = prob_region(normal_dist(np.zeros(3), cov), h)
+        p2, _ = prob_region(normal_dist(np.zeros(3), 9.0 * cov), h)
+        assert se == 0.0
+        assert math.isclose(p1, p2, rel_tol=1e-14)
+
+
+class TestOrthantLadder:
+    """The deterministic ladder behind method="auto" against its oracles:
+    scipy's CDFs and lattice rules, and the Monte Carlo sampler."""
+
+    @pytest.mark.parametrize("m1", [-1.3, 0.0, 0.7])
+    @pytest.mark.parametrize("m2", [-0.4, 0.0, 2.1])
+    @pytest.mark.parametrize("rho", [-0.8, 0.0, 0.55])
+    def test_two_row_normal_matches_mvn_cdf(self, m1, m2, rho):
+        cov = np.array([[2.0, rho * math.sqrt(2.0) * 0.5],
+                        [rho * math.sqrt(2.0) * 0.5, 0.25]])
+        mean = np.array([m1, m2])
+        record = bf_iu(normal_dist(mean, cov), normal_dist(np.zeros(2), cov),
+                       parse("{b1, b2} > 0"))
+        oracle = float(multivariate_normal(mean=np.zeros(2), cov=cov).cdf(mean))
+        assert abs(record.fit - oracle) <= 1e-12
+        assert record.mc_se_fit == 0.0 and record.mc_draws == 0
+        assert record.mass_method == "exact"
+
+    @pytest.mark.parametrize("nu", [2.0, 5.0, 30.0, 4795.0])
+    def test_two_row_student_t_quadrature(self, nu):
+        cov = np.array([[1.0, -0.35], [-0.35, 0.5]])
+        mean = np.array([0.6, 0.4])
+        p, err = prob_region(t_dist(mean, cov, nu), parse("{b1, b2} > 0"))
+        ref, ref_err, _ = _qmvt(10**6, nu, cov, -mean, np.full(2, np.inf),
+                                np.random.default_rng(2024))
+        assert err > 0.0
+        assert abs(p - ref) < 1e-5
+        assert abs(p - ref) <= err + ref_err
+
+    @pytest.mark.parametrize("kind,df", [("normal", None), ("student-t", 1.0),
+                                         ("student-t", 5.0)])
+    @pytest.mark.parametrize("text", ["b1 < b2 < b3", "{b1, b2, b3} > 0"])
+    def test_zero_mean_closed_forms_agree_with_sampler(self, kind, df, text):
+        cov = np.array([[1.0, 0.5, -0.2], [0.5, 2.0, 0.3], [-0.2, 0.3, 1.0]])
+        dist = CoefDistribution(kind, np.zeros(3), cov, ("b1", "b2", "b3"),
+                                df=df)
+        p, se = prob_region(dist, parse(text))
+        p_mc, se_mc = prob_region(dist, parse(text),
+                                  rng=np.random.default_rng(11),
+                                  draws=200_000, method="mc")
+        assert se == 0.0
+        assert abs(p - p_mc) <= 4.0 * se_mc
+
+    @pytest.mark.parametrize("kind,df", [("normal", None), ("student-t", 4.0)])
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_qmc_agrees_with_sampler(self, kind, df, k):
+        cov = np.array([[1.0, 0.4, 0.2, 0.0], [0.4, 1.0, 0.1, -0.3],
+                        [0.2, 0.1, 1.0, 0.2], [0.0, -0.3, 0.2, 1.0]])[:k, :k]
+        names = ("b1", "b2", "b3", "b4")[:k]
+        dist = CoefDistribution(kind, np.array([0.3, -0.1, 0.5, 0.8])[:k], cov,
+                                names, df=df)
+        h = parse("{" + ", ".join(names) + "} > 0")
+        p, se = prob_region(dist, h, rng=np.random.default_rng(5))
+        p_mc, se_mc = prob_region(dist, h, rng=np.random.default_rng(6),
+                                  draws=200_000, method="mc")
+        assert 0.0 < se <= 1e-5
+        assert abs(p - p_mc) <= 4.0 * math.hypot(se, se_mc)
+
+    def test_qmc_matches_mvn_orthant_oracle(self):
+        cov = np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.1], [0.2, 0.1, 1.0]])
+        mean = np.array([0.3, -0.1, 0.5])
+        p, se = prob_region(normal_dist(mean, cov), parse("{b1, b2, b3} > 0"),
+                            rng=np.random.default_rng(23))
+        ref, ref_err, _ = _qmvn(10**6, cov, -mean, np.full(3, np.inf),
+                                np.random.default_rng(24))
+        assert abs(p - ref) <= 4.0 * math.hypot(se, ref_err / 3.0)
+
+    def test_qmc_record_is_seed_deterministic(self):
+        cov = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
+        post = t_dist([0.4, 0.2, 0.3], cov, df=40)
+        prior = t_dist(np.zeros(3), 5.0 * cov, df=1)
+        h = parse("{b1, b2, b3} > 0")
+        a = bf_iu(post, prior, h, rng=np.random.default_rng(77), draws=5_000)
+        b = bf_iu(post, prior, h, rng=np.random.default_rng(77), draws=5_000)
+        assert a == b
+        assert a.mass_method == "qmc"
+        assert 0 < a.mc_draws <= 5_000
+        assert a.mc_se_fit > 0.0 and a.mc_se_complexity == 0.0
+
+    def test_mass_method_is_least_exact(self):
+        cov = np.array([[1.0, 0.3], [0.3, 1.0]])
+        h = parse("{b1, b2} > 0")
+        prior = t_dist(np.zeros(2), 4.0 * cov, df=1)
+        quad = bf_iu(t_dist([0.5, 0.2], cov, df=20), prior, h)
+        assert quad.mass_method == "quadrature"
+        assert quad.mc_se_fit > 0.0 and quad.mc_draws == 0
+        mc = bf_iu(t_dist([0.5, 0.2], cov, df=20), prior, h,
+                   rng=np.random.default_rng(1), draws=1_000, method="mc")
+        assert mc.mass_method == "mc" and mc.mc_draws == 1_000
+        one_row = bf_iu(t_dist([0.5], [[1.0]], df=20), t_dist([0.0], [[4.0]], df=1),
+                        parse("b1 > 0"))
+        assert one_row.mass_method == "exact"
+
+    def test_duplicated_rows_reduce_to_one_row_cdf(self):
+        dist = normal_dist([1.0, 0.0], [[2.0, 0.3], [0.3, 1.0]])
+        p, se = prob_region(dist, parse("b1 > 0 & 2 * b1 > 1"))
+        assert se == 0.0
+        assert math.isclose(p, float(norm.cdf(0.5 / math.sqrt(2.0))),
+                            rel_tol=1e-14)
+
+    def test_opposed_rows_reduce_to_an_interval(self):
+        dist = t_dist([0.4, 0.0], [[1.0, 0.3], [0.3, 1.0]], df=7)
+        p, se = prob_region(dist, parse("b1 > 0.1 & b1 < 1"))
+        assert se == 0.0
+        expected = float(student_t.cdf(0.6, 7) - student_t.cdf(-0.3, 7))
+        assert math.isclose(p, expected, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("m1,expected", [(0.5, 0.5), (-0.5, 0.0)])
+    def test_zero_variance_row_is_decided_by_its_mean(self, m1, expected):
+        dist = normal_dist([m1, 0.0], [[0.0, 0.0], [0.0, 1.0]])
+        p, se = prob_region(dist, parse("{b1, b2} > 0"))
+        assert (p, se) == (expected, 0.0)
+
+    def test_exact_method_refuses_qmc_region(self):
+        dist = normal_dist([0.3, 0.2, 0.1], np.eye(3))
+        with pytest.raises(NumericError):
+            prob_region(dist, parse("{b1, b2, b3} > 0"), method="exact")
+
+    @pytest.mark.parametrize("method", ["auto", "mc"])
+    def test_nonpositive_draws_rejected(self, method):
+        dist = normal_dist([0.3, 0.2, 0.1], np.eye(3))
+        with pytest.raises(ValueError):
+            prob_region(dist, parse("{b1, b2, b3} > 0"),
+                        rng=np.random.default_rng(0), draws=0, method=method)
+
+    @given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+                    .filter(any), min_size=1, max_size=3),
+           st.floats(0.01, 0.99), st.floats(0.01, 0.99))
+    @settings(max_examples=60, deadline=None)
+    def test_homogeneous_complexity_free_of_b_and_family(self, rows, b1, b2):
+        # a boundary-centered prior gives eta mean 0, so the complexity of a
+        # homogeneous hypothesis depends only on the eta correlations
+        names = ("b1", "b2", "b3")
+        h = ConstraintSystem(param_names=names, R_e=np.zeros((0, 3)),
+                             r_e=np.zeros(0), R_i=np.array(rows, dtype=float),
+                             r_i=np.zeros(len(rows)))
+        cov = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 1.5]])
+        normal = CoefDistribution("normal", np.zeros(3), cov / b1, names)
+        cauchy = CoefDistribution("student-t", np.zeros(3), cov / b2, names,
+                                  df=1.0)
+        p_normal, se_normal = prob_region(normal, h)
+        p_cauchy, se_cauchy = prob_region(cauchy, h)
+        assert se_normal == se_cauchy == 0.0
+        assert abs(p_normal - p_cauchy) <= 1e-12
 
 
 class TestBfIcAndBetween:
@@ -482,6 +662,27 @@ class TestEvidenceRecord:
                              alternative="unconstrained")
         back = EvidenceRecord.from_json(rec.to_json())
         assert back.log_bf_iu == -math.inf
+
+    def test_mass_method_round_trip_and_default(self):
+        rec = EvidenceRecord(study_id="s", hypothesis="h", fit=0.5,
+                             complexity=0.25, log_bf_iu=math.log(2.0),
+                             log_bf_ic=0.0, mc_se_fit=1e-6,
+                             mc_se_complexity=0.0, mc_draws=2_960,
+                             mass_method="qmc")
+        assert EvidenceRecord.from_json(rec.to_json()) == rec
+        older = {k: v for k, v in rec.to_dict().items() if k != "mass_method"}
+        assert EvidenceRecord.from_dict(older).mass_method == ""
+
+    @pytest.mark.parametrize("field,value", [
+        ("mc_draws", 1.5), ("mc_draws", -1), ("n", -3.7), ("n", -3),
+        ("mc_draws", "inf"), ("mass_method", "guess"), ("mass_method", 3)])
+    def test_bad_counts_and_methods_rejected(self, field, value):
+        data = dict(EvidenceRecord(study_id="s", hypothesis="h", fit=0.5,
+                                   complexity=0.5, log_bf_iu=0.0, log_bf_ic=0.0,
+                                   mc_se_fit=0.0, mc_se_complexity=0.0,
+                                   mc_draws=0).to_dict(), **{field: value})
+        with pytest.raises(DataError):
+            EvidenceRecord.from_dict(data)
 
     def test_keys_sorted(self):
         rec = EvidenceRecord(study_id="s", hypothesis="h", fit=0.5,

@@ -179,8 +179,13 @@ class TestSynthesize:
         json.dumps([dict(record_dict(), fit="abc")]),
         json.dumps([record_dict(), 7]),
         json.dumps([dict(record_dict(), alternative="bogus")]),
+        json.dumps([dict(record_dict(), mc_draws=1.5)]),
+        json.dumps([dict(record_dict(), n=-3.7)]),
+        json.dumps([dict(record_dict(), n=-3)]),
+        json.dumps([dict(record_dict(), mass_method="guess")]),
     ], ids=["invalid-json", "missing-mc-draws", "non-numeric-fit",
-            "non-object-item", "unknown-alternative"])
+            "non-object-item", "unknown-alternative", "non-integral-mc-draws",
+            "negative-non-integral-n", "negative-n", "unknown-mass-method"])
     def test_malformed_record_exit_3(self, tmp_path, capsys, text):
         (tmp_path / "s1.json").write_text(text, encoding="utf-8")
         code = cli.main(["synthesize", "--records", str(tmp_path),
@@ -224,6 +229,20 @@ class TestSimulate:
         a = self._run(tmp_path, "a.csv")
         c = self._run(tmp_path, "c.csv", extra=("--threads", "2"))
         assert a == c
+
+    def test_threads_do_not_change_qmc_output(self, tmp_path):
+        # simulation 6 has three inequality rows: lattice QMC fits seeded
+        # from each study's stream
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"sim6-{threads}.csv"
+            code = cli.main(["simulate", "--sim", "6", "--iters", "2",
+                             "--n", "100", "--r2", "0.09", "--seed", "5",
+                             "--mc-draws", "5000", "--threads", threads,
+                             "--out", str(out)])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_csv_shape_and_aggregates(self, tmp_path):
         raw = self._run(tmp_path, "a.csv").decode()
@@ -356,6 +375,22 @@ class TestParserPlumbing:
                       "--outcome", "y", "--hypothesis", "a > 0",
                       "--fraction", "1.5", "--seed", "1",
                       "--out", str(tmp_path / "r.json")])
+
+    @pytest.mark.parametrize("value", ["0", "-5", "many"])
+    def test_mc_draws_must_be_positive(self, tmp_path, capsys, value):
+        commands = (
+            ["analyze", "--data", "x.csv", "--family", "gaussian",
+             "--outcome", "y", "--hypothesis", "x1 < x2 < x3", "--seed", "1"],
+            ["simulate", "--sim", "1", "--iters", "1", "--seed", "1"],
+        )
+        for argv in commands:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["--mc-draws", value,
+                                 "--out", str(tmp_path / "o")])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "argument --mc-draws" in err and "positive integer" in err
+            assert "Traceback" not in err
 
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,13 +1,19 @@
-"""Names that code outside the package reaches by attribute.
+"""Names that code outside the package reaches by attribute, and private
+names the package reaches outside itself.
 
 The benchmark's traced runs (``bench/spans.py``) replace the functions in
 its ``TRACED`` list by module attribute, so moving or renaming one of them
-must fail here rather than crash the traced benchmark.
+must fail here rather than crash the traced benchmark.  ``evsynth.bf``
+calls scipy's private lattice-QMC integrators, so a scipy release that
+changes their call signature must fail here rather than in a simulation.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import numpy as np
 
 import evsynth
 
@@ -33,3 +39,18 @@ def test_traced_functions_resolve():
 def test_exported_names_resolve():
     missing = [name for name in evsynth.__all__ if not hasattr(evsynth, name)]
     assert missing == []
+
+
+def test_scipy_lattice_qmc_signature():
+    from scipy.stats._qmvnt import _qmvn, _qmvt
+
+    assert list(inspect.signature(_qmvn).parameters)[:5] == [
+        "m", "covar", "low", "high", "rng"]
+    assert list(inspect.signature(_qmvt).parameters)[:6] == [
+        "m", "nu", "covar", "low", "high", "rng"]
+    corr = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
+    low, high = np.zeros(3), np.full(3, np.inf)
+    for p, err, used in (_qmvn(100, corr, low, high, np.random.default_rng(0)),
+                         _qmvt(100, 4.0, corr, low, high,
+                               np.random.default_rng(0))):
+        assert 0.0 < p < 1.0 and err >= 0.0 and 0 < used <= 100
