@@ -372,14 +372,20 @@ def cmd_report(args) -> int:
         if missing:
             raise glm.DataError(f"{args.input}: missing columns {missing}")
         groups: dict[tuple, dict] = {}
-        for row in reader:
+        for i, row in enumerate(reader, start=1):
             if row["study"] != "":
                 continue
             key = (row["sim_id"], row["family"], row["n"], row["r2"],
                    row["hypothesis"], row["alternative"])
             entry = groups.setdefault(key, {"log_bf": [], "pmp": []})
-            entry["log_bf"].append(float(row["agg_log_bf"]))
-            entry["pmp"].append(float(row["pmp"]))
+            for column, values in (("agg_log_bf", entry["log_bf"]),
+                                   ("pmp", entry["pmp"])):
+                try:
+                    values.append(float(row[column]))
+                except (TypeError, ValueError):
+                    raise glm.DataError(
+                        f"{args.input}: non-numeric value {row[column]!r} in "
+                        f"column {column!r}, data row {i}") from None
     if not groups:
         raise glm.DataError(f"{args.input}: no aggregate rows found")
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -474,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("simulate", help="run a bundled simulation study")
     pm.add_argument("--sim", type=int, required=True, choices=range(1, 12),
                     metavar="1..11")
-    pm.add_argument("--iters", type=int, default=1000)
+    pm.add_argument("--iters", type=_positive_int, default=1000)
     pm.add_argument("--n", help="comma-separated sample sizes (default: the "
                                 "simulation's grid)")
     pm.add_argument("--r2", help="comma-separated target R^2 values")
@@ -482,13 +488,13 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=bf.ALTERNATIVES + ("both",))
     pm.add_argument("--mc-draws", type=_positive_int, default=bf.DEFAULT_DRAWS,
                     help=_DRAWS_HELP)
-    pm.add_argument("--studies", type=int,
+    pm.add_argument("--studies", type=_positive_int,
                     help="study count per iteration (simulations 9-11)")
     pm.add_argument("--decomposed", action="store_true",
                     help="simulation 11: evaluate the three single-coefficient "
                          "parts instead of the joint hypothesis")
     pm.add_argument("--seed", type=_nonneg_int, required=True)
-    pm.add_argument("--threads", type=int, default=1,
+    pm.add_argument("--threads", type=_positive_int, default=1,
                     help="worker processes (results are identical for any value)")
     pm.add_argument("--out", required=True, help="output CSV path")
     pm.set_defaults(func=cmd_simulate)

@@ -10,6 +10,7 @@ information for the binomial links.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -133,6 +134,11 @@ def dataset_from_csv(path, outcome: str, predictors: list[str] | None = None,
                      family: str = "gaussian", intercept: bool = True) -> Dataset:
     """Load a Dataset from a headed CSV file.
 
+    The header is read by ``csv.reader`` and the used columns of the body
+    by numpy's C reader.  A file that reader cannot take exactly as
+    ``csv.reader`` plus ``float()`` would is read again cell by cell, which
+    is also where every data error is worded; both give the same doubles.
+
     Parameters
     ----------
     path : str or Path
@@ -150,6 +156,59 @@ def dataset_from_csv(path, outcome: str, predictors: list[str] | None = None,
     DataError
         On missing columns, missing cells or non-numeric values.
     """
+    parsed = _c_parsed_table(path, outcome, predictors)
+    if parsed is None:
+        parsed = _cell_parsed_table(path, outcome, predictors)
+    predictors, table = parsed
+    # contiguous copies, laid out as the per-cell reader's arrays always
+    # were: BLAS results can depend on the layout
+    d = Dataset(np.ascontiguousarray(table[:, 1:]), np.ascontiguousarray(table[:, 0]),
+                family, tuple(predictors))
+    return add_intercept(d) if intercept else d
+
+
+def _c_parsed_table(path, outcome: str, predictors: list[str] | None):
+    """(predictor names, table with the outcome column first) parsed by
+    ``np.loadtxt``, or None when the file needs ``_cell_parsed_table``.
+
+    None is returned for any header problem, any cell numpy rejects
+    (blanks, text, ``1_0``) and any line the two readers could take
+    differently: ``loadtxt`` skips an empty line where ``csv.reader``
+    returns an empty row, splits inside quotes, and does not share csv's
+    NUL and field-size rules.  A cell numpy accepts is the double
+    ``float()`` gives: both parse with ``PyOS_string_to_double``.
+    """
+    limit = csv.field_size_limit()
+
+    def checked(lines):
+        for line in lines:
+            if line[0] in "\r\n" or '"' in line or "\0" in line or len(line) > limit:
+                raise ValueError("line needs the per-cell reader")
+            yield line
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            header = next(csv.reader(fh))
+            if predictors is None:
+                predictors = [c for c in header if c != outcome]
+            used = [outcome, *predictors]
+            if not set(used) <= set(header):
+                return None
+            first = next(fh, None)  # loadtxt warns on an empty body
+            if first is None:
+                return None
+            table = np.loadtxt(checked(itertools.chain((first,), fh)),
+                               delimiter=",", comments=None,
+                               usecols=[header.index(c) for c in used],
+                               ndmin=2, dtype=float)
+        except (StopIteration, ValueError, csv.Error):
+            return None
+    return predictors, table
+
+
+def _cell_parsed_table(path, outcome: str, predictors: list[str] | None):
+    """``_c_parsed_table``'s result from ``csv.reader`` and one ``float()``
+    per used cell; raises the DataError that names the first bad cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -181,11 +240,7 @@ def dataset_from_csv(path, outcome: str, predictors: list[str] | None = None,
                     f"data row {i + 1}") from None
         return out
 
-    y = column(outcome)
-    X = np.column_stack([column(c) for c in predictors]) if predictors else \
-        np.empty((len(rows), 0))
-    d = Dataset(X, y, family, tuple(predictors))
-    return add_intercept(d) if intercept else d
+    return predictors, np.column_stack([column(c) for c in [outcome, *predictors]])
 
 
 def _condition_guard(X: np.ndarray):

@@ -12,12 +12,13 @@ from scipy.stats import multivariate_normal, norm
 from scipy.stats import t as student_t
 from scipy.stats._qmvnt import _qmvn, _qmvt
 
-from evsynth.bf import (CoefDistribution, EvidenceRecord, FractionSpec,
-                        NumericError, adjustment_center, bf_between, bf_ic,
-                        bf_iu, build_posterior, build_prior, constraint_count,
+from evsynth.bf import (ALTERNATIVES, MASS_METHODS, CoefDistribution,
+                        EvidenceRecord, FractionSpec, NumericError,
+                        adjustment_center, bf_between, bf_ic, bf_iu,
+                        build_posterior, build_prior, constraint_count,
                         default_fraction, density_at_equality, evaluate, pmps,
                         prob_region)
-from evsynth.glm import DataError, Dataset, add_intercept, fit_ols
+from evsynth.glm import FAMILIES, DataError, Dataset, add_intercept, fit_ols
 from evsynth.hypothesis import ConstraintSystem, parse
 
 
@@ -683,6 +684,24 @@ class TestEvidenceRecord:
                                    mc_draws=0).to_dict(), **{field: value})
         with pytest.raises(DataError):
             EvidenceRecord.from_dict(data)
+
+    LOG_BFS = st.sampled_from([math.inf, -math.inf]) | st.floats(allow_nan=False)
+
+    @given(st.builds(
+        EvidenceRecord,
+        study_id=st.text(max_size=8), hypothesis=st.text(max_size=12),
+        fit=st.floats(0.0, 1.0), complexity=st.floats(0.0, 1.0),
+        log_bf_iu=LOG_BFS, log_bf_ic=st.none() | LOG_BFS,
+        mc_se_fit=st.floats(0.0, 1.0), mc_se_complexity=st.floats(0.0, 1.0),
+        mc_draws=st.integers(0, 10 ** 7),
+        family=st.sampled_from(("",) + FAMILIES), n=st.integers(0, 10 ** 6),
+        alternative=st.sampled_from(ALTERNATIVES),
+        mass_method=st.sampled_from(("",) + MASS_METHODS)))
+    @settings(max_examples=200, deadline=None)
+    def test_json_round_trip_property(self, rec):
+        back = EvidenceRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+        assert back == rec
+        assert repr(back) == repr(rec)  # also tells -0.0 from 0.0
 
     def test_keys_sorted(self):
         rec = EvidenceRecord(study_id="s", hypothesis="h", fit=0.5,

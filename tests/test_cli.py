@@ -86,6 +86,23 @@ class TestAnalyze:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body,words", [
+        # the fixture holds 150 data rows
+        ("1,2,3\n4,oops,6\n", "non-numeric value 'oops' in column 'x1', data row 152"),
+        ("1,2,3\n\n4,5,6\n", "missing value in column 'y', data row 152")])
+    def test_bad_data_rows_exit_3(self, strong_effect_csv, tmp_path, capsys,
+                                  body, words):
+        path = tmp_path / "bad.csv"
+        path.write_text(strong_effect_csv.read_text() + body, encoding="utf-8")
+        code = cli.main(["analyze", "--data", str(path),
+                         "--family", "gaussian", "--outcome", "y",
+                         "--hypothesis", "x1 > 0", "--seed", "3",
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert words in err
+        assert "Traceback" not in err
+
     def test_contradiction_exit_4(self, strong_effect_csv, tmp_path, capsys):
         code = cli.main(["analyze", "--data", str(strong_effect_csv),
                          "--family", "gaussian", "--outcome", "y",
@@ -356,6 +373,26 @@ class TestReport:
             assert row[key] == "1.5"
         assert row["mean_pmp"] == "0.8"
 
+    @pytest.mark.parametrize("column", ["agg_log_bf", "pmp"])
+    def test_non_numeric_cell_exit_3(self, tmp_path, capsys, column):
+        path = tmp_path / "bad.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(cli.RESULT_COLUMNS)
+            for it in range(3):
+                row = dict(zip(cli.RESULT_COLUMNS,
+                               ("3", "gaussian", "100", "0.25", str(it), "",
+                                "h", "unconstrained", "", "", "", "1.5", "0.8")))
+                if it == 1:
+                    row[column] = "oops"
+                w.writerow(row.values())
+        code = cli.main(["report", "--in", str(path),
+                         "--out", str(tmp_path / "r.csv")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert (f"{path}: non-numeric value 'oops' in column {column!r}, "
+                "data row 2") in err
+
     def test_missing_columns_exit_3(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
@@ -391,6 +428,20 @@ class TestParserPlumbing:
             err = capsys.readouterr().err
             assert "argument --mc-draws" in err and "positive integer" in err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--iters", "0"), ("--iters", "-1"), ("--studies", "0"),
+        ("--threads", "-3"), ("--threads", "0"), ("--threads", "two")])
+    def test_simulate_counts_must_be_positive(self, tmp_path, capsys, flag,
+                                              value):
+        argv = ["simulate", "--sim", "9", "--n", "25", "--seed", "1",
+                "--out", str(tmp_path / "o.csv")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + [flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "positive integer" in err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,14 +1,16 @@
 """Model fitting tests: OLS, logistic, probit, separation, CSV loading."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, log_ndtr, ndtr
 from scipy.stats import norm
 
+from evsynth import glm
 from evsynth.glm import (DataError, Dataset, NotConvergedError,
                          SeparationError, SingularDesignError, add_intercept,
                          dataset_from_csv, detect_separation, fit,
@@ -296,6 +298,159 @@ class TestCsvLoading:
         path = self._write(tmp_path, "y,a\n1,2\n3,\n")
         with pytest.raises(DataError):
             dataset_from_csv(path, "y", family="gaussian")
+
+
+def reference_dataset(path, outcome, predictors=None, family="gaussian",
+                      intercept=True):
+    """The CSV contract as plain Python: ``csv.reader`` rows and one
+    ``float()`` per used cell, every data error worded as the loader words
+    it."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{path}: empty file") from None
+        rows = list(reader)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    if outcome not in header:
+        raise DataError(f"{path}: outcome column {outcome!r} not found")
+    if predictors is None:
+        predictors = [c for c in header if c != outcome]
+    missing = [c for c in predictors if c not in header]
+    if missing:
+        raise DataError(f"{path}: predictor columns {missing} not found")
+    columns = []
+    for name in [outcome, *predictors]:
+        j = header.index(name)
+        values = []
+        for i, row in enumerate(rows, start=1):
+            if j >= len(row) or row[j].strip() == "":
+                raise DataError(f"{path}: missing value in column {name!r}, "
+                                f"data row {i}")
+            try:
+                values.append(float(row[j]))
+            except ValueError:
+                raise DataError(f"{path}: non-numeric value {row[j]!r} in "
+                                f"column {name!r}, data row {i}") from None
+        columns.append(values)
+    X = np.array(columns[1:], dtype=float).T.reshape(len(rows), len(predictors))
+    d = Dataset(np.ascontiguousarray(X), np.array(columns[0]), family,
+                tuple(predictors))
+    return add_intercept(d) if intercept else d
+
+
+def load_outcome(load, *args):
+    """What a loader gives: the dataset's exact bytes, or its error."""
+    try:
+        d = load(*args)
+    except Exception as exc:  # noqa: BLE001 - any difference must show
+        return type(exc).__name__, str(exc)
+    return (d.names, d.family, d.X.shape, d.X.tobytes(), d.y.tobytes(),
+            d.X.flags.c_contiguous, d.y.flags.c_contiguous)
+
+
+def assert_matches_reference(path, text, outcome="y", predictors=None,
+                             family="gaussian", intercept=True):
+    path.write_bytes(text.encode("utf-8"))
+    args = (path, outcome, predictors, family, intercept)
+    assert load_outcome(dataset_from_csv, *args) == \
+        load_outcome(reference_dataset, *args)
+
+
+PADS = st.sampled_from(["", " ", "\t", "  "])
+NUMBERS = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+    st.integers(-99, 99).map(str),
+    st.sampled_from(["0", "1"]))
+PADDED = st.tuples(PADS, NUMBERS, PADS).map("".join)
+ODD_CELLS = st.sampled_from([
+    "", " ", "\t", "\xa0", "oops", "1_0", "1__0", "_1", "1_", "nan", "NaN",
+    "inf", "-inf", "Infinity", "1e500", "-0", ".5", "1.", "+1e-3", "0x10",
+    "1e", "--1", "1 2", "\u0661", "2\xa0", '"3"', '" 4 "', '"1,5"', '"x,y"',
+    '"a""b"', '""', '"', "\x00", "2\x0b", "3\x1c"])
+TEXT_CELLS = st.sampled_from(["abc", "x y", "", '"q,r"', '"1,2,3"', "7"])
+
+
+@st.composite
+def csv_cases(draw):
+    """A CSV text near the contract's edges, and the loader arguments."""
+    header = draw(st.permutations(["y", "a", "b", "t"]))
+    text_cells = st.one_of(PADDED, TEXT_CELLS)
+    rows = [[draw(text_cells if name == "t" else PADDED) for name in header]
+            for _ in range(draw(st.sampled_from([6, 7, 8, 5, 1, 0])))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2, 3])) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["cell", "quote", "short", "long", "blank"]))
+        if kind in ("cell", "quote") and rows[i]:
+            j = draw(st.integers(0, len(rows[i]) - 1))
+            rows[i][j] = draw(ODD_CELLS) if kind == "cell" else f'"{rows[i][j]}"'
+        elif kind == "short":
+            del rows[i][draw(st.integers(0, len(header) - 1)):]
+        elif kind == "long":
+            rows[i] += draw(st.lists(st.sampled_from(["9", "", '"u,v"']),
+                                     min_size=1, max_size=2))
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), [draw(PADS)])
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1]
+    if draw(st.booleans()):
+        text += draw(ends)
+    outcome = draw(st.sampled_from(["y", "y", "a"]))
+    predictors = draw(st.sampled_from(
+        [["a"], None, ["b", "a"], ["a", "b"], ["t"], [], ["zz"]]))
+    family = draw(st.sampled_from(["gaussian", "gaussian", "logit"]))
+    return text, outcome, predictors, family, draw(st.booleans())
+
+
+class TestCsvReaderDifferential:
+    """The C-parsed reader against ``reference_dataset``: bit-identical
+    data or the same error, on every text."""
+
+    @given(csv_cases())
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_reference(self, tmp_path, case):
+        assert_matches_reference(tmp_path / "data.csv", *case)
+
+    @pytest.mark.parametrize("text,predictors", [
+        ("y,a,b\r\n1,2,3\r\n4,5,7\r\n6,8,9\r\n2,2,1\r\n", None),
+        ("y,a,b\r1,2,3\r4,5,7\r6,8,9\r2,2,1", None),
+        ("y,a\n1,2\n3,4\n5,7\n\n", None),
+        ("y,a\n1,2\n\n3,4\n5,7\n", None),
+        ("y,a\n1,2\n  \n3,4\n5,7\n", None),
+        ("y,a\n1,2\r\r\n3,4\n5,7\n", None),
+        ("y,a\n1,2\n3,4\n5,7\n\t\n", None),
+        ('y,a\n"1",2\n3,"4"\n5,7\n', None),
+        ('t,y,a\n"1,5",1,2\n"x,y,z",3,4\n"",5,7\n', ["a"]),
+        ('t,y,a\n"1,9,1",1,2\n"x",3,4\n"q",5,7\n', ["a"]),
+        ("t,y,a\nabc,1,2\nx y,3,4\n,5,7\n", ["a"]),
+        ("y,a\n1_0,2\n3,4_5\n5,7\n", None),
+        ("y,a\n 1 ,\t2\t\n3 , 4\n5,7\n", None),
+        ("y,a\nnan,2\n3,4\n5,7\n", None),
+        ("y,a\n1,inf\n3,4\n5,7\n", None),
+        ("y,a,b\n1,2,3\n4,5\n6,7,8\n9,1,2\n", None),
+        ("y,a\n1,2,3,4\n4,5\n6,7,\n9,1\n", None),
+        ("y,a,b\n1,2,3\n", ["a"]),
+        ("y,a\n1,2\n3,oops\n5,6\n", None),
+        ("y,a\n", None),
+        ("", None),
+    ])
+    def test_contract_cases(self, tmp_path, text, predictors):
+        assert_matches_reference(tmp_path / "data.csv", text,
+                                 predictors=predictors)
+
+    def test_plain_files_take_the_c_reader(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("y,a,t\r\n1, 2.5,x\r\n3,-4e-3,y z\r\n", encoding="utf-8")
+        names, table = glm._c_parsed_table(path, "y", ["a"])
+        assert names == ["a"] and table.tolist() == [[1.0, 2.5], [3.0, -0.004]]
+        for text in ("y,a\n1,2\n\n3,4\n", 'y,a\n1,"2"\n', "y,a\n1,2_0\n"):
+            path.write_text(text, encoding="utf-8")
+            assert glm._c_parsed_table(path, "y", None) is None
 
 
 class TestDispatch:

@@ -6,6 +6,9 @@ its ``TRACED`` list by module attribute, so moving or renaming one of them
 must fail here rather than crash the traced benchmark.  ``evsynth.bf``
 calls scipy's private lattice-QMC integrators, so a scipy release that
 changes their call signature must fail here rather than in a simulation.
+``evsynth.glm`` reads CSV bodies with ``np.loadtxt``, so a numpy release
+that changes the reader's keywords must fail here rather than in
+``evsynth analyze``.
 """
 
 import importlib
@@ -54,3 +57,16 @@ def test_scipy_lattice_qmc_signature():
                          _qmvt(100, 4.0, corr, low, high,
                                np.random.default_rng(0))):
         assert 0.0 < p < 1.0 and err >= 0.0 and 0 < used <= 100
+
+
+def test_numpy_loadtxt_reader(tmp_path):
+    assert {"delimiter", "comments", "usecols", "ndmin", "dtype"} <= set(
+        inspect.signature(np.loadtxt).parameters)
+    path = tmp_path / "two.csv"
+    path.write_text("y,a,b\n1, 2.5,x\n-3,4e-3,y\n", encoding="utf-8")
+    with open(path, newline="", encoding="utf-8") as fh:
+        next(fh)
+        table = np.loadtxt(fh, delimiter=",", comments=None, usecols=[1, 0],
+                           ndmin=2, dtype=float)
+    assert table.shape == (2, 2) and table.dtype == np.float64
+    assert table.tolist() == [[2.5, 1.0], [0.004, -3.0]]
