@@ -82,30 +82,26 @@ class FractionSpec:
     """Fraction b of the likelihood information granted to the prior."""
 
     b: float
-    rule: str = "explicit"
-    J: int | None = None
 
     def __post_init__(self):
         if not (0.0 < self.b < 1.0):
             raise ValueError(f"fraction b must lie in (0, 1), got {self.b!r}")
-        if self.J is not None and (self.J < 1 or int(self.J) != self.J):
-            raise ValueError("J must be a positive integer")
 
     @classmethod
     def linear_model(cls, n: int, p: int) -> "FractionSpec":
         # b = (p + 1) / n, with p counting every design column
-        return cls((p + 1) / n, rule="linear-model")
+        return cls((p + 1) / n)
 
     @classmethod
     def glm(cls, n: int, J: int) -> "FractionSpec":
         # b = J / n, J = number of independent constraints in the study
         if J < 1:
             raise ValueError("J must be at least 1")
-        return cls(J / n, rule="glm", J=J)
+        return cls(J / n)
 
     @classmethod
     def explicit(cls, b: float) -> "FractionSpec":
-        return cls(b, rule="explicit")
+        return cls(b)
 
 
 def json_safe(obj):
@@ -418,10 +414,9 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
     valid for any elliptical law; nonzero-mean two-row orthants Owen's T
     (normal, exact) or 64-node quadrature over the chi-square mixing
     variable (Student-t); the rest randomized lattice QMC seeded from
-    ``rng`` (``method="exact"`` raises NumericError there).  Error
-    estimates are 0 for closed forms and CDFs.
+    ``rng``.  Error estimates are 0 for closed forms and CDFs.
     """
-    if method not in ("auto", "exact", "mc"):
+    if method not in ("auto", "mc"):
         raise ValueError(f"unknown method {method!r}")
     if method == "mc":
         rng = _sampler_rng(rng, draws)
@@ -466,9 +461,6 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
         vals = _bvn_orthant(-lo[0] * s, -lo[1] * s, corr[0, 1])
         p64, p32 = float(w64 @ vals[:64]), float(w32 @ vals[64:])
         return _unit(p64), abs(p64 - p32), 0, "quadrature"
-    if method == "exact":
-        raise NumericError(f"no exact rule for this {k}-row region; "
-                           "use method='auto'")
     p, se, used = _qmc_box(kind, lo, hi, corr, df, _sampler_rng(rng, draws),
                            draws)
     return p, se, used, "qmc"
@@ -544,8 +536,7 @@ def prob_region(dist: CoefDistribution, h: hyp.ConstraintSystem,
     density path.  Returns (probability, error estimate): 0 for closed
     forms and CDFs, |G64 - G32| for Student-t quadrature, one standard
     error for lattice QMC (``method="auto"``) and the Monte Carlo sampler
-    (``method="mc"``).  ``method="exact"`` raises NumericError where only
-    QMC applies.
+    (``method="mc"``).
     """
     if h.n_eq:
         raise ValueError("prob_region requires an inequality-only hypothesis")

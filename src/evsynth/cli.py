@@ -214,12 +214,7 @@ def run_iteration(sim_id: int, cond_idx: int, n: int, r2: float, iteration: int,
             return glm.fit(design)
 
         try:
-            if entry.spec.family == "gaussian":
-                raw = simgen.gen_dataset(entry.spec, rng=data_rng)
-                fit = analyze(raw)
-            else:
-                _, fit = simgen.gen_dataset(entry.spec, rng=data_rng,
-                                            probe=analyze, return_probe=True)
+            fit = simgen.gen_dataset(entry.spec, data_rng, analyze)
         except (simgen.PersistentSeparationError, glm.NotConvergedError) as exc:
             skip = dict(base, study=entry.study_index + 1,
                         family=entry.spec.family, reason=str(exc))
@@ -416,23 +411,22 @@ def _fraction_arg(text: str):
     return value
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be non-negative")
-    return value
+def _int_from(lowest: int):
+    """argparse type for integers of at least ``lowest`` (0 or 1)."""
+    kind = "non-negative" if lowest == 0 else "positive"
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind} integer, got {text!r}") from None
+        if value < lowest:
+            raise argparse.ArgumentTypeError(
+                f"must be a {kind} integer, got {value}")
+        return value
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}")
-    return value
+    return parse
 
 
 _DRAWS_HELP = ("integration point budget (QMC lattice points or Monte Carlo "
@@ -456,11 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="constraint string, e.g. 'x4 < x5 < x6'")
     pa.add_argument("--alternative", default="unconstrained",
                     choices=bf.ALTERNATIVES)
-    pa.add_argument("--mc-draws", type=_positive_int, default=bf.DEFAULT_DRAWS,
+    pa.add_argument("--mc-draws", type=_int_from(1), default=bf.DEFAULT_DRAWS,
                     help=_DRAWS_HELP)
     pa.add_argument("--fraction", type=_fraction_arg, default="auto",
                     help="'auto' (family rule) or an explicit fraction in (0, 1)")
-    pa.add_argument("--seed", type=_nonneg_int, required=True)
+    pa.add_argument("--seed", type=_int_from(0), required=True)
     pa.add_argument("--out", required=True, help="output JSON path")
     pa.add_argument("--no-intercept", action="store_true",
                     help="do not prepend an intercept column")
@@ -480,21 +474,21 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("simulate", help="run a bundled simulation study")
     pm.add_argument("--sim", type=int, required=True, choices=range(1, 12),
                     metavar="1..11")
-    pm.add_argument("--iters", type=_positive_int, default=1000)
+    pm.add_argument("--iters", type=_int_from(1), default=1000)
     pm.add_argument("--n", help="comma-separated sample sizes (default: the "
                                 "simulation's grid)")
     pm.add_argument("--r2", help="comma-separated target R^2 values")
     pm.add_argument("--alternative", default="both",
                     choices=bf.ALTERNATIVES + ("both",))
-    pm.add_argument("--mc-draws", type=_positive_int, default=bf.DEFAULT_DRAWS,
+    pm.add_argument("--mc-draws", type=_int_from(1), default=bf.DEFAULT_DRAWS,
                     help=_DRAWS_HELP)
-    pm.add_argument("--studies", type=_positive_int,
+    pm.add_argument("--studies", type=_int_from(1),
                     help="study count per iteration (simulations 9-11)")
     pm.add_argument("--decomposed", action="store_true",
                     help="simulation 11: evaluate the three single-coefficient "
                          "parts instead of the joint hypothesis")
-    pm.add_argument("--seed", type=_nonneg_int, required=True)
-    pm.add_argument("--threads", type=_positive_int, default=1,
+    pm.add_argument("--seed", type=_int_from(0), required=True)
+    pm.add_argument("--threads", type=_int_from(1), default=1,
                     help="worker processes (results are identical for any value)")
     pm.add_argument("--out", required=True, help="output CSV path")
     pm.set_defaults(func=cmd_simulate)

@@ -5,6 +5,12 @@ Families: ``gaussian`` (ordinary least squares), ``logit`` and ``probit``
 report the coefficient covariance used downstream: the unbiased-dispersion
 normal-equations covariance for OLS and the inverse observed Fisher
 information for the binomial links.
+
+Newton fits stop once the max-abs score is below ``GRAD_TOL`` and give up
+after ``MAX_ITER`` iterations.  A fit is separated when every fitted
+probability came within ``SEPARATION_EPS`` of {0, 1} at some iterate, or
+when a coefficient ends beyond ``SEPARATION_BETA_LIMIT`` in magnitude
+without score convergence.  The fits read these constants when called.
 """
 
 from __future__ import annotations
@@ -115,19 +121,18 @@ class FitResult:
     p: int
     family: str
     names: tuple[str, ...]
-    converged: bool
     log_likelihood: float
     linear_predictor_var: float
     warnings: list[str] = field(default_factory=list)
     trace: list[IrlsStep] = field(default_factory=list, repr=False)
 
 
-def add_intercept(d: Dataset, name: str = "intercept") -> Dataset:
-    """Prepend a constant column named ``name``."""
-    if name in d.names:
-        raise DataError(f"column {name!r} already present")
+def add_intercept(d: Dataset) -> Dataset:
+    """Prepend a constant column named ``intercept``."""
+    if "intercept" in d.names:
+        raise DataError("column 'intercept' already present")
     X = np.column_stack([np.ones(d.n), d.X])
-    return Dataset(X, d.y, d.family, (name,) + d.names)
+    return Dataset(X, d.y, d.family, ("intercept",) + d.names)
 
 
 def dataset_from_csv(path, outcome: str, predictors: list[str] | None = None,
@@ -208,14 +213,23 @@ def _c_parsed_table(path, outcome: str, predictors: list[str] | None):
 
 def _cell_parsed_table(path, outcome: str, predictors: list[str] | None):
     """``_c_parsed_table``'s result from ``csv.reader`` and one ``float()``
-    per used cell; raises the DataError that names the first bad cell."""
+    per used cell; raises the DataError that names the first bad cell, the
+    row holding a cell longer than ``csv.field_size_limit()``, or a file
+    that is not UTF-8 text."""
+    header, rows = None, []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            for row in reader:
+                rows.append(row)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+        except csv.Error as exc:
+            where = "header" if header is None else f"data row {len(rows) + 1}"
+            raise DataError(f"{path}: {where}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     if outcome not in header:
@@ -275,7 +289,7 @@ def fit_ols(d: Dataset) -> FitResult:
     loglik = math.inf if rss == 0.0 else \
         -0.5 * d.n * (math.log(2.0 * math.pi * rss / d.n) + 1.0)
     return FitResult(beta=beta, cov=cov, dispersion=phi, n=d.n, p=d.p,
-                     family=d.family, names=d.names, converged=True,
+                     family=d.family, names=d.names,
                      log_likelihood=loglik,
                      linear_predictor_var=float(np.var(X @ beta, ddof=1)),
                      warnings=warnings_list)
@@ -308,15 +322,12 @@ def _probit_parts(X, y, beta):
     return loglik, grad, neg_hess, margin
 
 
-def fit_binomial(d: Dataset, max_iter: int = MAX_ITER, grad_tol: float = GRAD_TOL,
-                 separation_eps: float = SEPARATION_EPS,
-                 separation_beta_limit: float = SEPARATION_BETA_LIMIT,
-                 check_separation: bool = True) -> FitResult:
+def fit_binomial(d: Dataset) -> FitResult:
     """Newton fit of a logit or probit regression.
 
     Each step solves the observed-information system and halves the step
     until the log-likelihood does not decrease.  Convergence requires the
-    max-abs score to fall below ``grad_tol`` within ``max_iter`` iterations.
+    max-abs score to fall below ``GRAD_TOL`` within ``MAX_ITER`` iterations.
     The coefficient covariance is the inverse observed Fisher information
     at the optimum.
 
@@ -324,8 +335,8 @@ def fit_binomial(d: Dataset, max_iter: int = MAX_ITER, grad_tol: float = GRAD_TO
     ------
     SeparationError
         If the iterate history satisfies :func:`detect_separation` (all
-        fitted probabilities within ``separation_eps`` of {0, 1} at some
-        iterate, or coefficients beyond ``separation_beta_limit`` without
+        fitted probabilities within ``SEPARATION_EPS`` of {0, 1} at some
+        iterate, or coefficients beyond ``SEPARATION_BETA_LIMIT`` without
         score convergence).
     NotConvergedError
         If iterations are exhausted without separation.
@@ -342,10 +353,10 @@ def fit_binomial(d: Dataset, max_iter: int = MAX_ITER, grad_tol: float = GRAD_TO
     trace: list[IrlsStep] = []
     converged = False
     loglik, grad, neg_hess, margin = parts(X, y, beta)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         grad_inf = float(np.abs(grad).max())
         trace.append(IrlsStep(loglik, grad_inf, float(np.abs(beta).max()), margin))
-        if grad_inf < grad_tol:
+        if grad_inf < GRAD_TOL:
             converged = True
             break
         try:
@@ -371,48 +382,45 @@ def fit_binomial(d: Dataset, max_iter: int = MAX_ITER, grad_tol: float = GRAD_TO
         trace.append(IrlsStep(loglik, float(np.abs(grad).max()),
                               float(np.abs(beta).max()), margin))
 
-    if check_separation and detect_separation(d, trace, eps=separation_eps,
-                                              beta_limit=separation_beta_limit,
-                                              grad_tol=grad_tol):
+    if detect_separation(d, trace):
         raise SeparationError("complete separation detected", trace=trace)
     if not converged:
         raise NotConvergedError(
-            f"no convergence in {max_iter} iterations "
+            f"no convergence in {MAX_ITER} iterations "
             f"(|score| = {trace[-1].grad_inf:.3e})")
 
     cov = np.linalg.inv(neg_hess)
     cov = (cov + cov.T) / 2.0
     return FitResult(beta=beta, cov=cov, dispersion=1.0, n=d.n, p=d.p,
-                     family=d.family, names=d.names, converged=True,
+                     family=d.family, names=d.names,
                      log_likelihood=loglik,
                      linear_predictor_var=float(np.var(X @ beta, ddof=1)),
                      trace=trace)
 
 
-def fit(d: Dataset, **kwargs) -> FitResult:
+def fit(d: Dataset) -> FitResult:
     """Dispatch to :func:`fit_ols` or :func:`fit_binomial` by family."""
     if d.family == "gaussian":
         return fit_ols(d)
-    return fit_binomial(d, **kwargs)
+    return fit_binomial(d)
 
 
-def detect_separation(d: Dataset, trace: list[IrlsStep], eps: float = SEPARATION_EPS,
-                      beta_limit: float = SEPARATION_BETA_LIMIT,
-                      grad_tol: float = GRAD_TOL) -> bool:
+def detect_separation(d: Dataset, trace: list[IrlsStep]) -> bool:
     """Separation predicate over a Newton iterate history.
 
-    True when every fitted probability sat within ``eps`` of {0, 1} at any
-    iterate, or when the final iterate has a coefficient beyond
-    ``beta_limit`` in magnitude while the score never met ``grad_tol``.
+    True when every fitted probability sat within ``SEPARATION_EPS`` of
+    {0, 1} at any iterate, or when the final iterate has a coefficient
+    beyond ``SEPARATION_BETA_LIMIT`` in magnitude while the score never met
+    ``GRAD_TOL``.
     """
     if d.family not in BINOMIAL_FAMILIES:
         raise DataError("separation is defined for binomial families only")
     if not trace:
         return False
-    if any(step.prob_margin <= eps for step in trace):
+    if any(step.prob_margin <= SEPARATION_EPS for step in trace):
         return True
     last = trace[-1]
-    return last.max_abs_beta > beta_limit and last.grad_inf >= grad_tol
+    return last.max_abs_beta > SEPARATION_BETA_LIMIT and last.grad_inf >= GRAD_TOL
 
 
 def mz_r2(fit_result: FitResult) -> float:

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import glm
 
@@ -50,27 +51,20 @@ class DataGenSpec:
     family: str
     n: int
     r2: float
-    weights: tuple[float, ...] = DEFAULT_WEIGHTS
-    rho: float = DEFAULT_RHO
-    seed: int | None = None
 
     def __post_init__(self):
         if self.family not in glm.FAMILIES:
             raise ValueError(f"unknown family {self.family!r}")
         if not 0.0 < self.r2 < 1.0:
             raise ValueError("r2 must lie in (0, 1)")
-        k = len(self.weights)
-        if k < 2:
-            raise ValueError("need at least two predictors")
-        if not -1.0 / (k - 1) < self.rho < 1.0:
-            raise ValueError("rho outside the positive-definite range")
-        if self.n <= k:
+        if self.n <= len(DEFAULT_WEIGHTS):
             raise ValueError("need more observations than predictors")
 
 
 def predictor_cov(spec: DataGenSpec) -> np.ndarray:
-    k = len(spec.weights)
-    return np.full((k, k), spec.rho) + (1.0 - spec.rho) * np.eye(k)
+    """Unit variances and pairwise correlation DEFAULT_RHO, for every spec."""
+    k = len(DEFAULT_WEIGHTS)
+    return np.full((k, k), DEFAULT_RHO) + (1.0 - DEFAULT_RHO) * np.eye(k)
 
 
 def latent_variance(spec: DataGenSpec) -> float:
@@ -90,75 +84,48 @@ def compute_beta(spec: DataGenSpec) -> np.ndarray:
     the predictor covariance and V the target linear-predictor variance, so
     Var(X beta) = V by construction.
     """
-    a = np.asarray(spec.weights, dtype=float)
+    a = np.asarray(DEFAULT_WEIGHTS, dtype=float)
     denom = float(a @ predictor_cov(spec) @ a)
     return a * math.sqrt(latent_variance(spec) / denom)
 
 
-def gen_dataset(spec: DataGenSpec, rng: np.random.Generator | None = None,
-                probe=None, max_redraws: int = MAX_REDRAWS,
-                return_probe: bool = False):
-    """Draw one study dataset, redrawing binomial studies that separate.
+def gen_dataset(spec: DataGenSpec, rng: np.random.Generator, analyze):
+    """Draw one study dataset and return ``analyze(dataset)``.
 
-    Parameters
-    ----------
-    spec : DataGenSpec
-    rng : Generator, optional
-        Falls back to a generator seeded with ``spec.seed``.
-    probe : callable, optional
-        Trial fit run on each binomial draw; it must raise
-        :class:`evsynth.glm.SeparationError` to request a redraw.  Defaults
-        to fitting the full model (intercept plus every predictor).
-    max_redraws : int
-        Budget of full-dataset redraws for binomial families.
-    return_probe : bool
-        Also return the probe's result for the accepted draw.
+    Binomial draws with a single outcome class, or whose ``analyze`` raises
+    :class:`evsynth.glm.SeparationError`, are redrawn up to
+    ``MAX_REDRAWS`` times.
 
     Raises
     ------
     PersistentSeparationError
-        If every attempt within the budget separated.
+        If every binomial attempt within the budget separated.
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
     beta = compute_beta(spec)
     chol = np.linalg.cholesky(predictor_cov(spec))
-    names = tuple(f"x{j + 1}" for j in range(len(spec.weights)))
+    names = tuple(f"x{j + 1}" for j in range(len(beta)))
 
-    if probe is None and spec.family != "gaussian":
-        def probe(d):
-            return glm.fit_binomial(glm.add_intercept(d))
-
-    attempts = max_redraws + 1
+    attempts = MAX_REDRAWS + 1
     for _ in range(attempts):
         X = rng.standard_normal((spec.n, len(beta))) @ chol.T
         eta = X @ beta
         if spec.family == "gaussian":
             y = eta + rng.standard_normal(spec.n) * math.sqrt(1.0 - spec.r2)
-            d = glm.Dataset(X, y, spec.family, names)
-            return (d, None) if return_probe else d
-        if spec.family == "logit":
-            p = 1.0 / (1.0 + np.exp(-eta))
-        else:
-            from scipy.special import ndtr
-            p = ndtr(eta)
+            return analyze(glm.Dataset(X, y, spec.family, names))
+        p = 1.0 / (1.0 + np.exp(-eta)) if spec.family == "logit" else ndtr(eta)
         y = (rng.random(spec.n) < p).astype(float)
         if y.min() == y.max():
             continue
-        d = glm.Dataset(X, y, spec.family, names)
         try:
-            result = probe(d)
+            return analyze(glm.Dataset(X, y, spec.family, names))
         except glm.SeparationError:
             continue
-        return (d, result) if return_probe else d
     raise PersistentSeparationError(
         f"{spec.family} study (n={spec.n}, r2={spec.r2}) separated in all "
         f"{attempts} attempts")
 
 
-def tertile_categorize(d: glm.Dataset, column: str,
-                       labels: tuple[str, str, str] = ("low", "medium", "high")
-                       ) -> glm.Dataset:
+def tertile_categorize(d: glm.Dataset, column: str) -> glm.Dataset:
     """Replace ``column`` with three rank-third indicator columns.
 
     Group sizes differ by at most one, with remainders assigned to the
@@ -181,7 +148,7 @@ def tertile_categorize(d: glm.Dataset, column: str,
         group[order[start:start + size]] = g
         start += size
     indicators = np.stack([(group == g).astype(float) for g in range(3)], axis=1)
-    new_names = tuple(f"{column}_{lab}" for lab in labels)
+    new_names = tuple(f"{column}_{lab}" for lab in ("low", "medium", "high"))
     for name in new_names:
         if name in d.names:
             raise glm.DataError(f"column {name!r} already present")
@@ -199,15 +166,16 @@ def tertile_categorize(d: glm.Dataset, column: str,
     return glm.Dataset(np.hstack(cols), d.y, d.family, tuple(names))
 
 
-def scale_score(d: glm.Dataset, columns: list[str], name: str = "scale") -> glm.Dataset:
-    """Replace ``columns`` with their row-wise mean as one new column."""
+def scale_score(d: glm.Dataset, columns: list[str]) -> glm.Dataset:
+    """Replace ``columns`` with their row-wise mean as one new column named
+    ``scale``."""
     if len(columns) < 2:
         raise glm.DataError("scale score needs at least two columns")
     missing = [c for c in columns if c not in d.names]
     if missing:
         raise glm.DataError(f"columns {missing} not found")
-    if name in d.names and name not in columns:
-        raise glm.DataError(f"column {name!r} already present")
+    if "scale" in d.names and "scale" not in columns:
+        raise glm.DataError("column 'scale' already present")
     idx = [d.names.index(c) for c in columns]
     score = d.X[:, idx].mean(axis=1)
 
@@ -218,7 +186,7 @@ def scale_score(d: glm.Dataset, columns: list[str], name: str = "scale") -> glm.
         if col_name in columns:
             if k == first and not inserted:
                 cols.append(score[:, None])
-                names.append(name)
+                names.append("scale")
                 inserted = True
             continue
         cols.append(d.X[:, k:k + 1])

@@ -169,7 +169,7 @@ class TestProbRegion:
 
     def test_ordering_symmetry_one_sixth_exact(self):
         dist = normal_dist(np.zeros(3), np.eye(3))
-        p, se = prob_region(dist, parse("b1 < b2 < b3"), method="exact")
+        p, se = prob_region(dist, parse("b1 < b2 < b3"))
         assert se == 0.0
         assert math.isclose(p, 1.0 / 6.0, rel_tol=1e-15)
 
@@ -312,7 +312,7 @@ class TestBfIu:
         mean = np.array([0.3, 0.2, 0.1])
         h = parse("b1 = 0 & b2 > 0 & b3 > 0")
         record = bf_iu(normal_dist(mean, cov), normal_dist(np.zeros(3), 2.0 * cov),
-                       h, method="exact")
+                       h)
         gain = cov[1:, 0] / cov[0, 0]
         cond_mean = mean[1:] - gain * mean[0]
         cond_cov = cov[1:, 1:] - np.outer(gain, cov[0, 1:])
@@ -513,11 +513,6 @@ class TestOrthantLadder:
         dist = normal_dist([m1, 0.0], [[0.0, 0.0], [0.0, 1.0]])
         p, se = prob_region(dist, parse("{b1, b2} > 0"))
         assert (p, se) == (expected, 0.0)
-
-    def test_exact_method_refuses_qmc_region(self):
-        dist = normal_dist([0.3, 0.2, 0.1], np.eye(3))
-        with pytest.raises(NumericError):
-            prob_region(dist, parse("{b1, b2, b3} > 0"), method="exact")
 
     @pytest.mark.parametrize("method", ["auto", "mc"])
     def test_nonpositive_draws_rejected(self, method):

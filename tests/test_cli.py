@@ -103,6 +103,24 @@ class TestAnalyze:
         assert words in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("body,words", [
+        (b"4,\xff5,6\n", "not UTF-8 text"),
+        (b"4," + b"5" * 140_000 + b",6\n",
+         "data row 151: field larger than field limit"),
+    ], ids=["not-utf8", "oversized-cell"])
+    def test_unreadable_file_exit_3(self, strong_effect_csv, tmp_path, capsys,
+                                    body, words):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(strong_effect_csv.read_bytes() + body)
+        code = cli.main(["analyze", "--data", str(path),
+                         "--family", "gaussian", "--outcome", "y",
+                         "--hypothesis", "x1 > 0", "--seed", "3",
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and words in err
+        assert "Traceback" not in err
+
     def test_contradiction_exit_4(self, strong_effect_csv, tmp_path, capsys):
         code = cli.main(["analyze", "--data", str(strong_effect_csv),
                          "--family", "gaussian", "--outcome", "y",
@@ -304,8 +322,7 @@ class TestSimulate:
         assert labels == {"x2>0", "x3>0", "x4>0"}
 
     def test_skip_sidecar_written(self, tmp_path, monkeypatch, capsys):
-        def explode(spec, rng=None, probe=None, max_redraws=100,
-                    return_probe=False):
+        def explode(spec, rng, analyze):
             raise simgen.PersistentSeparationError("separation persisted")
 
         monkeypatch.setattr(cli.simgen, "gen_dataset", explode)
@@ -442,6 +459,23 @@ class TestParserPlumbing:
         err = capsys.readouterr().err
         assert f"argument {flag}" in err and "positive integer" in err
         assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("value,words", [
+        ("x", "expected a non-negative integer, got 'x'"),
+        ("-1", "must be a non-negative integer, got -1")], ids=["text", "negative"])
+    def test_seed_errors_are_worded(self, tmp_path, capsys, value, words):
+        commands = (
+            ["analyze", "--data", "x.csv", "--family", "gaussian",
+             "--outcome", "y", "--hypothesis", "x1 > 0"],
+            ["simulate", "--sim", "1", "--iters", "1"],
+        )
+        for argv in commands:
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + ["--seed", value, "--out", str(tmp_path / "o")])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument --seed: {words}" in err
+            assert "invalid" not in err
 
     def test_negative_seed_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

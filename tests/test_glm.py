@@ -37,7 +37,6 @@ class TestOls:
         assert math.isclose(result.dispersion, 1.0 / 6.0, rel_tol=1e-12)
         expected_cov = (1.0 / 36.0) * np.array([[5.0, -3.0], [-3.0, 3.0]])
         assert np.allclose(result.cov, expected_cov, atol=1e-12)
-        assert result.converged
         assert result.family == "gaussian"
 
     def test_constant_response_flags_degenerate_dispersion(self):
@@ -80,7 +79,7 @@ class TestBinomial:
         assert abs(result.beta[0] - math.log(3.0)) < 1e-6
         # observed information: sum p(1-p) = 4 * 0.75 * 0.25 = 0.75
         assert abs(result.cov[0, 0] - 4.0 / 3.0) < 1e-5
-        assert result.converged
+        assert result.trace[-1].grad_inf < glm.GRAD_TOL
 
     def test_probit_intercept_only_mean_075(self):
         d = make_dataset([1.0, 1.0, 1.0, 0.0], np.ones((4, 1)),
@@ -465,10 +464,11 @@ class TestDispatch:
                                  names=("intercept", "x")))
         assert logit.family == "logit"
 
-    def test_not_converged_raises(self):
+    def test_not_converged_raises(self, monkeypatch):
         rng = np.random.default_rng(5)
         X = np.column_stack([np.ones(100), rng.normal(size=100)])
         y = (rng.random(100) < 0.5).astype(float)
         d = make_dataset(y, X, family="logit", names=("intercept", "x"))
-        with pytest.raises(NotConvergedError):
-            fit_binomial(d, max_iter=1)
+        monkeypatch.setattr(glm, "MAX_ITER", 1)
+        with pytest.raises(NotConvergedError, match="in 1 iterations"):
+            fit_binomial(d)

@@ -3,7 +3,9 @@ names the package reaches outside itself.
 
 The benchmark's traced runs (``bench/spans.py``) replace the functions in
 its ``TRACED`` list by module attribute, so moving or renaming one of them
-must fail here rather than crash the traced benchmark.  ``evsynth.bf``
+must fail here rather than crash the traced benchmark.  The benchmark also
+calls some of them positionally and reads fields of their results, so
+those call shapes and fields are pinned here too.  ``evsynth.bf``
 calls scipy's private lattice-QMC integrators, so a scipy release that
 changes their call signature must fail here rather than in a simulation.
 ``evsynth.glm`` reads CSV bodies with ``np.loadtxt``, so a numpy release
@@ -42,6 +44,26 @@ def test_traced_functions_resolve():
 def test_exported_names_resolve():
     missing = [name for name in evsynth.__all__ if not hasattr(evsynth, name)]
     assert missing == []
+
+
+def positional(fn) -> list[str]:
+    return [name for name, p in inspect.signature(fn).parameters.items()
+            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+
+
+def test_benchmark_call_shapes():
+    from evsynth import bf, cli, glm, hypothesis, simgen
+
+    assert len(positional(cli.run_iteration)) == 10
+    assert positional(simgen.gen_dataset)[0] == "spec"
+    result = cli.SimulationResult(cli.RESULT_COLUMNS, [{}], [])
+    assert (result.columns, result.rows, result.aggregates) == (
+        cli.RESULT_COLUMNS, [{}], [])
+    assert positional(hypothesis.transform_constraints) == [
+        "h", "mean", "scale", "names", "df"]
+    assert {"trace"} <= set(glm.FitResult.__dataclass_fields__)
+    assert glm.SeparationError("separated", trace=[1]).trace == [1]
+    assert {"mc_draws"} <= set(bf.EvidenceRecord.__dataclass_fields__)
 
 
 def test_scipy_lattice_qmc_signature():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from evsynth import simgen
 from evsynth.glm import DataError, Dataset, SeparationError, add_intercept, fit
 from evsynth.simgen import (DEFAULT_RHO, DEFAULT_WEIGHTS, DataGenSpec,
                             PersistentSeparationError, apply_transform,
@@ -103,27 +104,27 @@ class TestSpecValidation:
 class TestGenDataset:
     def test_deterministic_for_fixed_stream(self):
         spec = DataGenSpec(family="gaussian", n=60, r2=0.09)
-        a = gen_dataset(spec, rng=rng_stream(5, 1, 2))
-        b = gen_dataset(spec, rng=rng_stream(5, 1, 2))
+        a = gen_dataset(spec, rng_stream(5, 1, 2), lambda d: d)
+        b = gen_dataset(spec, rng_stream(5, 1, 2), lambda d: d)
         assert np.array_equal(a.X, b.X)
         assert np.array_equal(a.y, b.y)
 
     def test_different_streams_differ(self):
         spec = DataGenSpec(family="gaussian", n=60, r2=0.09)
-        a = gen_dataset(spec, rng=rng_stream(5, 1, 2))
-        b = gen_dataset(spec, rng=rng_stream(5, 1, 3))
+        a = gen_dataset(spec, rng_stream(5, 1, 2), lambda d: d)
+        b = gen_dataset(spec, rng_stream(5, 1, 3), lambda d: d)
         assert not np.array_equal(a.y, b.y)
 
     def test_gaussian_residual_variance_large_n(self):
         spec = DataGenSpec(family="gaussian", n=100_000, r2=0.25)
-        d = gen_dataset(spec, rng=rng_stream(11))
+        d = gen_dataset(spec, rng_stream(11), lambda d: d)
         beta = compute_beta(spec)
         residual = d.y - d.X @ beta
         assert abs(float(np.var(residual)) - 0.75) < 0.015
 
     def test_gaussian_sample_r2_large_n(self):
         spec = DataGenSpec(family="gaussian", n=100_000, r2=0.25)
-        d = gen_dataset(spec, rng=rng_stream(13))
+        d = gen_dataset(spec, rng_stream(13), lambda d: d)
         result = fit(add_intercept(d))
         fitted = d.X @ result.beta[1:] + result.beta[0]
         r2 = float(np.var(fitted) / np.var(d.y))
@@ -131,13 +132,13 @@ class TestGenDataset:
 
     def test_predictor_covariance_large_n(self):
         spec = DataGenSpec(family="probit", n=100_000, r2=0.09)
-        d = gen_dataset(spec, rng=rng_stream(17))
+        d = gen_dataset(spec, rng_stream(17), lambda d: d)
         sample_cov = np.cov(d.X.T)
         assert np.allclose(sample_cov, predictor_cov(spec), atol=0.02)
 
     def test_binomial_outcomes_binary(self):
         spec = DataGenSpec(family="logit", n=200, r2=0.09)
-        d = gen_dataset(spec, rng=rng_stream(19))
+        d = gen_dataset(spec, rng_stream(19), lambda d: d)
         assert set(np.unique(d.y)) <= {0.0, 1.0}
         assert d.family == "logit"
 
@@ -151,20 +152,22 @@ class TestGenDataset:
                 raise SeparationError("synthetic rejection", trace=[])
             return fit(add_intercept(d))
 
-        d, result = gen_dataset(spec, rng=rng_stream(23), probe=fussy_probe,
-                                return_probe=True)
+        result = gen_dataset(spec, rng_stream(23), fussy_probe)
         assert len(calls) == 4
-        assert result.converged
+        assert (result.family, result.n) == ("logit", 40)
 
-    def test_persistent_separation_raises(self):
+    def test_persistent_separation_raises(self, monkeypatch):
         spec = DataGenSpec(family="logit", n=40, r2=0.09)
+        calls = []
 
         def always_reject(d):
+            calls.append(1)
             raise SeparationError("synthetic rejection", trace=[])
 
-        with pytest.raises(PersistentSeparationError):
-            gen_dataset(spec, rng=rng_stream(29), probe=always_reject,
-                        max_redraws=7)
+        monkeypatch.setattr(simgen, "MAX_REDRAWS", 7)
+        with pytest.raises(PersistentSeparationError, match="all 8 attempts"):
+            gen_dataset(spec, rng_stream(29), always_reject)
+        assert len(calls) == 8
 
 
 class TestTertileCategorize:
@@ -308,11 +311,6 @@ class TestStudyPlan:
     def test_unknown_sim(self):
         with pytest.raises(ValueError):
             study_plan(12, 100, 0.25)
-
-    def test_distinct_seeds_per_study(self):
-        plan = study_plan(1, 50, 0.09)
-        seeds = [e.spec.seed for e in plan]
-        assert len(set(seeds)) == len(seeds) or all(s is None for s in seeds)
 
 
 class TestRngStream:

@@ -246,3 +246,91 @@ class TestSynthesizeRecords:
     def test_duplicate_record_in_study_rejected(self):
         with pytest.raises(LabelMismatchError):
             synthesize_records([record("s1"), record("s1")])
+
+
+# a log Bayes factor, with values beyond +-5 standing for the sentinels
+LOG_BF = st.floats(-6.0, 6.0).map(
+    lambda v: math.copysign(math.inf, v) if abs(v) > 5.0 else v)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (NumericError, LabelMismatchError) as exc:
+        return type(exc)
+
+
+def assert_same_totals(a, b):
+    # a float sum taken in another order can round differently; sentinels
+    # must match exactly
+    assert a.keys() == b.keys()
+    for label in a:
+        if math.isfinite(a[label]):
+            assert abs(a[label] - b[label]) <= 1e-12
+        else:
+            assert a[label] == b[label]
+
+
+def summary(records):
+    state, alternative = synthesize_records(records)
+    d = state.as_dict()
+    return (alternative, sorted(d["labels"]), d["study_count"],
+            d["aggregated_log_bf"], d["pmps"])
+
+
+@st.composite
+def record_sets(draw):
+    """Records of up to five studies: several labels against the
+    unconstrained model, or one label against its complement."""
+    complement = draw(st.booleans())
+    labels = ["h"] if complement else draw(
+        st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=3,
+                 unique=True))
+    records = []
+    for k in range(draw(st.integers(1, 5))):
+        for label in labels:
+            records.append(record(f"s{k}", label, log_bf_iu=draw(LOG_BF),
+                                  log_bf_ic=draw(LOG_BF),
+                                  alternative="complement" if complement
+                                  else "unconstrained"))
+    return records
+
+
+class TestSynthesisInvariance:
+    @given(record_sets(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_record_order_does_not_matter(self, records, rnd):
+        shuffled = list(records)
+        rnd.shuffle(shuffled)
+        a, b = outcome(summary, records), outcome(summary, shuffled)
+        if isinstance(a, type):
+            assert a is b
+            return
+        assert a[:3] == b[:3]
+        assert_same_totals(a[3], b[3])
+        assert_same_totals(a[4], b[4])
+
+    @given(st.lists(st.tuples(LOG_BF, LOG_BF), min_size=1, max_size=8),
+           st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_merged_parts_equal_one_fold(self, logs, cut):
+        def fold(items):
+            state = new_state(("a", "b", "unconstrained"))
+            for sid, (x, y) in items:
+                state = update(state, sid, {"a": x, "b": y, "unconstrained": 0.0})
+            return state
+
+        items = [(f"s{k}", pair) for k, pair in enumerate(logs)]
+        cut = min(cut, len(items))
+        merged = outcome(lambda: merge(fold(items[:cut]), fold(items[cut:])))
+        whole = outcome(lambda: fold(items))
+        if isinstance(whole, type):
+            assert merged is whole
+            return
+        assert (merged.labels, merged.study_count, merged.study_ids,
+                merged.trail) == (whole.labels, whole.study_count,
+                                  whole.study_ids, whole.trail)
+        m, w = merged.as_dict(), whole.as_dict()
+        assert_same_totals(m["aggregated_log_bf"], w["aggregated_log_bf"])
+        assert_same_totals(m["pmps"], w["pmps"])
