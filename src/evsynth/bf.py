@@ -15,13 +15,16 @@ exists: the exact CDF for one inequality row; 1/4 + asin(rho) / 2pi and
 any elliptical law (every boundary-centered prior of a homogeneous
 hypothesis); Owen's T for nonzero-mean bivariate normal orthants and a
 64-node Gauss-Legendre rule over the chi-square mixing variable for their
-Student-t counterparts.  Other regions use Genz-Bretz randomized lattice
-QMC seeded from the caller's generator.  Rank-deficient constraint scales
-reduce to fewer rows first.  The Monte Carlo sampler remains as
-``method="mc"``, the test oracle.  Every mass reports an error estimate
-and the name of its method (:data:`MASS_METHODS`).  Zero-mass corner
-cases are reported with +-inf sentinels; a 0/0 Bayes factor raises
-:class:`NumericError`.
+Student-t counterparts; for nonzero-mean trivariate orthants, Owen's T
+conditioned on one row and integrated by Gauss-Legendre rules (inside the
+chi-square rule for Student-t).  Only four or more rows, or a trivariate
+rule whose error estimate is too large, use Genz-Bretz randomized lattice
+QMC seeded from the caller's generator; scipy.stats, which holds it, is
+imported on that first use.  Rank-deficient constraint scales reduce to
+fewer rows first.  The Monte Carlo sampler remains as ``method="mc"``, the
+test oracle.  Every mass reports an error estimate and the name of its
+method (:data:`MASS_METHODS`).  Zero-mass corner cases are reported with
++-inf sentinels; a 0/0 Bayes factor raises :class:`NumericError`.
 """
 
 from __future__ import annotations
@@ -34,9 +37,7 @@ from dataclasses import MISSING, asdict, dataclass, replace
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.special import chdtri, ndtr, owens_t
-from scipy.stats import t as student_t
-from scipy.stats._qmvnt import _qmvn, _qmvt
+from scipy.special import chdtri, ndtr, ndtri, owens_t, stdtr
 
 from . import hypothesis as hyp
 from .glm import DataError, FitResult
@@ -222,8 +223,20 @@ def build_prior(fit: FitResult, frac: FractionSpec,
 
 def default_fraction(fit: FitResult,
                      systems: list[hyp.ConstraintSystem]) -> FractionSpec:
-    """Family rule: (p + 1) / n for gaussian, J / n for binomial."""
+    """Family rule: (p + 1) / n for gaussian, J / n for binomial.
+
+    Raises
+    ------
+    DataError
+        If a gaussian fit has n = p + 1 observations, where the rule
+        reaches b = 1.  (A binomial J is at most p, below n.)
+    """
     if fit.family == "gaussian":
+        if fit.n <= fit.p + 1:
+            raise DataError(
+                f"n = {fit.n} observations with p = {fit.p} coefficients give "
+                f"the default fraction b = (p + 1) / n = 1; a gaussian study "
+                f"needs n > p + 1 = {fit.p + 1}")
         return FractionSpec.linear_model(fit.n, fit.p)
     return FractionSpec.glm(fit.n, constraint_count(systems))
 
@@ -301,6 +314,7 @@ QMC_SE = 1e-5
 _QMC_START = 1_000
 _QMC_MIN = 20          # ten randomly shifted copies of the 2-point lattice
 _RHO_TOL = 1e-12       # |correlation| above 1 - _RHO_TOL: the same row
+_QUAD_FLOOR = 1e-8     # least error estimate of the trivariate rule
 
 
 def _bvn_orthant(h, k, rho: float) -> np.ndarray:
@@ -313,11 +327,86 @@ def _bvn_orthant(h, k, rho: float) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         a_h = np.where(h == 0.0, np.copysign(np.inf, k), (k - rho * h) / (h * r))
         a_k = np.where(k == 0.0, np.copysign(np.inf, h), (h - rho * k) / (k * r))
-    hk = h * k
-    beta = np.where((hk < 0.0) | ((hk == 0.0) & (h + k < 0.0)), 0.5, 0.0)
+    # one bound negative and the other not; a sign test, as h * k can
+    # underflow to 0
+    beta = np.where((h < 0.0) != (k < 0.0), 0.5, 0.0)
     p = 0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, a_h) - owens_t(k, a_k) - beta
     corner = 0.25 + math.asin(rho) / (2.0 * math.pi)
     return np.clip(np.where((h == 0.0) & (k == 0.0), corner, p), 0.0, 1.0)
+
+
+def _tvn_terms(h: np.ndarray, corr: np.ndarray, i: int, s, t):
+    """Integrand of P(Z < h s) over t in (0, 1) for standard trivariate
+    normals Z with correlation ``corr``, conditioned on row ``i``,
+    elementwise over the broadcast of ``s`` and ``t``; None when the other
+    two rows are perfectly correlated given row ``i``.
+
+    With c = Phi(h_i s), u = Phi(z) = c t^3 runs over (0, c) and the
+    integrand is 3 c t^2 times the bivariate orthant of the other two rows
+    given Z_i = z.  That orthant tends to its limit at z = -inf like a
+    power u^a, small a for weak correlations; the cubic grading makes the
+    integrand smooth there, so the Gauss-Legendre rules converge fast."""
+    j, m = [x for x in range(3) if x != i]
+    r_j = math.sqrt((1.0 - corr[i, j]) * (1.0 + corr[i, j]))
+    r_m = math.sqrt((1.0 - corr[i, m]) * (1.0 + corr[i, m]))
+    rho = (corr[j, m] - corr[i, j] * corr[i, m]) / (r_j * r_m)
+    if abs(rho) >= 1.0 - _RHO_TOL:
+        return None
+    with np.errstate(invalid="ignore"):
+        c = ndtr(h[i] * s)
+        u = c * t ** 3
+        z = ndtri(u)
+        f = _bvn_orthant((h[j] * s - corr[i, j] * z) / r_j,
+                         (h[m] * s - corr[i, m] * z) / r_m, rho)
+        return np.where(u > 0.0, 3.0 * c * t * t * f, 0.0)   # u = 0: no mass
+
+
+def _tvn_rule(kind: str, h: np.ndarray, corr: np.ndarray, df: float | None,
+              i: int) -> tuple[float, float] | None:
+    """P(Z < h) for a trivariate normal or Student-t Z with unit scales
+    and correlation ``corr``, conditioned on row ``i``, and its error
+    estimate; None when the other two rows are perfectly correlated given
+    row ``i``.
+
+    The bivariate orthant left by the conditioning (Owen's T) is
+    integrated over u = Phi(z) with the 64- and 32-point Gauss-Legendre
+    rules of :func:`_chi_rule` (Genz 2004, Stat. Comput. 14:251); the
+    error estimate is |G64 - G32|, floored at _QUAD_FLOOR.  Student-t
+    orthants run that rule inside the chi-square rule, the 64 (32) inner
+    nodes under each of the 64 (32) outer ones, in one call.
+    """
+    nodes, w64, w32 = _chi_rule()
+    if kind == "normal":
+        vals = _tvn_terms(h, corr, i, 1.0, nodes)
+        if vals is None:
+            return None
+        p64, p32 = float(w64 @ vals[:64]), float(w32 @ vals[64:])
+    else:
+        s = np.sqrt(chdtri(df, nodes) / df)
+        vals = _tvn_terms(h, corr, i,
+                          np.concatenate([np.repeat(s[:64], 64),
+                                          np.repeat(s[64:], 32)]),
+                          np.concatenate([np.tile(nodes[:64], 64),
+                                          np.tile(nodes[64:], 32)]))
+        if vals is None:
+            return None
+        p64 = float(w64 @ vals[:4096].reshape(64, 64) @ w64)
+        p32 = float(w32 @ vals[4096:].reshape(32, 32) @ w32)
+    return p64, max(abs(p64 - p32), _QUAD_FLOOR)
+
+
+def _tvn_orthant(kind: str, h: np.ndarray, corr: np.ndarray,
+                 df: float | None) -> tuple[float, float] | None:
+    """:func:`_tvn_rule` conditioned on the row with the smallest normal
+    error estimate; None when no row gets the estimate within QMC_SE."""
+    rules = [(rule, i) for i in range(3)
+             if (rule := _tvn_rule("normal", h, corr, None, i)) is not None]
+    if not rules:
+        return None
+    (p, err), i = min(rules, key=lambda r: r[0][1])
+    if kind == "student-t":
+        p, err = _tvn_rule(kind, h, corr, df, i)
+    return (_unit(p), err) if err <= QMC_SE else None
 
 
 def _standard_box(mean: np.ndarray, scale: np.ndarray):
@@ -372,6 +461,11 @@ def _qmc_box(kind: str, lo: np.ndarray, hi: np.ndarray, corr: np.ndarray,
     errors.  Returns (probability, error estimate, points used over all
     rules).
     """
+    # scipy.stats takes about as long to import as the rest of evsynth
+    # together, and only four or more rows (or a three-row fallback) need it
+    from scipy.stats._qmvnt import _qmvn, _qmvt
+
+    corr = np.ascontiguousarray(corr)   # _qmvt's Cython loop needs C order
     used, m, se_prev, rules = 0, max(min(_QMC_START, draws), _QMC_MIN), 0.0, 0
     while True:
         if kind == "normal":
@@ -398,7 +492,7 @@ def _sampler_rng(rng, draws: int):
 
 
 def _cdf(kind: str, x: float, df: float | None) -> float:
-    return float(ndtr(x)) if kind == "normal" else float(student_t.cdf(x, df))
+    return float(ndtr(x)) if kind == "normal" else float(stdtr(df, x))
 
 
 def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
@@ -413,8 +507,11 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
     closed forms 1/4 + asin(rho) / 2pi and 1/8 + sum asin(rho_ij) / 4pi,
     valid for any elliptical law; nonzero-mean two-row orthants Owen's T
     (normal, exact) or 64-node quadrature over the chi-square mixing
-    variable (Student-t); the rest randomized lattice QMC seeded from
-    ``rng``.  Error estimates are 0 for closed forms and CDFs.
+    variable (Student-t); nonzero-mean three-row orthants the conditioned
+    Gauss-Legendre rule of :func:`_tvn_orthant` while its error estimate
+    is within QMC_SE.  The rest, four or more rows among them, takes
+    randomized lattice QMC seeded from ``rng``.  Error estimates are 0 for
+    closed forms and CDFs.
     """
     if method not in ("auto", "mc"):
         raise ValueError(f"unknown method {method!r}")
@@ -461,6 +558,10 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
         vals = _bvn_orthant(-lo[0] * s, -lo[1] * s, corr[0, 1])
         p64, p32 = float(w64 @ vals[:64]), float(w32 @ vals[64:])
         return _unit(p64), abs(p64 - p32), 0, "quadrature"
+    if orthant and k == 3:
+        rule = _tvn_orthant(kind, -lo, corr, df)
+        if rule is not None:
+            return rule[0], rule[1], 0, "quadrature"
     p, se, used = _qmc_box(kind, lo, hi, corr, df, _sampler_rng(rng, draws),
                            draws)
     return p, se, used, "qmc"
@@ -534,8 +635,8 @@ def prob_region(dist: CoefDistribution, h: hyp.ConstraintSystem,
 
     ``h`` must have inequality rows only; equality constraints take the
     density path.  Returns (probability, error estimate): 0 for closed
-    forms and CDFs, |G64 - G32| for Student-t quadrature, one standard
-    error for lattice QMC (``method="auto"``) and the Monte Carlo sampler
+    forms and CDFs, |G64 - G32| for quadrature rules, one standard error
+    for lattice QMC (``method="auto"``) and the Monte Carlo sampler
     (``method="mc"``).
     """
     if h.n_eq:

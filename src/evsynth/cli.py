@@ -430,7 +430,8 @@ def _int_from(lowest: int):
 
 
 _DRAWS_HELP = ("integration point budget (QMC lattice points or Monte Carlo "
-               f"draws); unused on exact paths (default {bf.DEFAULT_DRAWS})")
+               "draws); unused on exact and quadrature paths "
+               f"(default {bf.DEFAULT_DRAWS})")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -179,7 +179,8 @@ def _c_parsed_table(path, outcome: str, predictors: list[str] | None):
     None is returned for any header problem, any cell numpy rejects
     (blanks, text, ``1_0``) and any line the two readers could take
     differently: ``loadtxt`` skips an empty line where ``csv.reader``
-    returns an empty row, splits inside quotes, and does not share csv's
+    returns an empty row, splits inside quotes, strips the separators
+    U+001C to U+001F that ``float()`` rejects, and does not share csv's
     NUL and field-size rules.  A cell numpy accepts is the double
     ``float()`` gives: both parse with ``PyOS_string_to_double``.
     """
@@ -187,7 +188,9 @@ def _c_parsed_table(path, outcome: str, predictors: list[str] | None):
 
     def checked(lines):
         for line in lines:
-            if line[0] in "\r\n" or '"' in line or "\0" in line or len(line) > limit:
+            if (line[0] in "\r\n" or '"' in line or "\0" in line
+                    or "\x1c" in line or "\x1d" in line or "\x1e" in line
+                    or "\x1f" in line or len(line) > limit):
                 raise ValueError("line needs the per-cell reader")
             yield line
 

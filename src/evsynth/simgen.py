@@ -216,6 +216,18 @@ class StudyPlanEntry:
     intercept: bool
     hypotheses: tuple[str, ...]
 
+    @property
+    def width(self) -> int:
+        """Design columns of the fit: the predictors after ``transform``,
+        plus the intercept."""
+        kind, _, arg = (self.transform or "").partition(":")
+        width = len(DEFAULT_WEIGHTS)
+        if kind == "tertile":
+            width += 2
+        elif kind == "scale":
+            width -= len(arg.split(",")) - 1
+        return width + self.intercept
+
 
 _PART1 = {
     1: dict(hyps=("x4 < x5 < x6",), transform=None, intercept=True),
@@ -248,6 +260,10 @@ def study_plan(sim_id: int, n: int, r2: float,
     down to n = 25.  Simulations 9-11 yield ``n_studies`` gaussian studies
     (default 150).  ``decomposed`` replaces simulation 11's joint
     hypothesis with its three single-coefficient parts.
+
+    Raises ValueError, before anything is drawn, unless every study has
+    more observations than design columns p, and more than p + 1 for a
+    gaussian study, whose default fraction (p + 1) / n must stay below 1.
     """
     if sim_id in _PART1:
         cfg = _PART1[sim_id]
@@ -256,16 +272,24 @@ def study_plan(sim_id: int, n: int, r2: float,
             if rng is None:
                 raise ValueError("simulation 2 needs an rng to place its n=25 study")
             ns[int(rng.integers(3))] = 25
-        return [StudyPlanEntry(i, DataGenSpec(fam, ns[i], r2),
+        plan = [StudyPlanEntry(i, DataGenSpec(fam, ns[i], r2),
                                cfg["transform"], cfg["intercept"], cfg["hyps"])
                 for i, fam in enumerate(("gaussian", "logit", "probit"))]
-    if sim_id in _SEQUENTIAL_HYPS:
+    elif sim_id in _SEQUENTIAL_HYPS:
         if decomposed and sim_id != 11:
             raise ValueError("the decomposed variant applies to simulation 11 only")
         hyps = DECOMPOSED_11 if (sim_id == 11 and decomposed) else _SEQUENTIAL_HYPS[sim_id]
         count = SEQUENTIAL_STUDIES if n_studies is None else n_studies
         if count < 1:
             raise ValueError("need at least one study")
-        return [StudyPlanEntry(i, DataGenSpec("gaussian", n, r2), None, True, hyps)
+        plan = [StudyPlanEntry(i, DataGenSpec("gaussian", n, r2), None, True, hyps)
                 for i in range(count)]
-    raise ValueError(f"unknown simulation id {sim_id!r}")
+    else:
+        raise ValueError(f"unknown simulation id {sim_id!r}")
+    for entry in plan:
+        lowest = entry.width + 1 + (entry.spec.family == "gaussian")
+        if entry.spec.n < lowest:
+            raise ValueError(
+                f"n = {entry.spec.n} is too small for a {entry.spec.family} "
+                f"study with {entry.width} design columns; need n >= {lowest}")
+    return plan

@@ -1,5 +1,6 @@
 """Bayes factor engine tests: fractions, priors, masses, sentinels, PMPs."""
 
+import itertools
 import json
 import math
 import warnings
@@ -12,6 +13,7 @@ from scipy.stats import multivariate_normal, norm
 from scipy.stats import t as student_t
 from scipy.stats._qmvnt import _qmvn, _qmvt
 
+from evsynth import bf
 from evsynth.bf import (ALTERNATIVES, MASS_METHODS, CoefDistribution,
                         EvidenceRecord, FractionSpec, NumericError,
                         adjustment_center, bf_between, bf_ic, bf_iu,
@@ -68,6 +70,13 @@ class TestFractionSpec:
         result = gaussian_fit(n=100, p=7)
         spec = default_fraction(result, [parse("x2 > 0")])
         assert math.isclose(spec.b, 0.08, rel_tol=1e-15)
+
+    def test_default_fraction_of_one_is_a_data_error(self):
+        fit = gaussian_fit(n=8, p=7)
+        with pytest.raises(DataError, match=r"n = 8 .* p = 7"):
+            default_fraction(fit, [parse("x2 > 0")])
+        assert default_fraction(gaussian_fit(n=9, p=7),
+                                [parse("x2 > 0")]).b == 8.0 / 9.0
 
 
 class TestConstraintCount:
@@ -356,14 +365,19 @@ class TestBfIu:
         assert record.log_bf_ic == -math.inf
 
     def test_posterior_consumes_rng_before_prior(self):
-        cov = np.eye(3)
-        post = normal_dist([0.2, 0.1, 0.0], cov)
-        prior = normal_dist(np.zeros(3), 4.0 * cov)
-        h = parse("b1 < b2 < b3")
-        a = bf_iu(post, prior, h, rng=np.random.default_rng(77), draws=5_000)
-        b = bf_iu(post, prior, h, rng=np.random.default_rng(77), draws=5_000)
-        assert a.fit == b.fit
-        assert a.complexity == b.complexity
+        # four rows take lattice QMC for both masses: the fit is the first
+        # integration on the stream, the complexity the second
+        cov = np.eye(4) + 0.2
+        post = normal_dist([0.2, 0.1, 0.3, 0.4], cov)
+        prior = normal_dist(np.zeros(4), 4.0 * cov)
+        h = parse("{b1, b2, b3, b4} > 0")
+        record = bf_iu(post, prior, h, rng=np.random.default_rng(77),
+                       draws=5_000)
+        rng = np.random.default_rng(77)
+        fit, _ = prob_region(post, h, rng=rng, draws=5_000)
+        complexity, _ = prob_region(prior, h, rng=rng, draws=5_000)
+        assert record.mass_method == "qmc"
+        assert (record.fit, record.complexity) == (fit, complexity)
 
     def test_mc_consistency_of_complement_ratio(self):
         post = normal_dist([0.4, 0.2], np.eye(2))
@@ -399,6 +413,50 @@ class TestBfIu:
         p2, _ = prob_region(normal_dist(np.zeros(3), 9.0 * cov), h)
         assert se == 0.0
         assert math.isclose(p1, p2, rel_tol=1e-14)
+
+    @given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3)
+                    .filter(any), min_size=1, max_size=3),
+           st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
+           st.integers(0, 2), st.floats(0.01, 100.0),
+           st.sampled_from([None, 12.0]))
+    @settings(max_examples=80, deadline=None)
+    def test_row_scaling_leaves_log_bf_unchanged(self, rows, offsets, which,
+                                                 factor, df):
+        # c R_j beta > c r_j is the same region for any c > 0
+        names = ("b1", "b2", "b3")
+        R, r = np.array(rows, dtype=float), np.array(offsets[:len(rows)])
+        R_c, r_c = R.copy(), r.copy()
+        R_c[which % len(rows)] *= factor
+        r_c[which % len(rows)] *= factor
+        cov = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 1.5]])
+        kind = "normal" if df is None else "student-t"
+        post = CoefDistribution(kind, np.array([0.4, -0.2, 0.3]), cov, names,
+                                df=df)
+        prior = CoefDistribution(kind, np.array([0.1, 0.05, -0.1]), 4.0 * cov,
+                                 names, df=None if df is None else 1.0)
+        records = []
+        for R_i, r_i in ((R, r), (R_c, r_c)):
+            h = ConstraintSystem(param_names=names, R_e=np.zeros((0, 3)),
+                                 r_e=np.zeros(0), R_i=R_i, r_i=r_i)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                try:
+                    records.append(bf_iu(post, prior, h,
+                                         rng=np.random.default_rng(3),
+                                         draws=20_000))
+                except NumericError:
+                    records.append(None)
+        a, b = records
+        if a is None or b is None:
+            assert a is b is None
+            return
+        assert a.mass_method == b.mass_method
+        tol = 4.0 * sum(0.0 if se == 0.0 else se / mass if mass else math.inf
+                        for rec in (a, b)
+                        for se, mass in ((rec.mc_se_fit, rec.fit),
+                                         (rec.mc_se_complexity, rec.complexity)))
+        assert a.log_bf_iu == b.log_bf_iu or \
+            abs(a.log_bf_iu - b.log_bf_iu) <= tol + 1e-9
 
 
 class TestOrthantLadder:
@@ -469,16 +527,18 @@ class TestOrthantLadder:
         assert abs(p - ref) <= 4.0 * math.hypot(se, ref_err / 3.0)
 
     def test_qmc_record_is_seed_deterministic(self):
-        cov = np.array([[1.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 1.0]])
-        post = t_dist([0.4, 0.2, 0.3], cov, df=40)
-        prior = t_dist(np.zeros(3), 5.0 * cov, df=1)
-        h = parse("{b1, b2, b3} > 0")
+        # four rows: no closed form for the zero-mean prior either
+        cov = np.array([[1.0, 0.3, 0.1, 0.0], [0.3, 1.0, 0.2, -0.1],
+                        [0.1, 0.2, 1.0, 0.2], [0.0, -0.1, 0.2, 1.0]])
+        post = t_dist([0.4, 0.2, 0.3, 0.5], cov, df=40)
+        prior = t_dist(np.zeros(4), 5.0 * cov, df=1)
+        h = parse("{b1, b2, b3, b4} > 0")
         a = bf_iu(post, prior, h, rng=np.random.default_rng(77), draws=5_000)
         b = bf_iu(post, prior, h, rng=np.random.default_rng(77), draws=5_000)
         assert a == b
         assert a.mass_method == "qmc"
         assert 0 < a.mc_draws <= 5_000
-        assert a.mc_se_fit > 0.0 and a.mc_se_complexity == 0.0
+        assert a.mc_se_fit > 0.0 and a.mc_se_complexity > 0.0
 
     def test_mass_method_is_least_exact(self):
         cov = np.array([[1.0, 0.3], [0.3, 1.0]])
@@ -508,6 +568,27 @@ class TestOrthantLadder:
         expected = float(student_t.cdf(0.6, 7) - student_t.cdf(-0.3, 7))
         assert math.isclose(p, expected, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("x", [1e-200, -1e-200, 0.0])
+    def test_bivariate_orthant_at_tiny_bounds(self, x):
+        # h * k underflows to 0 here; the corner value is the limit
+        corner = 0.25 + math.asin(0.5) / (2.0 * math.pi)
+        assert math.isclose(float(bf._bvn_orthant(x, x, 0.5)), corner,
+                            rel_tol=1e-12)
+
+    @pytest.mark.parametrize("kind,df", [("normal", None), ("student-t", 12.0)])
+    def test_interval_with_another_row_takes_qmc(self, kind, df):
+        # the opposed pair on b3 reduces to an interval beside the b2 row,
+        # leaving a rank-reduced (non-contiguous) correlation for the lattice
+        cov = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 1.5]])
+        dist = CoefDistribution(kind, np.array([0.4, -0.2, 0.3]), cov,
+                                ("b1", "b2", "b3"), df=df)
+        h = parse("b3 > 0 & b2 > 0 & b3 < 0.5")
+        p, se = prob_region(dist, h, rng=np.random.default_rng(1))
+        p_mc, se_mc = prob_region(dist, h, rng=np.random.default_rng(2),
+                                  draws=200_000, method="mc")
+        assert 0.0 < se <= 1e-5
+        assert abs(p - p_mc) <= 4.0 * math.hypot(se, se_mc)
+
     @pytest.mark.parametrize("m1,expected", [(0.5, 0.5), (-0.5, 0.0)])
     def test_zero_variance_row_is_decided_by_its_mean(self, m1, expected):
         dist = normal_dist([m1, 0.0], [[0.0, 0.0], [0.0, 1.0]])
@@ -516,9 +597,10 @@ class TestOrthantLadder:
 
     @pytest.mark.parametrize("method", ["auto", "mc"])
     def test_nonpositive_draws_rejected(self, method):
-        dist = normal_dist([0.3, 0.2, 0.1], np.eye(3))
+        # four rows: the first rung of the ladder that spends draws
+        dist = normal_dist([0.3, 0.2, 0.1, 0.4], np.eye(4))
         with pytest.raises(ValueError):
-            prob_region(dist, parse("{b1, b2, b3} > 0"),
+            prob_region(dist, parse("{b1, b2, b3, b4} > 0"),
                         rng=np.random.default_rng(0), draws=0, method=method)
 
     @given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3)
@@ -540,6 +622,96 @@ class TestOrthantLadder:
         p_cauchy, se_cauchy = prob_region(cauchy, h)
         assert se_normal == se_cauchy == 0.0
         assert abs(p_normal - p_cauchy) <= 1e-12
+
+
+THREE_ROW_CASES = [
+    ([0.3, -0.1, 0.5], [[1.0, 0.4, 0.2], [0.4, 1.0, 0.1], [0.2, 0.1, 1.0]]),
+    ([1.2, 0.8, -0.4], [[2.0, -0.9, 0.5], [-0.9, 1.0, -0.3], [0.5, -0.3, 0.6]]),
+    ([-1.5, 2.0, 0.7], [[1.0, 0.9, -0.5], [0.9, 1.0, -0.6], [-0.5, -0.6, 1.0]]),
+    ([2.5, -0.2, 3.1], [[1.0, 0.0, 0.7], [0.0, 0.5, 0.1], [0.7, 0.1, 2.0]]),
+]
+
+
+class TestTrivariateRule:
+    """Nonzero-mean three-row orthants: one row conditioned on, the
+    bivariate rest integrated by Gauss-Legendre rules, against scipy's CDF
+    and lattice rules and the Monte Carlo sampler."""
+
+    H = parse("{b1, b2, b3} > 0")
+
+    @pytest.mark.parametrize("mean,cov", THREE_ROW_CASES)
+    def test_normal_matches_mvn_cdf(self, mean, cov):
+        mean, cov = np.array(mean), np.array(cov)
+        record = bf_iu(normal_dist(mean, cov), normal_dist(np.zeros(3), cov),
+                       self.H)
+        # the oracle's own error is about 4e-8 at two million points
+        oracle = float(multivariate_normal(mean=np.zeros(3), cov=cov,
+                                           abseps=1e-8, releps=0.0,
+                                           maxpts=2 * 10**6).cdf(mean))
+        assert record.mass_method == "quadrature" and record.mc_draws == 0
+        assert 0.0 < record.mc_se_fit <= 1e-7
+        assert abs(record.fit - oracle) <= 3e-7
+
+    @pytest.mark.parametrize("case,nu", [(0, None), (1, None), (0, 1.0),
+                                         (1, 4.0), (0, 30.0), (1, 4793.0)])
+    def test_matches_lattice_reference(self, case, nu):
+        mean, cov = (np.array(v) for v in THREE_ROW_CASES[case])
+        lo, hi = -mean, np.full(3, np.inf)
+        if nu is None:
+            p, err = prob_region(normal_dist(mean, cov), self.H)
+            ref, ref_err, _ = _qmvn(10**6, cov, lo, hi, np.random.default_rng(7))
+        else:
+            p, err = prob_region(t_dist(mean, cov, nu), self.H)
+            ref, ref_err, _ = _qmvt(10**6, nu, cov, lo, hi,
+                                    np.random.default_rng(7))
+        assert 0.0 < err <= 1e-5
+        assert abs(p - ref) <= 4.0 * math.hypot(err, ref_err / 3.0)
+
+    @pytest.mark.parametrize("kind,df", [("normal", None), ("student-t", 5.0)])
+    def test_agrees_with_sampler(self, kind, df):
+        mean, cov = (np.array(v) for v in THREE_ROW_CASES[1])
+        dist = CoefDistribution(kind, mean, cov, ("b1", "b2", "b3"), df=df)
+        p, err = prob_region(dist, self.H)
+        p_mc, se_mc = prob_region(dist, self.H, rng=np.random.default_rng(8),
+                                  draws=200_000, method="mc")
+        assert abs(p - p_mc) <= 4.0 * math.hypot(err, se_mc)
+
+    def test_spends_no_draws(self):
+        mean, cov = (np.array(v) for v in THREE_ROW_CASES[0])
+        rng = np.random.default_rng(9)
+        before = rng.bit_generator.state
+        record = bf_iu(t_dist(mean, cov, 40), t_dist(np.zeros(3), 5.0 * cov, 1),
+                       self.H, rng=rng, draws=5_000)
+        assert rng.bit_generator.state == before
+        assert record.mass_method == "quadrature" and record.mc_draws == 0
+        assert record.mc_se_fit > 0.0 and record.mc_se_complexity == 0.0
+
+    def test_singular_rows_fall_back_to_qmc(self):
+        # eta3 = eta1 + eta2 - 0.1: every row order leaves a perfectly
+        # correlated pair, which the rule cannot condition on
+        cov = np.array([[1.0, 0.3], [0.3, 2.0]])
+        dist = normal_dist([0.3, 0.2], cov)
+        h = parse("b1 > 0 & b2 > 0 & b1 + b2 > 0.1")
+        record = bf_iu(dist, normal_dist(np.zeros(2), 4.0 * cov), h,
+                       rng=np.random.default_rng(1), draws=20_000)
+        p_mc, se_mc = prob_region(dist, h, rng=np.random.default_rng(2),
+                                  draws=200_000, method="mc")
+        assert record.mass_method == "qmc" and record.mc_draws > 0
+        assert abs(record.fit - p_mc) <= 4.0 * math.hypot(record.mc_se_fit,
+                                                          se_mc)
+
+    @given(st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
+           st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
+           st.sampled_from([None, 1.0, 6.0, 300.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_row_orders_agree_within_estimates(self, entries, h, df):
+        A = np.array(entries).reshape(3, 3)
+        S = A @ A.T + 0.05 * np.eye(3)
+        corr = S / np.sqrt(np.outer(np.diag(S), np.diag(S)))
+        kind = "normal" if df is None else "student-t"
+        rules = [bf._tvn_rule(kind, np.array(h), corr, df, i) for i in range(3)]
+        for (p_a, err_a), (p_b, err_b) in itertools.combinations(rules, 2):
+            assert abs(p_a - p_b) <= err_a + err_b
 
 
 class TestBfIcAndBetween:

@@ -121,6 +121,18 @@ class TestAnalyze:
         assert f"{path}: " in err and words in err
         assert "Traceback" not in err
 
+    def test_fraction_of_one_exit_3(self, tmp_path, capsys):
+        # n = 3 rows, p = 2 coefficients: the default b = (p + 1) / n is 1
+        path = tmp_path / "tiny.csv"
+        path.write_text("y,x1\n1.0,0.5\n2.5,1.5\n0.2,3.0\n", encoding="utf-8")
+        code = cli.main(["analyze", "--data", str(path),
+                         "--family", "gaussian", "--outcome", "y",
+                         "--hypothesis", "x1 > 0", "--seed", "3",
+                         "--out", str(tmp_path / "r.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "n = 3" in err and "p = 2" in err
+
     def test_contradiction_exit_4(self, strong_effect_csv, tmp_path, capsys):
         code = cli.main(["analyze", "--data", str(strong_effect_csv),
                          "--family", "gaussian", "--outcome", "y",
@@ -260,14 +272,26 @@ class TestSimulate:
         b = self._run(tmp_path, "b.csv")
         assert a == b
 
+    @pytest.mark.parametrize("sim,n,width", [("3", "8", 7), ("4", "9", 8),
+                                             ("9", "8", 7)])
+    def test_fraction_of_one_rejected_before_drawing(self, tmp_path, capsys,
+                                                     sim, n, width):
+        out = tmp_path / "sim.csv"
+        code = cli.main(["simulate", "--sim", sim, "--iters", "1", "--n", n,
+                         "--seed", "1", "--studies", "2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"n = {n}" in err and f"{width} design columns" in err
+        assert not out.exists()
+
     def test_threads_do_not_change_output(self, tmp_path):
         a = self._run(tmp_path, "a.csv")
         c = self._run(tmp_path, "c.csv", extra=("--threads", "2"))
         assert a == c
 
-    def test_threads_do_not_change_qmc_output(self, tmp_path):
-        # simulation 6 has three inequality rows: lattice QMC fits seeded
-        # from each study's stream
+    def test_threads_do_not_change_three_row_output(self, tmp_path):
+        # simulation 6 has three inequality rows: trivariate quadrature for
+        # the fits and the closed form for the complexities
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / f"sim6-{threads}.csv"

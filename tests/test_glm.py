@@ -435,6 +435,7 @@ class TestCsvReaderDifferential:
         ("y,a\n1,2,3,4\n4,5\n6,7,\n9,1\n", None),
         ("y,a,b\n1,2,3\n", ["a"]),
         ("y,a\n1,2\n3,oops\n5,6\n", None),
+        ("y,a\n3\x1c,2\n4,5\x1f\n5,7\n", None),
         ("y,a\n", None),
         ("", None),
     ])

@@ -272,6 +272,25 @@ class TestStudyPlan:
         with pytest.raises(ValueError):
             study_plan(2, 400, 0.25)
 
+    @pytest.mark.parametrize("sim_id", range(1, 12))
+    def test_width_is_the_fitted_design(self, sim_id):
+        plan = study_plan(sim_id, 60, 0.25, rng=rng_stream(1), n_studies=1)
+        for entry in plan:
+            def analyze(raw):
+                d = apply_transform(raw, entry.transform)
+                return fit(add_intercept(d) if entry.intercept else d)
+            assert gen_dataset(entry.spec, rng_stream(2), analyze).p == entry.width
+
+    @pytest.mark.parametrize("sim_id,lowest", [(1, 9), (3, 9), (4, 10), (5, 7),
+                                               (6, 9), (9, 9), (11, 9)])
+    def test_smallest_n_keeps_the_fraction_below_one(self, sim_id, lowest):
+        # gaussian studies need n > p + 1, where b = (p + 1) / n reaches 1
+        study_plan(sim_id, lowest, 0.25, n_studies=2)
+        if lowest - 1 > len(DEFAULT_WEIGHTS):   # else DataGenSpec rejects it
+            with pytest.raises(ValueError, match=rf"n = {lowest - 1} .* "
+                                                 rf"{lowest - 2} design columns"):
+                study_plan(sim_id, lowest - 1, 0.25, n_studies=2)
+
     def test_sim4_tertile_cell_means(self):
         plan = study_plan(4, 100, 0.09)
         assert all(e.transform == "tertile:x6" for e in plan)
