@@ -13,18 +13,20 @@ Region probabilities are deterministic where a closed form or a rule
 exists: the exact CDF for one inequality row; 1/4 + asin(rho) / 2pi and
 1/8 + sum asin(rho_ij) / 4pi for zero-mean two- and three-row orthants of
 any elliptical law (every boundary-centered prior of a homogeneous
-hypothesis); Owen's T for nonzero-mean bivariate normal orthants and a
-64-node Gauss-Legendre rule over the chi-square mixing variable for their
-Student-t counterparts; for nonzero-mean trivariate orthants, Owen's T
-conditioned on one row and integrated by Gauss-Legendre rules (inside the
-chi-square rule for Student-t).  Only four or more rows, or a trivariate
-rule whose error estimate is too large, use Genz-Bretz randomized lattice
-QMC seeded from the caller's generator; scipy.stats, which holds it, is
-imported on that first use.  Rank-deficient constraint scales reduce to
-fewer rows first.  The Monte Carlo sampler remains as ``method="mc"``, the
-test oracle.  Every mass reports an error estimate and the name of its
-method (:data:`MASS_METHODS`).  Zero-mass corner cases are reported with
-+-inf sentinels; a 0/0 Bayes factor raises :class:`NumericError`.
+hypothesis); Owen's T for nonzero-mean bivariate normal orthants, and for
+two-row boxes with finite bounds by inclusion-exclusion over their corners,
+and a 64-node Gauss-Legendre rule over the chi-square mixing variable for
+their Student-t counterparts; for nonzero-mean trivariate orthants, Owen's
+T conditioned on one row and integrated by Gauss-Legendre rules (inside
+the chi-square rule for Student-t).  Only four or more rows, three-row
+boxes with a finite bound, or a trivariate rule whose error estimate is
+too large, use Genz-Bretz randomized lattice QMC seeded from the caller's
+generator; scipy.stats, which holds it, is imported on that first use.
+Rank-deficient constraint scales reduce to fewer rows first.  The Monte
+Carlo sampler remains as ``method="mc"``, the test oracle.  Every mass
+reports an error estimate and the name of its method
+(:data:`MASS_METHODS`).  Zero-mass corner cases are reported with +-inf
+sentinels; a 0/0 Bayes factor raises :class:`NumericError`.
 """
 
 from __future__ import annotations
@@ -242,7 +244,15 @@ def default_fraction(fit: FitResult,
 
 
 def constraint_count(systems: list[hyp.ConstraintSystem]) -> int:
-    """Number of independent constraint rows across ``systems`` (min 1)."""
+    """Number of independent constraint rows across ``systems`` (min 1);
+    computed once per system when there is one."""
+    if len(systems) == 1:
+        h = systems[0]
+        return h._memoized(("rank",), lambda: _constraint_count(systems))
+    return _constraint_count(systems)
+
+
+def _constraint_count(systems: list[hyp.ConstraintSystem]) -> int:
     names: list[str] = []
     for h in systems:
         for name in h.param_names:
@@ -260,18 +270,28 @@ def adjustment_center(h: hyp.ConstraintSystem,
 
     The minimum-norm solution of the stacked boundary system
     ``[R_e; R_i] beta = [r_e; r_i]``.  If the system is inconsistent the
-    least-squares solution is returned with a RuntimeWarning.  With
-    ``names`` given, the solution is embedded into that coefficient space
-    (zeros elsewhere).
+    least-squares solution is returned with a RuntimeWarning, on every
+    call.  With ``names`` given, the solution is embedded into that
+    coefficient space (zeros elsewhere).  The solution is computed once per
+    name list and ``h``; each call returns a fresh copy.
     """
+    key = ("center", None if names is None else tuple(names))
+    center, consistent = h._memoized(key, lambda: _adjustment_center(h, names))
+    if not consistent:
+        _warnings.warn("inconsistent boundary system; least-squares center used",
+                       RuntimeWarning, stacklevel=2)
+    return center.copy()
+
+
+def _adjustment_center(h: hyp.ConstraintSystem,
+                       names: tuple[str, ...] | None) -> tuple[np.ndarray, bool]:
+    """(center, whether the boundary system is consistent)."""
     A = np.vstack([h.R_e, h.R_i])
     b = np.concatenate([h.r_e, h.r_i])
     x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    if np.abs(A @ x - b).max(initial=0.0) > 1e-8:
-        _warnings.warn("inconsistent boundary system; least-squares center used",
-                       RuntimeWarning, stacklevel=2)
+    consistent = not np.abs(A @ x - b).max(initial=0.0) > 1e-8
     if names is None:
-        return x
+        return x, consistent
     out = np.zeros(len(names))
     index = {name: j for j, name in enumerate(names)}
     missing = [n for n in h.param_names if n not in index]
@@ -280,7 +300,7 @@ def adjustment_center(h: hyp.ConstraintSystem,
             f"hypothesis names {missing} not among coefficients {list(names)}")
     for name, value in zip(h.param_names, x):
         out[index[name]] = value
-    return out
+    return out, consistent
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +326,16 @@ def _chi_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rules = [np.polynomial.legendre.leggauss(n) for n in (64, 32)]
     nodes = np.concatenate([(x + 1.0) / 2.0 for x, _ in rules])
     return nodes, rules[0][1] / 2.0, rules[1][1] / 2.0
+
+
+@functools.lru_cache(maxsize=64)
+def _chi_scales(df: float) -> np.ndarray:
+    """s = sqrt(W / nu) at the :func:`_chi_rule` nodes as quantiles of
+    W ~ chi2(df), read-only; computed once per df (a fit size, or 1 for
+    the Cauchy prior)."""
+    s = np.sqrt(chdtri(df, _chi_rule()[0]) / df)
+    s.flags.writeable = False
+    return s
 
 
 # Lattice QMC grows until its error estimate is below QMC_SE or ``draws``
@@ -382,7 +412,7 @@ def _tvn_rule(kind: str, h: np.ndarray, corr: np.ndarray, df: float | None,
             return None
         p64, p32 = float(w64 @ vals[:64]), float(w32 @ vals[64:])
     else:
-        s = np.sqrt(chdtri(df, nodes) / df)
+        s = _chi_scales(df)
         vals = _tvn_terms(h, corr, i,
                           np.concatenate([np.repeat(s[:64], 64),
                                           np.repeat(s[64:], 32)]),
@@ -491,6 +521,21 @@ def _sampler_rng(rng, draws: int):
     return np.random.default_rng() if rng is None else rng
 
 
+# index pairs (i, j), i < j, of two- and three-row correlations
+_UPPER_PAIRS = {2: (np.array([0]), np.array([1])),
+                3: (np.array([0, 0, 1]), np.array([1, 2, 2]))}
+_SIGNS = np.array([1.0, -1.0])
+
+
+def _box_side(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Finite bounds of one side of a box and their signs: P(lo < Z < hi)
+    is the sum over the box corners c of sign * P(Z > c), the product of
+    the sides' signs (inclusion-exclusion)."""
+    if hi < math.inf:
+        return np.array([lo, hi]), _SIGNS
+    return np.array([lo]), _SIGNS[:1]
+
+
 def _cdf(kind: str, x: float, df: float | None) -> float:
     return float(ndtr(x)) if kind == "normal" else float(stdtr(df, x))
 
@@ -505,13 +550,15 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
     Otherwise a deterministic ladder runs on the rank-reduced problem:
     one row takes the exact CDF; zero-mean two- and three-row orthants the
     closed forms 1/4 + asin(rho) / 2pi and 1/8 + sum asin(rho_ij) / 4pi,
-    valid for any elliptical law; nonzero-mean two-row orthants Owen's T
-    (normal, exact) or 64-node quadrature over the chi-square mixing
-    variable (Student-t); nonzero-mean three-row orthants the conditioned
-    Gauss-Legendre rule of :func:`_tvn_orthant` while its error estimate
-    is within QMC_SE.  The rest, four or more rows among them, takes
-    randomized lattice QMC seeded from ``rng``.  Error estimates are 0 for
-    closed forms and CDFs.
+    valid for any elliptical law; other two-row orthants, and two-row
+    boxes with finite bounds (an opposed pair beside another row), Owen's
+    T summed over the box corners by inclusion-exclusion (normal, exact) or
+    that sum under 64-node quadrature over the chi-square mixing variable
+    (Student-t, error |G64 - G32|); nonzero-mean three-row orthants the
+    conditioned Gauss-Legendre rule of :func:`_tvn_orthant` while its error
+    estimate is within QMC_SE.  The rest, four or more rows and three-row
+    boxes among them, takes randomized lattice QMC seeded from ``rng``.
+    Error estimates are 0 for closed forms and CDFs.
     """
     if method not in ("auto", "mc"):
         raise ValueError(f"unknown method {method!r}")
@@ -546,16 +593,19 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
             p -= _cdf(kind, -hi[0], df)
         return p, 0.0, 0, "exact"
     if orthant and k <= 3 and not lo.any():
-        asin_sum = float(np.arcsin(corr[np.triu_indices(k, 1)]).sum())
+        asin_sum = float(np.arcsin(corr[_UPPER_PAIRS[k]]).sum())
         p = 0.25 + asin_sum / (2.0 * math.pi) if k == 2 else \
             0.125 + asin_sum / (4.0 * math.pi)
         return _unit(p), 0.0, 0, "exact"
-    if orthant and k == 2:
+    if k == 2:
+        (x, sx), (y, sy) = _box_side(lo[0], hi[0]), _box_side(lo[1], hi[1])
         if kind == "normal":
-            return float(_bvn_orthant(-lo[0], -lo[1], corr[0, 1])), 0.0, 0, "exact"
-        nodes, w64, w32 = _chi_rule()
-        s = np.sqrt(chdtri(df, nodes) / df)
-        vals = _bvn_orthant(-lo[0] * s, -lo[1] * s, corr[0, 1])
+            p = float(sx @ _bvn_orthant(-x[:, None], -y, corr[0, 1]) @ sy)
+            return _unit(p), 0.0, 0, "exact"
+        _, w64, w32 = _chi_rule()
+        s = _chi_scales(df)
+        vals = sx @ (sy @ _bvn_orthant(-x[:, None, None] * s, -y[:, None] * s,
+                                       corr[0, 1]))
         p64, p32 = float(w64 @ vals[:64]), float(w32 @ vals[64:])
         return _unit(p64), abs(p64 - p32), 0, "quadrature"
     if orthant and k == 3:

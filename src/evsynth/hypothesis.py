@@ -76,6 +76,12 @@ class ConstraintSystem:
     warnings : tuple of str
         Notes attached during normalization (e.g. a dropped inconsistent
         equality row).
+
+    Quantities that depend only on the rows and a coefficient name list
+    (:func:`embed_rows`, the adjusted-prior center, the constraint rank)
+    are computed on first use and kept for the life of the object, so
+    evaluating many studies against one parsed system pays for them once.
+    The rows must not be changed after construction.
     """
 
     param_names: tuple[str, ...]
@@ -84,6 +90,8 @@ class ConstraintSystem:
     R_i: np.ndarray
     r_i: np.ndarray
     warnings: tuple[str, ...] = ()
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     def __post_init__(self):
         p = len(self.param_names)
@@ -99,6 +107,14 @@ class ConstraintSystem:
                 raise ValueError(f"{kind} system contains an all-zero row")
         if self.n_eq + self.n_ineq == 0:
             raise ValueError("constraint system has no rows")
+
+    def _memoized(self, key, compute):
+        """``compute()``, computed once per ``key`` for this system."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     @property
     def n_eq(self) -> int:
@@ -481,10 +497,18 @@ def complement(h: ConstraintSystem) -> Complement:
 
 def embed_rows(h: ConstraintSystem,
                names: tuple[str, ...] | list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack [R_e; R_i] over a wider coefficient space given by ``names``."""
-    index = {}
-    for j, name in enumerate(names):
-        index[name] = j
+    """Stack [R_e; R_i] over a wider coefficient space given by ``names``.
+
+    The arrays are computed once per name list and ``h``, and are
+    read-only.
+    """
+    names = tuple(names)
+    return h._memoized(("rows", names), lambda: _embed_rows(h, names))
+
+
+def _embed_rows(h: ConstraintSystem,
+                names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    index = {name: j for j, name in enumerate(names)}
     missing = [n for n in h.param_names if n not in index]
     if missing:
         raise NameMappingError(
@@ -494,6 +518,7 @@ def embed_rows(h: ConstraintSystem,
     R[:h.n_eq, cols] = h.R_e
     R[h.n_eq:, cols] = h.R_i
     r = np.concatenate([h.r_e, h.r_i])
+    R.flags.writeable = r.flags.writeable = False
     return R, r
 
 

@@ -11,6 +11,7 @@ a growing sequence of gaussian studies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -89,6 +90,16 @@ def compute_beta(spec: DataGenSpec) -> np.ndarray:
     return a * math.sqrt(latent_variance(spec) / denom)
 
 
+@functools.lru_cache(maxsize=256)
+def _generator(spec: DataGenSpec) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """beta, the Cholesky factor of the predictor covariance and the
+    predictor names of ``spec``, computed once per spec (read-only)."""
+    beta = compute_beta(spec)
+    chol = np.linalg.cholesky(predictor_cov(spec))
+    beta.flags.writeable = chol.flags.writeable = False
+    return beta, chol, tuple(f"x{j + 1}" for j in range(len(beta)))
+
+
 def gen_dataset(spec: DataGenSpec, rng: np.random.Generator, analyze):
     """Draw one study dataset and return ``analyze(dataset)``.
 
@@ -101,10 +112,7 @@ def gen_dataset(spec: DataGenSpec, rng: np.random.Generator, analyze):
     PersistentSeparationError
         If every binomial attempt within the budget separated.
     """
-    beta = compute_beta(spec)
-    chol = np.linalg.cholesky(predictor_cov(spec))
-    names = tuple(f"x{j + 1}" for j in range(len(beta)))
-
+    beta, chol, names = _generator(spec)
     attempts = MAX_REDRAWS + 1
     for _ in range(attempts):
         X = rng.standard_normal((spec.n, len(beta))) @ chol.T

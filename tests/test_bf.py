@@ -13,7 +13,7 @@ from scipy.stats import multivariate_normal, norm
 from scipy.stats import t as student_t
 from scipy.stats._qmvnt import _qmvn, _qmvt
 
-from evsynth import bf
+from evsynth import bf, simgen
 from evsynth.bf import (ALTERNATIVES, MASS_METHODS, CoefDistribution,
                         EvidenceRecord, FractionSpec, NumericError,
                         adjustment_center, bf_between, bf_ic, bf_iu,
@@ -21,6 +21,7 @@ from evsynth.bf import (ALTERNATIVES, MASS_METHODS, CoefDistribution,
                         default_fraction, density_at_equality, evaluate, pmps,
                         prob_region)
 from evsynth.glm import FAMILIES, DataError, Dataset, add_intercept, fit_ols
+from evsynth.glm import fit as glm_fit
 from evsynth.hypothesis import ConstraintSystem, parse
 
 
@@ -115,6 +116,16 @@ class TestAdjustmentCenter:
     def test_inconsistent_boundary_warns(self):
         with pytest.warns(RuntimeWarning):
             adjustment_center(parse("b1 > 0 & b1 > 1"))
+
+    def test_inconsistent_boundary_warns_on_every_call(self):
+        # the center is computed once per parsed system; the warning is not
+        h = parse("x2 > 0 & x2 > 1")
+        fit = gaussian_fit(n=60, p=3, seed=2)
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="inconsistent boundary"):
+                adjustment_center(h, names=fit.names)
+            with pytest.warns(RuntimeWarning, match="inconsistent boundary"):
+                evaluate(fit, h, label="h")
 
     def test_embedding_into_fit_space(self):
         center = adjustment_center(parse("x3 > 0.2"),
@@ -576,9 +587,9 @@ class TestOrthantLadder:
                             rel_tol=1e-12)
 
     @pytest.mark.parametrize("kind,df", [("normal", None), ("student-t", 12.0)])
-    def test_interval_with_another_row_takes_qmc(self, kind, df):
-        # the opposed pair on b3 reduces to an interval beside the b2 row,
-        # leaving a rank-reduced (non-contiguous) correlation for the lattice
+    def test_interval_with_another_row_takes_corner_sum(self, kind, df):
+        # the opposed pair on b3 reduces to an interval beside the b2 row: a
+        # two-row box with one finite bound, summed over its corners
         cov = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 1.5]])
         dist = CoefDistribution(kind, np.array([0.4, -0.2, 0.3]), cov,
                                 ("b1", "b2", "b3"), df=df)
@@ -586,8 +597,33 @@ class TestOrthantLadder:
         p, se = prob_region(dist, h, rng=np.random.default_rng(1))
         p_mc, se_mc = prob_region(dist, h, rng=np.random.default_rng(2),
                                   draws=200_000, method="mc")
-        assert 0.0 < se <= 1e-5
+        record = bf_iu(dist, dist, h, rng=np.random.default_rng(1))
+        if kind == "normal":
+            assert se == 0.0 and record.mass_method == "exact"
+        else:
+            assert 0.0 < se <= 1e-5 and record.mass_method == "quadrature"
+        assert record.mc_draws == 0
         assert abs(p - p_mc) <= 4.0 * math.hypot(se, se_mc)
+
+    @pytest.mark.parametrize("kind,df", [("normal", None), ("student-t", 7.0)])
+    def test_two_row_box_matches_lattice_reference(self, kind, df):
+        # both rows bounded on both sides: four corners; oracle is a
+        # 10^6-point lattice estimate on the same box
+        cov = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 1.5]])
+        dist = CoefDistribution(kind, np.array([0.4, 0.2, 0.3]), cov,
+                                ("b1", "b2", "b3"), df=df)
+        h = parse("b3 > 0 & b3 < 0.8 & b2 > -0.5 & b2 < 1")
+        p, se = prob_region(dist, h)
+        s = np.sqrt(np.diag(cov)[1:])
+        corr = cov[1:, 1:] / np.outer(s, s)
+        lo = (np.array([-0.5, 0.0]) - dist.mean[1:]) / s
+        hi = (np.array([1.0, 0.8]) - dist.mean[1:]) / s
+        rng = np.random.default_rng(3)
+        if kind == "normal":
+            ref, err, _ = _qmvn(1_000_000, corr, lo, hi, rng)
+        else:
+            ref, err, _ = _qmvt(1_000_000, df, corr, lo, hi, rng)
+        assert abs(p - ref) <= 4.0 * math.hypot(se, err / 3.0) + 1e-12
 
     @pytest.mark.parametrize("m1,expected", [(0.5, 0.5), (-0.5, 0.0)])
     def test_zero_variance_row_is_decided_by_its_mean(self, m1, expected):
@@ -878,6 +914,53 @@ class TestEvidenceRecord:
                              alternative="unconstrained")
         keys = list(json.loads(rec.to_json()))
         assert keys == sorted(keys)
+
+
+class TestParsedSystemMemo:
+    """The per-system quantities kept on a parsed ConstraintSystem give the
+    same records as a fresh parse, whatever the order of the fits."""
+
+    TEXTS = ("x4 < x5 < x6", "{x2, x3, x4} > 0", "x2 + x3 > 0.2 & x4 < x5",
+             "x2 = 0.1 & x5 > x6", "x3 > 0 & x2 > 0 & x3 < 0.5")
+
+    @staticmethod
+    def fit_of(family: str, order: list[int], extra: bool, intercept: bool):
+        # x2..x6 in ``order``, then x1 when ``extra``: names differ in order
+        # and width from fit to fit
+        spec = simgen.DataGenSpec(family, 80, 0.25)
+        cols = [j + 1 for j in order] + ([0] if extra else [])
+
+        def analyze(d):
+            d = Dataset(d.X[:, cols], d.y, d.family,
+                        tuple(d.names[j] for j in cols))
+            return glm_fit(add_intercept(d) if intercept else d)
+
+        return simgen.gen_dataset(spec, simgen.rng_stream(9, *order), analyze)
+
+    @given(st.sampled_from(TEXTS),
+           st.lists(st.tuples(st.sampled_from(FAMILIES),
+                              st.permutations(range(5)), st.booleans(),
+                              st.booleans()),
+                    min_size=2, max_size=5))
+    @settings(max_examples=25, deadline=None)
+    @pytest.mark.filterwarnings("ignore:inconsistent boundary system")
+    def test_records_match_fresh_parse(self, text, fits):
+        h = parse(text)
+        for family, order, extra, intercept in fits:
+            fit = self.fit_of(family, list(order), extra, intercept)
+            kept = evaluate(fit, h, label="h", rng=np.random.default_rng(0))
+            fresh = evaluate(fit, parse(text), label="h",
+                             rng=np.random.default_rng(0))
+            assert kept == fresh
+            # a caller's changes to a returned center reach no later record
+            adjustment_center(h, names=fit.names)[:] = 7.0
+            assert evaluate(fit, h, label="h",
+                            rng=np.random.default_rng(0)) == fresh
+
+    def test_constraint_count_is_per_system(self):
+        h = parse("x2 > 0 & x3 > 0 & x2 + x3 > 0.1")
+        assert constraint_count([h]) == constraint_count([h]) == 2
+        assert constraint_count([h, parse("x4 > 0")]) == 3
 
 
 class TestEvaluate:

@@ -193,6 +193,16 @@ class TestEmbedAndTransform:
         with pytest.raises(NameMappingError):
             embed_rows(parse("q > 0"), ("b1", "b2"))
 
+    def test_embedded_rows_are_read_only_and_kept(self):
+        cs = parse("b2 > b1 + 0.5")
+        R, r = embed_rows(cs, ("b0", "b1", "b2"))
+        with pytest.raises(ValueError):
+            R[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            r[0] = 1.0
+        assert embed_rows(cs, ["b0", "b1", "b2"])[0] is R
+        assert np.array_equal(embed_rows(cs, ("b2", "b1"))[0], [[1.0, -1.0]])
+
     def test_identity_rows_unchanged(self):
         cs = parse("{b1, b2} > 0")
         out = transform_constraints(cs, np.array([0.3, -0.2]), np.eye(2),

@@ -71,7 +71,8 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 def test_bundled_hypotheses_leave_scipy_stats_unloaded(study_csvs, tmp_path):
     argvs, outs = [], []
     for family, data in study_csvs.items():
-        for j, text in enumerate(("{x2, x3, x4} > 0", "x4 < x5 < x6", "x6 > 0")):
+        for j, text in enumerate(("{x2, x3, x4} > 0", "x4 < x5 < x6", "x6 > 0",
+                                  "x3 > 0 & x2 > 0 & x3 < 0.5")):
             outs.append(tmp_path / f"{family}-{j}.json")
             argvs.append(analyze_argv(data, family, text, outs[-1]))
     # simulation 8: three-row fits for every family, including Student-t
