@@ -76,7 +76,7 @@ class CoefDistribution:
             raise ValueError("names length does not match mean")
         if np.abs(self.scale - self.scale.T).max(initial=0.0) > 1e-10:
             raise ValueError("scale matrix is not symmetric")
-        if self.kind == "student-t" and (self.df is None or self.df <= 0):
+        if self.kind == "student-t" and (self.df is None or not self.df > 0):
             raise ValueError("student-t requires positive degrees of freedom")
 
 
@@ -350,9 +350,17 @@ _QUAD_FLOOR = 1e-8     # least error estimate of the trivariate rule
 def _bvn_orthant(h, k, rho: float) -> np.ndarray:
     """P(Z1 < h, Z2 < k) for standard normals with correlation |rho| < 1,
     elementwise over ``h`` and ``k``, through Owen's T function
-    (Owen 1956, Ann. Math. Stat. 27:1075)."""
-    h, k = np.broadcast_arrays(np.asarray(h, dtype=float),
-                               np.asarray(k, dtype=float))
+    (Owen 1956, Ann. Math. Stat. 27:1075).
+
+    One value each (a two-row orthant of a normal law) takes
+    :func:`_bvn_corner` on floats, whose operations are these in the same
+    order, as numpy's dispatch costs several times the arithmetic there.
+    """
+    h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
+    if h.size == 1 and k.size == 1:   # broadcast shape: the longer one
+        return np.full(max(h.shape, k.shape, key=len),
+                       _bvn_corner(h.item(), k.item(), float(rho)))
+    h, k = np.broadcast_arrays(h, k)
     r = math.sqrt((1.0 - rho) * (1.0 + rho))
     with np.errstate(divide="ignore", invalid="ignore"):
         a_h = np.where(h == 0.0, np.copysign(np.inf, k), (k - rho * h) / (h * r))
@@ -363,6 +371,31 @@ def _bvn_orthant(h, k, rho: float) -> np.ndarray:
     p = 0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, a_h) - owens_t(k, a_k) - beta
     corner = 0.25 + math.asin(rho) / (2.0 * math.pi)
     return np.clip(np.where((h == 0.0) & (k == 0.0), corner, p), 0.0, 1.0)
+
+
+def _bvn_corner(h: float, k: float, rho: float) -> float:
+    """:func:`_bvn_orthant` at one (h, k), on floats."""
+    r = math.sqrt((1.0 - rho) * (1.0 + rho))   # first: |rho| > 1 raises here
+    if h == 0.0 and k == 0.0:
+        return _unit(0.25 + math.asin(rho) / (2.0 * math.pi))
+    a_h = (math.copysign(math.inf, k) if h == 0.0
+           else _ieee_div(k - rho * h, h * r))
+    a_k = (math.copysign(math.inf, h) if k == 0.0
+           else _ieee_div(h - rho * k, k * r))
+    beta = 0.5 if (h < 0.0) != (k < 0.0) else 0.0
+    p = (0.5 * (float(ndtr(h)) + float(ndtr(k))) - float(owens_t(h, a_h))
+         - float(owens_t(k, a_k)) - beta)
+    return _unit(p)
+
+
+def _ieee_div(x: float, y: float) -> float:
+    """x / y as numpy divides: +-inf or nan where y is zero (h * r can
+    underflow)."""
+    if y != 0.0:
+        return x / y
+    if x == 0.0 or x != x:
+        return math.nan
+    return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
 def _tvn_terms(h: np.ndarray, corr: np.ndarray, i: int, s, t):

@@ -30,6 +30,7 @@ columns are pruned.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -77,11 +78,11 @@ class ConstraintSystem:
         Notes attached during normalization (e.g. a dropped inconsistent
         equality row).
 
-    Quantities that depend only on the rows and a coefficient name list
-    (:func:`embed_rows`, the adjusted-prior center, the constraint rank)
-    are computed on first use and kept for the life of the object, so
-    evaluating many studies against one parsed system pays for them once.
-    The rows must not be changed after construction.
+    The rows are copied at construction and read-only.  Quantities that
+    depend only on the rows and a coefficient name list (:func:`embed_rows`,
+    the adjusted-prior center, the constraint rank) are computed on first
+    use and kept for the life of the object, so evaluating many studies
+    against one parsed system pays for them once.
     """
 
     param_names: tuple[str, ...]
@@ -94,6 +95,10 @@ class ConstraintSystem:
                         repr=False)
 
     def __post_init__(self):
+        for name in ("R_e", "r_e", "R_i", "r_i"):
+            rows = np.array(getattr(self, name))
+            rows.flags.writeable = False
+            object.__setattr__(self, name, rows)
         p = len(self.param_names)
         if len(set(self.param_names)) != p:
             raise ValueError("duplicate coefficient names")
@@ -368,6 +373,11 @@ class _Parser:
 def parse(text: str) -> ConstraintSystem:
     """Parse a hypothesis string into a :class:`ConstraintSystem`.
 
+    Parsed systems are kept per text (the last 256 in a process), so every
+    call with one text returns the same object, whose memo of embedded
+    rows, center and rank then serves every study and call that uses it.
+    Errors are raised again on every call.
+
     Parameters
     ----------
     text : str
@@ -386,6 +396,11 @@ def parse(text: str) -> ConstraintSystem:
     """
     if not isinstance(text, str):
         raise ParseError("hypothesis must be a string")
+    return _parse(text)
+
+
+@functools.lru_cache(maxsize=256)
+def _parse(text: str) -> ConstraintSystem:
     parser = _Parser(text)
     raw = parser.parse()
     names = list(parser.param_order)

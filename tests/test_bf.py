@@ -1,5 +1,6 @@
 """Bayes factor engine tests: fractions, priors, masses, sentinels, PMPs."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal, norm
 from scipy.stats import t as student_t
@@ -156,6 +157,12 @@ class TestDistributions:
         result = gaussian_fit(n=50, p=3)
         with pytest.raises(ValueError):
             build_prior(result, FractionSpec.explicit(0.1), np.zeros(5))
+
+    @pytest.mark.parametrize("df", [None, 0.0, -2.0, math.nan])
+    def test_student_t_needs_positive_df(self, df):
+        with pytest.raises(ValueError, match="positive degrees of freedom"):
+            CoefDistribution("student-t", np.zeros(1), np.eye(1), ("b1",),
+                             df=df)
 
     def test_scale_symmetry_enforced(self):
         with pytest.raises(ValueError):
@@ -586,6 +593,34 @@ class TestOrthantLadder:
         assert math.isclose(float(bf._bvn_orthant(x, x, 0.5)), corner,
                             rel_tol=1e-12)
 
+    @given(st.one_of(st.just(0.0), st.floats(-8.0, 8.0),
+                     st.floats(allow_nan=False)),
+           st.one_of(st.just(0.0), st.floats(-8.0, 8.0),
+                     st.floats(allow_nan=False)),
+           st.one_of(st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+                     st.sampled_from([1.0 - 2e-12, -1.0 + 2e-12])),
+           st.sampled_from([((), ()), ((1,), (1, 1)), ((1, 1), (1,))]))
+    @example(0.0, 0.7, 0.3, ((), ()))
+    @example(-0.4, 0.0, -0.6, ((), ()))
+    @example(0.0, 0.0, 0.5, ((), ()))
+    @example(1.3, -0.8, 0.2, ((), ()))
+    @example(-2.0, 1.0, 1.0 - 2e-12, ((), ()))
+    @example(5e-324, 0.0, 0.3, ((), ()))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
+    def test_bivariate_orthant_scalar_path_is_the_array_path(self, h, k, rho,
+                                                             shapes):
+        # one value each takes the float path; among other values the same
+        # (h, k) takes the array path, and the two agree bit for bit
+        got = bf._bvn_orthant(np.full(shapes[0], h), np.full(shapes[1], k),
+                              rho)
+        want = bf._bvn_orthant(np.array([h, 0.5]), np.array([k, -0.3]),
+                               rho)[0]
+        assert got.shape == np.broadcast_shapes(*shapes)
+        assert got.item() == want or (math.isnan(got.item())
+                                      and math.isnan(want))
+        assert np.signbit(got.item()) == np.signbit(want) or math.isnan(want)
+
     @pytest.mark.parametrize("kind,df", [("normal", None), ("student-t", 12.0)])
     def test_interval_with_another_row_takes_corner_sum(self, kind, df):
         # the opposed pair on b3 reduces to an interval beside the b2 row: a
@@ -949,7 +984,9 @@ class TestParsedSystemMemo:
         for family, order, extra, intercept in fits:
             fit = self.fit_of(family, list(order), extra, intercept)
             kept = evaluate(fit, h, label="h", rng=np.random.default_rng(0))
-            fresh = evaluate(fit, parse(text), label="h",
+            # parse returns the kept object again; a copy starts with an
+            # empty memo, as a fresh parse would
+            fresh = evaluate(fit, dataclasses.replace(parse(text)), label="h",
                              rng=np.random.default_rng(0))
             assert kept == fresh
             # a caller's changes to a returned center reach no later record

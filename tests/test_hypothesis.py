@@ -127,6 +127,41 @@ class TestErrors:
         assert err.value.position is not None
 
 
+class TestParseMemo:
+    """``parse`` keeps parsed systems per text; the memo must not change
+    what it accepts, and a kept system must not be changeable."""
+
+    @pytest.mark.parametrize("value", [["x1 > 0"], None, 3, b"x1 > 0"])
+    def test_non_string_rejected(self, value):
+        with pytest.raises(ParseError, match="hypothesis must be a string"):
+            parse(value)
+
+    def test_same_text_gives_same_system(self):
+        assert parse("q1 < q2 & q3 = 0.5") is parse("q1 < q2 & q3 = 0.5")
+
+    def test_errors_raise_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ParseError, match="at position 4"):
+                parse("b1 >> b2")
+
+    def test_rows_are_read_only(self):
+        cs = parse("b1 < b2 & b3 = 0.5")
+        for rows in (cs.R_e, cs.r_e, cs.R_i, cs.r_i):
+            with pytest.raises(ValueError):
+                rows[0] = 9.0
+        assert np.array_equal(parse("b1 < b2 & b3 = 0.5").R_i,
+                              [[-1.0, 1.0, 0.0]])
+
+    def test_constructed_rows_are_copied(self):
+        R_i = np.array([[1.0, -1.0]])
+        cs = ConstraintSystem(("b1", "b2"), np.zeros((0, 2)), np.zeros(0),
+                              R_i, np.zeros(1))
+        R_i[0, 0] = 5.0
+        assert R_i.flags.writeable
+        assert np.array_equal(cs.R_i, [[1.0, -1.0]])
+        assert not cs.R_i.flags.writeable
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("text", [
         "b4 < b5 < b6",

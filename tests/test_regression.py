@@ -1,6 +1,6 @@
 """Simulation outputs against checked-in files from an earlier build.
 
-``tests/data/regression/sim{1,6,9}.csv`` were written by::
+``tests/data/regression/sim{1,2,6,9}.csv`` were written by::
 
     evsynth simulate --sim S --iters 2 --n 25,100 --seed 4 --studies 4 --out simS.csv
 
@@ -35,7 +35,7 @@ def same_number(a: str, b: str) -> bool:
     return x == y or math.isclose(x, y, rel_tol=1e-9)
 
 
-@pytest.mark.parametrize("sim", [1, 6, 9])
+@pytest.mark.parametrize("sim", [1, 2, 6, 9])
 def test_simulate_matches_checked_in_output(sim, tmp_path, capsys):
     out = tmp_path / f"sim{sim}.csv"
     assert cli.main(["simulate", "--sim", str(sim), "--iters", "2",
