@@ -74,6 +74,8 @@ class CoefDistribution:
             raise ValueError("scale shape does not match mean")
         if len(self.names) != p:
             raise ValueError("names length does not match mean")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.scale).all()):
+            raise ValueError("mean and scale must be finite")
         if np.abs(self.scale - self.scale.T).max(initial=0.0) > 1e-10:
             raise ValueError("scale matrix is not symmetric")
         if self.kind == "student-t" and (self.df is None or not self.df > 0):
@@ -244,15 +246,9 @@ def default_fraction(fit: FitResult,
 
 
 def constraint_count(systems: list[hyp.ConstraintSystem]) -> int:
-    """Number of independent constraint rows across ``systems`` (min 1);
-    computed once per system when there is one."""
+    """Number of independent constraint rows across ``systems`` (min 1)."""
     if len(systems) == 1:
-        h = systems[0]
-        return h._memoized(("rank",), lambda: _constraint_count(systems))
-    return _constraint_count(systems)
-
-
-def _constraint_count(systems: list[hyp.ConstraintSystem]) -> int:
+        return max(systems[0].rank, 1)
     names: list[str] = []
     for h in systems:
         for name in h.param_names:
@@ -266,41 +262,21 @@ def _constraint_count(systems: list[hyp.ConstraintSystem]) -> int:
 
 def adjustment_center(h: hyp.ConstraintSystem,
                       names: tuple[str, ...] | None = None) -> np.ndarray:
-    """Boundary point the adjusted prior is centered on.
+    """Boundary point the adjusted prior is centered on, as a fresh array.
 
-    The minimum-norm solution of the stacked boundary system
-    ``[R_e; R_i] beta = [r_e; r_i]``.  If the system is inconsistent the
-    least-squares solution is returned with a RuntimeWarning, on every
-    call.  With ``names`` given, the solution is embedded into that
-    coefficient space (zeros elsewhere).  The solution is computed once per
-    name list and ``h``; each call returns a fresh copy.
+    ``h.center``, the minimum-norm solution of the stacked boundary system
+    ``[R_e; R_i] beta = [r_e; r_i]``, embedded into the coefficient space
+    ``names`` (zeros elsewhere; ``h.param_names`` by default).  If the
+    system is inconsistent it is the least-squares solution, and every
+    call warns with a RuntimeWarning.
     """
-    key = ("center", None if names is None else tuple(names))
-    center, consistent = h._memoized(key, lambda: _adjustment_center(h, names))
-    if not consistent:
+    names = h.param_names if names is None else names
+    out = np.zeros(len(names))
+    out[hyp.columns(h, names)] = h.center
+    if not h.consistent:
         _warnings.warn("inconsistent boundary system; least-squares center used",
                        RuntimeWarning, stacklevel=2)
-    return center.copy()
-
-
-def _adjustment_center(h: hyp.ConstraintSystem,
-                       names: tuple[str, ...] | None) -> tuple[np.ndarray, bool]:
-    """(center, whether the boundary system is consistent)."""
-    A = np.vstack([h.R_e, h.R_i])
-    b = np.concatenate([h.r_e, h.r_i])
-    x, *_ = np.linalg.lstsq(A, b, rcond=None)
-    consistent = not np.abs(A @ x - b).max(initial=0.0) > 1e-8
-    if names is None:
-        return x, consistent
-    out = np.zeros(len(names))
-    index = {name: j for j, name in enumerate(names)}
-    missing = [n for n in h.param_names if n not in index]
-    if missing:
-        raise hyp.NameMappingError(
-            f"hypothesis names {missing} not among coefficients {list(names)}")
-    for name, value in zip(h.param_names, x):
-        out[index[name]] = value
-    return out, consistent
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +338,7 @@ def _bvn_orthant(h, k, rho: float) -> np.ndarray:
                        _bvn_corner(h.item(), k.item(), float(rho)))
     h, k = np.broadcast_arrays(h, k)
     r = math.sqrt((1.0 - rho) * (1.0 + rho))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a_h = np.where(h == 0.0, np.copysign(np.inf, k), (k - rho * h) / (h * r))
         a_k = np.where(k == 0.0, np.copysign(np.inf, h), (h - rho * k) / (k * r))
     # one bound negative and the other not; a sign test, as h * k can

@@ -381,10 +381,6 @@ def fit_binomial(d: Dataset) -> FitResult:
         trace.append(IrlsStep(loglik, float(np.abs(grad).max()),
                               float(np.abs(beta).max()), margin))
 
-    if not converged and (not trace or trace[-1].loglik != loglik):
-        trace.append(IrlsStep(loglik, float(np.abs(grad).max()),
-                              float(np.abs(beta).max()), margin))
-
     if detect_separation(d, trace):
         raise SeparationError("complete separation detected", trace=trace)
     if not converged:

@@ -77,12 +77,19 @@ class ConstraintSystem:
     warnings : tuple of str
         Notes attached during normalization (e.g. a dropped inconsistent
         equality row).
+    R, r : ndarray
+        The stacked rows ``[R_e; R_i]`` and ``[r_e; r_i]``.
+    rank : int
+        The rank of ``R``, the number of independent constraints.
+    center : ndarray
+        The minimum-norm (least-squares when inconsistent) solution of the
+        boundary system ``R @ beta = r`` over ``param_names``.
+    consistent : bool
+        Whether ``center`` solves the boundary system.
 
-    The rows are copied at construction and read-only.  Quantities that
-    depend only on the rows and a coefficient name list (:func:`embed_rows`,
-    the adjusted-prior center, the constraint rank) are computed on first
-    use and kept for the life of the object, so evaluating many studies
-    against one parsed system pays for them once.
+    The given rows are copied, every array is read-only, and the last five
+    attributes are derived at construction (again by
+    :func:`dataclasses.replace`).
     """
 
     param_names: tuple[str, ...]
@@ -91,8 +98,11 @@ class ConstraintSystem:
     R_i: np.ndarray
     r_i: np.ndarray
     warnings: tuple[str, ...] = ()
-    _memo: dict = field(default_factory=dict, init=False, compare=False,
-                        repr=False)
+    R: np.ndarray = field(init=False, compare=False, repr=False)
+    r: np.ndarray = field(init=False, compare=False, repr=False)
+    rank: int = field(init=False, compare=False, repr=False)
+    center: np.ndarray = field(init=False, compare=False, repr=False)
+    consistent: bool = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("R_e", "r_e", "R_i", "r_i"):
@@ -112,14 +122,16 @@ class ConstraintSystem:
                 raise ValueError(f"{kind} system contains an all-zero row")
         if self.n_eq + self.n_ineq == 0:
             raise ValueError("constraint system has no rows")
-
-    def _memoized(self, key, compute):
-        """``compute()``, computed once per ``key`` for this system."""
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = compute()
-            return value
+        R = np.vstack([self.R_e, self.R_i])
+        r = np.concatenate([self.r_e, self.r_i])
+        center, *_ = np.linalg.lstsq(R, r, rcond=None)
+        for array in (R, r, center):
+            array.flags.writeable = False
+        derived = {"R": R, "r": r, "rank": int(np.linalg.matrix_rank(R)),
+                   "center": center,
+                   "consistent": not np.abs(R @ center - r).max() > 1e-8}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @property
     def n_eq(self) -> int:
@@ -374,9 +386,9 @@ def parse(text: str) -> ConstraintSystem:
     """Parse a hypothesis string into a :class:`ConstraintSystem`.
 
     Parsed systems are kept per text (the last 256 in a process), so every
-    call with one text returns the same object, whose memo of embedded
-    rows, center and rank then serves every study and call that uses it.
-    Errors are raised again on every call.
+    call with one text returns the same object, and its stacked rows,
+    rank and boundary center are computed once.  Errors are raised again
+    on every call.
 
     Parameters
     ----------
@@ -510,31 +522,30 @@ def complement(h: ConstraintSystem) -> Complement:
     return Complement(h)
 
 
+def columns(h: ConstraintSystem,
+            names: tuple[str, ...] | list[str]) -> list[int]:
+    """Positions of ``h.param_names`` in ``names``.
+
+    Raises
+    ------
+    NameMappingError
+        If a constrained coefficient is not in ``names``.
+    """
+    try:
+        return [names.index(name) for name in h.param_names]
+    except ValueError:
+        missing = [n for n in h.param_names if n not in names]
+        raise NameMappingError(f"hypothesis names {missing} not among "
+                               f"coefficients {list(names)}") from None
+
+
 def embed_rows(h: ConstraintSystem,
                names: tuple[str, ...] | list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack [R_e; R_i] over a wider coefficient space given by ``names``.
-
-    The arrays are computed once per name list and ``h``, and are
-    read-only.
-    """
-    names = tuple(names)
-    return h._memoized(("rows", names), lambda: _embed_rows(h, names))
-
-
-def _embed_rows(h: ConstraintSystem,
-                names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    index = {name: j for j, name in enumerate(names)}
-    missing = [n for n in h.param_names if n not in index]
-    if missing:
-        raise NameMappingError(
-            f"hypothesis names {missing} not among coefficients {list(names)}")
-    cols = [index[n] for n in h.param_names]
-    R = np.zeros((h.n_eq + h.n_ineq, len(names)))
-    R[:h.n_eq, cols] = h.R_e
-    R[h.n_eq:, cols] = h.R_i
-    r = np.concatenate([h.r_e, h.r_i])
-    R.flags.writeable = r.flags.writeable = False
-    return R, r
+    """``h.R`` and ``h.r`` over a wider coefficient space given by ``names``
+    (zero columns elsewhere), as fresh arrays."""
+    R = np.zeros((h.R.shape[0], len(names)))
+    R[:, columns(h, names)] = h.R
+    return R, h.r.copy()
 
 
 def transform_constraints(h: ConstraintSystem,

@@ -23,7 +23,7 @@ from evsynth.bf import (ALTERNATIVES, MASS_METHODS, CoefDistribution,
                         prob_region)
 from evsynth.glm import FAMILIES, DataError, Dataset, add_intercept, fit_ols
 from evsynth.glm import fit as glm_fit
-from evsynth.hypothesis import ConstraintSystem, parse
+from evsynth.hypothesis import ConstraintSystem, embed_rows, parse
 
 
 def normal_dist(mean, cov, names=None):
@@ -164,6 +164,15 @@ class TestDistributions:
             CoefDistribution("student-t", np.zeros(1), np.eye(1), ("b1",),
                              df=df)
 
+    @pytest.mark.parametrize("mean,scale", [
+        ([0.0, math.nan], np.eye(2)),
+        ([math.inf, 0.0], np.eye(2)),
+        ([0.0, 0.0], [[1.0, math.nan], [math.nan, 1.0]]),
+    ])
+    def test_non_finite_mean_or_scale_rejected(self, mean, scale):
+        with pytest.raises(ValueError, match="must be finite"):
+            CoefDistribution("normal", mean, scale, ("b1", "b2"))
+
     def test_scale_symmetry_enforced(self):
         with pytest.raises(ValueError):
             CoefDistribution("normal", np.zeros(2),
@@ -171,6 +180,18 @@ class TestDistributions:
 
 
 class TestProbRegion:
+    @pytest.mark.parametrize("method", ["auto", "mc"])
+    def test_indefinite_scale_raises(self, method):
+        # unit variances with covariance 2: eigenvalues 3 and -1
+        dist = normal_dist([0.1, 0.2], [[1.0, 2.0], [2.0, 1.0]])
+        h = parse("b1 > 0 & b2 > 0")
+        rng = np.random.default_rng(0)
+        with pytest.raises(NumericError, match="not positive semidefinite"):
+            prob_region(dist, h, rng=rng, draws=1_000, method=method)
+        with pytest.raises(NumericError, match="not positive semidefinite"):
+            bf_iu(dist, normal_dist([0.0, 0.0], np.eye(2)), h, rng=rng,
+                  draws=1_000, method=method)
+
     def test_standard_normal_half(self):
         p, se = prob_region(normal_dist([0.0], [[1.0]]), parse("b1 > 0"))
         assert p == 0.5
@@ -607,7 +628,6 @@ class TestOrthantLadder:
     @example(-2.0, 1.0, 1.0 - 2e-12, ((), ()))
     @example(5e-324, 0.0, 0.3, ((), ()))
     @settings(max_examples=300, deadline=None)
-    @pytest.mark.filterwarnings("ignore:overflow encountered in divide")
     def test_bivariate_orthant_scalar_path_is_the_array_path(self, h, k, rho,
                                                              shapes):
         # one value each takes the float path; among other values the same
@@ -620,6 +640,16 @@ class TestOrthantLadder:
         assert got.item() == want or (math.isnan(got.item())
                                       and math.isnan(want))
         assert np.signbit(got.item()) == np.signbit(want) or math.isnan(want)
+
+    def test_bivariate_orthant_overflowing_slope_is_silent(self):
+        # (k - rho h) / (h r) overflows for h near the smallest normal float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bf._bvn_orthant(np.array([2.3e-308, 1.0]), 5.0, 0.3)
+            one = bf._bvn_orthant(2.3e-308, 5.0, 0.3)
+        assert one.item() == got[0]
+        # P(Z1 < 0) - P(Z1 < 0, Z2 < 5) = P(Z1 < 0, Z2 > 5) <= P(Z2 > 5)
+        assert 0.0 <= 0.5 - got[0] <= float(norm.sf(5.0))
 
     @pytest.mark.parametrize("kind,df", [("normal", None), ("student-t", 12.0)])
     def test_interval_with_another_row_takes_corner_sum(self, kind, df):
@@ -984,13 +1014,13 @@ class TestParsedSystemMemo:
         for family, order, extra, intercept in fits:
             fit = self.fit_of(family, list(order), extra, intercept)
             kept = evaluate(fit, h, label="h", rng=np.random.default_rng(0))
-            # parse returns the kept object again; a copy starts with an
-            # empty memo, as a fresh parse would
             fresh = evaluate(fit, dataclasses.replace(parse(text)), label="h",
                              rng=np.random.default_rng(0))
             assert kept == fresh
-            # a caller's changes to a returned center reach no later record
+            # a caller's changes to returned arrays reach no later record
             adjustment_center(h, names=fit.names)[:] = 7.0
+            for array in embed_rows(h, fit.names):
+                array[:] = 7.0
             assert evaluate(fit, h, label="h",
                             rng=np.random.default_rng(0)) == fresh
 

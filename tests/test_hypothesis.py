@@ -1,5 +1,7 @@
 """Parser and constraint-system tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from evsynth.hypothesis import (Complement, ConstraintSystem,
                                 EqualityComplementUnsupportedError,
                                 NameMappingError, ParseError, complement,
-                                embed_rows, parse, transform_constraints)
+                                columns, embed_rows, parse,
+                                transform_constraints)
 
 
 class TestWorkedExamples:
@@ -228,14 +231,26 @@ class TestEmbedAndTransform:
         with pytest.raises(NameMappingError):
             embed_rows(parse("q > 0"), ("b1", "b2"))
 
-    def test_embedded_rows_are_read_only_and_kept(self):
+    def test_columns_follow_the_names(self):
+        cs = parse("b3 > b1 & b2 = 0")
+        assert cs.param_names == ("b3", "b1", "b2")
+        assert columns(cs, ("b1", "b2", "b0", "b3")) == [3, 0, 1]
+        with pytest.raises(NameMappingError, match=r"\['b2'\]"):
+            columns(cs, ["b1", "b3"])
+
+    def test_embedded_rows_are_fresh(self):
         cs = parse("b2 > b1 + 0.5")
-        R, r = embed_rows(cs, ("b0", "b1", "b2"))
-        with pytest.raises(ValueError):
-            R[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            r[0] = 1.0
-        assert embed_rows(cs, ["b0", "b1", "b2"])[0] is R
+        names = ("b0", "b1", "b2")
+        want = transform_constraints(cs, np.ones(3), np.eye(3), names)
+        R, r = embed_rows(cs, names)
+        R[0, 0], r[0] = 9.0, 9.0
+        again, r_again = embed_rows(cs, list(names))
+        assert again is not R and r_again is not r
+        assert np.array_equal(again, [[0.0, -1.0, 1.0]])
+        assert np.array_equal(r_again, [0.5])
+        got = transform_constraints(cs, np.ones(3), np.eye(3), names)
+        assert np.array_equal(got.ineq.mean, want.ineq.mean)
+        assert np.array_equal(got.ineq.scale, want.ineq.scale)
         assert np.array_equal(embed_rows(cs, ("b2", "b1"))[0], [[1.0, -1.0]])
 
     def test_identity_rows_unchanged(self):
@@ -290,3 +305,42 @@ class TestConstraintSystemValidation:
             ConstraintSystem(param_names=("b1",), R_e=np.zeros((0, 1)),
                              r_e=np.zeros(0), R_i=np.zeros((0, 1)),
                              r_i=np.zeros(0))
+
+
+class TestDerivedGeometry:
+    """Stacked rows, rank and boundary center, derived at construction."""
+
+    def test_consistent_boundary(self):
+        cs = parse("b1 + b2 > 1 & b3 = 0.5")
+        assert np.array_equal(cs.R, [[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+        assert np.array_equal(cs.r, [0.5, 1.0])
+        assert cs.rank == 2
+        assert np.allclose(cs.center, [0.5, 0.5, 0.5], rtol=0.0, atol=1e-15)
+        assert cs.consistent
+
+    def test_inconsistent_boundary(self):
+        cs = parse("b1 > 0 & b1 > 1")
+        assert cs.rank == 1
+        assert np.allclose(cs.center, [0.5], rtol=0.0, atol=1e-15)
+        assert not cs.consistent
+
+    def test_arrays_are_read_only(self):
+        cs = parse("b1 + b2 > 1 & b3 = 0.5")
+        for array in (cs.R, cs.r, cs.center):
+            with pytest.raises(ValueError):
+                array[0] = 9.0
+
+    def test_replace_recomputes(self):
+        cs = parse("b1 + b2 > 1 & b3 = 0.5")
+        eq_only = dataclasses.replace(cs, R_i=np.zeros((0, 3)), r_i=np.zeros(0))
+        assert eq_only.rank == 1
+        assert np.allclose(eq_only.center, [0.0, 0.0, 0.5], rtol=0.0,
+                           atol=1e-15)
+        assert np.array_equal(eq_only.R, [[0.0, 0.0, 1.0]])
+        bad = parse("b1 > 0 & b1 > 1")
+        mended = dataclasses.replace(bad, r_i=np.array([1.0, 1.0]))
+        assert mended.consistent and not bad.consistent
+        assert np.allclose(mended.center, [1.0], rtol=0.0, atol=1e-15)
+        stacked = dataclasses.replace(cs, R_i=np.array([[0.0, 0.0, 1.0]]),
+                                      r_i=np.array([0.7]))
+        assert stacked.rank == 1 and not stacked.consistent

@@ -1,22 +1,39 @@
-"""Simulation outputs against checked-in files from an earlier build.
+"""Simulation outputs and evidence records against checked-in files from
+an earlier build.
 
 ``tests/data/regression/sim{1,2,6,9}.csv`` were written by::
 
     evsynth simulate --sim S --iters 2 --n 25,100 --seed 4 --studies 4 --out simS.csv
 
 Labels and counts must match exactly and every number to 1e-9 relative, so
-a refactor that is meant to keep results unchanged is checked here.  A change
-that moves results on purpose regenerates the files with the command above
-and says why in CHANGES.md.
+a refactor that is meant to keep results unchanged is checked here.
+
+The simulations use inequality-only hypotheses whose coefficients appear in
+fit order.  ``tests/data/regression/records.json`` holds the
+:func:`evsynth.bf.evaluate` records of :data:`RECORD_TEXTS` (mixed,
+equality-only, permuted-name, reduced-box, inconsistent and four-row
+systems) in every family at two sample sizes, and was written by::
+
+    PYTHONPATH=src python tests/test_regression.py > tests/data/regression/records.json
+
+Every record field must match exactly.
+
+A change that moves results on purpose regenerates the files with the
+commands above and says why in CHANGES.md.
 """
 
 import csv
+import json
 import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from evsynth import cli
+from evsynth import bf, cli, simgen
+from evsynth.glm import FAMILIES, add_intercept, fit
+from evsynth.hypothesis import parse
 
 DATA = Path(__file__).with_name("data") / "regression"
 NUMBERS = ("r2", "fit", "complexity", "log_bf", "agg_log_bf", "pmp")
@@ -50,3 +67,44 @@ def test_simulate_matches_checked_in_output(sim, tmp_path, capsys):
         for col, is_number, got, want in zip(header, numeric, row, ref):
             ok = same_number(got, want) if is_number else got == want
             assert ok, f"row {k + 2}, {col}: {got!r} != {want!r}"
+
+
+RECORD_TEXTS = ("x6 > x4", "{x1 = x2} < x3", "x1 = 0 & x2 > 0",
+                "2*x3 - x1 > 0.3 & x5 = x6", "x3 > 0 & x3 < 0.5 & x2 > 0",
+                "x5 < x2 < x6", "{x4, x2, x3} > 0", "x6 = x5 = x4",
+                "x2 - x1 > 0 & x1 > 0.1 & x3 > x2 & x6 > 0",
+                "x1 > 0 & x1 > 1", "intercept > 0 & x2 = 0.1")
+RECORD_SIZES = (60, 400)
+
+
+def records() -> list[dict]:
+    """Records of every RECORD_TEXTS hypothesis against one fit (with an
+    intercept) per family and size, each seeded by the text's position."""
+    out = []
+    for i, family in enumerate(FAMILIES):
+        for n in RECORD_SIZES:
+            study = simgen.gen_dataset(simgen.DataGenSpec(family, n, 0.25),
+                                       simgen.rng_stream(i, n),
+                                       lambda d: fit(add_intercept(d)))
+            for j, text in enumerate(RECORD_TEXTS):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    record = bf.evaluate(study, parse(text), label=text,
+                                         study_id=f"{family}-{n}",
+                                         rng=np.random.default_rng(j))
+                out.append(record.to_dict())
+    return out
+
+
+def test_records_match_checked_in_file():
+    with open(DATA / "records.json", encoding="utf-8") as fh:
+        want = json.load(fh)
+    got = records()
+    assert len(got) == len(want) == (len(FAMILIES) * len(RECORD_SIZES)
+                                     * len(RECORD_TEXTS))
+    for g, w in zip(got, want):
+        assert g == w, f"{w['study_id']}, {w['hypothesis']}"
+
+
+if __name__ == "__main__":
+    print(json.dumps(records(), indent=1))
