@@ -10,19 +10,19 @@ from .bf import (CoefDistribution, EvidenceRecord, FractionSpec, NumericError,
                  bf_between, bf_ic, bf_iu, evaluate, pmps)
 from .glm import (DataError, Dataset, FitResult, SeparationError,
                   SingularDesignError, add_intercept, dataset_from_csv, fit)
-from .hypothesis import (Complement, ConstraintSystem, ParseError, complement,
-                         parse, transform_constraints)
+from .hypothesis import (ConstraintSystem, ParseError, parse,
+                         transform_constraints)
 from .synthesis import (SynthesisState, aggregate_log_bf, merge, new_state,
                         synthesize_records, update)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefDistribution", "Complement", "ConstraintSystem", "DataError",
-    "Dataset", "EvidenceRecord", "FitResult", "FractionSpec", "NumericError",
+    "CoefDistribution", "ConstraintSystem", "DataError", "Dataset",
+    "EvidenceRecord", "FitResult", "FractionSpec", "NumericError",
     "ParseError", "SeparationError", "SingularDesignError", "SynthesisState",
     "add_intercept", "aggregate_log_bf", "bf_between", "bf_ic", "bf_iu",
-    "complement", "dataset_from_csv", "evaluate", "fit", "merge", "new_state",
-    "parse", "pmps", "synthesize_records", "transform_constraints", "update",
+    "dataset_from_csv", "evaluate", "fit", "merge", "new_state", "parse",
+    "pmps", "synthesize_records", "transform_constraints", "update",
     "__version__",
 ]

@@ -123,7 +123,10 @@ def json_safe(obj):
 
 @dataclass
 class EvidenceRecord:
-    """One hypothesis evaluated in one study."""
+    """One hypothesis evaluated in one study, checked when made (by
+    :func:`bf_iu`, :meth:`from_dict` or directly): ValueError unless text
+    fields are strings, counts non-negative ints, and the alternative and
+    mass method known (:data:`ALTERNATIVES`, :data:`MASS_METHODS`)."""
 
     study_id: str
     hypothesis: str
@@ -139,20 +142,37 @@ class EvidenceRecord:
     alternative: str = "unconstrained"
     mass_method: str = ""      # least exact of MASS_METHODS used; "" = unknown
 
+    def __post_init__(self):
+        for key in ("study_id", "hypothesis", "family"):
+            if not isinstance(getattr(self, key), str):
+                raise ValueError(f"evidence record field {key!r} must be a string")
+        for key in ("mc_draws", "n"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"evidence record field {key!r} must be a "
+                                 f"non-negative integer, got {value!r}")
+        if self.alternative not in ALTERNATIVES:
+            raise ValueError(f"evidence record has unknown alternative "
+                             f"{self.alternative!r}; expected one of "
+                             f"{list(ALTERNATIVES)}")
+        if self.mass_method not in ("",) + MASS_METHODS:
+            raise ValueError(f"evidence record has unknown mass method "
+                             f"{self.mass_method!r}; expected one of "
+                             f"{list(MASS_METHODS)}")
+
     def to_dict(self) -> dict:
         return json_safe(asdict(self))
 
     @classmethod
     def from_dict(cls, data) -> "EvidenceRecord":
-        """Record from a decoded JSON object.
+        """Record from a decoded JSON object; the constructor checks values.
 
         Raises
         ------
         DataError
             If ``data`` is not an object, lacks a required field, has a
-            non-numeric number field, a negative or non-integral count
-            (``mc_draws``, ``n``), a non-string text field, an unknown
-            alternative or an unknown mass method.
+            non-numeric number field or a non-integral count, or the
+            constructor rejects it.
         """
         if not isinstance(data, dict):
             raise DataError(f"evidence record must be an object, "
@@ -174,23 +194,14 @@ class EvidenceRecord:
             raise DataError(
                 f"evidence record has a non-numeric field: {exc}") from None
         for key, value in counts.items():
-            if value < 0 or not value.is_integer():
+            if not value.is_integer():
                 raise DataError(f"evidence record field {key!r} must be a "
                                 f"non-negative integer, got {data[key]!r}")
             data[key] = int(value)
-        for key in ("study_id", "hypothesis", "family", "alternative",
-                    "mass_method"):
-            if not isinstance(data.get(key, ""), str):
-                raise DataError(f"evidence record field {key!r} must be a string")
-        if data.get("alternative", "unconstrained") not in ALTERNATIVES:
-            raise DataError(f"evidence record has unknown alternative "
-                            f"{data['alternative']!r}; expected one of "
-                            f"{list(ALTERNATIVES)}")
-        if data.get("mass_method", "") not in ("",) + MASS_METHODS:
-            raise DataError(f"evidence record has unknown mass method "
-                            f"{data['mass_method']!r}; expected one of "
-                            f"{list(MASS_METHODS)}")
-        return cls(**data)
+        try:
+            return cls(**data)
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -743,9 +754,16 @@ def bf_iu(posterior: CoefDistribution, adjusted_prior: CoefDistribution,
 
     Raises
     ------
+    EqualityComplementUnsupportedError
+        If ``alternative`` is "complement" and ``h`` has equality rows.
+    ValueError
+        If ``alternative`` is unknown (:class:`EvidenceRecord`).
     NumericError
         If both masses are zero (e.g. a contradictory system).
     """
+    if alternative == "complement" and h.n_eq:
+        raise hyp.EqualityComplementUnsupportedError(
+            "complement is undefined for hypotheses with equality constraints")
     log_f, f, f_se, used_f, how_f = _log_mass(posterior, h, rng, draws, method)
     log_c, c, c_se, used_c, how_c = _log_mass(adjusted_prior, h, rng, draws,
                                               method)
@@ -766,10 +784,12 @@ def bf_iu(posterior: CoefDistribution, adjusted_prior: CoefDistribution,
 
 
 def bf_ic(record: EvidenceRecord) -> float:
-    """log Bayes factor against the complement, from a stored record."""
+    """log Bayes factor against the complement, from a stored record;
+    NumericError if it has none (its hypothesis has equality rows, or fit
+    and complexity are both 1)."""
     if record.log_bf_ic is None:
-        raise NumericError("record has no complement Bayes factor "
-                           "(equality constraints present)")
+        raise NumericError(f"study {record.study_id!r}: hypothesis "
+                           f"{record.hypothesis!r} has no complement Bayes factor")
     return record.log_bf_ic
 
 
@@ -827,7 +847,8 @@ def evaluate(fit: FitResult, h: hyp.ConstraintSystem, label: str,
 
     Builds the posterior, the boundary-centered adjusted prior (fraction
     from :func:`default_fraction` unless given), and returns the evidence
-    record.
+    record of :func:`bf_iu`, which raises on an unknown ``alternative`` or
+    on the complement of a hypothesis with equality rows.
     """
     if frac is None:
         frac = default_fraction(fit, [h])

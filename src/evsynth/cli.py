@@ -69,8 +69,6 @@ def cmd_analyze(args) -> int:
                              intercept=not args.no_intercept)
     fit = glm.fit(d)
     cs = hyp.parse(args.hypothesis)
-    if args.alternative == "complement":
-        hyp.complement(cs)  # validates inequality-only
     frac = None if args.fraction == "auto" else bf.FractionSpec.explicit(args.fraction)
     rng = simgen.rng_stream(args.seed)
     record = bf.evaluate(fit, cs, label=_compact(args.hypothesis),
@@ -232,18 +230,14 @@ def run_iteration(sim_id: int, cond_idx: int, n: int, r2: float, iteration: int,
     for text in hyp_texts:
         recs = records[text]
         for alt in alternatives:
-            per_study = []
-            for rec in recs:
-                v = rec.log_bf_iu if alt == "unconstrained" else rec.log_bf_ic
-                if v is None:
-                    raise bf.NumericError(
-                        f"hypothesis {labels[text]!r} has no complement Bayes factor")
-                per_study.append(v)
+            per_study = [rec.log_bf_iu if alt == "unconstrained" else bf.bf_ic(rec)
+                         for rec in recs]
             agg = synthesis.aggregate_log_bf(per_study)
             agg_se = math.sqrt(sum(_log_bf_se(rec, alt) ** 2 for rec in recs))
-            for rec, v in zip(recs, per_study):
+            # a skip returns early, so the records follow the plan
+            for entry, rec, v in zip(plan, recs, per_study):
                 study_rows.append(dict(base, family=rec.family,
-                                       study=int(rec.study_id[1:]),
+                                       study=entry.study_index + 1,
                                        n=rec.n, hypothesis=labels[text],
                                        alternative=alt, fit=rec.fit,
                                        complexity=rec.complexity, log_bf=v,
@@ -509,8 +503,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     try:
         return args.func(args)
-    except (hyp.ParseError, hyp.NameMappingError,
-            hyp.EqualityComplementUnsupportedError) as exc:
+    except hyp.NameMappingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (glm.GlmError, simgen.PersistentSeparationError, OSError) as exc:

@@ -159,8 +159,12 @@ def dataset_from_csv(path, outcome: str, predictors: list[str] | None = None,
     Raises
     ------
     DataError
-        On missing columns, missing cells or non-numeric values.
+        On missing columns, missing cells, non-numeric values, or an outcome
+        listed among the predictors.
     """
+    if predictors is not None and outcome in predictors:
+        raise DataError(f"{path}: outcome column {outcome!r} is also listed "
+                        f"as a predictor")
     parsed = _c_parsed_table(path, outcome, predictors)
     if parsed is None:
         parsed = _cell_parsed_table(path, outcome, predictors)

@@ -62,7 +62,7 @@ class NameMappingError(KeyError):
     """A constrained coefficient is missing from the target name list."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstraintSystem:
     """Normalized constraint rows over named coefficients.
 
@@ -89,7 +89,9 @@ class ConstraintSystem:
 
     The given rows are copied, every array is read-only, and the last five
     attributes are derived at construction (again by
-    :func:`dataclasses.replace`).
+    :func:`dataclasses.replace`).  Systems compare and hash by identity
+    (:func:`parse` returns one object per text); :meth:`equals` compares
+    their rows.
     """
 
     param_names: tuple[str, ...]
@@ -98,11 +100,11 @@ class ConstraintSystem:
     R_i: np.ndarray
     r_i: np.ndarray
     warnings: tuple[str, ...] = ()
-    R: np.ndarray = field(init=False, compare=False, repr=False)
-    r: np.ndarray = field(init=False, compare=False, repr=False)
-    rank: int = field(init=False, compare=False, repr=False)
-    center: np.ndarray = field(init=False, compare=False, repr=False)
-    consistent: bool = field(init=False, compare=False, repr=False)
+    R: np.ndarray = field(init=False, repr=False)
+    r: np.ndarray = field(init=False, repr=False)
+    rank: int = field(init=False, repr=False)
+    center: np.ndarray = field(init=False, repr=False)
+    consistent: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("R_e", "r_e", "R_i", "r_i"):
@@ -163,18 +165,6 @@ class ConstraintSystem:
         pairs = ((self.R_e, other.R_e), (self.r_e, other.r_e),
                  (self.R_i, other.R_i), (self.r_i, other.r_i))
         return all(np.allclose(a, b, rtol=0.0, atol=tol) for a, b in pairs)
-
-
-@dataclass(frozen=True)
-class Complement:
-    """Marker for the complement of an inequality-only hypothesis."""
-
-    base: ConstraintSystem
-
-    def __post_init__(self):
-        if self.base.n_eq:
-            raise EqualityComplementUnsupportedError(
-                "complement is undefined for hypotheses with equality constraints")
 
 
 @dataclass(frozen=True)
@@ -509,17 +499,6 @@ def _format_row(row: np.ndarray, names: tuple[str, ...]) -> str:
         else:
             parts.append(f"- {mag}" if coef < 0 else f"+ {mag}")
     return " ".join(parts)
-
-
-def complement(h: ConstraintSystem) -> Complement:
-    """Complement marker for an inequality-only hypothesis.
-
-    Raises
-    ------
-    EqualityComplementUnsupportedError
-        If ``h`` has equality rows.
-    """
-    return Complement(h)
 
 
 def columns(h: ConstraintSystem,

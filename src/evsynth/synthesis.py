@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bf import EvidenceRecord, NumericError, _log1m, _prior_probs, pmps
+from .bf import EvidenceRecord, NumericError, _log1m, _prior_probs, bf_ic, pmps
 
 
 class LabelMismatchError(ValueError):
@@ -199,13 +199,10 @@ def synthesize_records(records: list[EvidenceRecord],
             logs["unconstrained"] = 0.0
         else:
             rec = per[labels[0]]
-            if rec.log_bf_ic is None:
-                raise NumericError(
-                    f"study {study_id!r} has no complement Bayes factor")
-            if math.isinf(rec.log_bf_iu) and math.isinf(rec.log_bf_ic):
+            log_ic = bf_ic(rec)
+            if math.isinf(rec.log_bf_iu) and math.isinf(log_ic):
                 logs[full_labels[-1]] = _complement_log_bf(rec)
             else:
-                logs[full_labels[-1]] = aggregate_log_bf(
-                    (rec.log_bf_iu, -rec.log_bf_ic))
+                logs[full_labels[-1]] = aggregate_log_bf((rec.log_bf_iu, -log_ic))
         state = update(state, study_id, logs)
     return state, alternative

@@ -23,7 +23,9 @@ from evsynth.bf import (ALTERNATIVES, MASS_METHODS, CoefDistribution,
                         prob_region)
 from evsynth.glm import FAMILIES, DataError, Dataset, add_intercept, fit_ols
 from evsynth.glm import fit as glm_fit
-from evsynth.hypothesis import ConstraintSystem, embed_rows, parse
+from evsynth.hypothesis import (ConstraintSystem,
+                                EqualityComplementUnsupportedError,
+                                embed_rows, parse)
 
 
 def normal_dist(mean, cov, names=None):
@@ -417,6 +419,15 @@ class TestBfIu:
         complexity, _ = prob_region(prior, h, rng=rng, draws=5_000)
         assert record.mass_method == "qmc"
         assert (record.fit, record.complexity) == (fit, complexity)
+
+    @pytest.mark.parametrize("text", ["b1 = 0", "b1 = 0 & b2 > 0"])
+    def test_complement_of_equality_hypothesis_rejected(self, text):
+        post = normal_dist([0.3, 0.5], np.eye(2))
+        prior = normal_dist(np.zeros(2), 2.0 * np.eye(2))
+        with pytest.raises(EqualityComplementUnsupportedError,
+                           match="complement is undefined"):
+            bf_iu(post, prior, parse(text), alternative="complement")
+        assert bf_iu(post, prior, parse(text)).log_bf_ic is None
 
     def test_mc_consistency_of_complement_ratio(self):
         post = normal_dist([0.4, 0.2], np.eye(2))
@@ -833,7 +844,8 @@ class TestBfIcAndBetween:
                              mc_se_fit=0.0, mc_se_complexity=0.0, mc_draws=0,
                              family="gaussian", n=10,
                              alternative="unconstrained")
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError,
+                           match="study 's': hypothesis 'h' has no complement"):
             bf_ic(rec)
 
     def test_transitivity(self):
@@ -953,6 +965,17 @@ class TestEvidenceRecord:
         with pytest.raises(DataError):
             EvidenceRecord.from_dict(data)
 
+    @pytest.mark.parametrize("field,value", [
+        ("alternative", "bogus"), ("mass_method", "guess"), ("mc_draws", -1),
+        ("n", -3), ("mc_draws", 1.5), ("hypothesis", 7), ("study_id", None)])
+    def test_invalid_record_rejected_at_construction(self, field, value):
+        fields = dict(dict(study_id="s", hypothesis="h", fit=0.5,
+                           complexity=0.5, log_bf_iu=0.0, log_bf_ic=0.0,
+                           mc_se_fit=0.0, mc_se_complexity=0.0, mc_draws=0),
+                      **{field: value})
+        with pytest.raises(ValueError, match=field.replace("_", ".")):
+            EvidenceRecord(**fields)
+
     LOG_BFS = st.sampled_from([math.inf, -math.inf]) | st.floats(allow_nan=False)
 
     @given(st.builds(
@@ -1031,6 +1054,17 @@ class TestParsedSystemMemo:
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize("text", ["x2 = 0", "x2 = 0 & x3 > 0"])
+    def test_complement_of_equality_hypothesis_rejected(self, text):
+        with pytest.raises(EqualityComplementUnsupportedError):
+            evaluate(gaussian_fit(n=80, p=4, seed=1), parse(text), label="h",
+                     alternative="complement")
+
+    def test_unknown_alternative_rejected(self):
+        with pytest.raises(ValueError, match="unknown alternative 'bogus'"):
+            evaluate(gaussian_fit(n=80, p=4, seed=1), parse("x2 > 0"),
+                     label="h", alternative="bogus")
+
     def test_full_pipeline_fields(self):
         result = gaussian_fit(n=120, p=4, seed=9)
         record = evaluate(result, parse("x2 > 0"), label="x2>0",

@@ -70,6 +70,32 @@ class TestAnalyze:
         assert rec["fit"] == 1.0
         assert rec["log_bf_ic"] == "inf"
 
+    @pytest.mark.parametrize("text", ["x1 = 0", "x1 = 0 & x2 > 0"])
+    def test_complement_of_equality_hypothesis_exit_2(self, strong_effect_csv,
+                                                      tmp_path, capsys, text):
+        out = tmp_path / "rec.json"
+        code = cli.main(["analyze", "--data", str(strong_effect_csv),
+                         "--family", "gaussian", "--outcome", "y",
+                         "--hypothesis", text, "--alternative", "complement",
+                         "--seed", "3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: complement is undefined for hypotheses with equality "
+            "constraints\n")
+        assert not out.exists()
+
+    def test_outcome_among_predictors_exit_3(self, strong_effect_csv, tmp_path,
+                                             capsys):
+        out = tmp_path / "rec.json"
+        code = cli.main(["analyze", "--data", str(strong_effect_csv),
+                         "--family", "gaussian", "--outcome", "y",
+                         "--predictors", "y,x1", "--hypothesis", "x1 > 0",
+                         "--seed", "3", "--out", str(out)])
+        assert code == 3
+        assert ("outcome column 'y' is also listed as a predictor"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_parse_error_exit_2(self, strong_effect_csv, tmp_path, capsys):
         code = cli.main(["analyze", "--data", str(strong_effect_csv),
                          "--family", "gaussian", "--outcome", "y",

@@ -303,7 +303,11 @@ def reference_dataset(path, outcome, predictors=None, family="gaussian",
                       intercept=True):
     """The CSV contract as plain Python: ``csv.reader`` rows and one
     ``float()`` per used cell, every data error worded as the loader words
-    it."""
+    it.  An outcome among the predictors is rejected before the file is
+    read."""
+    if predictors is not None and outcome in predictors:
+        raise DataError(f"{path}: outcome column {outcome!r} is also listed "
+                        f"as a predictor")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -438,6 +442,8 @@ class TestCsvReaderDifferential:
         ("y,a\n3\x1c,2\n4,5\x1f\n5,7\n", None),
         ("y,a\n", None),
         ("", None),
+        ("y,a\n1,2\n3,4\n5,7\n", ["a", "y"]),
+        ("", ["y"]),
     ])
     def test_contract_cases(self, tmp_path, text, predictors):
         assert_matches_reference(tmp_path / "data.csv", text,

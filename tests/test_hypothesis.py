@@ -7,10 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evsynth.hypothesis import (Complement, ConstraintSystem,
-                                EqualityComplementUnsupportedError,
-                                NameMappingError, ParseError, complement,
-                                columns, embed_rows, parse,
+from evsynth.hypothesis import (ConstraintSystem, NameMappingError,
+                                ParseError, columns, embed_rows, parse,
                                 transform_constraints)
 
 
@@ -204,22 +202,6 @@ class TestRoundTrip:
         assert np.allclose(cs.R_i.sum(axis=1), 0.0)
 
 
-class TestComplement:
-    def test_marker_wraps_system(self):
-        cs = parse("b2 > 0")
-        marker = complement(cs)
-        assert isinstance(marker, Complement)
-        assert marker.base is cs
-
-    def test_equality_rejected(self):
-        with pytest.raises(EqualityComplementUnsupportedError):
-            complement(parse("b1 = 0"))
-
-    def test_mixed_rejected(self):
-        with pytest.raises(EqualityComplementUnsupportedError):
-            complement(parse("b1 = 0 & b2 > 0"))
-
-
 class TestEmbedAndTransform:
     def test_embed_into_wider_space(self):
         cs = parse("b2 > b1")
@@ -344,3 +326,12 @@ class TestDerivedGeometry:
         stacked = dataclasses.replace(cs, R_i=np.array([[0.0, 0.0, 1.0]]),
                                       r_i=np.array([0.7]))
         assert stacked.rank == 1 and not stacked.consistent
+
+    def test_identity_comparison_and_hash(self):
+        cs = parse("b1 > 0 & b2 > 0")
+        copy = dataclasses.replace(cs)
+        assert (cs == copy) is False
+        assert cs == cs and cs is parse("b1 > 0 & b2 > 0")
+        assert {cs: 1, copy: 2}[cs] == 1
+        assert len({cs, copy, parse("b1 > 0 & b2 > 0")}) == 2
+        assert cs.equals(copy)

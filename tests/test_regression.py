@@ -16,7 +16,9 @@ systems) in every family at two sample sizes, and was written by::
 
     PYTHONPATH=src python tests/test_regression.py > tests/data/regression/records.json
 
-Every record field must match exactly.
+Every record field must match exactly.  The same records, and those of the
+inequality-only texts against the complement, must survive a JSON round
+trip unchanged.
 
 A change that moves results on purpose regenerates the files with the
 commands above and says why in CHANGES.md.
@@ -77,9 +79,10 @@ RECORD_TEXTS = ("x6 > x4", "{x1 = x2} < x3", "x1 = 0 & x2 > 0",
 RECORD_SIZES = (60, 400)
 
 
-def records() -> list[dict]:
-    """Records of every RECORD_TEXTS hypothesis against one fit (with an
-    intercept) per family and size, each seeded by the text's position."""
+def records(alternative: str = "unconstrained") -> list[bf.EvidenceRecord]:
+    """Records of every RECORD_TEXTS hypothesis (against the complement,
+    every inequality-only one) against one fit (with an intercept) per
+    family and size, each seeded by the text's position."""
     out = []
     for i, family in enumerate(FAMILIES):
         for n in RECORD_SIZES:
@@ -87,24 +90,41 @@ def records() -> list[dict]:
                                        simgen.rng_stream(i, n),
                                        lambda d: fit(add_intercept(d)))
             for j, text in enumerate(RECORD_TEXTS):
+                h = parse(text)
+                if alternative == "complement" and h.n_eq:
+                    continue
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    record = bf.evaluate(study, parse(text), label=text,
-                                         study_id=f"{family}-{n}",
-                                         rng=np.random.default_rng(j))
-                out.append(record.to_dict())
+                    out.append(bf.evaluate(study, h, label=text,
+                                           study_id=f"{family}-{n}",
+                                           rng=np.random.default_rng(j),
+                                           alternative=alternative))
     return out
 
 
 def test_records_match_checked_in_file():
     with open(DATA / "records.json", encoding="utf-8") as fh:
         want = json.load(fh)
-    got = records()
+    got = [record.to_dict() for record in records()]
     assert len(got) == len(want) == (len(FAMILIES) * len(RECORD_SIZES)
                                      * len(RECORD_TEXTS))
     for g, w in zip(got, want):
         assert g == w, f"{w['study_id']}, {w['hypothesis']}"
 
 
+@pytest.mark.parametrize("alternative", bf.ALTERNATIVES)
+def test_records_round_trip_through_json(alternative):
+    got = records(alternative)
+    texts = [text for text in RECORD_TEXTS
+             if alternative == "unconstrained" or parse(text).n_eq == 0]
+    assert len(got) == len(FAMILIES) * len(RECORD_SIZES) * len(texts)
+    for record in got:
+        assert record.alternative == alternative
+        for back in (bf.EvidenceRecord.from_dict(record.to_dict()),
+                     bf.EvidenceRecord.from_json(record.to_json())):
+            assert back == record, f"{record.study_id}, {record.hypothesis}"
+            assert back.to_json() == record.to_json()  # tells -0.0 from 0.0
+
+
 if __name__ == "__main__":
-    print(json.dumps(records(), indent=1))
+    print(json.dumps([record.to_dict() for record in records()], indent=1))
