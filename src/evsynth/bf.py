@@ -23,10 +23,16 @@ boxes with a finite bound, or a trivariate rule whose error estimate is
 too large, use Genz-Bretz randomized lattice QMC seeded from the caller's
 generator; scipy.stats, which holds it, is imported on that first use.
 Rank-deficient constraint scales reduce to fewer rows first.  The Monte
-Carlo sampler remains as ``method="mc"``, the test oracle.  Every mass
-reports an error estimate and the name of its method
-(:data:`MASS_METHODS`).  Zero-mass corner cases are reported with +-inf
-sentinels; a 0/0 Bayes factor raises :class:`NumericError`.
+Carlo sampler remains as ``method="mc"`` of :func:`bf_iu` and
+:func:`prob_region`, the test oracle.  Every mass reports an error estimate
+and the name of its method (:data:`MASS_METHODS`).  Zero-mass corner cases
+are reported with +-inf sentinels; a 0/0 Bayes factor raises
+:class:`NumericError`.
+
+Each study's evidence is a frozen :class:`EvidenceRecord`; the Bayes
+factors against and of the complement are read from it by :func:`bf_ic`
+and :func:`bf_cu`.  Priors and posterior model probabilities across
+studies belong to :mod:`evsynth.synthesis`.
 """
 
 from __future__ import annotations
@@ -121,12 +127,13 @@ def json_safe(obj):
     return obj
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvidenceRecord:
     """One hypothesis evaluated in one study, checked when made (by
     :func:`bf_iu`, :meth:`from_dict` or directly): ValueError unless text
     fields are strings, counts non-negative ints, and the alternative and
-    mass method known (:data:`ALTERNATIVES`, :data:`MASS_METHODS`)."""
+    mass method known (:data:`ALTERNATIVES`, :data:`MASS_METHODS`).
+    Records are frozen, so a record stays as checked."""
 
     study_id: str
     hypothesis: str
@@ -522,12 +529,12 @@ def _qmc_box(kind: str, lo: np.ndarray, hi: np.ndarray, corr: np.ndarray,
             p, err, n = _qmvn(m, corr, lo, hi, rng)
         else:
             p, err, n = _qmvt(m, df, corr, lo, hi, rng)
-        se_own = err / 3.0   # scipy reports three standard errors
+        se_own = float(err) / 3.0   # scipy reports three standard errors
         se, se_prev = max(se_own, se_prev / 2.0), se_own
         used, rules = used + int(n), rules + 1
         m = min(2 * m, draws - used)
         if (rules > 1 and se <= QMC_SE) or m < _QMC_MIN:
-            return _unit(p), se, used
+            return _unit(float(p)), se, used
 
 
 def _unit(p: float) -> float:
@@ -793,6 +800,21 @@ def bf_ic(record: EvidenceRecord) -> float:
     return record.log_bf_ic
 
 
+def bf_cu(record: EvidenceRecord) -> float:
+    """log Bayes factor of the complement against the unconstrained model,
+    from a stored record: log BF_iu - log BF_ic, or log((1 - fit) /
+    (1 - complexity)) when both are sentinels.  NumericError where
+    :func:`bf_ic` raises, or if fit and complexity are both 1."""
+    log_ic = bf_ic(record)
+    if math.isinf(record.log_bf_iu) and math.isinf(log_ic):
+        num, den = _log1m(record.fit), _log1m(record.complexity)
+        if num == den == -math.inf:
+            raise NumericError("cannot recover the complement Bayes factor "
+                               "when fit and complexity are both 1")
+        return num - den
+    return 0.0 + record.log_bf_iu - log_ic   # summed from 0.0: -0.0 - 0.0 is 0
+
+
 def bf_between(rec_i: EvidenceRecord, rec_j: EvidenceRecord) -> float:
     """log BF of hypothesis i against hypothesis j via transitivity."""
     a, b = rec_i.log_bf_iu, rec_j.log_bf_iu
@@ -805,43 +827,9 @@ def bf_between(rec_i: EvidenceRecord, rec_j: EvidenceRecord) -> float:
     return a - b
 
 
-def _prior_probs(priors, m: int) -> np.ndarray:
-    """Prior model probabilities over ``m`` models: uniform when ``priors``
-    is None, otherwise checked to be ``m`` positive values summing to 1."""
-    if priors is None:
-        return np.full(m, 1.0 / m)
-    priors = np.asarray(priors, dtype=float)
-    if priors.shape != (m,) or (priors <= 0).any() or abs(priors.sum() - 1.0) > 1e-9:
-        raise ValueError("priors must be positive and sum to 1")
-    return priors
-
-
-def pmps(log_bfs, priors=None) -> np.ndarray:
-    """Posterior model probabilities from log Bayes factors vs a common base.
-
-    Computed in log space with max subtraction.  +inf sentinels receive an
-    equal share of 1 among themselves; -inf yields probability 0.
-    """
-    lb = np.asarray(log_bfs, dtype=float)
-    m = lb.shape[0]
-    if m == 0:
-        raise ValueError("no hypotheses")
-    if np.isnan(lb).any():
-        raise NumericError("NaN log Bayes factor")
-    priors = _prior_probs(priors, m)
-    if np.isposinf(lb).any():
-        top = np.isposinf(lb)
-        return top / top.sum()
-    w = np.log(priors) + lb
-    if np.isneginf(w).all():
-        raise NumericError("all hypotheses have zero support")
-    e = np.exp(w - w.max())
-    return e / e.sum()
-
-
 def evaluate(fit: FitResult, h: hyp.ConstraintSystem, label: str,
              study_id: str = "", frac: FractionSpec | None = None,
-             rng=None, draws: int = DEFAULT_DRAWS, method: str = "auto",
+             rng=None, draws: int = DEFAULT_DRAWS,
              alternative: str = "unconstrained") -> EvidenceRecord:
     """Full pipeline for one fitted study and one hypothesis.
 
@@ -855,6 +843,6 @@ def evaluate(fit: FitResult, h: hyp.ConstraintSystem, label: str,
     center = adjustment_center(h, names=fit.names)
     posterior = build_posterior(fit)
     prior = build_prior(fit, frac, center)
-    return bf_iu(posterior, prior, h, rng=rng, draws=draws, method=method,
-                 label=label, study_id=study_id, family=fit.family, n=fit.n,
+    return bf_iu(posterior, prior, h, rng=rng, draws=draws, label=label,
+                 study_id=study_id, family=fit.family, n=fit.n,
                  alternative=alternative)

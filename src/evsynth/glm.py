@@ -122,7 +122,6 @@ class FitResult:
     family: str
     names: tuple[str, ...]
     log_likelihood: float
-    linear_predictor_var: float
     warnings: list[str] = field(default_factory=list)
     trace: list[IrlsStep] = field(default_factory=list, repr=False)
 
@@ -298,7 +297,6 @@ def fit_ols(d: Dataset) -> FitResult:
     return FitResult(beta=beta, cov=cov, dispersion=phi, n=d.n, p=d.p,
                      family=d.family, names=d.names,
                      log_likelihood=loglik,
-                     linear_predictor_var=float(np.var(X @ beta, ddof=1)),
                      warnings=warnings_list)
 
 
@@ -397,7 +395,6 @@ def fit_binomial(d: Dataset) -> FitResult:
     return FitResult(beta=beta, cov=cov, dispersion=1.0, n=d.n, p=d.p,
                      family=d.family, names=d.names,
                      log_likelihood=loglik,
-                     linear_predictor_var=float(np.var(X @ beta, ddof=1)),
                      trace=trace)
 
 
@@ -424,16 +421,3 @@ def detect_separation(d: Dataset, trace: list[IrlsStep]) -> bool:
         return True
     last = trace[-1]
     return last.max_abs_beta > SEPARATION_BETA_LIMIT and last.grad_inf >= GRAD_TOL
-
-
-def mz_r2(fit_result: FitResult) -> float:
-    """McKelvey-Zavoina pseudo R^2 for a binomial fit.
-
-    Var(X beta) / (Var(X beta) + link variance), with link variance
-    pi^2 / 3 for logit and 1 for probit.
-    """
-    if fit_result.family not in BINOMIAL_FAMILIES:
-        raise DataError("mz_r2 is defined for binomial families only")
-    link_var = math.pi ** 2 / 3.0 if fit_result.family == "logit" else 1.0
-    v = fit_result.linear_predictor_var
-    return v / (v + link_var)

@@ -157,14 +157,12 @@ class ConstraintSystem:
     def __str__(self) -> str:
         return self.to_text()
 
-    def equals(self, other: "ConstraintSystem", tol: float = 0.0) -> bool:
-        if self.param_names != other.param_names:
-            return False
-        if self.R_e.shape != other.R_e.shape or self.R_i.shape != other.R_i.shape:
-            return False
+    def equals(self, other: "ConstraintSystem") -> bool:
+        """Whether ``other`` has the same names and exactly the same rows."""
         pairs = ((self.R_e, other.R_e), (self.r_e, other.r_e),
                  (self.R_i, other.R_i), (self.r_i, other.r_i))
-        return all(np.allclose(a, b, rtol=0.0, atol=tol) for a, b in pairs)
+        return (self.param_names == other.param_names
+                and all(np.array_equal(a, b) for a, b in pairs))
 
 
 @dataclass(frozen=True)

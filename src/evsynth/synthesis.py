@@ -2,9 +2,12 @@
 
 Each study contributes one log Bayes factor per hypothesis label (the
 alternative occupies a label of its own, with log BF 0 per study when it is
-the unconstrained model).  Aggregation multiplies Bayes factors, i.e. sums
-logs, so the result is independent of study order, and posterior model
-probabilities renormalize the prior odds by the accumulated evidence.
+the unconstrained model, and :func:`evsynth.bf.bf_cu` when it is the
+complement).  Aggregation multiplies Bayes factors, i.e. sums logs, so the
+result is independent of study order, and posterior model probabilities
+renormalize the prior odds by the accumulated evidence.  This module owns
+those across-study decisions: the checked prior probabilities, the
+sentinel-aware sum and the PMPs.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .bf import EvidenceRecord, NumericError, _log1m, _prior_probs, bf_ic, pmps
+from .bf import EvidenceRecord, NumericError, bf_cu
 
 
 class LabelMismatchError(ValueError):
@@ -41,6 +44,42 @@ def aggregate_log_bf(values: Iterable[float]) -> float:
         if math.isnan(total):
             raise NumericError("conflicting +inf and -inf sentinels in aggregation")
     return total
+
+
+def _prior_probs(priors, m: int) -> np.ndarray:
+    """Prior model probabilities over ``m`` models: uniform when ``priors``
+    is None, otherwise checked to be ``m`` positive values summing to 1
+    (NaN is not positive)."""
+    if priors is None:
+        return np.full(m, 1.0 / m)
+    priors = np.asarray(priors, dtype=float)
+    if (priors.shape != (m,) or not (priors > 0).all()
+            or abs(priors.sum() - 1.0) > 1e-9):
+        raise ValueError("priors must be positive and sum to 1")
+    return priors
+
+
+def pmps(log_bfs, priors=None) -> np.ndarray:
+    """Posterior model probabilities from log Bayes factors vs a common base.
+
+    Computed in log space with max subtraction.  +inf sentinels receive an
+    equal share of 1 among themselves; -inf yields probability 0.
+    """
+    lb = np.asarray(log_bfs, dtype=float)
+    m = lb.shape[0]
+    if m == 0:
+        raise ValueError("no hypotheses")
+    if np.isnan(lb).any():
+        raise NumericError("NaN log Bayes factor")
+    priors = _prior_probs(priors, m)
+    if np.isposinf(lb).any():
+        top = np.isposinf(lb)
+        return top / top.sum()
+    w = np.log(priors) + lb
+    if np.isneginf(w).all():
+        raise NumericError("all hypotheses have zero support")
+    e = np.exp(w - w.max())
+    return e / e.sum()
 
 
 @dataclass
@@ -104,24 +143,6 @@ def update(state: SynthesisState, study_id: str,
                    trail=state.trail + (entry,))
 
 
-def merge(a: SynthesisState, b: SynthesisState) -> SynthesisState:
-    """Combine two partial aggregations over the same labels and priors."""
-    if a.labels != b.labels:
-        raise LabelMismatchError("states track different labels")
-    if not np.array_equal(a.prior_probs, b.prior_probs):
-        raise ValueError("states have different priors")
-    overlap = set(a.study_ids) & set(b.study_ids)
-    if overlap:
-        raise DuplicateStudyError(f"studies {sorted(overlap)} present in both states")
-    cum = np.array([aggregate_log_bf((x, y))
-                    for x, y in zip(a.cum_log_bf, b.cum_log_bf)])
-    return SynthesisState(labels=a.labels, prior_probs=a.prior_probs,
-                          cum_log_bf=cum,
-                          study_count=a.study_count + b.study_count,
-                          study_ids=a.study_ids + b.study_ids,
-                          trail=a.trail + b.trail)
-
-
 def pairwise_pmp(log_bf: float) -> float:
     """Posterior probability of a hypothesis against one alternative at
     equal prior odds: the logistic function of its log Bayes factor, with
@@ -130,15 +151,6 @@ def pairwise_pmp(log_bf: float) -> float:
         return 1.0 / (1.0 + math.exp(-log_bf))
     e = math.exp(log_bf)
     return e / (1.0 + e)
-
-
-def _complement_log_bf(rec: EvidenceRecord) -> float:
-    # log BF_cu = log((1 - f) / (1 - c)), for when iu and ic are both sentinels
-    num, den = _log1m(rec.fit), _log1m(rec.complexity)
-    if num == den == -math.inf:
-        raise NumericError("cannot recover the complement Bayes factor "
-                           "when fit and complexity are both 1")
-    return num - den
 
 
 def synthesize_records(records: list[EvidenceRecord],
@@ -198,11 +210,6 @@ def synthesize_records(records: list[EvidenceRecord],
         if alternative == "unconstrained":
             logs["unconstrained"] = 0.0
         else:
-            rec = per[labels[0]]
-            log_ic = bf_ic(rec)
-            if math.isinf(rec.log_bf_iu) and math.isinf(log_ic):
-                logs[full_labels[-1]] = _complement_log_bf(rec)
-            else:
-                logs[full_labels[-1]] = aggregate_log_bf((rec.log_bf_iu, -log_ic))
+            logs[full_labels[-1]] = bf_cu(per[labels[0]])
         state = update(state, study_id, logs)
     return state, alternative

@@ -1,4 +1,4 @@
-"""Bayes factor engine tests: fractions, priors, masses, sentinels, PMPs."""
+"""Bayes factor engine tests: fractions, priors, masses, sentinels, records."""
 
 import dataclasses
 import itertools
@@ -17,9 +17,9 @@ from scipy.stats._qmvnt import _qmvn, _qmvt
 from evsynth import bf, simgen
 from evsynth.bf import (ALTERNATIVES, MASS_METHODS, CoefDistribution,
                         EvidenceRecord, FractionSpec, NumericError,
-                        adjustment_center, bf_between, bf_ic, bf_iu,
+                        adjustment_center, bf_between, bf_cu, bf_ic, bf_iu,
                         build_posterior, build_prior, constraint_count,
-                        default_fraction, density_at_equality, evaluate, pmps,
+                        default_fraction, density_at_equality, evaluate,
                         prob_region)
 from evsynth.glm import FAMILIES, DataError, Dataset, add_intercept, fit_ols
 from evsynth.glm import fit as glm_fit
@@ -826,6 +826,30 @@ class TestTrivariateRule:
             assert abs(p_a - p_b) <= err_a + err_b
 
 
+class TestBfCu:
+    def _record(self, fit, complexity, log_iu, log_ic):
+        return EvidenceRecord(study_id="s", hypothesis="h", fit=fit,
+                              complexity=complexity, log_bf_iu=log_iu,
+                              log_bf_ic=log_ic, mc_se_fit=0.0,
+                              mc_se_complexity=0.0, mc_draws=0,
+                              alternative="complement")
+
+    def test_iu_over_ic(self):
+        # BF_cu = BF_iu / BF_ic = (1 - f) / (1 - c)
+        rec = evaluate(gaussian_fit(n=80, p=2, seed=1), parse("x2 > 0"),
+                       label="h", alternative="complement")
+        assert bf_cu(rec) == rec.log_bf_iu - rec.log_bf_ic
+        assert math.isclose(bf_cu(rec), math.log((1.0 - rec.fit)
+                                                 / (1.0 - rec.complexity)),
+                            rel_tol=1e-9)
+
+    def test_sentinels_take_the_complement_masses(self):
+        rec = self._record(0.5, 0.0, math.inf, math.inf)
+        assert bf_cu(rec) == math.log(0.5)
+        rec = self._record(0.0, 1.0, -math.inf, -math.inf)
+        assert bf_cu(rec) == math.inf
+
+
 class TestBfIcAndBetween:
     def _record(self, log_iu, log_ic=0.0, study="s1", label="h"):
         return EvidenceRecord(study_id=study, hypothesis=label, fit=0.5,
@@ -876,48 +900,6 @@ class TestBfIcAndBetween:
         for i in range(5):
             for j in range(5):
                 assert bf_between(recs[i], recs[j]) == logs[i] - logs[j]
-
-
-class TestPmps:
-    def test_seven_to_one(self):
-        out = pmps([math.log(7.0), 0.0])
-        assert np.allclose(out, [7.0 / 8.0, 1.0 / 8.0], atol=1e-12)
-
-    def test_single_hypothesis(self):
-        assert np.allclose(pmps([2.3]), [1.0])
-
-    def test_infinite_support_wins(self):
-        out = pmps([math.inf, 0.0])
-        assert np.array_equal(out, [1.0, 0.0])
-
-    def test_two_infinities_share(self):
-        out = pmps([math.inf, math.inf, 0.0])
-        assert np.array_equal(out, [0.5, 0.5, 0.0])
-
-    def test_priors_reweight(self):
-        out = pmps([0.0, 0.0], priors=[0.8, 0.2])
-        assert np.allclose(out, [0.8, 0.2], atol=1e-15)
-
-    def test_all_zero_support_raises(self):
-        with pytest.raises(NumericError):
-            pmps([-math.inf, -math.inf])
-
-    def test_nan_raises(self):
-        with pytest.raises(NumericError):
-            pmps([math.nan, 0.0])
-
-    def test_bad_priors(self):
-        with pytest.raises(ValueError):
-            pmps([0.0, 0.0], priors=[0.5, 0.4])
-
-    @given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6),
-           st.floats(-5.0, 5.0))
-    @settings(max_examples=100, deadline=None)
-    def test_normalized_and_shift_invariant(self, logs, shift):
-        out = pmps(logs)
-        assert math.isclose(float(out.sum()), 1.0, abs_tol=1e-12)
-        shifted = pmps([v + shift for v in logs])
-        assert np.allclose(out, shifted, atol=1e-9)
 
 
 class TestEvidenceRecord:
@@ -975,6 +957,13 @@ class TestEvidenceRecord:
                       **{field: value})
         with pytest.raises(ValueError, match=field.replace("_", ".")):
             EvidenceRecord(**fields)
+
+    def test_fields_cannot_be_assigned(self):
+        rec = evaluate(gaussian_fit(n=80, p=2, seed=1), parse("x2 > 0"),
+                       label="h")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rec.alternative = "bogus"
+        assert rec.alternative == "unconstrained"
 
     LOG_BFS = st.sampled_from([math.inf, -math.inf]) | st.floats(allow_nan=False)
 

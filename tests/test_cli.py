@@ -232,6 +232,16 @@ class TestSynthesize:
         summary = json.loads(out.read_text())
         assert math.isclose(summary["pmps"]["h1"], 0.8, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("priors", ["nan,0.5", "0.5,nan", "inf,0.5"])
+    def test_non_finite_priors_exit_2(self, tmp_path, capsys, priors):
+        write_record(tmp_path / "s1.json", "s1", 0.0, 0.5, 0.5)
+        out = tmp_path / "summary.json"
+        code = cli.main(["synthesize", "--records", str(tmp_path / "s1.json"),
+                         "--priors", priors, "--out", str(out)])
+        assert code == 2
+        assert "priors must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_duplicate_study_exit_4(self, tmp_path):
         write_record(tmp_path / "s1.json", "s1", 0.0, 0.5, 0.5)
         write_record(tmp_path / "s2.json", "s1", 0.0, 0.5, 0.5)

@@ -14,7 +14,7 @@ from evsynth import glm
 from evsynth.glm import (DataError, Dataset, NotConvergedError,
                          SeparationError, SingularDesignError, add_intercept,
                          dataset_from_csv, detect_separation, fit,
-                         fit_binomial, fit_ols, mz_r2)
+                         fit_binomial, fit_ols)
 
 
 def make_dataset(y, X, family="gaussian", names=None):
@@ -192,34 +192,6 @@ class TestSeparationDetection:
         d = make_dataset([0.0, 1.0], np.ones((2, 1)), names=("intercept",))
         with pytest.raises(DataError):
             detect_separation(d, [])
-
-
-class TestMzR2:
-    class _Stub:
-        family = "logit"
-        linear_predictor_var = 1.0
-
-    def test_logit_equal_shares(self):
-        stub = self._Stub()
-        stub.linear_predictor_var = math.pi ** 2 / 3.0
-        assert math.isclose(mz_r2(stub), 0.5, rel_tol=1e-12)
-
-    def test_probit_equal_shares(self):
-        stub = self._Stub()
-        stub.family = "probit"
-        stub.linear_predictor_var = 1.0
-        assert math.isclose(mz_r2(stub), 0.5, rel_tol=1e-12)
-
-    def test_null_model(self):
-        stub = self._Stub()
-        stub.linear_predictor_var = 0.0
-        assert mz_r2(stub) == 0.0
-
-    def test_gaussian_rejected(self):
-        stub = self._Stub()
-        stub.family = "gaussian"
-        with pytest.raises(DataError):
-            mz_r2(stub)
 
 
 class TestDatasetValidation:

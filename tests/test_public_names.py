@@ -1,5 +1,6 @@
-"""Names that code outside the package reaches by attribute, and private
-names the package reaches outside itself.
+"""Names that code outside the package reaches by attribute, private
+names the package reaches outside itself, and private names no module of
+the package takes from another.
 
 The benchmark's traced runs (``bench/spans.py``) replace the functions in
 its ``TRACED`` list by module attribute, so moving or renaming one of them
@@ -13,6 +14,7 @@ that changes the reader's keywords must fail here rather than in
 ``evsynth analyze``.
 """
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -22,7 +24,9 @@ import numpy as np
 
 import evsynth
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
+PACKAGE = ROOT / "src" / "evsynth"
 
 
 def load_spans():
@@ -44,6 +48,38 @@ def test_traced_functions_resolve():
 def test_exported_names_resolve():
     missing = [name for name in evsynth.__all__ if not hasattr(evsynth, name)]
     assert missing == []
+
+
+def test_pmps_live_in_synthesis():
+    from evsynth import bf, synthesis
+
+    assert evsynth.pmps is synthesis.pmps
+    assert not hasattr(bf, "pmps") and not hasattr(bf, "_prior_probs")
+
+
+def test_no_private_names_across_modules():
+    # a private helper that a sibling module needs marks a decision made in
+    # the wrong module; both spellings count: from .bf import _x, and bf._x
+    paths, borrowed = sorted(PACKAGE.glob("*.py")), []
+    assert len(paths) > 1
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if alias.name.startswith("_"):
+                        borrowed.append(f"{path.name}:{node.lineno} "
+                                        f"{alias.name}")
+                    elif node.module is None:
+                        siblings.add(alias.asname or alias.name)
+        borrowed += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and node.attr.startswith("_")
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in siblings]
+    assert borrowed == []
 
 
 def positional(fn) -> list[str]:

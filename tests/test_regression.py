@@ -18,7 +18,7 @@ systems) in every family at two sample sizes, and was written by::
 
 Every record field must match exactly.  The same records, and those of the
 inequality-only texts against the complement, must survive a JSON round
-trip unchanged.
+trip unchanged, down to their ``repr``.
 
 A change that moves results on purpose regenerates the files with the
 commands above and says why in CHANGES.md.
@@ -123,7 +123,9 @@ def test_records_round_trip_through_json(alternative):
         for back in (bf.EvidenceRecord.from_dict(record.to_dict()),
                      bf.EvidenceRecord.from_json(record.to_json())):
             assert back == record, f"{record.study_id}, {record.hypothesis}"
-            assert back.to_json() == record.to_json()  # tells -0.0 from 0.0
+            # repr also tells -0.0 from 0.0 and numpy scalars from floats
+            assert repr(back) == repr(record), (
+                f"{record.study_id}, {record.hypothesis}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Cross-study aggregation tests."""
+"""Cross-study aggregation tests: sums, states, priors, PMPs, records."""
 
 import math
 
@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from evsynth.bf import EvidenceRecord, NumericError
 from evsynth.synthesis import (DuplicateStudyError, LabelMismatchError,
-                               SynthesisState, aggregate_log_bf, merge,
-                               new_state, synthesize_records, update)
+                               aggregate_log_bf, new_state, pmps,
+                               synthesize_records, update)
 
 
 class TestAggregateLogBf:
@@ -130,6 +130,14 @@ class TestNewState:
         with pytest.raises(ValueError):
             new_state(("a", "b"), (1.0, 0.0))
 
+    @pytest.mark.parametrize("priors", [(math.nan, 0.5), (math.nan, math.nan),
+                                        (math.inf, 0.5), (0.5, 0.5, math.nan)])
+    def test_non_finite_priors(self, priors):
+        with pytest.raises(ValueError, match="priors must be positive"):
+            new_state(("a", "b", "c")[:len(priors)], priors)
+        with pytest.raises(ValueError, match="priors must be positive"):
+            pmps([0.0] * len(priors), priors=priors)
+
     def test_duplicate_labels(self):
         with pytest.raises(ValueError):
             new_state(("a", "a"))
@@ -139,33 +147,46 @@ class TestNewState:
             new_state(())
 
 
-class TestMerge:
-    def _batch(self, ids, values):
-        state = new_state(("h", "unconstrained"))
-        for sid, v in zip(ids, values):
-            state = update(state, sid, {"h": v, "unconstrained": 0.0})
-        return state
+class TestPmps:
+    def test_seven_to_one(self):
+        out = pmps([math.log(7.0), 0.0])
+        assert np.allclose(out, [7.0 / 8.0, 1.0 / 8.0], atol=1e-12)
 
-    def test_merge_equals_sequential(self):
-        a = self._batch(("s1", "s2"), (0.4, -0.2))
-        b = self._batch(("s3",), (1.1,))
-        merged = merge(a, b)
-        direct = self._batch(("s1", "s2", "s3"), (0.4, -0.2, 1.1))
-        assert np.allclose(merged.cum_log_bf, direct.cum_log_bf, atol=1e-15)
-        assert merged.study_count == 3
-        assert merged.study_ids == ("s1", "s2", "s3")
+    def test_single_hypothesis(self):
+        assert np.allclose(pmps([2.3]), [1.0])
 
-    def test_merge_rejects_overlapping_studies(self):
-        a = self._batch(("s1",), (0.4,))
-        b = self._batch(("s1",), (0.5,))
-        with pytest.raises(DuplicateStudyError):
-            merge(a, b)
+    def test_infinite_support_wins(self):
+        out = pmps([math.inf, 0.0])
+        assert np.array_equal(out, [1.0, 0.0])
 
-    def test_merge_rejects_different_labels(self):
-        a = self._batch(("s1",), (0.4,))
-        b = new_state(("other", "unconstrained"))
-        with pytest.raises(LabelMismatchError):
-            merge(a, b)
+    def test_two_infinities_share(self):
+        out = pmps([math.inf, math.inf, 0.0])
+        assert np.array_equal(out, [0.5, 0.5, 0.0])
+
+    def test_priors_reweight(self):
+        out = pmps([0.0, 0.0], priors=[0.8, 0.2])
+        assert np.allclose(out, [0.8, 0.2], atol=1e-15)
+
+    def test_all_zero_support_raises(self):
+        with pytest.raises(NumericError):
+            pmps([-math.inf, -math.inf])
+
+    def test_nan_raises(self):
+        with pytest.raises(NumericError):
+            pmps([math.nan, 0.0])
+
+    def test_bad_priors(self):
+        with pytest.raises(ValueError):
+            pmps([0.0, 0.0], priors=[0.5, 0.4])
+
+    @given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6),
+           st.floats(-5.0, 5.0))
+    @settings(max_examples=100, deadline=None)
+    def test_normalized_and_shift_invariant(self, logs, shift):
+        out = pmps(logs)
+        assert math.isclose(float(out.sum()), 1.0, abs_tol=1e-12)
+        shifted = pmps([v + shift for v in logs])
+        assert np.allclose(out, shifted, atol=1e-9)
 
 
 class TestAsDict:
@@ -310,27 +331,3 @@ class TestSynthesisInvariance:
         assert a[:3] == b[:3]
         assert_same_totals(a[3], b[3])
         assert_same_totals(a[4], b[4])
-
-    @given(st.lists(st.tuples(LOG_BF, LOG_BF), min_size=1, max_size=8),
-           st.integers(0, 8))
-    @settings(max_examples=200, deadline=None)
-    def test_merged_parts_equal_one_fold(self, logs, cut):
-        def fold(items):
-            state = new_state(("a", "b", "unconstrained"))
-            for sid, (x, y) in items:
-                state = update(state, sid, {"a": x, "b": y, "unconstrained": 0.0})
-            return state
-
-        items = [(f"s{k}", pair) for k, pair in enumerate(logs)]
-        cut = min(cut, len(items))
-        merged = outcome(lambda: merge(fold(items[:cut]), fold(items[cut:])))
-        whole = outcome(lambda: fold(items))
-        if isinstance(whole, type):
-            assert merged is whole
-            return
-        assert (merged.labels, merged.study_count, merged.study_ids,
-                merged.trail) == (whole.labels, whole.study_count,
-                                  whole.study_ids, whole.trail)
-        m, w = merged.as_dict(), whole.as_dict()
-        assert_same_totals(m["aggregated_log_bf"], w["aggregated_log_bf"])
-        assert_same_totals(m["pmps"], w["pmps"])
