@@ -15,13 +15,14 @@ exists: the exact CDF for one inequality row; 1/4 + asin(rho) / 2pi and
 any elliptical law (every boundary-centered prior of a homogeneous
 hypothesis); Owen's T for nonzero-mean bivariate normal orthants, and for
 two-row boxes with finite bounds by inclusion-exclusion over their corners,
-and a 64-node Gauss-Legendre rule over the chi-square mixing variable for
-their Student-t counterparts; for nonzero-mean trivariate orthants, Owen's
-T conditioned on one row and integrated by Gauss-Legendre rules (inside
-the chi-square rule for Student-t).  Only four or more rows, three-row
-boxes with a finite bound, or a trivariate rule whose error estimate is
-too large, use Genz-Bretz randomized lattice QMC seeded from the caller's
-generator; scipy.stats, which holds it, is imported on that first use.
+and a 32-node Gauss rule whose weight is the chi density of the mixing
+scale s = sqrt(W / nu), W ~ chi2(nu), for their Student-t counterparts;
+for nonzero-mean trivariate orthants, Owen's T conditioned on one row and
+integrated by Gauss-Legendre rules (inside the chi rule for Student-t).
+Only four or more rows, three-row boxes with a finite bound, or a
+trivariate rule whose error estimate is too large, use Genz-Bretz
+randomized lattice QMC seeded from the caller's generator; scipy.stats,
+which holds it, is imported on that first use.
 Rank-deficient constraint scales reduce to fewer rows first.  The Monte
 Carlo sampler remains as ``method="mc"`` of :func:`bf_iu` and
 :func:`prob_region`, the test oracle.  Every mass reports an error estimate
@@ -45,7 +46,7 @@ from dataclasses import MISSING, asdict, dataclass, replace
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.special import chdtri, ndtr, ndtri, owens_t, stdtr
+from scipy.special import ndtr, ndtri, owens_t, roots_jacobi, stdtr
 
 from . import hypothesis as hyp
 from .glm import DataError, FitResult
@@ -309,27 +310,72 @@ def _psd_sqrt(S: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _chi_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes of the 64- and 32-point Gauss-Legendre rules on (0, 1),
-    stacked, and the weights of each; built on first use, not at import.
-
-    Student-t orthants average normal ones over s = sqrt(W / nu),
-    W ~ chi2(nu), with the nodes as quantiles of W; |G64 - G32| is the
-    error estimate.
-    """
+    stacked, and the weights of each; built on first use, not at import."""
     rules = [np.polynomial.legendre.leggauss(n) for n in (64, 32)]
     nodes = np.concatenate([(x + 1.0) / 2.0 for x, _ in rules])
     return nodes, rules[0][1] / 2.0, rules[1][1] / 2.0
 
 
 @functools.lru_cache(maxsize=64)
-def _chi_scales(df: float) -> np.ndarray:
-    """s = sqrt(W / nu) at the :func:`_chi_rule` nodes as quantiles of
-    W ~ chi2(df), read-only; computed once per df (a fit size, or 1 for
-    the Cauchy prior)."""
-    s = np.sqrt(chdtri(df, _chi_rule()[0]) / df)
-    s.flags.writeable = False
-    return s
+def _stieltjes_grid(beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The 200-point Gauss-Jacobi rule on (-1, 1) for the weight
+    (1 + x)^beta, which discretizes the weight of :func:`_chi_rule`
+    (Gauss-Legendre for beta = 0); built on first use, not at import."""
+    return roots_jacobi(200, 0.0, beta)
+
+
+_CHI_DF_MAX = 1e12     # largest df a chi rule is built for
+
+
+@functools.lru_cache(maxsize=64)
+def _chi_rule(df: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes of the 32- and 16-point Gauss rules for s = sqrt(W / df),
+    W ~ chi2(df), stacked, and the weights of each, read-only; built once
+    per df (a fit size, or 1 for the Cauchy prior), not at import.
+
+    Student-t masses average normal ones over s, whose density is
+    proportional to s^(df - 1) exp(-df s^2 / 2) on (0, inf).  The masses
+    are smooth in s at every df, so Gauss rules for that weight converge
+    fast, the Cauchy prior (df = 1) included; |S32 - S16| is the error
+    estimate.  The recurrence coefficients come from the discretized
+    Stieltjes procedure (Gautschi 2004, Orthogonal Polynomials:
+    Computation and Approximation) on a 200-point Gauss grid over the
+    weight's bulk, the nodes and weights from the Jacobi matrix (Golub &
+    Welsch 1969, Math. Comp. 23:221).  Where the bulk reaches s = 0, the
+    grid's own weight s^beta takes the non-integer part of the power
+    s^(df - 1), so that what is left to discretize is smooth for any
+    df > 0; every integer df has beta = 0, a Gauss-Legendre grid.
+    """
+    # above _CHI_DF_MAX the spread of s moves a mass by about 1 / df, far
+    # below _QUAD_FLOOR, while the grid below would lose its resolution
+    df = min(df, _CHI_DF_MAX)
+    # s in [a, b] is W = df s^2 in df -+ 40 sqrt(2 df) + 800: the chi-square
+    # mass above is below exp(-400) (Laurent & Massart 2000, Ann. Statist.
+    # 28:1302), the mass below smaller still
+    spread = 40.0 / math.sqrt(2.0 * df)
+    a, b = max(1.0 - spread, 0.0), 1.0 + spread
+    grid_power = 0.0 if a > 0.0 else df - 1.0 - max(math.floor(df - 1.0), 0)
+    x, w = _stieltjes_grid(grid_power)
+    s = (b - a) / 2.0 * x + (b + a) / 2.0
+    log_w = (df - 1.0 - grid_power) * np.log(s) - df * s * s / 2.0
+    w = w * np.exp(log_w - log_w.max())
+    w /= w.sum()
+    # orthonormal recurrence s p_k = beta_k p_(k+1) + alpha_k p_k + beta_(k-1) p_(k-1)
+    alpha, beta = np.empty(32), np.empty(32)
+    p_prev, p, b_prev = np.zeros_like(s), np.ones_like(s), 0.0
+    for k in range(32):
+        alpha[k] = w @ (s * p * p)
+        q = (s - alpha[k]) * p - b_prev * p_prev
+        beta[k] = b_prev = math.sqrt(w @ (q * q))
+        p_prev, p = p, q / b_prev
+    rules = [sla.eigh_tridiagonal(alpha[:n], beta[:n - 1]) for n in (32, 16)]
+    out = (np.concatenate([nodes for nodes, _ in rules]),
+           *(vecs[0] ** 2 for _, vecs in rules))
+    for array in out:
+        array.flags.writeable = False
+    return out
 
 
 # Lattice QMC grows until its error estimate is below QMC_SE or ``draws``
@@ -338,7 +384,7 @@ QMC_SE = 1e-5
 _QMC_START = 1_000
 _QMC_MIN = 20          # ten randomly shifted copies of the 2-point lattice
 _RHO_TOL = 1e-12       # |correlation| above 1 - _RHO_TOL: the same row
-_QUAD_FLOOR = 1e-8     # least error estimate of the trivariate rule
+_QUAD_FLOOR = 1e-8     # least error estimate of a quadrature rule
 
 
 def _bvn_orthant(h, k, rho: float) -> np.ndarray:
@@ -427,29 +473,30 @@ def _tvn_rule(kind: str, h: np.ndarray, corr: np.ndarray, df: float | None,
 
     The bivariate orthant left by the conditioning (Owen's T) is
     integrated over u = Phi(z) with the 64- and 32-point Gauss-Legendre
-    rules of :func:`_chi_rule` (Genz 2004, Stat. Comput. 14:251); the
+    rules of :func:`_legendre_rule` (Genz 2004, Stat. Comput. 14:251); the
     error estimate is |G64 - G32|, floored at _QUAD_FLOOR.  Student-t
-    orthants run that rule inside the chi-square rule, the 64 (32) inner
-    nodes under each of the 64 (32) outer ones, in one call.
+    orthants run that rule inside the chi rule of :func:`_chi_rule`, the
+    64 (32) inner nodes under each of the 32 (16) outer ones, in one call,
+    and the estimate is |S32 G64 - S16 G32|.
     """
-    nodes, w64, w32 = _chi_rule()
+    nodes, w64, w32 = _legendre_rule()
     if kind == "normal":
         vals = _tvn_terms(h, corr, i, 1.0, nodes)
         if vals is None:
             return None
-        p64, p32 = float(w64 @ vals[:64]), float(w32 @ vals[64:])
+        p_hi, p_lo = float(w64 @ vals[:64]), float(w32 @ vals[64:])
     else:
-        s = _chi_scales(df)
+        s, v32, v16 = _chi_rule(df)
         vals = _tvn_terms(h, corr, i,
-                          np.concatenate([np.repeat(s[:64], 64),
-                                          np.repeat(s[64:], 32)]),
-                          np.concatenate([np.tile(nodes[:64], 64),
-                                          np.tile(nodes[64:], 32)]))
+                          np.concatenate([np.repeat(s[:32], 64),
+                                          np.repeat(s[32:], 32)]),
+                          np.concatenate([np.tile(nodes[:64], 32),
+                                          np.tile(nodes[64:], 16)]))
         if vals is None:
             return None
-        p64 = float(w64 @ vals[:4096].reshape(64, 64) @ w64)
-        p32 = float(w32 @ vals[4096:].reshape(32, 32) @ w32)
-    return p64, max(abs(p64 - p32), _QUAD_FLOOR)
+        p_hi = float(v32 @ vals[:2048].reshape(32, 64) @ w64)
+        p_lo = float(v16 @ vals[2048:].reshape(16, 32) @ w32)
+    return p_hi, max(abs(p_hi - p_lo), _QUAD_FLOOR)
 
 
 def _tvn_orthant(kind: str, h: np.ndarray, corr: np.ndarray,
@@ -483,7 +530,11 @@ def _standard_box(mean: np.ndarray, scale: np.ndarray):
         mean, scale, var = mean[~sure], scale[~sure][:, ~sure], var[~sure]
     s = np.sqrt(var)
     corr = scale / np.outer(s, s)
-    if np.linalg.eigvalsh(corr)[0] < -1e-8:
+    if corr.shape[0] == 2:   # unit diagonal: eigenvalues 1 +- rho
+        psd = abs(corr[0, 1]) <= 1.0 + 1e-8
+    else:   # one row, or none left, is positive semidefinite
+        psd = corr.shape[0] < 2 or np.linalg.eigvalsh(corr)[0] >= -1e-8
+    if not psd:
         raise NumericError("transformed scale matrix is not positive semidefinite")
     lo = -(mean / s)
     hi = np.full(lo.shape, np.inf)
@@ -580,11 +631,12 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
     valid for any elliptical law; other two-row orthants, and two-row
     boxes with finite bounds (an opposed pair beside another row), Owen's
     T summed over the box corners by inclusion-exclusion (normal, exact) or
-    that sum under 64-node quadrature over the chi-square mixing variable
-    (Student-t, error |G64 - G32|); nonzero-mean three-row orthants the
-    conditioned Gauss-Legendre rule of :func:`_tvn_orthant` while its error
-    estimate is within QMC_SE.  The rest, four or more rows and three-row
-    boxes among them, takes randomized lattice QMC seeded from ``rng``.
+    that sum under the 32-node Gauss rule of :func:`_chi_rule` over the
+    mixing scale (Student-t, error |S32 - S16| floored at _QUAD_FLOOR);
+    nonzero-mean three-row orthants the conditioned Gauss-Legendre rule of
+    :func:`_tvn_orthant` while its error estimate is within QMC_SE.  The
+    rest, four or more rows and three-row boxes among them, takes
+    randomized lattice QMC seeded from ``rng``.
     Error estimates are 0 for closed forms and CDFs.
     """
     if method not in ("auto", "mc"):
@@ -629,12 +681,11 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
         if kind == "normal":
             p = float(sx @ _bvn_orthant(-x[:, None], -y, corr[0, 1]) @ sy)
             return _unit(p), 0.0, 0, "exact"
-        _, w64, w32 = _chi_rule()
-        s = _chi_scales(df)
+        s, v32, v16 = _chi_rule(df)
         vals = sx @ (sy @ _bvn_orthant(-x[:, None, None] * s, -y[:, None] * s,
                                        corr[0, 1]))
-        p64, p32 = float(w64 @ vals[:64]), float(w32 @ vals[64:])
-        return _unit(p64), abs(p64 - p32), 0, "quadrature"
+        p32, p16 = float(v32 @ vals[:32]), float(v16 @ vals[32:])
+        return _unit(p32), max(abs(p32 - p16), _QUAD_FLOOR), 0, "quadrature"
     if orthant and k == 3:
         rule = _tvn_orthant(kind, -lo, corr, df)
         if rule is not None:
@@ -655,10 +706,11 @@ def _log1m(x: float) -> float:
 
 
 def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
-              rng, draws: int,
-              method: str) -> tuple[float, float, float, int, str]:
+              rng, draws: int, method: str,
+              rows=None) -> tuple[float, float, float, int, str]:
     """(log mass, mass, error estimate, points used, method name) of
-    ``dist`` under ``h``.
+    ``dist`` under ``h``, whose rows embedded in ``dist.names`` are
+    ``rows`` when given.
 
     Mass means region probability for inequality-only systems, boundary
     density for equality-only systems, and density times conditional
@@ -671,7 +723,7 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
     sampler with ``method="mc"``; densities are exact.
     """
     eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names,
-                                    dist.df)
+                                    dist.df, rows=rows)
     ineq, dens = eta.ineq, 1.0
     if eta.eq is not None:
         k = eta.eq.mean.shape[0]
@@ -712,9 +764,9 @@ def prob_region(dist: CoefDistribution, h: hyp.ConstraintSystem,
 
     ``h`` must have inequality rows only; equality constraints take the
     density path.  Returns (probability, error estimate): 0 for closed
-    forms and CDFs, |G64 - G32| for quadrature rules, one standard error
-    for lattice QMC (``method="auto"``) and the Monte Carlo sampler
-    (``method="mc"``).
+    forms and CDFs, the difference of two rules for quadrature (at least
+    _QUAD_FLOOR), one standard error for lattice QMC (``method="auto"``)
+    and the Monte Carlo sampler (``method="mc"``).
     """
     if h.n_eq:
         raise ValueError("prob_region requires an inequality-only hypothesis")
@@ -771,9 +823,14 @@ def bf_iu(posterior: CoefDistribution, adjusted_prior: CoefDistribution,
     if alternative == "complement" and h.n_eq:
         raise hyp.EqualityComplementUnsupportedError(
             "complement is undefined for hypotheses with equality constraints")
-    log_f, f, f_se, used_f, how_f = _log_mass(posterior, h, rng, draws, method)
-    log_c, c, c_se, used_c, how_c = _log_mass(adjusted_prior, h, rng, draws,
-                                              method)
+    # the rows are embedded once when both distributions share their names,
+    # as they do for every posterior and prior of :func:`evaluate`
+    rows = hyp.embed_rows(h, posterior.names)
+    log_f, f, f_se, used_f, how_f = _log_mass(posterior, h, rng, draws, method,
+                                              rows)
+    log_c, c, c_se, used_c, how_c = _log_mass(
+        adjusted_prior, h, rng, draws, method,
+        rows if adjusted_prior.names == posterior.names else None)
     if log_f == log_c == -math.inf:
         raise NumericError("fit and complexity are both zero; "
                            "the Bayes factor is undefined")

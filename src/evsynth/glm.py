@@ -265,7 +265,10 @@ def _cell_parsed_table(path, outcome: str, predictors: list[str] | None):
 
 def _condition_guard(X: np.ndarray):
     XtX = X.T @ X
-    cond = np.linalg.cond(XtX)
+    # X'X is symmetric positive semidefinite: its condition number is the
+    # eigenvalue ratio, infinite when the least eigenvalue is not positive
+    lam = np.linalg.eigvalsh(XtX)
+    cond = lam[-1] / lam[0] if lam[0] > 0.0 else math.inf
     if not np.isfinite(cond) or cond >= COND_LIMIT:
         raise SingularDesignError(f"X'X condition number {cond:.3e} exceeds {COND_LIMIT:.0e}")
     return XtX

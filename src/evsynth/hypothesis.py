@@ -529,7 +529,9 @@ def transform_constraints(h: ConstraintSystem,
                           mean: np.ndarray,
                           scale: np.ndarray,
                           names: tuple[str, ...] | list[str],
-                          df: float | None = None) -> TransformedConstraints:
+                          df: float | None = None, *,
+                          rows: tuple[np.ndarray, np.ndarray] | None = None
+                          ) -> TransformedConstraints:
     """Map a coefficient distribution into constraint (eta) space.
 
     For each block of rows R with offsets r, eta = R @ beta - r has mean
@@ -545,6 +547,9 @@ def transform_constraints(h: ConstraintSystem,
         Coefficient names aligned with ``mean``/``scale``.
     df : float, optional
         Degrees of freedom when the distribution is Student-t.
+    rows : (ndarray, ndarray), optional
+        ``embed_rows(h, names)``, when the caller holds it already (one
+        study transforms its posterior and its prior over the same names).
 
     Returns
     -------
@@ -554,7 +559,7 @@ def transform_constraints(h: ConstraintSystem,
     """
     mean = np.asarray(mean, dtype=float)
     scale = np.asarray(scale, dtype=float)
-    R, r = embed_rows(h, names)
+    R, r = embed_rows(h, names) if rows is None else rows
     eta_mean = R @ mean - r
     eta_scale = R @ scale @ R.T
     eta_scale = (eta_scale + eta_scale.T) / 2.0

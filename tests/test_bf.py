@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 from scipy.stats import multivariate_normal, norm
 from scipy.stats import t as student_t
 from scipy.stats._qmvnt import _qmvn, _qmvt
@@ -194,6 +195,39 @@ class TestProbRegion:
             bf_iu(dist, normal_dist([0.0, 0.0], np.eye(2)), h, rng=rng,
                   draws=1_000, method=method)
 
+    def test_indefinite_three_row_scale_raises(self):
+        # every |rho| < 1, yet an eigenvalue is -0.8
+        cov = [[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]]
+        with pytest.raises(NumericError, match="not positive semidefinite"):
+            prob_region(normal_dist([0.1, 0.2, 0.3], cov),
+                        parse("{b1, b2, b3} > 0"))
+
+    @given(st.floats(-1.5, 1.5), st.floats(0.01, 100.0),
+           st.floats(0.01, 100.0))
+    @example(1.0 + 2e-8, 1.0, 1.0)
+    @example(-1.0 - 5e-9, 2.0, 0.5)
+    @settings(max_examples=200, deadline=None)
+    def test_two_row_psd_check_is_the_eigenvalue_check(self, rho, s1, s2):
+        scale = np.array([[s1 * s1, rho * s1 * s2], [rho * s1 * s2, s2 * s2]])
+        s = np.sqrt(np.diag(scale))
+        least = np.linalg.eigvalsh(scale / np.outer(s, s))[0]
+        if abs(least + 1e-8) < 1e-12:   # on the threshold, either may round
+            return
+        if least < -1e-8:
+            with pytest.raises(NumericError, match="not positive semidefinite"):
+                bf._standard_box(np.array([0.3, -0.2]), scale)
+        else:   # a box, or None for an empty one (opposed rows)
+            bf._standard_box(np.array([0.3, -0.2]), scale)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rows_without_variance_are_decided_by_their_means(self, k):
+        names = ("b1", "b2", "b3")[:k]
+        h = parse("{" + ", ".join(names) + "} > 0")
+        sure = normal_dist(np.linspace(0.2, 0.5, k), np.zeros((k, k)))
+        assert prob_region(sure, h) == (1.0, 0.0)
+        never = normal_dist(np.linspace(-0.2, 0.5, k), np.zeros((k, k)))
+        assert prob_region(never, h) == (0.0, 0.0)
+
     def test_standard_normal_half(self):
         p, se = prob_region(normal_dist([0.0], [[1.0]]), parse("b1 > 0"))
         assert p == 0.5
@@ -296,6 +330,21 @@ class TestBfIu:
         record = bf_iu(post, prior, parse("b1 = 0"))
         assert abs(math.exp(record.log_bf_iu) - math.sqrt(2.0)) < 1e-9
         assert record.log_bf_ic is None
+
+    def test_prior_names_in_another_order(self):
+        # the rows embedded for the posterior are not reused for a prior
+        # over the same coefficients in another order
+        cov = np.array([[1.0, 0.3, 0.1], [0.3, 2.0, -0.2], [0.1, -0.2, 1.5]])
+        post = normal_dist([0.4, -0.2, 0.3], cov)
+        prior = normal_dist(np.zeros(3), 2.0 * cov)
+        order = [2, 0, 1]
+        shuffled = normal_dist(np.zeros(3), 2.0 * cov[np.ix_(order, order)],
+                               names=[prior.names[j] for j in order])
+        h = parse("b1 > b2 & b3 > 0")
+        want = bf_iu(post, prior, h)
+        got = bf_iu(post, shuffled, h)
+        assert got.complexity == want.complexity
+        assert got.log_bf_iu == want.log_bf_iu
 
     def test_fit_over_complexity(self):
         # posterior mass 0.9, prior mass 0.5 on the exact path
@@ -788,6 +837,14 @@ class TestTrivariateRule:
                                   draws=200_000, method="mc")
         assert abs(p - p_mc) <= 4.0 * math.hypot(err, se_mc)
 
+    @pytest.mark.parametrize("case", range(len(THREE_ROW_CASES)))
+    def test_cauchy_takes_the_rule(self, case):
+        # df = 1, the adjusted prior's: the chi rule needs no fallback there
+        mean, cov = (np.array(v) for v in THREE_ROW_CASES[case])
+        record = bf_iu(t_dist(mean, cov, 1), t_dist(mean, 2.0 * cov, 1), self.H,
+                       rng=np.random.default_rng(9), draws=5_000)
+        assert record.mass_method == "quadrature" and record.mc_draws == 0
+
     def test_spends_no_draws(self):
         mean, cov = (np.array(v) for v in THREE_ROW_CASES[0])
         rng = np.random.default_rng(9)
@@ -824,6 +881,82 @@ class TestTrivariateRule:
         rules = [bf._tvn_rule(kind, np.array(h), corr, df, i) for i in range(3)]
         for (p_a, err_a), (p_b, err_b) in itertools.combinations(rules, 2):
             assert abs(p_a - p_b) <= err_a + err_b
+
+
+def chi_moment(k, nu):
+    """E[s^k] for s = sqrt(W / nu), W ~ chi2(nu)."""
+    return math.exp(k / 2.0 * math.log(2.0 / nu) + math.lgamma((nu + k) / 2.0)
+                    - math.lgamma(nu / 2.0))
+
+
+def chi_square_quad(f, nu):
+    """E[f(s)], s = sqrt(W / nu), by adaptive quadrature over the
+    chi-square density of W, written in s (W = nu s^2) so that the density
+    has no singularity at 0; pieces every 4 standard deviations of s."""
+    log_norm = -nu / 2.0 * math.log(2.0) - math.lgamma(nu / 2.0)
+
+    def integrand(s):
+        w = nu * s * s
+        if w == 0.0:
+            return 0.0
+        log_pdf = log_norm + (nu / 2.0 - 1.0) * math.log(w) - w / 2.0
+        return f(s) * math.exp(log_pdf) * 2.0 * nu * s
+
+    sd = 1.0 / math.sqrt(2.0 * nu)
+    cuts = [0.0] + [1.0 + j * sd for j in range(-40, 41, 4) if 1.0 + j * sd > 0.0]
+    return sum(integrate.quad(integrand, a, b, epsabs=1e-15, epsrel=1e-13,
+                              limit=200)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+class TestChiRule:
+    """The Gauss rule for the chi mixing scale of Student-t masses against
+    closed-form moments and adaptive quadrature over the chi-square
+    density."""
+
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 1.5, 2.0, 2.7, 3.0, 5.0, 18.0,
+                                    93.0, 393.0, 4793.0, 1e5, 1e6])
+    def test_moments(self, nu):
+        # an n-node Gauss rule integrates polynomials of degree 2n - 1
+        s, w32, w16 = bf._chi_rule(nu)
+        assert np.all(s > 0.0) and np.all(w32 > 0.0) and np.all(w16 > 0.0)
+        for nodes, weights in ((s[:32], w32), (s[32:], w16)):
+            for k in range(2 * len(weights)):
+                want = chi_moment(k, nu)
+                assert abs(weights @ nodes ** k - want) <= 1e-7 * want
+
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 1.5, 2.0, 3.0, 5.0, 18.0, 93.0,
+                                    393.0, 4793.0])
+    def test_two_row_masses_match_quad(self, nu):
+        # non-integer df below 2 put a fractional power of s at 0
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            h, k = rng.uniform(-2.5, 2.5, size=2)
+            rho = rng.uniform(-0.9, 0.9)
+            cov = np.array([[1.0, rho], [rho, 1.0]])
+            p, err, used, how = bf._orthant_prob(
+                "student-t", np.array([h, k]), cov, nu, None, 1, "auto")
+            ref = chi_square_quad(
+                lambda s: float(bf._bvn_orthant(h * s, k * s, rho)), nu)
+            assert (used, how) == (0, "quadrature")
+            assert abs(p - ref) <= 1e-8
+            assert abs(p - ref) <= err
+
+    @pytest.mark.parametrize("nu", [1e30, 1e40, math.inf])
+    def test_huge_df_gives_the_normal_mass(self, nu):
+        # df is capped where the grid over s would lose its resolution
+        mean, cov = np.array([0.4, -0.7]), np.array([[1.0, 0.3], [0.3, 1.0]])
+        p, err, _, how = bf._orthant_prob("student-t", mean, cov, nu, None, 1,
+                                          "auto")
+        normal, _, _, _ = bf._orthant_prob("normal", mean, cov, None, None, 1,
+                                           "auto")
+        assert how == "quadrature" and math.isfinite(err)
+        assert abs(p - normal) <= 1e-10
+
+    def test_built_once_per_df(self):
+        first = bf._chi_rule(7.0)
+        assert bf._chi_rule(7.0) is first
+        assert not any(array.flags.writeable for array in first)
 
 
 class TestBfCu:

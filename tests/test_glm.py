@@ -52,6 +52,34 @@ class TestOls:
         with pytest.raises(SingularDesignError):
             fit_ols(d)
 
+    def test_condition_guard_agrees_with_svd(self):
+        # the eigenvalue ratio of X'X against np.linalg.cond's SVD, on
+        # random designs with columns of very different scales and on
+        # nearly or exactly collinear ones
+        rng = np.random.default_rng(17)
+        designs = []
+        for _ in range(150):
+            X = rng.normal(size=(40, 4)) * 10.0 ** rng.uniform(-3.5, 3.5, 4)
+            designs.append(X)
+            Y = X.copy()
+            Y[:, 3] = Y[:, 0] - 2.0 * Y[:, 1] + 10.0 ** rng.uniform(-10, 0) \
+                * rng.normal(size=40) * np.abs(Y[:, 0]).max()
+            designs.append(Y)
+        designs.append(np.column_stack([designs[0][:, :3], designs[0][:, 1]]))
+        raised = 0
+        for X in designs:
+            want = np.linalg.cond(X.T @ X)
+            if abs(want / glm.COND_LIMIT - 1.0) < 1e-6:
+                continue
+            if want < glm.COND_LIMIT:
+                assert np.array_equal(glm._condition_guard(X), X.T @ X)
+                continue
+            raised += 1
+            with pytest.raises(SingularDesignError,
+                               match=r"^X'X condition number \S+ exceeds 1e\+12$"):
+                glm._condition_guard(X)
+        assert 50 < raised < len(designs) - 50
+
     def test_residual_orthogonality(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 4))
