@@ -39,10 +39,9 @@ studies belong to :mod:`evsynth.synthesis`.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings as _warnings
-from dataclasses import MISSING, asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 from scipy import linalg as sla
@@ -98,22 +97,6 @@ class FractionSpec:
     def __post_init__(self):
         if not (0.0 < self.b < 1.0):
             raise ValueError(f"fraction b must lie in (0, 1), got {self.b!r}")
-
-    @classmethod
-    def linear_model(cls, n: int, p: int) -> "FractionSpec":
-        # b = (p + 1) / n, with p counting every design column
-        return cls((p + 1) / n)
-
-    @classmethod
-    def glm(cls, n: int, J: int) -> "FractionSpec":
-        # b = J / n, J = number of independent constraints in the study
-        if J < 1:
-            raise ValueError("J must be at least 1")
-        return cls(J / n)
-
-    @classmethod
-    def explicit(cls, b: float) -> "FractionSpec":
-        return cls(b)
 
 
 def json_safe(obj):
@@ -211,13 +194,6 @@ class EvidenceRecord:
         except ValueError as exc:
             raise DataError(str(exc)) from None
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvidenceRecord":
-        return cls.from_dict(json.loads(text))
-
 
 def build_posterior(fit: FitResult) -> CoefDistribution:
     """Coefficient posterior: Student-t(beta, cov, n - p) for gaussian fits,
@@ -246,7 +222,9 @@ def build_prior(fit: FitResult, frac: FractionSpec,
 
 def default_fraction(fit: FitResult,
                      systems: list[hyp.ConstraintSystem]) -> FractionSpec:
-    """Family rule: (p + 1) / n for gaussian, J / n for binomial.
+    """Family rule: b = (p + 1) / n for gaussian, with p counting every
+    design column, and b = J / n for binomial, with J the number of
+    independent constraints (:func:`constraint_count`).
 
     Raises
     ------
@@ -260,8 +238,8 @@ def default_fraction(fit: FitResult,
                 f"n = {fit.n} observations with p = {fit.p} coefficients give "
                 f"the default fraction b = (p + 1) / n = 1; a gaussian study "
                 f"needs n > p + 1 = {fit.p + 1}")
-        return FractionSpec.linear_model(fit.n, fit.p)
-    return FractionSpec.glm(fit.n, constraint_count(systems))
+        return FractionSpec((fit.p + 1) / fit.n)
+    return FractionSpec(constraint_count(systems) / fit.n)
 
 
 def constraint_count(systems: list[hyp.ConstraintSystem]) -> int:
@@ -326,7 +304,7 @@ def _stieltjes_grid(beta: float) -> tuple[np.ndarray, np.ndarray]:
     return roots_jacobi(200, 0.0, beta)
 
 
-_CHI_DF_MAX = 1e12     # largest df a chi rule is built for
+_CHI_DF_MAX = 1e12     # largest df a chi rule is built for, and a t density
 
 
 @functools.lru_cache(maxsize=64)
@@ -736,7 +714,9 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
         log_det = 2.0 * np.log(np.diag(chol)).sum()
         q = sla.solve_triangular(chol, -eta.eq.mean, lower=True)
         quad = float(q @ q)
-        if dist.kind == "normal":
+        # above _CHI_DF_MAX the t density is the normal one, as the masses
+        # are; lgamma differences lose precision there and give nan at inf
+        if dist.kind == "normal" or dist.df > _CHI_DF_MAX:
             log_pdf = -0.5 * (k * math.log(2.0 * math.pi) + log_det + quad)
         else:
             nu = dist.df
@@ -772,14 +752,6 @@ def prob_region(dist: CoefDistribution, h: hyp.ConstraintSystem,
         raise ValueError("prob_region requires an inequality-only hypothesis")
     _, p, se, _, _ = _log_mass(dist, h, rng, draws, method)
     return p, se
-
-
-def density_at_equality(dist: CoefDistribution, h: hyp.ConstraintSystem) -> float:
-    """Density of the equality rows of ``h`` at their stated values."""
-    if h.n_eq == 0:
-        raise ValueError("hypothesis has no equality rows")
-    eq_only = replace(h, R_i=np.zeros((0, len(h.param_names))), r_i=np.zeros(0))
-    return _log_mass(dist, eq_only, None, 0, "auto")[1]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from csv import DictReader, writer as csv_writer
@@ -69,7 +68,7 @@ def cmd_analyze(args) -> int:
                              intercept=not args.no_intercept)
     fit = glm.fit(d)
     cs = hyp.parse(args.hypothesis)
-    frac = None if args.fraction == "auto" else bf.FractionSpec.explicit(args.fraction)
+    frac = None if args.fraction == "auto" else bf.FractionSpec(args.fraction)
     rng = simgen.rng_stream(args.seed)
     record = bf.evaluate(fit, cs, label=_compact(args.hypothesis),
                          study_id=args.study_id or Path(args.data).stem,
@@ -171,21 +170,6 @@ class SimulationResult:
     skips: list[dict] = field(default_factory=list)
 
 
-def _log_bf_se(rec: bf.EvidenceRecord, alternative: str) -> float:
-    # delta-method standard error of the per-study log Bayes factor
-    f, c = rec.fit, rec.complexity
-    sf, sc = rec.mc_se_fit, rec.mc_se_complexity
-    if sf == 0.0 and sc == 0.0:
-        return 0.0
-    try:
-        if alternative == "unconstrained":
-            return math.sqrt((sf / f) ** 2 + (sc / c) ** 2)
-        return math.sqrt((sf * (1.0 / f + 1.0 / (1.0 - f))) ** 2
-                         + (sc * (1.0 / c + 1.0 / (1.0 - c))) ** 2)
-    except ZeroDivisionError:
-        return math.inf
-
-
 def run_iteration(sim_id: int, cond_idx: int, n: int, r2: float, iteration: int,
                   seed: int, draws: int, alternatives: tuple[str, ...],
                   n_studies: int | None, decomposed: bool):
@@ -233,7 +217,6 @@ def run_iteration(sim_id: int, cond_idx: int, n: int, r2: float, iteration: int,
             per_study = [rec.log_bf_iu if alt == "unconstrained" else bf.bf_ic(rec)
                          for rec in recs]
             agg = synthesis.aggregate_log_bf(per_study)
-            agg_se = math.sqrt(sum(_log_bf_se(rec, alt) ** 2 for rec in recs))
             # a skip returns early, so the records follow the plan
             for entry, rec, v in zip(plan, recs, per_study):
                 study_rows.append(dict(base, family=rec.family,
@@ -247,7 +230,7 @@ def run_iteration(sim_id: int, cond_idx: int, n: int, r2: float, iteration: int,
                                  hypothesis=labels[text], alternative=alt,
                                  fit=None, complexity=None, log_bf=None,
                                  agg_log_bf=agg,
-                                 pmp=synthesis.pairwise_pmp(agg), mc_se=agg_se))
+                                 pmp=synthesis.pairwise_pmp(agg)))
     return study_rows, agg_rows, []
 
 
@@ -276,8 +259,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     skips: list[dict] = []
     for study_rows, agg_rows, skipped in outputs:
         rows.extend(study_rows)
-        rows.extend({k: v for k, v in row.items() if k != "mc_se"}
-                    for row in agg_rows)
+        rows.extend(agg_rows)
         aggregates.extend(agg_rows)
         skips.extend(skipped)
     _check_aggregates(rows)

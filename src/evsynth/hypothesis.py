@@ -23,9 +23,9 @@ the named coefficients::
 
 Rows are normalized (equality rows scaled so their first nonzero entry is
 +1, inequality rows so their largest absolute entry is 1), exact duplicates
-are dropped, linearly dependent equality rows are removed (inconsistent
-ones leave a warning on the system), and names that end up with all-zero
-columns are pruned.
+are dropped, linearly dependent equality rows are removed when they agree
+with the rows kept and rejected with a :class:`ParseError` when they
+contradict them, and names that end up with all-zero columns are pruned.
 """
 
 from __future__ import annotations
@@ -74,9 +74,6 @@ class ConstraintSystem:
         Equality rows and right-hand sides, ``R_e @ beta = r_e``.
     R_i, r_i : ndarray
         Inequality rows and right-hand sides, ``R_i @ beta > r_i``.
-    warnings : tuple of str
-        Notes attached during normalization (e.g. a dropped inconsistent
-        equality row).
     R, r : ndarray
         The stacked rows ``[R_e; R_i]`` and ``[r_e; r_i]``.
     rank : int
@@ -99,7 +96,6 @@ class ConstraintSystem:
     r_e: np.ndarray
     R_i: np.ndarray
     r_i: np.ndarray
-    warnings: tuple[str, ...] = ()
     R: np.ndarray = field(init=False, repr=False)
     r: np.ndarray = field(init=False, repr=False)
     rank: int = field(init=False, repr=False)
@@ -391,8 +387,9 @@ def parse(text: str) -> ConstraintSystem:
     Raises
     ------
     ParseError
-        If the string is malformed, or a constraint involves no
-        coefficients (e.g. ``"1 > 0"``).
+        If the string is malformed, a constraint involves no
+        coefficients (e.g. ``"1 > 0"``), or an equality row contradicts
+        the ones before it (e.g. ``"b1 = 0 & b1 = 1"``).
     """
     if not isinstance(text, str):
         raise ParseError("hypothesis must be a string")
@@ -407,7 +404,6 @@ def _parse(text: str) -> ConstraintSystem:
 
     eq_rows: list[tuple[np.ndarray, float]] = []
     ineq_rows: list[tuple[np.ndarray, float]] = []
-    notes: list[str] = []
     index = {name: j for j, name in enumerate(names)}
     for con in raw:
         row = np.zeros(len(names))
@@ -428,7 +424,7 @@ def _parse(text: str) -> ConstraintSystem:
             ineq_rows.append((row / scale, rhs / scale))
 
     eq_rows = _dedupe(eq_rows)
-    eq_rows = _independent_equalities(eq_rows, notes)
+    eq_rows = _independent_equalities(eq_rows, names)
     ineq_rows = _dedupe(ineq_rows)
 
     R_e, r_e = _stack(eq_rows, len(names))
@@ -445,7 +441,7 @@ def _parse(text: str) -> ConstraintSystem:
     R_e = R_e[:, keep]
     R_i = R_i[:, keep]
 
-    return ConstraintSystem(tuple(names), R_e, r_e, R_i, r_i, tuple(notes))
+    return ConstraintSystem(tuple(names), R_e, r_e, R_i, r_i)
 
 
 def _dedupe(rows: list[tuple[np.ndarray, float]]) -> list[tuple[np.ndarray, float]]:
@@ -460,7 +456,7 @@ def _dedupe(rows: list[tuple[np.ndarray, float]]) -> list[tuple[np.ndarray, floa
 
 
 def _independent_equalities(rows: list[tuple[np.ndarray, float]],
-                            notes: list[str]) -> list[tuple[np.ndarray, float]]:
+                            names: list[str]) -> list[tuple[np.ndarray, float]]:
     kept: list[tuple[np.ndarray, float]] = []
     for row, rhs in rows:
         if not kept:
@@ -474,8 +470,10 @@ def _independent_equalities(rows: list[tuple[np.ndarray, float]],
             continue
         implied = float(coefs @ np.array([c for _, c in kept]))
         if abs(implied - rhs) > _ROW_TOL:
-            notes.append("dropped inconsistent equality row "
-                         f"(implied rhs {implied!r}, stated {float(rhs)!r})")
+            lhs = _format_row(row, names)
+            raise ParseError(f"contradictory equality constraints: {lhs} = "
+                             f"{float(rhs)!r} stated, {lhs} = {implied!r} "
+                             "implied by the equality rows before it")
         # dependent and consistent: silently dropped
     return kept
 

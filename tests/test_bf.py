@@ -20,8 +20,7 @@ from evsynth.bf import (ALTERNATIVES, MASS_METHODS, CoefDistribution,
                         EvidenceRecord, FractionSpec, NumericError,
                         adjustment_center, bf_between, bf_cu, bf_ic, bf_iu,
                         build_posterior, build_prior, constraint_count,
-                        default_fraction, density_at_equality, evaluate,
-                        prob_region)
+                        default_fraction, evaluate, prob_region)
 from evsynth.glm import FAMILIES, DataError, Dataset, add_intercept, fit_ols
 from evsynth.glm import fit as glm_fit
 from evsynth.hypothesis import (ConstraintSystem,
@@ -54,22 +53,36 @@ def gaussian_fit(n=100, p=7, seed=0):
     return fit_ols(Dataset(y=y, X=X, names=names, family="gaussian"))
 
 
+def logit_fit(n=200, seed=0):
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-X @ [0.2, 0.5, -0.3, 0.1])))
+    return glm_fit(Dataset(y=y.astype(float), X=X,
+                           names=("intercept", "x2", "x3", "x4"),
+                           family="logit"))
+
+
 class TestFractionSpec:
     def test_linear_model_rule(self):
-        spec = FractionSpec.linear_model(100, 7)
-        assert math.isclose(spec.b, 0.08, rel_tol=1e-15)
+        # b = (p + 1) / n, p counting the intercept
+        spec = default_fraction(gaussian_fit(n=120, p=5), [parse("x2 > 0")])
+        assert math.isclose(spec.b, 0.05, rel_tol=1e-15)
 
     def test_glm_rule(self):
-        assert math.isclose(FractionSpec.glm(200, 1).b, 0.005, rel_tol=1e-15)
-        assert math.isclose(FractionSpec.glm(100, 3).b, 0.03, rel_tol=1e-15)
+        # b = J / n, J the number of independent constraints
+        fit = logit_fit(n=200)
+        assert math.isclose(default_fraction(fit, [parse("x2 > 0")]).b,
+                            0.005, rel_tol=1e-15)
+        assert math.isclose(default_fraction(fit, [parse("{x2, x3, x4} > 0")]).b,
+                            0.015, rel_tol=1e-15)
 
     def test_explicit(self):
-        assert FractionSpec.explicit(0.12).b == 0.12
+        assert FractionSpec(0.12).b == 0.12
 
     @pytest.mark.parametrize("b", [0.0, 1.0, -0.1, 1.5])
     def test_fraction_bounds(self, b):
         with pytest.raises(ValueError):
-            FractionSpec.explicit(b)
+            FractionSpec(b)
 
     def test_default_fraction_by_family(self):
         result = gaussian_fit(n=100, p=7)
@@ -148,7 +161,7 @@ class TestDistributions:
 
     def test_prior_gaussian_cauchy_rescaled(self):
         result = gaussian_fit(n=100, p=7)
-        frac = FractionSpec.linear_model(result.n, result.p)
+        frac = default_fraction(result, [parse("x2 > 0")])
         center = np.zeros(result.p)
         prior = build_prior(result, frac, center)
         assert prior.kind == "student-t"
@@ -159,7 +172,7 @@ class TestDistributions:
     def test_center_shape_checked(self):
         result = gaussian_fit(n=50, p=3)
         with pytest.raises(ValueError):
-            build_prior(result, FractionSpec.explicit(0.1), np.zeros(5))
+            build_prior(result, FractionSpec(0.1), np.zeros(5))
 
     @pytest.mark.parametrize("df", [None, 0.0, -2.0, math.nan])
     def test_student_t_needs_positive_df(self, df):
@@ -293,6 +306,11 @@ class TestProbRegion:
                             rel_tol=1e-12, abs_tol=1e-300)
 
 
+def density_at_equality(dist, h):
+    # the fit of an equality-only hypothesis is the boundary density
+    return bf_iu(dist, dist, h).fit
+
+
 class TestDensityAtEquality:
     def test_standard_normal(self):
         d = density_at_equality(normal_dist([0.0], [[1.0]]), parse("b1 = 0"))
@@ -310,9 +328,9 @@ class TestDensityAtEquality:
         d = density_at_equality(normal_dist([0.3], [[1.0]]), parse("b1 = 0"))
         assert math.isclose(d, float(norm.pdf(-0.3)), rel_tol=1e-12)
 
-    def test_requires_equality_rows(self):
-        with pytest.raises(ValueError):
-            density_at_equality(normal_dist([0.0], [[1.0]]), parse("b1 > 0"))
+    def test_inequality_rows_take_the_region_mass(self):
+        d = density_at_equality(normal_dist([0.0], [[1.0]]), parse("b1 > 0"))
+        assert d == 0.5
 
     def test_dependent_equality_rows_numeric_error(self):
         h = ConstraintSystem(param_names=("b1", "b2"),
@@ -321,6 +339,22 @@ class TestDensityAtEquality:
                              r_i=np.zeros(0))
         with pytest.raises(NumericError):
             density_at_equality(normal_dist([0.0, 0.0], np.eye(2)), h)
+
+    @pytest.mark.parametrize("text", ["b1 = 0", "b1 = 0 & b2 > 0"])
+    @pytest.mark.parametrize("df", [1e13, 1e30, math.inf])
+    def test_huge_df_takes_the_normal_law(self, text, df):
+        mean, cov = [0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]]
+        d = density_at_equality(t_dist(mean, cov, df=df), parse(text))
+        assert math.isclose(d, density_at_equality(normal_dist(mean, cov),
+                                                   parse(text)),
+                            rel_tol=1e-12)
+
+    @pytest.mark.parametrize("text,want", [
+        ("b1 = 0", 0.38136450364586716),
+        ("b1 = 0 & b2 > 0", 0.15512283682370615)])
+    def test_fit_size_df_unchanged(self, text, want):
+        dist = t_dist([0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]], df=4793)
+        assert density_at_equality(dist, parse(text)) == want
 
 
 class TestBfIu:
@@ -1043,11 +1077,12 @@ class TestEvidenceRecord:
                              mc_se_complexity=0.001, mc_draws=100_000,
                              family="probit", n=250,
                              alternative="complement")
-        text = rec.to_json()
+        text = json.dumps(rec.to_dict())
         parsed = json.loads(text)
         assert parsed["log_bf_ic"] == "inf"
-        back = EvidenceRecord.from_json(text)
+        back = EvidenceRecord.from_dict(json.loads(text))
         assert back == rec
+        assert repr(back) == repr(rec)
 
     def test_negative_infinity_round_trip(self):
         rec = EvidenceRecord(study_id="s", hypothesis="h", fit=0.0,
@@ -1056,8 +1091,9 @@ class TestEvidenceRecord:
                              mc_se_complexity=0.0, mc_draws=0,
                              family="gaussian", n=10,
                              alternative="unconstrained")
-        back = EvidenceRecord.from_json(rec.to_json())
+        back = EvidenceRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
         assert back.log_bf_iu == -math.inf
+        assert repr(back) == repr(rec)
 
     def test_mass_method_round_trip_and_default(self):
         rec = EvidenceRecord(study_id="s", hypothesis="h", fit=0.5,
@@ -1065,7 +1101,9 @@ class TestEvidenceRecord:
                              log_bf_ic=0.0, mc_se_fit=1e-6,
                              mc_se_complexity=0.0, mc_draws=2_960,
                              mass_method="qmc")
-        assert EvidenceRecord.from_json(rec.to_json()) == rec
+        back = EvidenceRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+        assert back == rec
+        assert repr(back) == repr(rec)
         older = {k: v for k, v in rec.to_dict().items() if k != "mass_method"}
         assert EvidenceRecord.from_dict(older).mass_method == ""
 
@@ -1115,15 +1153,6 @@ class TestEvidenceRecord:
         back = EvidenceRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
         assert back == rec
         assert repr(back) == repr(rec)  # also tells -0.0 from 0.0
-
-    def test_keys_sorted(self):
-        rec = EvidenceRecord(study_id="s", hypothesis="h", fit=0.5,
-                             complexity=0.5, log_bf_iu=0.0, log_bf_ic=0.0,
-                             mc_se_fit=0.0, mc_se_complexity=0.0, mc_draws=0,
-                             family="gaussian", n=10,
-                             alternative="unconstrained")
-        keys = list(json.loads(rec.to_json()))
-        assert keys == sorted(keys)
 
 
 class TestParsedSystemMemo:
@@ -1205,9 +1234,9 @@ class TestEvaluate:
         # fraction only matters through the prior scale; fit is untouched
         result = gaussian_fit(n=80, p=3, seed=4)
         a = evaluate(result, parse("x2 > 0"), label="h",
-                     frac=FractionSpec.explicit(0.05))
+                     frac=FractionSpec(0.05))
         b = evaluate(result, parse("x2 > 0"), label="h",
-                     frac=FractionSpec.explicit(0.5))
+                     frac=FractionSpec(0.5))
         assert a.fit == b.fit
         assert a.complexity == b.complexity == 0.5
 

@@ -43,6 +43,7 @@ class TestAnalyze:
         assert abs(rec["log_bf_iu"] - math.log(2.0)) < 0.01
         assert rec["family"] == "gaussian"
         assert rec["study_id"] == "data"
+        assert list(rec) == sorted(rec)
         assert "log_bf=" in capsys.readouterr().out
 
     def test_predictor_subset_and_study_id(self, strong_effect_csv, tmp_path):
@@ -166,6 +167,22 @@ class TestAnalyze:
                          "--out", str(tmp_path / "r.json")])
         assert code == 4
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,words", [
+        ("x1 = 0 & x1 = 1", "x1 = 1.0 stated, x1 = 0.0 implied"),
+        ("x1 = 0 & 2*x1 = 1", "x1 = 0.5 stated, x1 = 0.0 implied")],
+        ids=["same-row", "scaled-row"])
+    def test_contradictory_equalities_exit_2(self, strong_effect_csv, tmp_path,
+                                             capsys, text, words):
+        out = tmp_path / "r.json"
+        code = cli.main(["analyze", "--data", str(strong_effect_csv),
+                         "--family", "gaussian", "--outcome", "y",
+                         "--hypothesis", text, "--seed", "3",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "contradictory equality constraints" in err and words in err
+        assert not out.exists()
 
     def test_unknown_name_exit_2(self, strong_effect_csv, tmp_path):
         code = cli.main(["analyze", "--data", str(strong_effect_csv),

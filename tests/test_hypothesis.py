@@ -91,13 +91,17 @@ class TestNormalization:
     def test_dependent_consistent_equality_dropped_silently(self):
         cs = parse("b1 = 0 & 2*b1 = 0")
         assert cs.n_eq == 1
-        assert cs.warnings == ()
-
-    def test_inconsistent_equality_dropped_with_note(self):
-        cs = parse("b1 = 0 & b1 = 1")
-        assert cs.n_eq == 1
         assert np.array_equal(cs.r_e, [0.0])
-        assert any("inconsistent" in note for note in cs.warnings)
+
+    @pytest.mark.parametrize("text,words", [
+        ("b1 = 0 & b1 = 1", "b1 = 1.0 stated, b1 = 0.0 implied"),
+        ("b1 = 0 & 2*b1 = 1", "b1 = 0.5 stated, b1 = 0.0 implied"),
+        ("b1 + b2 = 1 & b1 = 0 & b2 = 0", "b2 = 0.0 stated, b2 = 1.0 implied")],
+        ids=["same-row", "scaled-row", "sum-of-rows"])
+    def test_inconsistent_equality_raises(self, text, words):
+        with pytest.raises(ParseError, match="contradictory equality") as info:
+            parse(text)
+        assert words in str(info.value)
 
     def test_contradictory_inequalities_kept(self):
         cs = parse("b1 < b2 & b2 < b1")

@@ -1,6 +1,6 @@
 """Names that code outside the package reaches by attribute, private
-names the package reaches outside itself, and private names no module of
-the package takes from another.
+names the package reaches outside itself, private names no module of the
+package takes from another, and public names that something reads.
 
 The benchmark's traced runs (``bench/spans.py``) replace the functions in
 its ``TRACED`` list by module attribute, so moving or renaming one of them
@@ -27,6 +27,13 @@ import evsynth
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
 PACKAGE = ROOT / "src" / "evsynth"
+
+# public names whose only readers are tests, each kept as an oracle
+ORACLES = {
+    "prob_region": "acceptance criteria 08 and 09 check region masses with it",
+    "ConstraintSystem.equals": "tests/test_hypothesis.py compares reparsed "
+                               "systems by their rows with it",
+}
 
 
 def load_spans():
@@ -80,6 +87,52 @@ def test_no_private_names_across_modules():
                      and isinstance(node.value, ast.Name)
                      and node.value.id in siblings]
     assert borrowed == []
+
+
+def public_definitions(tree: ast.Module):
+    """(qualified name, name) of each public function and class of a module
+    and each public method of its public classes."""
+    for node in tree.body:
+        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not node.name.startswith("_")):
+            yield node.name, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{sub.name}", sub.name)
+                            for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)
+                            and not sub.name.startswith("_"))
+
+
+def read_names(tree: ast.Module, strings: bool) -> set[str]:
+    """Names read in ``tree`` as a name or an attribute, and with
+    ``strings`` also as a string constant (the benchmark's tracer names
+    the functions it wraps by strings)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant):
+            found.add(node.value)
+    return found
+
+
+def test_every_public_name_has_a_reader():
+    # read in the package, in bench/, exported, or kept as a test oracle;
+    # matching is by name, so a name that another definition shares passes
+    defined, read = [], set(evsynth.__all__)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(path.stem, qualified, name)
+                    for qualified, name in public_definitions(tree)]
+        read |= read_names(tree, strings=False)
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        read |= read_names(ast.parse(path.read_text(encoding="utf-8")),
+                           strings=True)
+    assert set(ORACLES) <= {qualified for _, qualified, _ in defined}
+    assert [f"{module}.{qualified}" for module, qualified, name in defined
+            if name not in read and qualified not in ORACLES] == []
 
 
 def positional(fn) -> list[str]:
