@@ -23,7 +23,10 @@ Only four or more rows, three-row boxes with a finite bound, or a
 trivariate rule whose error estimate is too large, use Genz-Bretz
 randomized lattice QMC seeded from the caller's generator; scipy.stats,
 which holds it, is imported on that first use.
-Rank-deficient constraint scales reduce to fewer rows first.  The Monte
+Rank-deficient constraint scales reduce to fewer rows first.  Every mass
+of two rows, a full-rank pair or what a reduction leaves, is taken on
+Python floats by one routine, as single rows are, since numpy's dispatch
+on two-element arrays costs several times the arithmetic.  The Monte
 Carlo sampler remains as ``method="mc"`` of :func:`bf_iu` and
 :func:`prob_region`, the test oracle.  Every mass reports an error estimate
 and the name of its method (:data:`MASS_METHODS`).  Zero-mass corner cases
@@ -370,15 +373,12 @@ def _bvn_orthant(h, k, rho: float) -> np.ndarray:
     elementwise over ``h`` and ``k``, through Owen's T function
     (Owen 1956, Ann. Math. Stat. 27:1075).
 
-    One value each (a two-row orthant of a normal law) takes
+    Single corners (two-row masses of a normal law) take
     :func:`_bvn_corner` on floats, whose operations are these in the same
     order, as numpy's dispatch costs several times the arithmetic there.
     """
-    h, k = np.asarray(h, dtype=float), np.asarray(k, dtype=float)
-    if h.size == 1 and k.size == 1:   # broadcast shape: the longer one
-        return np.full(max(h.shape, k.shape, key=len),
-                       _bvn_corner(h.item(), k.item(), float(rho)))
-    h, k = np.broadcast_arrays(h, k)
+    h, k = np.broadcast_arrays(np.asarray(h, dtype=float),
+                               np.asarray(k, dtype=float))
     r = math.sqrt((1.0 - rho) * (1.0 + rho))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         a_h = np.where(h == 0.0, np.copysign(np.inf, k), (k - rho * h) / (h * r))
@@ -498,7 +498,9 @@ def _standard_box(mean: np.ndarray, scale: np.ndarray):
     Rank-deficient scales reduce to fewer rows: a zero-variance row is
     dropped when its mean is positive and empties the region otherwise,
     and a row perfectly correlated with an earlier one narrows that row's
-    bounds instead of adding a dimension.
+    bounds instead of adding a dimension.  :func:`_orthant_prob` standardizes
+    a full-rank pair on floats itself; two rows reach this array form only
+    when one has no variance or |rho| >= 1 - _RHO_TOL.
     """
     var = np.diag(scale)
     sure = var <= 0.0
@@ -577,19 +579,43 @@ def _sampler_rng(rng, draws: int):
     return np.random.default_rng() if rng is None else rng
 
 
-# index pairs (i, j), i < j, of two- and three-row correlations
-_UPPER_PAIRS = {2: (np.array([0]), np.array([1])),
-                3: (np.array([0, 0, 1]), np.array([1, 2, 2]))}
-_SIGNS = np.array([1.0, -1.0])
+# index pairs (i, j), i < j, of three-row correlations
+_UPPER_PAIRS_3 = (np.array([0, 0, 1]), np.array([1, 2, 2]))
 
 
-def _box_side(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Finite bounds of one side of a box and their signs: P(lo < Z < hi)
-    is the sum over the box corners c of sign * P(Z > c), the product of
-    the sides' signs (inclusion-exclusion)."""
-    if hi < math.inf:
-        return np.array([lo, hi]), _SIGNS
-    return np.array([lo]), _SIGNS[:1]
+def _side(terms: list):
+    """The inclusion-exclusion sum over one side of a box: the term at its
+    lower bound, less the term at its upper bound when that is finite."""
+    return terms[0] - terms[1] if len(terms) == 2 else terms[0]
+
+
+def _pair_prob(kind: str, lo0: float, hi0: float, lo1: float, hi1: float,
+               rho: float, df: float | None) -> tuple[float, float, int, str]:
+    """P(lo < Z < hi) for two rows of unit scale and correlation
+    |rho| < 1 - _RHO_TOL, on floats, as :func:`_orthant_prob` returns it.
+
+    A zero-mean orthant takes 1/4 + asin(rho) / 2pi (``np.arcsin``, which
+    the closed forms of three rows share; ``math.asin`` can differ in the
+    last bit).  Otherwise P(Z > c) at each corner c of the box, signed by
+    inclusion-exclusion over the finite bounds: :func:`_bvn_corner` for a
+    normal law (exact), and :func:`_bvn_orthant` over the nodes of
+    :func:`_chi_rule` for a Student-t law.  Float sums depend on their
+    order: a normal law sums over row 0's bounds inside, a Student-t law
+    over row 1's, and tests pin the masses of boxes bounded on both sides.
+    """
+    if hi0 == hi1 == math.inf and lo0 == lo1 == 0.0:
+        p = 0.25 + float(np.arcsin(rho)) / (2.0 * math.pi)
+        return _unit(p), 0.0, 0, "exact"
+    xs = (lo0, hi0) if hi0 < math.inf else (lo0,)
+    ys = (lo1, hi1) if hi1 < math.inf else (lo1,)
+    if kind == "normal":
+        p = _side([_side([_bvn_corner(-x, -y, rho) for x in xs]) for y in ys])
+        return _unit(p), 0.0, 0, "exact"
+    s, v32, v16 = _chi_rule(df)
+    vals = _side([_side([_bvn_orthant(-x * s, -y * s, rho) for y in ys])
+                  for x in xs])
+    p32, p16 = float(v32 @ vals[:32]), float(v16 @ vals[32:])
+    return _unit(p32), max(abs(p32 - p16), _QUAD_FLOOR), 0, "quadrature"
 
 
 def _cdf(kind: str, x: float, df: float | None) -> float:
@@ -603,7 +629,10 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
 
     Returns (probability, error estimate, points used, method name).
     ``method="mc"`` is the Monte Carlo sampler, kept as a test oracle.
-    Otherwise a deterministic ladder runs on the rank-reduced problem:
+    Otherwise a deterministic ladder runs on the rank-reduced problem, on
+    Python floats for one row and for two (:func:`_pair_prob`, entered
+    directly for a pair with positive variances and |rho| < 1 - _RHO_TOL,
+    and after :func:`_standard_box` for what a reduction leaves):
     one row takes the exact CDF; zero-mean two- and three-row orthants the
     closed forms 1/4 + asin(rho) / 2pi and 1/8 + sum asin(rho_ij) / 4pi,
     valid for any elliptical law; other two-row orthants, and two-row
@@ -636,6 +665,14 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
         if s == 0.0:
             return (1.0 if mean[0] > 0 else 0.0), 0.0, 0, "exact"
         return _cdf(kind, float(mean[0]) / s, df), 0.0, 0, "exact"
+    if mean.shape[0] == 2:   # a full-rank pair skips the reduction too
+        v0, v1 = float(scale[0, 0]), float(scale[1, 1])
+        if v0 > 0.0 and v1 > 0.0:
+            s0, s1 = math.sqrt(v0), math.sqrt(v1)
+            rho = float(scale[0, 1]) / (s0 * s1)
+            if abs(rho) < 1.0 - _RHO_TOL:
+                return _pair_prob(kind, -(float(mean[0]) / s0), math.inf,
+                                  -(float(mean[1]) / s1), math.inf, rho, df)
     box = _standard_box(mean, scale)
     if box is None:
         return 0.0, 0.0, 0, "exact"
@@ -649,22 +686,13 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
         if not orthant:
             p -= _cdf(kind, -hi[0], df)
         return p, 0.0, 0, "exact"
-    if orthant and k <= 3 and not lo.any():
-        asin_sum = float(np.arcsin(corr[_UPPER_PAIRS[k]]).sum())
-        p = 0.25 + asin_sum / (2.0 * math.pi) if k == 2 else \
-            0.125 + asin_sum / (4.0 * math.pi)
-        return _unit(p), 0.0, 0, "exact"
     if k == 2:
-        (x, sx), (y, sy) = _box_side(lo[0], hi[0]), _box_side(lo[1], hi[1])
-        if kind == "normal":
-            p = float(sx @ _bvn_orthant(-x[:, None], -y, corr[0, 1]) @ sy)
-            return _unit(p), 0.0, 0, "exact"
-        s, v32, v16 = _chi_rule(df)
-        vals = sx @ (sy @ _bvn_orthant(-x[:, None, None] * s, -y[:, None] * s,
-                                       corr[0, 1]))
-        p32, p16 = float(v32 @ vals[:32]), float(v16 @ vals[32:])
-        return _unit(p32), max(abs(p32 - p16), _QUAD_FLOOR), 0, "quadrature"
+        return _pair_prob(kind, float(lo[0]), float(hi[0]), float(lo[1]),
+                          float(hi[1]), float(corr[0, 1]), df)
     if orthant and k == 3:
+        if not lo.any():
+            asin_sum = float(np.arcsin(corr[_UPPER_PAIRS_3]).sum())
+            return _unit(0.125 + asin_sum / (4.0 * math.pi)), 0.0, 0, "exact"
         rule = _tvn_orthant(kind, -lo, corr, df)
         if rule is not None:
             return rule[0], rule[1], 0, "quadrature"

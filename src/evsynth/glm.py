@@ -93,7 +93,8 @@ class Dataset:
             raise DataError("non-finite values in data")
         if self.family not in FAMILIES:
             raise DataError(f"unknown family {self.family!r}")
-        if self.family in BINOMIAL_FAMILIES and not np.isin(self.y, (0.0, 1.0)).all():
+        if (self.family in BINOMIAL_FAMILIES
+                and not ((self.y == 0.0) | (self.y == 1.0)).all()):
             raise DataError("binomial outcome must take values in {0, 1}")
         self.names = tuple(self.names)
         if len(self.names) != p:
@@ -122,7 +123,6 @@ class FitResult:
     family: str
     names: tuple[str, ...]
     log_likelihood: float
-    warnings: list[str] = field(default_factory=list)
     trace: list[IrlsStep] = field(default_factory=list, repr=False)
 
 
@@ -278,8 +278,17 @@ def fit_ols(d: Dataset) -> FitResult:
     """Ordinary least squares via the normal equations.
 
     Dispersion is the unbiased estimate RSS / (n - p) and the coefficient
-    covariance is dispersion * (X'X)^-1.  A zero-residual fit is returned
-    with a ``degenerate dispersion`` warning rather than an error.
+    covariance is dispersion * (X'X)^-1.
+
+    Raises
+    ------
+    DataError
+        If the residual sum of squares is zero: at most 1e-12 of the
+        outcome's sum of squares about its mean (R^2 >= 1 - 1e-12), or of
+        eps * y'y, the rounding level of a constant outcome.  The posterior
+        scale, hence every Bayes factor, is then degenerate.  Both bounds
+        scale with y, so an outcome far from zero or in small units is
+        judged by its own spread.
     """
     if d.family != "gaussian":
         raise DataError(f"fit_ols requires the gaussian family, got {d.family!r}")
@@ -288,19 +297,18 @@ def fit_ols(d: Dataset) -> FitResult:
     beta = np.linalg.solve(XtX, X.T @ y)
     resid = y - X @ beta
     rss = float(resid @ resid)
-    dof = d.n - d.p
-    phi = rss / dof
+    spread = float(np.sum((y - y.mean()) ** 2))
+    if rss <= 1e-12 * max(spread, np.finfo(float).eps * float(y @ y)):
+        raise DataError("residual sum of squares is zero: the outcome is a "
+                        "linear function of the predictors, so the posterior "
+                        "scale is degenerate")
+    phi = rss / (d.n - d.p)
     cov = phi * np.linalg.inv(XtX)
     cov = (cov + cov.T) / 2.0
-    warnings_list = []
-    if phi <= 0.0 or rss <= 1e-12 * max(1.0, float(y @ y)):
-        warnings_list.append("degenerate dispersion: residual sum of squares is zero")
-    loglik = math.inf if rss == 0.0 else \
-        -0.5 * d.n * (math.log(2.0 * math.pi * rss / d.n) + 1.0)
+    loglik = -0.5 * d.n * (math.log(2.0 * math.pi * rss / d.n) + 1.0)
     return FitResult(beta=beta, cov=cov, dispersion=phi, n=d.n, p=d.p,
                      family=d.family, names=d.names,
-                     log_likelihood=loglik,
-                     warnings=warnings_list)
+                     log_likelihood=loglik)
 
 
 def _logit_parts(X, y, beta):

@@ -41,7 +41,13 @@ def rng_stream(*keys: int) -> np.random.Generator:
     Streams for distinct key tuples are independent and do not depend on
     the order in which they are created, so parallel work can draw from
     per-task streams reproducibly.
+
+    Keys below 2^32 are one 32-bit word of seed entropy each, so they seed
+    from a uint32 array, the same stream as from the list, which numpy
+    would convert key by key in Python.
     """
+    if all(0 <= key < 1 << 32 for key in keys):
+        return np.random.default_rng(np.array(keys, dtype=np.uint32))
     return np.random.default_rng(list(keys))
 
 

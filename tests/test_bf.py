@@ -610,6 +610,48 @@ class TestOrthantLadder:
         assert record.mc_se_fit == 0.0 and record.mc_draws == 0
         assert record.mass_method == "exact"
 
+    @given(st.sampled_from(["normal", "student-t"]), st.floats(1.0, 400.0),
+           st.floats(0.01, 100.0), st.floats(0.01, 100.0),
+           st.floats(-0.99, 0.99),
+           st.one_of(st.just((0.0, 0.0)),
+                     st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
+    @example("normal", 1.0, 1.0, 2.0, 0.3, (0.0, 0.0))
+    @example("student-t", 1.0, 0.5, 3.0, -0.6, (0.4, -1.2))
+    @example("student-t", 7.0, 1.0, 1.0, 0.0, (0.0, 0.9))
+    @settings(max_examples=300, deadline=None)
+    def test_two_row_float_route_is_the_reduced_route(self, kind, df, s0, s1,
+                                                      rho, z):
+        # a full-rank pair takes the float route directly; the same pair
+        # with row 0 repeated reaches it through _standard_box's reduction
+        # (P m and P S P' with P = [[1, 0], [0, 1], [1, 0]]), and the two
+        # masses agree bit for bit
+        cov = np.array([[s0 * s0, rho * s0 * s1], [rho * s0 * s1, s1 * s1]])
+        mean = np.array([z[0] * s0, z[1] * s1])
+        P = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        df = None if kind == "normal" else df
+        direct = bf._orthant_prob(kind, mean, cov, df, None, 1, "auto")
+        padded = bf._orthant_prob(kind, P @ mean, P @ cov @ P.T, df, None, 1,
+                                  "auto")
+        assert direct[2:] == padded[2:]
+        assert [v.hex() for v in direct[:2]] == [v.hex() for v in padded[:2]]
+
+    @pytest.mark.parametrize("kind,df,a,b,r,m,w,want", [
+        ("normal", None, 1.5, 0.4, -0.7, (0.7, 0.2), (1.3, 1.3),
+         "0x1.051c5c7434ab9p-2"),
+        ("student-t", 14.0, 2.0, 0.4, 0.8, (0.1, -0.8), (1.5, 1.0),
+         "0x1.7a3d3e350a9b6p-10")])
+    def test_two_sided_box_corner_order_is_pinned(self, kind, df, a, b, r, m,
+                                                  w, want):
+        # -m < b < w - m in both rows: four corners, whose float sum
+        # depends on its order; summed the other way round, each of these
+        # masses moves in its last bit
+        cov = np.array([[a * a, r * a * b], [r * a * b, b * b]])
+        P = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+        mean = np.array([m[0], m[1], w[0] - m[0], w[1] - m[1]])
+        p, _, used, _ = bf._orthant_prob(kind, mean, P @ cov @ P.T, df, None,
+                                         1, "auto")
+        assert used == 0 and p.hex() == want
+
     @pytest.mark.parametrize("nu", [2.0, 5.0, 30.0, 4795.0])
     def test_two_row_student_t_quadrature(self, nu):
         cov = np.array([[1.0, -0.35], [-0.35, 0.5]])
@@ -724,16 +766,18 @@ class TestOrthantLadder:
     @settings(max_examples=300, deadline=None)
     def test_bivariate_orthant_scalar_path_is_the_array_path(self, h, k, rho,
                                                              shapes):
-        # one value each takes the float path; among other values the same
-        # (h, k) takes the array path, and the two agree bit for bit
-        got = bf._bvn_orthant(np.full(shapes[0], h), np.full(shapes[1], k),
-                              rho)
+        # a corner on floats (_bvn_corner, the two-row masses of a normal
+        # law) and the same (h, k) among other values on arrays agree bit
+        # for bit; single values broadcast to the longer shape
+        got = bf._bvn_corner(h, k, rho)
         want = bf._bvn_orthant(np.array([h, 0.5]), np.array([k, -0.3]),
                                rho)[0]
-        assert got.shape == np.broadcast_shapes(*shapes)
-        assert got.item() == want or (math.isnan(got.item())
-                                      and math.isnan(want))
-        assert np.signbit(got.item()) == np.signbit(want) or math.isnan(want)
+        one = bf._bvn_orthant(np.full(shapes[0], h), np.full(shapes[1], k),
+                              rho)
+        assert one.shape == np.broadcast_shapes(*shapes)
+        for value in (got, one.item()):
+            assert value == want or (math.isnan(value) and math.isnan(want))
+            assert np.signbit(value) == np.signbit(want) or math.isnan(want)
 
     def test_bivariate_orthant_overflowing_slope_is_silent(self):
         # (k - rho h) / (h r) overflows for h near the smallest normal float

@@ -160,6 +160,27 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "n = 3" in err and "p = 2" in err
 
+    def test_exactly_linear_outcome_exit_3(self, tmp_path, capsys):
+        # y = 1 + 2 x1 - x2 exactly: no residual, so no posterior scale
+        rng = np.random.default_rng(5)
+        x1, x2 = rng.normal(size=50), rng.normal(size=50)
+        path = tmp_path / "linear.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(("y", "x1", "x2"))
+            for a, b in zip(x1.tolist(), x2.tolist()):
+                w.writerow([repr(1.0 + 2.0 * a - b), repr(a), repr(b)])
+        out = tmp_path / "r.json"
+        code = cli.main(["analyze", "--data", str(path),
+                         "--family", "gaussian", "--outcome", "y",
+                         "--hypothesis", "x1 > 0", "--seed", "3",
+                         "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "residual sum of squares is zero" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_contradiction_exit_4(self, strong_effect_csv, tmp_path, capsys):
         code = cli.main(["analyze", "--data", str(strong_effect_csv),
                          "--family", "gaussian", "--outcome", "y",

@@ -40,11 +40,26 @@ class TestOls:
         assert result.family == "gaussian"
 
     def test_constant_response_flags_degenerate_dispersion(self):
+        # zero residuals leave no posterior scale to take masses under
         d = make_dataset([3.0, 3.0, 3.0, 3.0], np.ones((4, 1)),
                          names=("intercept",))
-        result = fit_ols(d)
-        assert np.allclose(result.beta, [3.0])
-        assert any("degenerate" in w for w in result.warnings)
+        with pytest.raises(DataError, match="residual sum of squares is zero"):
+            fit_ols(d)
+
+    @pytest.mark.parametrize("offset,unit", [(1e6, 1.0), (0.0, 1e-7),
+                                             (1e9, 1e3)])
+    def test_noisy_outcome_of_any_scale_fits(self, offset, unit):
+        # R^2 about 0.99: residuals tiny beside y'y, or in absolute terms,
+        # are still residuals; only an exact fit is degenerate
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=100)
+        y = offset + unit * (x + 0.1 * rng.normal(size=100))
+        d = make_dataset(y, np.column_stack([np.ones(100), x]),
+                         names=("intercept", "x"))
+        noise_var = (0.1 * unit) ** 2
+        assert 0.5 * noise_var < fit_ols(d).dispersion < 2.0 * noise_var
+        with pytest.raises(DataError, match="residual sum of squares is zero"):
+            fit_ols(make_dataset(offset + unit * x, d.X, names=d.names))
 
     def test_duplicated_column_singular(self):
         x = np.arange(5.0)

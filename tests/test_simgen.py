@@ -342,3 +342,18 @@ class TestRngStream:
         a = rng_stream(1, 2).standard_normal(4)
         b = rng_stream(2, 1).standard_normal(4)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("keys", [(), (0,), (2**32 - 1,), (1, 2, 3),
+                                      (0, 2**32 - 1, 7, 0), (2**32,),
+                                      (5, 2**40 + 3, 1), (3, 2**64 + 1)])
+    def test_stream_is_the_list_seeded_stream(self, keys):
+        # keys below 2^32 seed from a uint32 array, larger ones from the
+        # list; both give numpy's stream for the list of keys
+        a = rng_stream(*keys).integers(0, 2**63, 8)
+        b = np.random.default_rng(list(keys)).integers(0, 2**63, 8)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("keys", [(-1,), (4, -3), (-(2**40),)])
+    def test_negative_key_raises(self, keys):
+        with pytest.raises(ValueError):
+            rng_stream(*keys)
