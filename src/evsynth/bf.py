@@ -17,8 +17,9 @@ hypothesis); Owen's T for nonzero-mean bivariate normal orthants, and for
 two-row boxes with finite bounds by inclusion-exclusion over their corners,
 and a 32-node Gauss rule whose weight is the chi density of the mixing
 scale s = sqrt(W / nu), W ~ chi2(nu), for their Student-t counterparts;
-for nonzero-mean trivariate orthants, Owen's T conditioned on one row and
-integrated by Gauss-Legendre rules (inside the chi rule for Student-t).
+for nonzero-mean trivariate orthants, Plackett's identity: one integral
+over a straight path of correlation matrices by Gauss-Legendre rules, with
+a closed-form Student-t integrand.
 Only four or more rows, three-row boxes with a finite bound, or a
 trivariate rule whose error estimate is too large, use Genz-Bretz
 randomized lattice QMC seeded from the caller's generator; scipy.stats,
@@ -48,7 +49,7 @@ from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
 from scipy import linalg as sla
-from scipy.special import ndtr, ndtri, owens_t, roots_jacobi, stdtr
+from scipy.special import betaln, ndtr, owens_t, roots_jacobi, stdtr
 
 from . import hypothesis as hyp
 from .glm import DataError, FitResult
@@ -292,8 +293,9 @@ def _psd_sqrt(S: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes of the 64- and 32-point Gauss-Legendre rules on (0, 1),
-    stacked, and the weights of each; built on first use, not at import."""
+    """Nodes of the 64- and 32-point Gauss-Legendre rules on (0, 1), the
+    path of :func:`_tvn_orthant`, stacked, and the weights of each; built
+    on first use, not at import."""
     rules = [np.polynomial.legendre.leggauss(n) for n in (64, 32)]
     nodes = np.concatenate([(x + 1.0) / 2.0 for x, _ in rules])
     return nodes, rules[0][1] / 2.0, rules[1][1] / 2.0
@@ -416,79 +418,61 @@ def _ieee_div(x: float, y: float) -> float:
     return math.copysign(math.inf, x) * math.copysign(1.0, y)
 
 
-def _tvn_terms(h: np.ndarray, corr: np.ndarray, i: int, s, t):
-    """Integrand of P(Z < h s) over t in (0, 1) for standard trivariate
-    normals Z with correlation ``corr``, conditioned on row ``i``,
-    elementwise over the broadcast of ``s`` and ``t``; None when the other
-    two rows are perfectly correlated given row ``i``.
-
-    With c = Phi(h_i s), u = Phi(z) = c t^3 runs over (0, c) and the
-    integrand is 3 c t^2 times the bivariate orthant of the other two rows
-    given Z_i = z.  That orthant tends to its limit at z = -inf like a
-    power u^a, small a for weak correlations; the cubic grading makes the
-    integrand smooth there, so the Gauss-Legendre rules converge fast."""
-    j, m = [x for x in range(3) if x != i]
-    r_j = math.sqrt((1.0 - corr[i, j]) * (1.0 + corr[i, j]))
-    r_m = math.sqrt((1.0 - corr[i, m]) * (1.0 + corr[i, m]))
-    rho = (corr[j, m] - corr[i, j] * corr[i, m]) / (r_j * r_m)
-    if abs(rho) >= 1.0 - _RHO_TOL:
-        return None
-    with np.errstate(invalid="ignore"):
-        c = ndtr(h[i] * s)
-        u = c * t ** 3
-        z = ndtri(u)
-        f = _bvn_orthant((h[j] * s - corr[i, j] * z) / r_j,
-                         (h[m] * s - corr[i, m] * z) / r_m, rho)
-        return np.where(u > 0.0, 3.0 * c * t * t * f, 0.0)   # u = 0: no mass
-
-
-def _tvn_rule(kind: str, h: np.ndarray, corr: np.ndarray, df: float | None,
-              i: int) -> tuple[float, float] | None:
-    """P(Z < h) for a trivariate normal or Student-t Z with unit scales
-    and correlation ``corr``, conditioned on row ``i``, and its error
-    estimate; None when the other two rows are perfectly correlated given
-    row ``i``.
-
-    The bivariate orthant left by the conditioning (Owen's T) is
-    integrated over u = Phi(z) with the 64- and 32-point Gauss-Legendre
-    rules of :func:`_legendre_rule` (Genz 2004, Stat. Comput. 14:251); the
-    error estimate is |G64 - G32|, floored at _QUAD_FLOOR.  Student-t
-    orthants run that rule inside the chi rule of :func:`_chi_rule`, the
-    64 (32) inner nodes under each of the 32 (16) outer ones, in one call,
-    and the estimate is |S32 G64 - S16 G32|.
-    """
-    nodes, w64, w32 = _legendre_rule()
-    if kind == "normal":
-        vals = _tvn_terms(h, corr, i, 1.0, nodes)
-        if vals is None:
-            return None
-        p_hi, p_lo = float(w64 @ vals[:64]), float(w32 @ vals[64:])
-    else:
-        s, v32, v16 = _chi_rule(df)
-        vals = _tvn_terms(h, corr, i,
-                          np.concatenate([np.repeat(s[:32], 64),
-                                          np.repeat(s[32:], 32)]),
-                          np.concatenate([np.tile(nodes[:64], 32),
-                                          np.tile(nodes[64:], 16)]))
-        if vals is None:
-            return None
-        p_hi = float(v32 @ vals[:2048].reshape(32, 64) @ w64)
-        p_lo = float(v16 @ vals[2048:].reshape(16, 32) @ w32)
-    return p_hi, max(abs(p_hi - p_lo), _QUAD_FLOOR)
+# index pairs (i, j), i < j, of three-row correlations; the third row of
+# each pair is 3 - i - j
+_UPPER_PAIRS_3 = (np.array([0, 0, 1]), np.array([1, 2, 2]))
 
 
 def _tvn_orthant(kind: str, h: np.ndarray, corr: np.ndarray,
                  df: float | None) -> tuple[float, float] | None:
-    """:func:`_tvn_rule` conditioned on the row with the smallest normal
-    error estimate; None when no row gets the estimate within QMC_SE."""
-    rules = [(rule, i) for i in range(3)
-             if (rule := _tvn_rule("normal", h, corr, None, i)) is not None]
-    if not rules:
+    """P(Z < h) for a trivariate normal or Student-t Z with unit scales
+    and correlation ``corr``, and its error estimate; None when the
+    estimate exceeds QMC_SE.
+
+    Plackett's identity (Plackett 1954, Biometrika 41:351; Genz 2004,
+    Stat. Comput. 14:251) integrates along R(t) = I + t (corr - I), which
+    is positive definite for t in (0, 1), from independent rows at t = 0:
+    dP/dt sums corr_ij phi2(h_i, h_j; rho) Phi(c_k) over the pairs (i, j),
+    with rho = t corr_ij and c_k the third row's bound standardized given
+    Z_i = h_i and Z_j = h_j under R(t).  Over the chi scale of a Student-t
+    law a term averages in closed form to (1 + q / nu)^(-nu / 2)
+    / (2 pi sqrt(1 - rho^2)) T_nu(c_k sqrt(nu / (nu + q))), q the pair's
+    quadratic form, and the start value prod Phi(s h_i) takes the rule of
+    :func:`_chi_rule`.  All three pairs run at the nodes of
+    :func:`_legendre_rule` at once; the error estimate is |G64 - G32|, plus
+    |S32 - S16| of a Student-t start value, floored at _QUAD_FLOOR.
+    """
+    nodes, w64, w32 = _legendre_rule()
+    i, j = _UPPER_PAIRS_3
+    k = 3 - i - j
+    t = nodes[:, None]
+    rho, a, b = t * corr[i, j], t * corr[k, i], t * corr[k, j]
+    one_m = (1.0 - rho) * (1.0 + rho)
+    h_i, h_j, h_k = h[i], h[j], h[k]
+    q = (h_i * h_i - 2.0 * rho * h_i * h_j + h_j * h_j) / one_m
+    mu_k = ((a - b * rho) * h_i + (b - a * rho) * h_j) / one_m
+    # det R(t) / (1 - rho^2): rounding can take it to or below 0 near t = 1
+    # for a singular corr, and the nan that follows sends the mass to QMC
+    var_k = (one_m - a * a - b * b + 2.0 * a * b * rho) / one_m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (h_k - mu_k) / np.sqrt(var_k)
+        if kind == "normal":
+            terms = np.exp(-q / 2.0) * ndtr(c)
+            start, start_err = float(np.prod(ndtr(h))), 0.0
+        else:
+            nu = min(df, _CHI_DF_MAX)
+            terms = (np.exp(-nu / 2.0 * np.log1p(q / nu))
+                     * stdtr(nu, c * np.sqrt(nu / (nu + q))))
+            s, v32, v16 = _chi_rule(df)
+            starts = ndtr(np.outer(s, h)).prod(axis=1)
+            start = float(v32 @ starts[:32])
+            start_err = abs(start - float(v16 @ starts[32:]))
+    g = (terms * (corr[i, j] / (2.0 * math.pi * np.sqrt(one_m)))).sum(axis=1)
+    g64 = float(w64 @ g[:64])
+    err = max(abs(g64 - float(w32 @ g[64:])) + start_err, _QUAD_FLOOR)
+    if not err <= QMC_SE:   # nan too
         return None
-    (p, err), i = min(rules, key=lambda r: r[0][1])
-    if kind == "student-t":
-        p, err = _tvn_rule(kind, h, corr, df, i)
-    return (_unit(p), err) if err <= QMC_SE else None
+    return _unit(start + g64), err
 
 
 def _standard_box(mean: np.ndarray, scale: np.ndarray):
@@ -579,10 +563,6 @@ def _sampler_rng(rng, draws: int):
     return np.random.default_rng() if rng is None else rng
 
 
-# index pairs (i, j), i < j, of three-row correlations
-_UPPER_PAIRS_3 = (np.array([0, 0, 1]), np.array([1, 2, 2]))
-
-
 def _side(terms: list):
     """The inclusion-exclusion sum over one side of a box: the term at its
     lower bound, less the term at its upper bound when that is finite."""
@@ -640,10 +620,10 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
     T summed over the box corners by inclusion-exclusion (normal, exact) or
     that sum under the 32-node Gauss rule of :func:`_chi_rule` over the
     mixing scale (Student-t, error |S32 - S16| floored at _QUAD_FLOOR);
-    nonzero-mean three-row orthants the conditioned Gauss-Legendre rule of
-    :func:`_tvn_orthant` while its error estimate is within QMC_SE.  The
-    rest, four or more rows and three-row boxes among them, takes
-    randomized lattice QMC seeded from ``rng``.
+    nonzero-mean three-row orthants Plackett's integral by the
+    Gauss-Legendre rules of :func:`_tvn_orthant` while its error estimate
+    is within QMC_SE.  The rest, four or more rows and three-row boxes
+    among them, takes randomized lattice QMC seeded from ``rng``.
     Error estimates are 0 for closed forms and CDFs.
     """
     if method not in ("auto", "mc"):
@@ -743,12 +723,13 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
         q = sla.solve_triangular(chol, -eta.eq.mean, lower=True)
         quad = float(q @ q)
         # above _CHI_DF_MAX the t density is the normal one, as the masses
-        # are; lgamma differences lose precision there and give nan at inf
+        # are.  lgamma((nu + k) / 2) - lgamma(nu / 2) would cancel at large
+        # nu (1e-5 relative at 1e12); the beta function form does not
         if dist.kind == "normal" or dist.df > _CHI_DF_MAX:
             log_pdf = -0.5 * (k * math.log(2.0 * math.pi) + log_det + quad)
         else:
             nu = dist.df
-            log_pdf = (math.lgamma((nu + k) / 2.0) - math.lgamma(nu / 2.0)
+            log_pdf = (math.lgamma(k / 2.0) - float(betaln(nu / 2.0, k / 2.0))
                        - 0.5 * (k * math.log(nu * math.pi) + log_det)
                        - (nu + k) / 2.0 * math.log1p(quad / nu))
         dens = math.exp(log_pdf)

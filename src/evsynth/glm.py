@@ -117,12 +117,10 @@ class FitResult:
 
     beta: np.ndarray
     cov: np.ndarray
-    dispersion: float
     n: int
     p: int
     family: str
     names: tuple[str, ...]
-    log_likelihood: float
     trace: list[IrlsStep] = field(default_factory=list, repr=False)
 
 
@@ -305,10 +303,8 @@ def fit_ols(d: Dataset) -> FitResult:
     phi = rss / (d.n - d.p)
     cov = phi * np.linalg.inv(XtX)
     cov = (cov + cov.T) / 2.0
-    loglik = -0.5 * d.n * (math.log(2.0 * math.pi * rss / d.n) + 1.0)
-    return FitResult(beta=beta, cov=cov, dispersion=phi, n=d.n, p=d.p,
-                     family=d.family, names=d.names,
-                     log_likelihood=loglik)
+    return FitResult(beta=beta, cov=cov, n=d.n, p=d.p, family=d.family,
+                     names=d.names)
 
 
 def _logit_parts(X, y, beta):
@@ -403,10 +399,8 @@ def fit_binomial(d: Dataset) -> FitResult:
 
     cov = np.linalg.inv(neg_hess)
     cov = (cov + cov.T) / 2.0
-    return FitResult(beta=beta, cov=cov, dispersion=1.0, n=d.n, p=d.p,
-                     family=d.family, names=d.names,
-                     log_likelihood=loglik,
-                     trace=trace)
+    return FitResult(beta=beta, cov=cov, n=d.n, p=d.p, family=d.family,
+                     names=d.names, trace=trace)
 
 
 def fit(d: Dataset) -> FitResult:

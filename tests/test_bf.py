@@ -349,9 +349,26 @@ class TestDensityAtEquality:
                                                    parse(text)),
                             rel_tol=1e-12)
 
+    @pytest.mark.parametrize("df,text,want", [
+        # log densities by mpmath at 50 digits
+        (1e6, "b1 = 0", -0.96393882617967084),
+        (1e6, "b1 = 0 & b2 = 0 & b3 = 0", -3.4127578787053436),
+        (1e9, "b1 = 0", -0.96393853349764774),
+        (1e9, "b1 = 0 & b2 = 0 & b3 = 0", -3.4127581629027699),
+        (1e11, "b1 = 0", -0.96393853320760249),
+        (1e11, "b1 = 0 & b2 = 0 & b3 = 0", -3.4127581631844074),
+        (1e12, "b1 = 0", -0.96393853320496572),
+        (1e12, "b1 = 0 & b2 = 0 & b3 = 0", -3.4127581631869677)])
+    def test_large_df_matches_mpmath(self, df, text, want):
+        # the normalizing constant's lgamma difference cancels at large df
+        dist = t_dist([0.3, -0.2, 0.5], [[1.0, 0.4, 0.1], [0.4, 2.0, 0.3],
+                                         [0.1, 0.3, 1.5]], df=df)
+        assert abs(math.log(density_at_equality(dist, parse(text)))
+                   - want) <= 1e-9
+
     @pytest.mark.parametrize("text,want", [
-        ("b1 = 0", 0.38136450364586716),
-        ("b1 = 0 & b2 > 0", 0.15512283682370615)])
+        ("b1 = 0", 0.3813645036448456),
+        ("b1 = 0 & b2 > 0", 0.1551228368232906)])
     def test_fit_size_df_unchanged(self, text, want):
         dist = t_dist([0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]], df=4793)
         assert density_at_equality(dist, parse(text)) == want
@@ -872,9 +889,9 @@ THREE_ROW_CASES = [
 
 
 class TestTrivariateRule:
-    """Nonzero-mean three-row orthants: one row conditioned on, the
-    bivariate rest integrated by Gauss-Legendre rules, against scipy's CDF
-    and lattice rules and the Monte Carlo sampler."""
+    """Nonzero-mean three-row orthants: Plackett's integral over the
+    correlations by Gauss-Legendre rules, against scipy's CDF and lattice
+    rules, nested adaptive quadrature and the Monte Carlo sampler."""
 
     H = parse("{b1, b2, b3} > 0")
 
@@ -934,8 +951,9 @@ class TestTrivariateRule:
         assert record.mc_se_fit > 0.0 and record.mc_se_complexity == 0.0
 
     def test_singular_rows_fall_back_to_qmc(self):
-        # eta3 = eta1 + eta2 - 0.1: every row order leaves a perfectly
-        # correlated pair, which the rule cannot condition on
+        # eta3 = eta1 + eta2 - 0.1: the correlation is singular, and the
+        # third row's conditional variance vanishes at the end of the
+        # path, where the rule's estimate exceeds QMC_SE
         cov = np.array([[1.0, 0.3], [0.3, 2.0]])
         dist = normal_dist([0.3, 0.2], cov)
         h = parse("b1 > 0 & b2 > 0 & b1 + b2 > 0.1")
@@ -951,14 +969,63 @@ class TestTrivariateRule:
            st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
            st.sampled_from([None, 1.0, 6.0, 300.0]))
     @settings(max_examples=60, deadline=None)
-    def test_row_orders_agree_within_estimates(self, entries, h, df):
+    def test_row_permutations_agree_within_estimates(self, entries, h, df):
         A = np.array(entries).reshape(3, 3)
         S = A @ A.T + 0.05 * np.eye(3)
         corr = S / np.sqrt(np.outer(np.diag(S), np.diag(S)))
         kind = "normal" if df is None else "student-t"
-        rules = [bf._tvn_rule(kind, np.array(h), corr, df, i) for i in range(3)]
+        rules = [bf._tvn_orthant(kind, np.array(h)[list(order)],
+                                 corr[np.ix_(order, order)], df)
+                 for order in itertools.permutations(range(3))]
+        assert None not in rules
         for (p_a, err_a), (p_b, err_b) in itertools.combinations(rules, 2):
             assert abs(p_a - p_b) <= err_a + err_b
+
+    def test_matches_nested_quadrature(self):
+        # the sim 6 posterior of row 18 in tests/data/regression/sim6.csv;
+        # the value is bench/build_reference.py's orthant_quad
+        h = np.array([2.0598482996583014, 0.7083956942459673,
+                      -0.7841130329474496])
+        corr = np.array(
+            [[1.0, -0.0066839984012262805, -0.14364776575584526],
+             [-0.0066839984012262805, 1.0000000000000002, -0.28443809889574334],
+             [-0.14364776575584526, -0.28443809889574334, 1.0]])
+        p, err, used, how = bf._orthant_prob("student-t", h, corr, 18.0, None,
+                                             1, "auto")
+        assert (used, how) == (0, "quadrature") and err <= 1e-8
+        assert abs(p - 0.1316238813058983) <= 1e-10
+
+    @pytest.mark.parametrize("h,corr,nu", [
+        ([-2.871346115768351, -1.4273257809344013, 1.6419888736354409],
+         [[1.0, -0.9908881516627166, -0.6539236468002433],
+          [-0.9908881516627166, 1.0, 0.6415619337457923],
+          [-0.6539236468002433, 0.6415619337457923, 1.0]], 1.0),
+        ([1.690536478488693, 1.5698147893095253, 2.632216294043081],
+         [[1.0, -0.87291388415629, 0.8790518231914227],
+          [-0.87291388415629, 1.0, -0.9731691056632515],
+          [0.8790518231914227, -0.9731691056632515, 1.0]], 1.0),
+        ([2.8469773448192717, 2.9415950564516633, 2.9199576248797987],
+         [[1.0, 0.5516460235308, 0.8485109698257735],
+          [0.5516460235308, 1.0, 0.27233302158594186],
+          [0.8485109698257735, 0.27233302158594186, 1.0]], 193.0)])
+    def test_near_singular_laws_take_the_rule(self, h, corr, nu):
+        # near-singular laws, A A^T + eps I with eps from 1e-6 to 1e-3, on
+        # which the estimate stays within QMC_SE
+        h, corr = np.array(h), np.array(corr)
+        p, err, used, how = bf._orthant_prob("student-t", h, corr, nu, None, 1,
+                                             "auto")
+        ref, ref_err, _ = _qmvt(10**6, nu, corr, -np.full(3, np.inf), h,
+                                np.random.default_rng(7))
+        assert (used, how) == (0, "quadrature") and 0.0 < err <= 1e-5
+        assert abs(p - ref) <= 4.0 * math.hypot(err, ref_err / 3.0)
+
+    @pytest.mark.parametrize("case", range(len(THREE_ROW_CASES)))
+    @pytest.mark.parametrize("nu", [1e15, math.inf])
+    def test_huge_df_gives_the_normal_mass(self, case, nu):
+        mean, cov = (np.array(v) for v in THREE_ROW_CASES[case])
+        p, err = prob_region(t_dist(mean, cov, nu), self.H)
+        normal, normal_err = prob_region(normal_dist(mean, cov), self.H)
+        assert abs(p - normal) <= err + normal_err
 
 
 def chi_moment(k, nu):

@@ -34,7 +34,9 @@ class TestOls:
                          names=("intercept", "x"))
         result = fit_ols(d)
         assert np.allclose(result.beta, [1.0 / 6.0, 0.5], atol=1e-12)
-        assert math.isclose(result.dispersion, 1.0 / 6.0, rel_tol=1e-12)
+        # cov (X'X) is the dispersion times the identity
+        assert np.allclose(result.cov @ d.X.T @ d.X, np.eye(2) / 6.0,
+                           rtol=0.0, atol=1e-12 / 6.0)
         expected_cov = (1.0 / 36.0) * np.array([[5.0, -3.0], [-3.0, 3.0]])
         assert np.allclose(result.cov, expected_cov, atol=1e-12)
         assert result.family == "gaussian"
@@ -57,7 +59,9 @@ class TestOls:
         d = make_dataset(y, np.column_stack([np.ones(100), x]),
                          names=("intercept", "x"))
         noise_var = (0.1 * unit) ** 2
-        assert 0.5 * noise_var < fit_ols(d).dispersion < 2.0 * noise_var
+        # cov (X'X) is the dispersion times the identity
+        phi = np.diag(fit_ols(d).cov @ d.X.T @ d.X)
+        assert np.all((0.5 * noise_var < phi) & (phi < 2.0 * noise_var))
         with pytest.raises(DataError, match="residual sum of squares is zero"):
             fit_ols(make_dataset(offset + unit * x, d.X, names=d.names))
 
@@ -209,7 +213,7 @@ class TestBinomial:
         result = fit_binomial(d)
         mu = expit(X @ result.beta)
         direct = float(np.sum(y * np.log(mu) + (1.0 - y) * np.log1p(-mu)))
-        assert math.isclose(result.log_likelihood, direct, rel_tol=1e-10)
+        assert math.isclose(result.trace[-1].loglik, direct, rel_tol=1e-10)
 
 
 class TestSeparationDetection:

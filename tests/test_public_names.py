@@ -1,6 +1,7 @@
 """Names that code outside the package reaches by attribute, private
 names the package reaches outside itself, private names no module of the
-package takes from another, and public names that something reads.
+package takes from another, and public names and dataclass fields that
+something reads.
 
 The benchmark's traced runs (``bench/spans.py``) replace the functions in
 its ``TRACED`` list by module attribute, so moving or renaming one of them
@@ -28,11 +29,15 @@ ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "bench" / "spans.py"
 PACKAGE = ROOT / "src" / "evsynth"
 
-# public names whose only readers are tests, each kept as an oracle
+# public names and dataclass fields whose only readers are tests, each
+# kept as an oracle
 ORACLES = {
     "prob_region": "acceptance criteria 08 and 09 check region masses with it",
     "ConstraintSystem.equals": "tests/test_hypothesis.py compares reparsed "
                                "systems by their rows with it",
+    "SimulationResult.aggregates": "bench/workloads.py builds the result "
+                                   "positionally, and acceptance criteria "
+                                   "01 and 03 read the aggregate rows",
 }
 
 
@@ -118,21 +123,71 @@ def read_names(tree: ast.Module, strings: bool) -> set[str]:
     return found
 
 
+def dataclass_fields(tree: ast.Module):
+    """(qualified name, name, written) of each field of a module's
+    dataclasses; ``written`` when the class writes its instances out
+    through ``asdict``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                (isinstance(d, ast.Name) and d.id == "dataclass")
+                or (isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+                    and d.func.id == "dataclass")
+                for d in node.decorator_list):
+            written = any(isinstance(sub, ast.Call)
+                          and isinstance(sub.func, ast.Name)
+                          and sub.func.id == "asdict"
+                          for sub in ast.walk(node))
+            yield from ((f"{node.name}.{sub.target.id}", sub.target.id, written)
+                        for sub in node.body
+                        if isinstance(sub, ast.AnnAssign)
+                        and isinstance(sub.target, ast.Name))
+
+
+def package_trees() -> list[tuple[str, ast.Module]]:
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def bench_trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "bench").rglob("*.py"))]
+
+
+def test_oracles_name_definitions():
+    defined = set()
+    for _, tree in package_trees():
+        defined |= {qualified for qualified, _ in public_definitions(tree)}
+        defined |= {qualified for qualified, _, _ in dataclass_fields(tree)}
+    assert set(ORACLES) <= defined
+
+
 def test_every_public_name_has_a_reader():
     # read in the package, in bench/, exported, or kept as a test oracle;
     # matching is by name, so a name that another definition shares passes
     defined, read = [], set(evsynth.__all__)
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined += [(path.stem, qualified, name)
+    for module, tree in package_trees():
+        defined += [(module, qualified, name)
                     for qualified, name in public_definitions(tree)]
         read |= read_names(tree, strings=False)
-    for path in sorted((ROOT / "bench").rglob("*.py")):
-        read |= read_names(ast.parse(path.read_text(encoding="utf-8")),
-                           strings=True)
-    assert set(ORACLES) <= {qualified for _, qualified, _ in defined}
+    for tree in bench_trees():
+        read |= read_names(tree, strings=True)
     assert [f"{module}.{qualified}" for module, qualified, name in defined
             if name not in read and qualified not in ORACLES] == []
+
+
+def test_every_dataclass_field_has_a_reader():
+    # read as an attribute in the package or in bench/ (tests do not
+    # count), written out by its class through asdict, or kept as a test
+    # oracle; matching is by name, as for public names
+    trees, read = package_trees(), set()
+    for tree in [tree for _, tree in trees] + bench_trees():
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+    unread = [f"{module}.{qualified}" for module, tree in trees
+              for qualified, name, written in dataclass_fields(tree)
+              if name not in read and not written and qualified not in ORACLES]
+    assert unread == []
 
 
 def positional(fn) -> list[str]:
