@@ -531,8 +531,12 @@ def _qmc_box(kind: str, lo: np.ndarray, hi: np.ndarray, corr: np.ndarray,
     standard error too noisily to stop on alone: in 100-seed trials,
     stopping on the first low value missed by up to 15 reported standard
     errors.  Returns (probability, error estimate, points used over all
-    rules).
+    rules).  A Student-t law with df below 1 raises :class:`NumericError`:
+    there scipy's rule misses by many times the error it reports.
     """
+    if kind == "student-t" and df < 1.0:
+        raise NumericError(
+            f"no lattice QMC mass for a Student-t law with df {df!r} below 1")
     # scipy.stats takes about as long to import as the rest of evsynth
     # together, and only four or more rows (or a three-row fallback) need it
     from scipy.stats._qmvnt import _qmvn, _qmvt
@@ -623,7 +627,8 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
     nonzero-mean three-row orthants Plackett's integral by the
     Gauss-Legendre rules of :func:`_tvn_orthant` while its error estimate
     is within QMC_SE.  The rest, four or more rows and three-row boxes
-    among them, takes randomized lattice QMC seeded from ``rng``.
+    among them, takes randomized lattice QMC seeded from ``rng``; for a
+    Student-t law with df below 1 that rung raises :class:`NumericError`.
     Error estimates are 0 for closed forms and CDFs.
     """
     if method not in ("auto", "mc"):
@@ -755,7 +760,10 @@ def prob_region(dist: CoefDistribution, h: hyp.ConstraintSystem,
     density path.  Returns (probability, error estimate): 0 for closed
     forms and CDFs, the difference of two rules for quadrature (at least
     _QUAD_FLOOR), one standard error for lattice QMC (``method="auto"``)
-    and the Monte Carlo sampler (``method="mc"``).
+    and the Monte Carlo sampler (``method="mc"``).  With
+    ``method="auto"``, a Student-t law with df below 1 whose mass needs
+    lattice QMC (four or more rows, a three-row box, or a three-row orthant
+    the quadrature rule cannot resolve) raises :class:`NumericError`.
     """
     if h.n_eq:
         raise ValueError("prob_region requires an inequality-only hypothesis")

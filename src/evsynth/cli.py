@@ -133,11 +133,9 @@ def cmd_synthesize(args) -> int:
         with open(args.trail, "w", newline="", encoding="utf-8") as fh:
             w = csv_writer(fh)
             w.writerow(("study_id", "label", "log_bf", "cumulative_log_bf"))
-            cum = {lab: 0.0 for lab in state.labels}
-            for study_id, logs in state.trail:
-                for lab in state.labels:
-                    cum[lab] = synthesis.aggregate_log_bf((cum[lab], logs[lab]))
-                    w.writerow((study_id, lab, _fmt(logs[lab]), _fmt(cum[lab])))
+            for study_id, logs, cums in state.running_totals():
+                for lab, v, cum in zip(state.labels, logs, cums):
+                    w.writerow((study_id, lab, _fmt(v), _fmt(cum)))
     pmps = summary["pmps"]
     best = max(pmps, key=pmps.get)
     print(f"aggregated {state.study_count} studies; "

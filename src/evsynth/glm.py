@@ -16,6 +16,7 @@ without score convergence.  The fits read these constants when called.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -312,22 +313,26 @@ def _logit_parts(X, y, beta):
     loglik = float(y @ z - np.logaddexp(0.0, z).sum())
     mu = expit(z)
     grad = X.T @ (y - mu)
-    w = mu * (1.0 - mu)
-    neg_hess = X.T @ (w[:, None] * X)
-    margin = float(np.minimum(mu, 1.0 - mu).max())
+    mu0 = 1.0 - mu
+    neg_hess = X.T @ ((mu * mu0)[:, None] * X)
+    margin = float(np.minimum(mu, mu0).max())
     return loglik, grad, neg_hess, margin
 
 
-def _probit_parts(X, y, beta):
+def _probit_parts(X, y, y0, sign, beta):
+    """The probit log-likelihood, score, observed information and margin
+    at ``beta``, with ``y0 = 1 - y`` and ``sign = 2y - 1`` given once per
+    fit.  ``log_p`` is log P(Y = y), so one ``log_ndtr`` and one Mills
+    ratio ``r`` serve both classes."""
     z = X @ beta
-    log_p1 = log_ndtr(z)
-    log_p0 = log_ndtr(-z)
-    loglik = float(y @ log_p1 + (1.0 - y) @ log_p0)
+    sz = sign * z
+    log_p = log_ndtr(sz)
+    # the two dots add the same terms as y @ log P(Y = 1) + y0 @ log P(Y = 0)
+    loglik = float(y @ log_p + y0 @ log_p)
     log_pdf = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
-    r1 = np.exp(log_pdf - log_p1)   # pdf / cdf, the Mills ratio arm for y = 1
-    r0 = np.exp(log_pdf - log_p0)   # pdf / (1 - cdf)
-    grad = X.T @ (y * r1 - (1.0 - y) * r0)
-    curvature = y * (z * r1 + r1 * r1) + (1.0 - y) * (r0 * r0 - z * r0)
+    r = np.exp(log_pdf - log_p)
+    grad = X.T @ (sign * r)
+    curvature = r * r + sz * r
     neg_hess = X.T @ (curvature[:, None] * X)
     p = ndtr(z)
     margin = float(np.minimum(p, 1.0 - p).max())
@@ -359,12 +364,15 @@ def fit_binomial(d: Dataset) -> FitResult:
         raise DataError("binomial response contains a single class")
     X, y = d.X, d.y
     _condition_guard(X)
-    parts = _logit_parts if d.family == "logit" else _probit_parts
+    if d.family == "logit":
+        parts = functools.partial(_logit_parts, X, y)
+    else:
+        parts = functools.partial(_probit_parts, X, y, 1.0 - y, 2.0 * y - 1.0)
 
     beta = np.zeros(d.p)
     trace: list[IrlsStep] = []
     converged = False
-    loglik, grad, neg_hess, margin = parts(X, y, beta)
+    loglik, grad, neg_hess, margin = parts(beta)
     for _ in range(MAX_ITER):
         grad_inf = float(np.abs(grad).max())
         trace.append(IrlsStep(loglik, grad_inf, float(np.abs(beta).max()), margin))
@@ -378,7 +386,7 @@ def fit_binomial(d: Dataset) -> FitResult:
         step = 1.0
         while step > 2.0 ** -30:
             cand = beta + step * delta
-            cand_parts = parts(X, y, cand)
+            cand_parts = parts(cand)
             if cand_parts[0] >= loglik - 1e-12:
                 break
             step /= 2.0

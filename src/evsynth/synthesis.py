@@ -8,12 +8,17 @@ result is independent of study order, and posterior model probabilities
 renormalize the prior odds by the accumulated evidence.  This module owns
 those across-study decisions: the checked prior probabilities, the
 sentinel-aware sum and the PMPs.
+
+States are values: :func:`update` returns a new state and leaves its
+argument as it was, so an older state can be extended again.  The running
+sums are Python floats, added by one sentinel-aware helper, and the PMPs
+take log priors computed once per state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -29,6 +34,17 @@ class DuplicateStudyError(ValueError):
     """A study id was aggregated twice."""
 
 
+def _add(total: float, v: float) -> float:
+    """``total + v`` for log Bayes factors: +inf and -inf dominate a finite
+    sum; NaN, and mixing the two, raise :class:`NumericError`."""
+    if math.isnan(v):
+        raise NumericError("NaN log Bayes factor in aggregation")
+    total += v
+    if math.isnan(total):
+        raise NumericError("conflicting +inf and -inf sentinels in aggregation")
+    return total
+
+
 def aggregate_log_bf(values: Iterable[float]) -> float:
     """Sum per-study log Bayes factors with sentinel awareness.
 
@@ -37,12 +53,7 @@ def aggregate_log_bf(values: Iterable[float]) -> float:
     """
     total = 0.0
     for v in values:
-        v = float(v)
-        if math.isnan(v):
-            raise NumericError("NaN log Bayes factor in aggregation")
-        total += v
-        if math.isnan(total):
-            raise NumericError("conflicting +inf and -inf sentinels in aggregation")
+        total = _add(total, float(v))
     return total
 
 
@@ -65,20 +76,26 @@ def pmps(log_bfs, priors=None) -> np.ndarray:
     Computed in log space with max subtraction.  +inf sentinels receive an
     equal share of 1 among themselves; -inf yields probability 0.
     """
-    lb = np.asarray(log_bfs, dtype=float)
-    m = lb.shape[0]
-    if m == 0:
+    lb = [float(v) for v in log_bfs]
+    if not lb:
         raise ValueError("no hypotheses")
-    if np.isnan(lb).any():
+    if any(map(math.isnan, lb)):
         raise NumericError("NaN log Bayes factor")
-    priors = _prior_probs(priors, m)
-    if np.isposinf(lb).any():
-        top = np.isposinf(lb)
-        return top / top.sum()
-    w = np.log(priors) + lb
-    if np.isneginf(w).all():
+    return _pmps(lb, np.log(_prior_probs(priors, len(lb))).tolist())
+
+
+def _pmps(lb, log_priors) -> np.ndarray:
+    """:func:`pmps` from NaN-free log Bayes factors and the log prior
+    probabilities, both sequences of floats.  The exponential stays numpy's,
+    which can differ from ``math.exp`` in the last bit."""
+    if math.inf in lb:
+        share = 1.0 / lb.count(math.inf)
+        return np.array([share if v == math.inf else 0.0 for v in lb])
+    w = [p + v for p, v in zip(log_priors, lb)]
+    top = max(w)
+    if top == -math.inf:
         raise NumericError("all hypotheses have zero support")
-    e = np.exp(w - w.max())
+    e = np.exp(np.array(w) - top)
     return e / e.sum()
 
 
@@ -88,20 +105,36 @@ class SynthesisState:
 
     labels: tuple[str, ...]
     prior_probs: np.ndarray
-    cum_log_bf: np.ndarray
+    _log_priors: tuple[float, ...] = field(repr=False)
+    _cum: tuple[float, ...] = field(repr=False)   # the running sums
     study_count: int = 0
     study_ids: tuple[str, ...] = ()
     trail: tuple[tuple[str, dict], ...] = ()
 
+    @property
+    def cum_log_bf(self) -> np.ndarray:
+        """The aggregated log Bayes factor of each label."""
+        return np.array(self._cum)
+
+    def running_totals(self) -> list[tuple[str, tuple[float, ...],
+                                           tuple[float, ...]]]:
+        """Each folded study as (id, its log Bayes factors, the aggregated
+        log Bayes factors after it), both in label order."""
+        out, cum = [], (0.0,) * len(self.labels)
+        for study_id, logs in self.trail:
+            own = tuple(logs[lab] for lab in self.labels)
+            cum = tuple(map(_add, cum, own))
+            out.append((study_id, own, cum))
+        return out
+
     def pmps(self) -> np.ndarray:
-        return pmps(self.cum_log_bf, self.prior_probs)
+        return _pmps(self._cum, self._log_priors)
 
     def as_dict(self) -> dict:
         return {
             "labels": list(self.labels),
             "prior_probs": [float(x) for x in self.prior_probs],
-            "aggregated_log_bf": {lab: float(v)
-                                  for lab, v in zip(self.labels, self.cum_log_bf)},
+            "aggregated_log_bf": dict(zip(self.labels, self._cum)),
             "pmps": {lab: float(v) for lab, v in zip(self.labels, self.pmps())},
             "study_count": self.study_count,
             "trail": [{"study_id": sid, "log_bf": dict(logs)}
@@ -116,9 +149,9 @@ def new_state(labels: Iterable[str], priors=None) -> SynthesisState:
         raise ValueError("no labels")
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels")
-    return SynthesisState(labels=labels,
-                          prior_probs=_prior_probs(priors, len(labels)),
-                          cum_log_bf=np.zeros(len(labels)))
+    probs = _prior_probs(priors, len(labels))
+    return SynthesisState(labels, probs, tuple(np.log(probs).tolist()),
+                          (0.0,) * len(labels))
 
 
 def update(state: SynthesisState, study_id: str,
@@ -126,7 +159,7 @@ def update(state: SynthesisState, study_id: str,
     """Fold one study's log Bayes factors into the running totals.
 
     ``log_bfs`` must provide exactly the tracked labels; each study id may
-    be aggregated once.
+    be aggregated once.  ``state`` itself does not change.
     """
     if study_id in state.study_ids:
         raise DuplicateStudyError(f"study {study_id!r} already aggregated")
@@ -134,13 +167,12 @@ def update(state: SynthesisState, study_id: str,
         raise LabelMismatchError(
             f"update labels {sorted(log_bfs)} do not match state labels "
             f"{sorted(state.labels)}")
-    new_cum = np.array([aggregate_log_bf((cum, float(log_bfs[lab])))
-                        for lab, cum in zip(state.labels, state.cum_log_bf)])
-    entry = (study_id, {lab: float(log_bfs[lab]) for lab in state.labels})
-    return replace(state, cum_log_bf=new_cum,
-                   study_count=state.study_count + 1,
-                   study_ids=state.study_ids + (study_id,),
-                   trail=state.trail + (entry,))
+    logs = {lab: float(log_bfs[lab]) for lab in state.labels}
+    cum = tuple(map(_add, state._cum, logs.values()))
+    return SynthesisState(state.labels, state.prior_probs, state._log_priors,
+                          cum, state.study_count + 1,
+                          state.study_ids + (study_id,),
+                          state.trail + ((study_id, logs),))
 
 
 def pairwise_pmp(log_bf: float) -> float:

@@ -851,6 +851,24 @@ class TestOrthantLadder:
         p, se = prob_region(dist, parse("{b1, b2} > 0"))
         assert (p, se) == (expected, 0.0)
 
+    def test_student_t_lattice_needs_df_one(self):
+        # scipy's lattice rule for the t law is far off below df 1 while
+        # reporting a tiny error, so that rung refuses such a law; at df 1
+        # it agrees with the sampler
+        mean = [0.3, -0.2, 0.1, 0.4]
+        cov = 0.6 * np.eye(4) + 0.4
+        h = parse("{b1, b2, b3, b4} > 0")
+        with pytest.raises(NumericError, match="below 1"):
+            prob_region(t_dist(mean, cov, 0.5), h,
+                        rng=np.random.default_rng(0))
+        p, se = prob_region(t_dist(mean, cov, 1.0), h,
+                            rng=np.random.default_rng(0))
+        p_mc, se_mc = prob_region(t_dist(mean, cov, 1.0), h,
+                                  rng=np.random.default_rng(1), draws=400_000,
+                                  method="mc")
+        assert 0.0 < se <= 1e-4
+        assert abs(p - p_mc) <= 4.0 * math.hypot(se, se_mc)
+
     @pytest.mark.parametrize("method", ["auto", "mc"])
     def test_nonpositive_draws_rejected(self, method):
         # four rows: the first rung of the ladder that spends draws

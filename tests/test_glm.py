@@ -192,6 +192,31 @@ class TestBinomial:
         fd_cov = np.linalg.inv(-H)
         assert np.allclose(result.cov, fd_cov, rtol=1e-4, atol=1e-8)
 
+    @given(st.sampled_from([25, 100, 400, 4800]), st.integers(1, 4),
+           st.floats(0.5, 40.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_probit_parts_match_two_arm_formulas(self, n, p, z_max, seed):
+        # oracle: a log_ndtr and a Mills ratio for each class, weighted by
+        # y and 1 - y; the fit shares one arm, which must be bit for bit
+        # the same
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        beta = rng.normal(size=p)
+        beta *= z_max / np.abs(X @ beta).max()
+        y = (rng.random(n) < 0.5).astype(float)
+        z = X @ beta
+        log_p1, log_p0 = log_ndtr(z), log_ndtr(-z)
+        log_pdf = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
+        r1, r0 = np.exp(log_pdf - log_p1), np.exp(log_pdf - log_p0)
+        curvature = y * (z * r1 + r1 * r1) + (1.0 - y) * (r0 * r0 - z * r0)
+        p_hat = ndtr(z)
+        loglik, grad, neg_hess, margin = glm._probit_parts(
+            X, y, 1.0 - y, 2.0 * y - 1.0, beta)
+        assert loglik == float(y @ log_p1 + (1.0 - y) @ log_p0)
+        assert np.array_equal(grad, X.T @ (y * r1 - (1.0 - y) * r0))
+        assert np.array_equal(neg_hess, X.T @ (curvature[:, None] * X))
+        assert margin == float(np.minimum(p_hat, 1.0 - p_hat).max())
+
     def test_separated_data_raises(self):
         d = make_dataset([0.0, 0.0, 1.0, 1.0],
                          np.column_stack([np.ones(4), [0.0, 1.0, 2.0, 3.0]]),

@@ -210,6 +210,22 @@ def test_benchmark_call_shapes():
     assert {"mc_draws"} <= set(bf.EvidenceRecord.__dataclass_fields__)
 
 
+def test_benchmark_synthesis_shapes():
+    # bench/workloads.py replays synthesis with positional calls and reads
+    # the running sums and PMPs as numpy arrays
+    from evsynth import synthesis
+
+    assert positional(synthesis.new_state)[0] == "labels"
+    assert positional(synthesis.update)[:3] == ["state", "study_id", "log_bfs"]
+    state = synthesis.new_state(["h", "unconstrained"])
+    state = synthesis.update(state, "s1", {"h": 0.5, "unconstrained": 0.0})
+    assert float(state.cum_log_bf[0]) == 0.5
+    assert state.cum_log_bf.tolist() == [0.5, 0.0]
+    p = state.pmps()
+    assert abs(float(p.sum()) - 1.0) <= 1e-15
+    assert p.tolist() == [float(p[0]), float(p[1])]
+
+
 def test_scipy_lattice_qmc_signature():
     from scipy.stats._qmvnt import _qmvn, _qmvt
 

@@ -119,6 +119,69 @@ class TestUpdate:
                             float(np.prod(values)), rel_tol=1e-12)
 
 
+def chain(ids, values, labels=("h", "unconstrained")):
+    state = new_state(labels)
+    for sid, v in zip(ids, values):
+        state = update(state, sid, {"h": v, "unconstrained": 0.0})
+    return state
+
+
+def snapshot(state):
+    return (state.study_count, state.study_ids, state.trail,
+            state.cum_log_bf.tolist(), state.pmps().tolist(),
+            state.running_totals(), state.as_dict())
+
+
+class TestBranches:
+    """States are values: extending an older state again leaves every other
+    state as it was and equals a chain built afresh."""
+
+    def test_branches_equal_fresh_chains(self):
+        s1 = chain(["a"], [0.5])
+        s2 = update(s1, "b", {"h": -0.25, "unconstrained": 0.0})
+        s3 = update(s2, "c", {"h": 1.5, "unconstrained": 0.0})
+        before = [snapshot(s) for s in (s1, s2, s3)]
+        x = update(s2, "x", {"h": 2.0, "unconstrained": 0.0})
+        y = update(s2, "y", {"h": -3.0, "unconstrained": 0.0})
+        # "c" is held by s3 only, so s1 may take it
+        c1 = update(s1, "c", {"h": 0.75, "unconstrained": 0.0})
+        assert snapshot(x) == snapshot(chain("abx", [0.5, -0.25, 2.0]))
+        assert snapshot(y) == snapshot(chain("aby", [0.5, -0.25, -3.0]))
+        assert snapshot(c1) == snapshot(chain("ac", [0.5, 0.75]))
+        assert [snapshot(s) for s in (s1, s2, s3)] == before
+        assert snapshot(update(s3, "d", {"h": 0.0, "unconstrained": 0.0})) \
+            == snapshot(chain("abcd", [0.5, -0.25, 1.5, 0.0]))
+
+    def test_duplicate_caught_after_branch(self):
+        s2 = chain("ab", [0.5, -0.25])
+        update(s2, "c", {"h": 1.0, "unconstrained": 0.0})
+        branch = update(s2, "x", {"h": 2.0, "unconstrained": 0.0})
+        for sid in ("a", "b", "x"):
+            with pytest.raises(DuplicateStudyError):
+                update(branch, sid, {"h": 0.0, "unconstrained": 0.0})
+        twice = update(branch, "c", {"h": 0.0, "unconstrained": 0.0})
+        with pytest.raises(DuplicateStudyError):
+            update(twice, "c", {"h": 0.0, "unconstrained": 0.0})
+
+    def test_failed_update_leaves_state(self):
+        state = chain("ab", [0.5, -0.25])
+        before = snapshot(state)
+        with pytest.raises(LabelMismatchError):
+            update(state, "c", {"h": 0.0})
+        with pytest.raises(NumericError):
+            update(state, "c", {"h": math.nan, "unconstrained": 0.0})
+        assert snapshot(state) == before
+        assert snapshot(update(state, "c", {"h": 1.0, "unconstrained": 0.0})) \
+            == snapshot(chain("abc", [0.5, -0.25, 1.0]))
+
+    def test_running_totals_are_the_prefix_sums(self):
+        state = chain("abc", [0.5, -math.inf, 2.0])
+        assert state.running_totals() == [
+            ("a", (0.5, 0.0), (0.5, 0.0)),
+            ("b", (-math.inf, 0.0), (-math.inf, 0.0)),
+            ("c", (2.0, 0.0), (-math.inf, 0.0))]
+
+
 class TestNewState:
     def test_uniform_default(self):
         state = new_state(("a", "b", "unconstrained"))
@@ -145,6 +208,31 @@ class TestNewState:
     def test_empty_labels(self):
         with pytest.raises(ValueError):
             new_state(())
+
+
+def pmps_numpy(log_bfs, priors=None):
+    """Posterior model probabilities by whole-array numpy operations: the
+    oracle that :func:`pmps` and ``SynthesisState.pmps`` match bit for
+    bit."""
+    lb = np.asarray(log_bfs, dtype=float)
+    m = lb.shape[0]
+    if np.isnan(lb).any():
+        raise NumericError("NaN log Bayes factor")
+    priors = np.full(m, 1.0 / m) if priors is None else np.asarray(priors)
+    if np.isposinf(lb).any():
+        top = np.isposinf(lb)
+        return top / top.sum()
+    w = np.log(priors) + lb
+    if np.isneginf(w).all():
+        raise NumericError("all hypotheses have zero support")
+    e = np.exp(w - w.max())
+    return e / e.sum()
+
+
+# a log Bayes factor over a wide range, with values beyond +-45 standing
+# for the sentinels
+LOG_BF_WIDE = st.floats(-50.0, 50.0).map(
+    lambda v: math.copysign(math.inf, v) if abs(v) > 45.0 else v)
 
 
 class TestPmps:
@@ -178,6 +266,32 @@ class TestPmps:
     def test_bad_priors(self):
         with pytest.raises(ValueError):
             pmps([0.0, 0.0], priors=[0.5, 0.4])
+
+    @given(st.lists(LOG_BF_WIDE, min_size=1, max_size=12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bitwise_numpy_formula(self, logs, data):
+        priors = None
+        if data.draw(st.booleans()):
+            raw = np.array(data.draw(st.lists(st.floats(0.01, 1.0),
+                                              min_size=len(logs),
+                                              max_size=len(logs))))
+            priors = raw / raw.sum()
+            if abs(priors.sum() - 1.0) > 1e-9:
+                priors = None
+        want = outcome(pmps_numpy, logs, priors)
+        got = outcome(pmps, logs, priors)
+        state = new_state([f"l{j}" for j in range(len(logs))], priors)
+        for t, v in enumerate(logs):
+            state = update(state, f"s{t}",
+                           {f"l{j}": v if j == t else 0.0
+                            for j in range(len(logs))})
+        from_state = outcome(state.pmps)
+        for result in (got, from_state):
+            if isinstance(want, type):
+                assert result is want
+            else:
+                assert result.dtype == want.dtype
+                assert result.tobytes() == want.tobytes()
 
     @given(st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6),
            st.floats(-5.0, 5.0))
