@@ -119,8 +119,9 @@ def json_safe(obj):
 class EvidenceRecord:
     """One hypothesis evaluated in one study, checked when made (by
     :func:`bf_iu`, :meth:`from_dict` or directly): ValueError unless text
-    fields are strings, counts non-negative ints, and the alternative and
-    mass method known (:data:`ALTERNATIVES`, :data:`MASS_METHODS`).
+    fields are strings, number fields not NaN (±inf is the sentinel), counts
+    non-negative ints, and the alternative and mass method known
+    (:data:`ALTERNATIVES`, :data:`MASS_METHODS`).
     Records are frozen, so a record stays as checked."""
 
     study_id: str
@@ -146,6 +147,11 @@ class EvidenceRecord:
             if not isinstance(value, int) or value < 0:
                 raise ValueError(f"evidence record field {key!r} must be a "
                                  f"non-negative integer, got {value!r}")
+        for key in ("fit", "complexity", "log_bf_iu", "log_bf_ic",
+                    "mc_se_fit", "mc_se_complexity"):
+            value = getattr(self, key)
+            if value != value:
+                raise ValueError(f"evidence record field {key!r} is NaN")
         if self.alternative not in ALTERNATIVES:
             raise ValueError(f"evidence record has unknown alternative "
                              f"{self.alternative!r}; expected one of "

@@ -19,10 +19,11 @@ byte-identical across runs and thread counts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from csv import DictReader, writer as csv_writer
+from csv import DictReader, Error as CsvError, writer as csv_writer
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -99,7 +100,7 @@ def load_records(paths: list[str]) -> list[bf.EvidenceRecord]:
     for f in files:
         try:
             data = json.loads(f.read_text(encoding="utf-8"))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise glm.DataError(f"{f}: not valid JSON ({exc})") from None
         if isinstance(data, dict) and "records" in data:
             data = data["records"]
@@ -334,27 +335,40 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 # report
 
+def _aggregate_rows(path) -> dict[tuple, dict]:
+    """A results CSV's aggregate log BFs and PMPs by condition; raises the
+    DataError that names the file and the header or data row at fault,
+    including a file that is not UTF-8 text."""
+    groups: dict[tuple, dict] = {}
+    header, i = None, 0
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = DictReader(fh)
+            header = reader.fieldnames or ()
+            missing = [c for c in RESULT_COLUMNS if c not in header]
+            if missing:
+                raise glm.DataError(f"{path}: missing columns {missing}")
+            for i, row in enumerate(reader, start=1):
+                if row["study"] != "":
+                    continue
+                key = (row["sim_id"], row["family"], row["n"], row["r2"],
+                       row["hypothesis"], row["alternative"])
+                entry = groups.setdefault(key, {"log_bf": [], "pmp": []})
+                for column, values in (("agg_log_bf", entry["log_bf"]),
+                                       ("pmp", entry["pmp"])):
+                    try:
+                        values.append(float(row[column]))
+                    except (TypeError, ValueError):
+                        raise glm.DataError(
+                            f"{path}: non-numeric value {row[column]!r} in "
+                            f"column {column!r}, data row {i}") from None
+    except (UnicodeDecodeError, CsvError) as exc:
+        raise glm.csv_read_error(path, exc, None if header is None else i) from None
+    return groups
+
+
 def cmd_report(args) -> int:
-    with open(args.input, newline="", encoding="utf-8") as fh:
-        reader = DictReader(fh)
-        missing = [c for c in RESULT_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise glm.DataError(f"{args.input}: missing columns {missing}")
-        groups: dict[tuple, dict] = {}
-        for i, row in enumerate(reader, start=1):
-            if row["study"] != "":
-                continue
-            key = (row["sim_id"], row["family"], row["n"], row["r2"],
-                   row["hypothesis"], row["alternative"])
-            entry = groups.setdefault(key, {"log_bf": [], "pmp": []})
-            for column, values in (("agg_log_bf", entry["log_bf"]),
-                                   ("pmp", entry["pmp"])):
-                try:
-                    values.append(float(row[column]))
-                except (TypeError, ValueError):
-                    raise glm.DataError(
-                        f"{args.input}: non-numeric value {row[column]!r} in "
-                        f"column {column!r}, data row {i}") from None
+    groups = _aggregate_rows(args.input)
     if not groups:
         raise glm.DataError(f"{args.input}: no aggregate rows found")
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -408,7 +422,12 @@ _DRAWS_HELP = ("integration point budget (QMC lattice points or Monte Carlo "
                f"(default {bf.DEFAULT_DRAWS})")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one in the process: ``parse_args`` leaves the parser as it was, and
+    argparse looks up ``sys.stdout``, ``sys.stderr`` and the terminal width
+    only when it prints.  Callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="evsynth",
         description="Constrained-hypothesis evidence and cross-study synthesis")

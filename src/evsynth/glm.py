@@ -216,6 +216,17 @@ def _c_parsed_table(path, outcome: str, predictors: list[str] | None):
     return predictors, table
 
 
+def csv_read_error(path, exc: UnicodeDecodeError | csv.Error,
+                   rows_read: int | None) -> DataError:
+    """The DataError for a CSV file its reader gave up on: a file that is
+    not UTF-8 text, or a ``csv.Error`` in the header (``rows_read`` None)
+    or in the data row after the ``rows_read`` the reader returned."""
+    if isinstance(exc, UnicodeDecodeError):
+        return DataError(f"{path}: not UTF-8 text ({exc})")
+    where = "header" if rows_read is None else f"data row {rows_read + 1}"
+    return DataError(f"{path}: {where}: {exc}")
+
+
 def _cell_parsed_table(path, outcome: str, predictors: list[str] | None):
     """``_c_parsed_table``'s result from ``csv.reader`` and one ``float()``
     per used cell; raises the DataError that names the first bad cell, the
@@ -230,11 +241,8 @@ def _cell_parsed_table(path, outcome: str, predictors: list[str] | None):
                 rows.append(row)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: not UTF-8 text ({exc})") from None
-        except csv.Error as exc:
-            where = "header" if header is None else f"data row {len(rows) + 1}"
-            raise DataError(f"{path}: {where}: {exc}") from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise csv_read_error(path, exc, None if header is None else len(rows)) from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     if outcome not in header:

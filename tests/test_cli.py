@@ -1,8 +1,10 @@
 """Command line interface tests."""
 
+import argparse
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -331,6 +333,30 @@ class TestSynthesize:
         assert summary["aggregated_log_bf"]["h1"] == "inf"
         assert summary["pmps"]["h1"] == 1.0
 
+    def test_deeply_nested_json_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "s1.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        code = cli.main(["synthesize", "--records", str(path),
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not valid JSON (")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["fit", "log_bf_iu"])
+    def test_nan_field_exit_3(self, tmp_path, capsys, key):
+        # the record is rejected when read, before any aggregation
+        path = tmp_path / "s1.json"
+        path.write_text(json.dumps([dict(record_dict(), **{key: "nan"})]),
+                        encoding="utf-8")
+        out = tmp_path / "o.json"
+        code = cli.main(["synthesize", "--records", str(path),
+                         "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: evidence record field {key!r} is NaN\n"
+        assert not out.exists()
+
 
 class TestSimulate:
     def _run(self, tmp_path, name, extra=()):
@@ -515,11 +541,97 @@ class TestReport:
                          "--out", str(tmp_path / "r.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("cell,words", [
+        (b"\xffh", "not UTF-8 text"),
+        (b"h" * 200_000, "data row 2: field larger than field limit"),
+    ], ids=["not-utf8", "oversized-cell"])
+    def test_unreadable_file_exit_3(self, tmp_path, capsys, cell, words):
+        path = tmp_path / "bad.csv"
+        row = b"3,gaussian,100,0.25,%d,,%s,unconstrained,,,,1.5,0.8\r\n"
+        path.write_bytes(",".join(cli.RESULT_COLUMNS).encode() + b"\r\n"
+                         + row % (0, b"h") + row % (1, cell))
+        out = tmp_path / "r.csv"
+        code = cli.main(["report", "--in", str(path), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and words in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestParserPlumbing:
     def test_no_command_prints_help(self, capsys):
         assert cli.main([]) == 2
         assert "usage" in capsys.readouterr().out.lower()
+
+    @staticmethod
+    def _session(root, fresh, data, capsys, monkeypatch):
+        """Exit code, stdout and stderr of five calls made from ``root``
+        with relative paths, and the bytes of every file they wrote; with
+        ``fresh``, each call parses with a newly built parser."""
+        monkeypatch.chdir(root)
+        report_in = Path("results.csv")
+        with open(report_in, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(cli.RESULT_COLUMNS)
+            for it in range(3):
+                w.writerow(("3", "gaussian", "100", "0.25", str(it), "", "h",
+                            "unconstrained", "", "", "", f"{it}.5", "0.8"))
+        analyze = ["analyze", "--data", str(data), "--family", "gaussian",
+                   "--outcome", "y", "--hypothesis", "x1 > 0 & x2 > 0",
+                   "--seed", "3", "--out", "rec.json"]
+        argvs = [analyze, analyze[:-2] + ["--fraction", "1.5", "--out", "r.json"],
+                 ["synthesize", "--records", "rec.json", "--out", "summary.json",
+                  "--trail", "trail.csv"],
+                 [],
+                 ["report", "--in", str(report_in), "--out", "report.csv"]]
+        cli.build_parser.cache_clear()
+        calls = []
+        for argv in argvs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            captured = capsys.readouterr()
+            calls.append((code, captured.out, captured.err))
+        files = {p.name: p.read_bytes() for p in sorted(Path().iterdir())}
+        return calls, files
+
+    def test_shared_parser_matches_fresh_parsers(self, strong_effect_csv,
+                                                 tmp_path, capsys, monkeypatch):
+        runs = {}
+        for name, fresh in (("shared", False), ("fresh", True)):
+            (tmp_path / name).mkdir()
+            runs[name] = self._session(tmp_path / name, fresh,
+                                       strong_effect_csv, capsys, monkeypatch)
+        calls, files = runs["shared"]
+        assert [code for code, _, _ in calls] == [0, ("exit", 2), 0, 2, 0]
+        assert calls[1][2].startswith("usage: evsynth analyze")
+        assert "argument --fraction" in calls[1][2]
+        assert calls[3][1].startswith("usage: evsynth")
+        assert set(files) == {"rec.json", "summary.json", "trail.csv",
+                              "results.csv", "report.csv"}
+        assert runs["shared"] == runs["fresh"]
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        assert cli.main([]) == 2
+        first = list(built)
+        assert cli.main([]) == 2
+        # the top-level parser and one per subcommand, all from the first call
+        assert first.count("evsynth") == 1 and len(first) > 1
+        assert built == first
+        assert capsys.readouterr().out.count("usage: evsynth") == 2
 
     def test_bad_fraction_rejected(self, tmp_path):
         with pytest.raises(SystemExit):

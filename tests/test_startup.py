@@ -1,5 +1,5 @@
-"""Start-up guard: importing the CLI builds no Student-t chi rule, and
-evaluating every bundled kind of hypothesis leaves scipy.stats unloaded.
+"""Start-up guard: importing the CLI builds no Student-t chi rule and no
+argument parser, and evaluating every bundled kind of hypothesis leaves scipy.stats unloaded.
 scipy.stats takes about as long to import as the rest of evsynth together,
 and each ``evsynth analyze`` call is a fresh process.  Every check runs in
 a fresh interpreter."""
@@ -20,12 +20,13 @@ SRC = str(Path(evsynth.__file__).resolve().parents[1])
 
 # runs the argv lists given as JSON, then prints one JSON line: the exit
 # codes, whether scipy.stats was loaded after the import and each call, and
-# how many Student-t chi rules the import built
+# how many Student-t chi rules and argument parsers the import built
 PROGRAM = """
 import json, sys
 from evsynth import bf, cli
 report = {"after_import": "scipy.stats" in sys.modules,
-          "chi_rules": bf._chi_rule.cache_info().currsize, "calls": []}
+          "chi_rules": bf._chi_rule.cache_info().currsize,
+          "parsers": cli.build_parser.cache_info().currsize, "calls": []}
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
     report["calls"].append([code, "scipy.stats" in sys.modules])
@@ -71,6 +72,8 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert report["after_import"] is False
     # each chi rule is built on the first Student-t mass of its df
     assert report["chi_rules"] == 0
+    # the parser is built on the first cli.main call
+    assert report["parsers"] == 0
 
 
 def test_bundled_hypotheses_leave_scipy_stats_unloaded(study_csvs, tmp_path):
@@ -94,7 +97,7 @@ def test_four_rows_load_lattice_qmc_on_first_use(study_csvs, tmp_path):
     out = tmp_path / "four.json"
     report = fresh_run([analyze_argv(study_csvs["probit"], "probit",
                                      "{x2, x3, x4, x5} > 0", out)])
-    assert report == {"after_import": False, "chi_rules": 0,
+    assert report == {"after_import": False, "chi_rules": 0, "parsers": 0,
                       "calls": [[0, True]]}
     record = json.loads(out.read_text())[0]
     assert record["mass_method"] == "qmc" and record["mc_draws"] > 0
