@@ -48,7 +48,6 @@ import warnings as _warnings
 from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
-from scipy import linalg as sla
 from scipy.special import betaln, ndtr, owens_t, roots_jacobi, stdtr
 
 from . import hypothesis as hyp
@@ -310,8 +309,13 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=64)
 def _stieltjes_grid(beta: float) -> tuple[np.ndarray, np.ndarray]:
     """The 200-point Gauss-Jacobi rule on (-1, 1) for the weight
-    (1 + x)^beta, which discretizes the weight of :func:`_chi_rule`
-    (Gauss-Legendre for beta = 0); built on first use, not at import."""
+    (1 + x)^beta, which discretizes the weight of :func:`_chi_rule`; built
+    on first use, not at import.  beta = 0, every integer df and every df
+    whose grid stays away from s = 0, is numpy's Gauss-Legendre rule; only
+    a non-integer df of 800 or less takes scipy.special's Gauss-Jacobi
+    rule, whose first use imports scipy.linalg."""
+    if beta == 0.0:
+        return np.polynomial.legendre.leggauss(200)
     return roots_jacobi(200, 0.0, beta)
 
 
@@ -331,7 +335,8 @@ def _chi_rule(df: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     estimate.  The recurrence coefficients come from the discretized
     Stieltjes procedure (Gautschi 2004, Orthogonal Polynomials:
     Computation and Approximation) on a 200-point Gauss grid over the
-    weight's bulk, the nodes and weights from the Jacobi matrix (Golub &
+    weight's bulk, the nodes and weights from the eigenvectors of the
+    Jacobi matrix, the 16-point rule from its leading block (Golub &
     Welsch 1969, Math. Comp. 23:221).  Where the bulk reaches s = 0, the
     grid's own weight s^beta takes the non-integer part of the power
     s^(df - 1), so that what is left to discretize is smooth for any
@@ -359,7 +364,8 @@ def _chi_rule(df: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         q = (s - alpha[k]) * p - b_prev * p_prev
         beta[k] = b_prev = math.sqrt(w @ (q * q))
         p_prev, p = p, q / b_prev
-    rules = [sla.eigh_tridiagonal(alpha[:n], beta[:n - 1]) for n in (32, 16)]
+    jacobi = np.diag(alpha) + np.diag(beta[:31], 1) + np.diag(beta[:31], -1)
+    rules = [np.linalg.eigh(jacobi[:n, :n]) for n in (32, 16)]
     out = (np.concatenate([nodes for nodes, _ in rules]),
            *(vecs[0] ** 2 for _, vecs in rules))
     for array in out:
@@ -731,7 +737,7 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
                 "equality rows give a rank-deficient transformed scale; "
                 "remove redundant equality constraints") from None
         log_det = 2.0 * np.log(np.diag(chol)).sum()
-        q = sla.solve_triangular(chol, -eta.eq.mean, lower=True)
+        q = np.linalg.solve(chol, -eta.eq.mean)
         quad = float(q @ q)
         # above _CHI_DF_MAX the t density is the normal one, as the masses
         # are.  lgamma((nu + k) / 2) - lgamma(nu / 2) would cancel at large
@@ -745,9 +751,9 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
                        - (nu + k) / 2.0 * math.log1p(quad / nu))
         dens = math.exp(log_pdf)
         if ineq is not None:
-            cho = (chol, True)
-            mean_c = ineq.mean - eta.cross @ sla.cho_solve(cho, eta.eq.mean)
-            scale_c = ineq.scale - eta.cross @ sla.cho_solve(cho, eta.cross.T)
+            c = np.linalg.solve(chol, eta.cross.T)
+            mean_c = ineq.mean + q @ c
+            scale_c = ineq.scale - c.T @ c
             ineq = hyp.EtaDistribution(mean_c, (scale_c + scale_c.T) / 2.0,
                                        dist.df)
     p, se, used, how = 1.0, 0.0, 0, "exact"

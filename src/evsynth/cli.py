@@ -19,10 +19,11 @@ byte-identical across runs and thread counts.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from csv import DictReader, Error as CsvError, writer as csv_writer
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -67,7 +68,12 @@ def cmd_analyze(args) -> int:
     d = glm.dataset_from_csv(args.data, args.outcome, predictors,
                              family=args.family,
                              intercept=not args.no_intercept)
-    fit = glm.fit(d)
+    try:
+        fit = glm.fit(d)
+    except glm.GlmError as exc:
+        # reworded in place: the type and a SeparationError's trace stay
+        exc.args = (f"{args.data}: {exc}",)
+        raise
     cs = hyp.parse(args.hypothesis)
     frac = None if args.fraction == "auto" else bf.FractionSpec(args.fraction)
     rng = simgen.rng_stream(args.seed)
@@ -100,6 +106,8 @@ def load_records(paths: list[str]) -> list[bf.EvidenceRecord]:
     for f in files:
         try:
             data = json.loads(f.read_text(encoding="utf-8"))
+        except UnicodeDecodeError as exc:
+            raise glm.DataError(f"{f}: not UTF-8 text ({exc})") from None
         except (ValueError, RecursionError) as exc:
             raise glm.DataError(f"{f}: not valid JSON ({exc})") from None
         if isinstance(data, dict) and "records" in data:
@@ -248,6 +256,8 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
              for ci, n, r2 in conditions
              for it in range(config.iterations)]
     if config.threads > 1:
+        # only here: multiprocessing costs every other command its import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             outputs = list(pool.map(_run_iteration_star, tasks, chunksize=1))
     else:
@@ -297,6 +307,22 @@ def write_results_csv(result: SimulationResult, path):
             w.writerow(tuple(_fmt(row.get(col)) for col in result.columns))
 
 
+def _check_writable(path):
+    """Raise the OSError that opening ``path`` for writing would raise for
+    a missing or unwritable directory, or a directory given as the path,
+    without creating or truncating the file."""
+    p = Path(path)
+    if p.is_dir():
+        code = errno.EISDIR
+    elif not p.parent.is_dir():
+        code = errno.ENOENT
+    elif not os.access(p if p.exists() else p.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
 def cmd_simulate(args) -> int:
     sequential = args.sim in simgen.SEQUENTIAL_SIMS
     if args.n:
@@ -317,6 +343,8 @@ def cmd_simulate(args) -> int:
                               n_studies=args.studies,
                               decomposed=args.decomposed,
                               threads=args.threads)
+    # a run can take hours: fail before it, not after
+    _check_writable(args.out)
     result = run_simulation(config)
     write_results_csv(result, args.out)
     if result.skips:

@@ -157,8 +157,9 @@ def dataset_from_csv(path, outcome: str, predictors: list[str] | None = None,
     Raises
     ------
     DataError
-        On missing columns, missing cells, non-numeric values, or an outcome
-        listed among the predictors.
+        On missing columns, missing cells, non-numeric values, an outcome
+        listed among the predictors, or columns a :class:`Dataset` rejects;
+        every message names the file.
     """
     if predictors is not None and outcome in predictors:
         raise DataError(f"{path}: outcome column {outcome!r} is also listed "
@@ -167,11 +168,14 @@ def dataset_from_csv(path, outcome: str, predictors: list[str] | None = None,
     if parsed is None:
         parsed = _cell_parsed_table(path, outcome, predictors)
     predictors, table = parsed
-    # contiguous copies, laid out as the per-cell reader's arrays always
-    # were: BLAS results can depend on the layout
-    d = Dataset(np.ascontiguousarray(table[:, 1:]), np.ascontiguousarray(table[:, 0]),
-                family, tuple(predictors))
-    return add_intercept(d) if intercept else d
+    try:
+        # contiguous copies, laid out as the per-cell reader's arrays always
+        # were: BLAS results can depend on the layout
+        d = Dataset(np.ascontiguousarray(table[:, 1:]),
+                    np.ascontiguousarray(table[:, 0]), family, tuple(predictors))
+        return add_intercept(d) if intercept else d
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _c_parsed_table(path, outcome: str, predictors: list[str] | None):

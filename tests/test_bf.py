@@ -656,7 +656,7 @@ class TestOrthantLadder:
         ("normal", None, 1.5, 0.4, -0.7, (0.7, 0.2), (1.3, 1.3),
          "0x1.051c5c7434ab9p-2"),
         ("student-t", 14.0, 2.0, 0.4, 0.8, (0.1, -0.8), (1.5, 1.0),
-         "0x1.7a3d3e350a9b6p-10")])
+         "0x1.7a3d3e350a978p-10")])
     def test_two_sided_box_corner_order_is_pinned(self, kind, df, a, b, r, m,
                                                   w, want):
         # -m < b < w - m in both rows: four corners, whose float sum
@@ -1115,6 +1115,14 @@ class TestChiRule:
                                            "auto")
         assert how == "quadrature" and math.isfinite(err)
         assert abs(p - normal) <= 1e-10
+
+    def test_integer_df_grid_is_gauss_legendre(self):
+        # beta = 0 takes numpy's rule; scipy's Gauss-Jacobi rule is the oracle
+        from scipy.special import roots_jacobi
+        x, w = bf._stieltjes_grid(0.0)
+        x_ref, w_ref = roots_jacobi(200, 0.0, 0.0)
+        assert np.abs(x - x_ref).max() <= 1e-14
+        assert np.abs(w - w_ref).max() <= 1e-14
 
     def test_built_once_per_df(self):
         first = bf._chi_rule(7.0)

@@ -150,6 +150,31 @@ class TestAnalyze:
         assert f"{path}: " in err and words in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("family,body,words", [
+        ("logit", "", "binomial outcome must take values in {0, 1}"),
+        ("gaussian", "inf,1,2\n", "non-finite values in data"),
+        ("logit", None, "binomial response contains a single class"),
+        ("gaussian", "1,oops,2\n",
+         "non-numeric value 'oops' in column 'x1', data row 151"),
+    ], ids=["binomial-values", "non-finite", "single-class", "reader-error"])
+    def test_data_errors_name_the_file_once(self, strong_effect_csv, tmp_path,
+                                            capsys, family, body, words):
+        path = tmp_path / "bad.csv"
+        if body is None:
+            # a binomial outcome of ones only
+            path.write_text("y,x1\n" + "".join(f"1,{i}\n" for i in range(20)),
+                            encoding="utf-8")
+        else:
+            path.write_text(strong_effect_csv.read_text() + body,
+                            encoding="utf-8")
+        out = tmp_path / "r.json"
+        code = cli.main(["analyze", "--data", str(path), "--family", family,
+                         "--outcome", "y", "--hypothesis", "x1 > 0",
+                         "--seed", "3", "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {path}: {words}\n"
+        assert not out.exists()
+
     def test_fraction_of_one_exit_3(self, tmp_path, capsys):
         # n = 3 rows, p = 2 coefficients: the default b = (p + 1) / n is 1
         path = tmp_path / "tiny.csv"
@@ -343,6 +368,16 @@ class TestSynthesize:
         assert err.startswith(f"error: {path}: not valid JSON (")
         assert "Traceback" not in err
 
+    def test_not_utf8_record_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "s1.json"
+        path.write_bytes(b'[{"study_id": "\xff"}]')
+        code = cli.main(["synthesize", "--records", str(path),
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text (")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["fit", "log_bf_iu"])
     def test_nan_field_exit_3(self, tmp_path, capsys, key):
         # the record is rejected when read, before any aggregation
@@ -461,6 +496,31 @@ class TestSimulate:
         assert skips[0]["iteration"] == 0
         assert "separation" in skips[0]["reason"]
         assert "skipped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch,
+                                                 capsys, where):
+        calls = []
+        monkeypatch.setattr(cli, "run_simulation", calls.append)
+        out = tmp_path / "absent" / "x.csv" if where == "missing-dir" else tmp_path
+        code = cli.main(["simulate", "--sim", "3", "--iters", "1", "--n", "50",
+                         "--r2", "0.25", "--seed", "9", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert calls == []
+
+    def test_failed_run_keeps_old_results(self, tmp_path, monkeypatch):
+        def fail(config):
+            raise cli.bf.NumericError("degenerate")
+
+        monkeypatch.setattr(cli, "run_simulation", fail)
+        out = tmp_path / "old.csv"
+        out.write_text("old results\n", encoding="utf-8")
+        code = cli.main(["simulate", "--sim", "3", "--iters", "1", "--n", "50",
+                         "--r2", "0.25", "--seed", "9", "--out", str(out)])
+        assert code == 4
+        assert out.read_text(encoding="utf-8") == "old results\n"
 
     def test_float_format_ten_digits(self, tmp_path):
         raw = self._run(tmp_path, "fmt.csv").decode()

@@ -383,9 +383,12 @@ def reference_dataset(path, outcome, predictors=None, family="gaussian",
                                 f"column {name!r}, data row {i}") from None
         columns.append(values)
     X = np.array(columns[1:], dtype=float).T.reshape(len(rows), len(predictors))
-    d = Dataset(np.ascontiguousarray(X), np.array(columns[0]), family,
-                tuple(predictors))
-    return add_intercept(d) if intercept else d
+    try:
+        d = Dataset(np.ascontiguousarray(X), np.array(columns[0]), family,
+                    tuple(predictors))
+        return add_intercept(d) if intercept else d
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def load_outcome(load, *args):

@@ -1,8 +1,10 @@
 """Start-up guard: importing the CLI builds no Student-t chi rule and no
-argument parser, and evaluating every bundled kind of hypothesis leaves scipy.stats unloaded.
-scipy.stats takes about as long to import as the rest of evsynth together,
-and each ``evsynth analyze`` call is a fresh process.  Every check runs in
-a fresh interpreter."""
+argument parser and loads neither scipy.linalg nor multiprocessing, and
+evaluating every bundled kind of hypothesis leaves scipy.stats and
+scipy.linalg unloaded.  scipy.stats takes about as long to import as the
+rest of evsynth together, scipy.linalg adds tens of milliseconds and about
+6 MB, and each ``evsynth analyze`` call is a fresh process.  Every check
+runs in a fresh interpreter."""
 
 import csv
 import json
@@ -19,19 +21,24 @@ from evsynth import simgen
 SRC = str(Path(evsynth.__file__).resolve().parents[1])
 
 # runs the argv lists given as JSON, then prints one JSON line: the exit
-# codes, whether scipy.stats was loaded after the import and each call, and
-# how many Student-t chi rules and argument parsers the import built
+# codes, which of MODULES were loaded after the import and after each call,
+# and how many Student-t chi rules and argument parsers the import built
+MODULES = ("scipy.stats", "scipy.linalg", "multiprocessing")
 PROGRAM = """
 import json, sys
 from evsynth import bf, cli
-report = {"after_import": "scipy.stats" in sys.modules,
+MODULES = %r
+def loaded():
+    return {name: name in sys.modules for name in MODULES}
+report = {"after_import": loaded(),
           "chi_rules": bf._chi_rule.cache_info().currsize,
           "parsers": cli.build_parser.cache_info().currsize, "calls": []}
 for argv in json.loads(sys.argv[1]):
     code = cli.main(argv)
-    report["calls"].append([code, "scipy.stats" in sys.modules])
+    report["calls"].append([code, loaded()])
 print(json.dumps(report))
-"""
+""" % (MODULES,)
+NONE_LOADED = dict.fromkeys(MODULES, False)
 
 
 def fresh_run(argvs: list[list[str]]) -> dict:
@@ -69,7 +76,7 @@ def analyze_argv(data: Path, family: str, hypothesis: str, out: Path):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     report = fresh_run([])
-    assert report["after_import"] is False
+    assert report["after_import"] == NONE_LOADED
     # each chi rule is built on the first Student-t mass of its df
     assert report["chi_rules"] == 0
     # the parser is built on the first cli.main call
@@ -83,12 +90,16 @@ def test_bundled_hypotheses_leave_scipy_stats_unloaded(study_csvs, tmp_path):
                                   "x3 > 0 & x2 > 0 & x3 < 0.5")):
             outs.append(tmp_path / f"{family}-{j}.json")
             argvs.append(analyze_argv(data, family, text, outs[-1]))
+    # an equality row conditions the inequality row on it
+    argvs.append(analyze_argv(study_csvs["gaussian"], "gaussian",
+                              "x1 = 0 & x2 > 0", tmp_path / "mixed.json"))
     # simulation 8: three-row fits for every family, including Student-t
     argvs.append(["simulate", "--sim", "8", "--iters", "1", "--n", "60",
                   "--r2", "0.09", "--seed", "3", "--out",
                   str(tmp_path / "sim8.csv")])
     report = fresh_run(argvs)
-    assert report["calls"] == [[0, False]] * len(argvs)
+    # simulate runs on one thread: no process pool, so no multiprocessing
+    assert report["calls"] == [[0, NONE_LOADED]] * len(argvs)
     methods = {json.loads(out.read_text())[0]["mass_method"] for out in outs}
     assert methods == {"exact", "quadrature"}
 
@@ -97,8 +108,11 @@ def test_four_rows_load_lattice_qmc_on_first_use(study_csvs, tmp_path):
     out = tmp_path / "four.json"
     report = fresh_run([analyze_argv(study_csvs["probit"], "probit",
                                      "{x2, x3, x4, x5} > 0", out)])
-    assert report == {"after_import": False, "chi_rules": 0, "parsers": 0,
-                      "calls": [[0, True]]}
+    # scipy.stats loads scipy.linalg
+    assert report == {"after_import": NONE_LOADED, "chi_rules": 0,
+                      "parsers": 0,
+                      "calls": [[0, dict(NONE_LOADED, **{"scipy.stats": True,
+                                                         "scipy.linalg": True})]]}
     record = json.loads(out.read_text())[0]
     assert record["mass_method"] == "qmc" and record["mc_draws"] > 0
 
