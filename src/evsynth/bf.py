@@ -114,13 +114,25 @@ def json_safe(obj):
     return obj
 
 
+def _record_float(value) -> float:
+    """``float(value)``, or the ValueError of an evidence record field that
+    ``float()`` does not take."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(
+            f"evidence record has a non-numeric field: {exc}") from None
+
+
 @dataclass(frozen=True)
 class EvidenceRecord:
     """One hypothesis evaluated in one study, checked when made (by
     :func:`bf_iu`, :meth:`from_dict` or directly): ValueError unless text
-    fields are strings, number fields not NaN (±inf is the sentinel), counts
-    non-negative ints, and the alternative and mass method known
-    (:data:`ALTERNATIVES`, :data:`MASS_METHODS`).
+    fields are strings, number fields (``log_bf_ic`` may be None) what
+    ``float()`` takes and not NaN (±inf, or "inf" / "-inf", is the
+    sentinel), counts integral and non-negative, and the alternative and
+    mass method known (:data:`ALTERNATIVES`, :data:`MASS_METHODS`).
+    Numbers are stored as floats and counts as ints.
     Records are frozen, so a record stays as checked."""
 
     study_id: str
@@ -141,16 +153,24 @@ class EvidenceRecord:
         for key in ("study_id", "hypothesis", "family"):
             if not isinstance(getattr(self, key), str):
                 raise ValueError(f"evidence record field {key!r} must be a string")
-        for key in ("mc_draws", "n"):
-            value = getattr(self, key)
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"evidence record field {key!r} must be a "
-                                 f"non-negative integer, got {value!r}")
         for key in ("fit", "complexity", "log_bf_iu", "log_bf_ic",
                     "mc_se_fit", "mc_se_complexity"):
             value = getattr(self, key)
+            if type(value) is not float and (value is not None
+                                             or key != "log_bf_ic"):
+                value = _record_float(value)
+                object.__setattr__(self, key, value)
             if value != value:
                 raise ValueError(f"evidence record field {key!r} is NaN")
+        for key in ("mc_draws", "n"):
+            value = getattr(self, key)
+            # an int is kept whole, past 2**53 too
+            count = value if type(value) is int else _record_float(value)
+            if not (count >= 0 and count % 1 == 0):   # inf % 1 is nan
+                raise ValueError(f"evidence record field {key!r} must be a "
+                                 f"non-negative integer, got {value!r}")
+            if type(value) is not int:
+                object.__setattr__(self, key, int(count))
         if self.alternative not in ALTERNATIVES:
             raise ValueError(f"evidence record has unknown alternative "
                              f"{self.alternative!r}; expected one of "
@@ -165,14 +185,14 @@ class EvidenceRecord:
 
     @classmethod
     def from_dict(cls, data) -> "EvidenceRecord":
-        """Record from a decoded JSON object; the constructor checks values.
+        """Record from a decoded JSON object, unknown keys dropped; the
+        constructor checks values.
 
         Raises
         ------
         DataError
-            If ``data`` is not an object, lacks a required field, has a
-            non-numeric number field or a non-integral count, or the
-            constructor rejects it.
+            If ``data`` is not an object, lacks a required field, or the
+            constructor rejects it (with the constructor's message).
         """
         if not isinstance(data, dict):
             raise DataError(f"evidence record must be an object, "
@@ -182,24 +202,8 @@ class EvidenceRecord:
                    if f.default is MISSING and k not in data]
         if missing:
             raise DataError(f"evidence record lacks fields {missing}")
-        data = {k: v for k, v in data.items() if k in fields}
         try:
-            for key in ("fit", "complexity", "log_bf_iu", "mc_se_fit",
-                        "mc_se_complexity"):
-                data[key] = float(data[key])
-            if data["log_bf_ic"] is not None:
-                data["log_bf_ic"] = float(data["log_bf_ic"])
-            counts = {key: float(data.get(key, 0)) for key in ("mc_draws", "n")}
-        except (TypeError, ValueError) as exc:
-            raise DataError(
-                f"evidence record has a non-numeric field: {exc}") from None
-        for key, value in counts.items():
-            if not value.is_integer():
-                raise DataError(f"evidence record field {key!r} must be a "
-                                f"non-negative integer, got {data[key]!r}")
-            data[key] = int(value)
-        try:
-            return cls(**data)
+            return cls(**{k: v for k, v in data.items() if k in fields})
         except ValueError as exc:
             raise DataError(str(exc)) from None
 
@@ -231,16 +235,22 @@ def build_prior(fit: FitResult, frac: FractionSpec,
 
 def default_fraction(fit: FitResult,
                      systems: list[hyp.ConstraintSystem]) -> FractionSpec:
-    """Family rule: b = (p + 1) / n for gaussian, with p counting every
-    design column, and b = J / n for binomial, with J the number of
-    independent constraints (:func:`constraint_count`).
+    """Family rule for the one hypothesis in ``systems``: b = (p + 1) / n
+    for gaussian, with p counting every design column, and b = J / n for
+    binomial, with J the number of independent constraints of the
+    hypothesis, its rank (at least 1).
 
     Raises
     ------
+    ValueError
+        Unless ``systems`` holds exactly one hypothesis.
     DataError
         If a gaussian fit has n = p + 1 observations, where the rule
         reaches b = 1.  (A binomial J is at most p, below n.)
     """
+    if len(systems) != 1:
+        raise ValueError(f"the default fraction is for one hypothesis, "
+                         f"got {len(systems)}")
     if fit.family == "gaussian":
         if fit.n <= fit.p + 1:
             raise DataError(
@@ -248,22 +258,7 @@ def default_fraction(fit: FitResult,
                 f"the default fraction b = (p + 1) / n = 1; a gaussian study "
                 f"needs n > p + 1 = {fit.p + 1}")
         return FractionSpec((fit.p + 1) / fit.n)
-    return FractionSpec(constraint_count(systems) / fit.n)
-
-
-def constraint_count(systems: list[hyp.ConstraintSystem]) -> int:
-    """Number of independent constraint rows across ``systems`` (min 1)."""
-    if len(systems) == 1:
-        return max(systems[0].rank, 1)
-    names: list[str] = []
-    for h in systems:
-        for name in h.param_names:
-            if name not in names:
-                names.append(name)
-    blocks = [hyp.embed_rows(h, names)[0] for h in systems]
-    stacked = np.vstack(blocks) if blocks else np.zeros((0, 0))
-    rank = int(np.linalg.matrix_rank(stacked)) if stacked.size else 0
-    return max(rank, 1)
+    return FractionSpec(max(systems[0].rank, 1) / fit.n)
 
 
 def adjustment_center(h: hyp.ConstraintSystem,
@@ -495,8 +490,9 @@ def _standard_box(mean: np.ndarray, scale: np.ndarray):
     dropped when its mean is positive and empties the region otherwise,
     and a row perfectly correlated with an earlier one narrows that row's
     bounds instead of adding a dimension.  :func:`_orthant_prob` standardizes
-    a full-rank pair on floats itself; two rows reach this array form only
-    when one has no variance or |rho| >= 1 - _RHO_TOL.
+    a single row with positive variance, and a full-rank pair, on floats
+    itself; one row reaches this array form only without variance, and two
+    only when one has none or |rho| >= 1 - _RHO_TOL.
     """
     var = np.diag(scale)
     sure = var <= 0.0
@@ -506,11 +502,8 @@ def _standard_box(mean: np.ndarray, scale: np.ndarray):
         mean, scale, var = mean[~sure], scale[~sure][:, ~sure], var[~sure]
     s = np.sqrt(var)
     corr = scale / np.outer(s, s)
-    if corr.shape[0] == 2:   # unit diagonal: eigenvalues 1 +- rho
-        psd = abs(corr[0, 1]) <= 1.0 + 1e-8
-    else:   # one row, or none left, is positive semidefinite
-        psd = corr.shape[0] < 2 or np.linalg.eigvalsh(corr)[0] >= -1e-8
-    if not psd:
+    # one row, or none left, is positive semidefinite
+    if corr.shape[0] > 1 and not np.linalg.eigvalsh(corr)[0] >= -1e-8:
         raise NumericError("transformed scale matrix is not positive semidefinite")
     lo = -(mean / s)
     hi = np.full(lo.shape, np.inf)
@@ -626,10 +619,11 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
     Returns (probability, error estimate, points used, method name).
     ``method="mc"`` is the Monte Carlo sampler, kept as a test oracle.
     Otherwise a deterministic ladder runs on the rank-reduced problem, on
-    Python floats for one row and for two (:func:`_pair_prob`, entered
-    directly for a pair with positive variances and |rho| < 1 - _RHO_TOL,
-    and after :func:`_standard_box` for what a reduction leaves):
-    one row takes the exact CDF; zero-mean two- and three-row orthants the
+    Python floats for one row and for two.  A row with positive variance,
+    and a pair with positive variances and |rho| < 1 - _RHO_TOL
+    (:func:`_pair_prob`), skip the reduction; the rest go through
+    :func:`_standard_box`, which decides rows without variance by their
+    means.  Then one row takes the exact CDF; zero-mean two- and three-row orthants the
     closed forms 1/4 + asin(rho) / 2pi and 1/8 + sum asin(rho_ij) / 4pi,
     valid for any elliptical law; other two-row orthants, and two-row
     boxes with finite bounds (an opposed pair beside another row), Owen's
@@ -657,10 +651,9 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
         p = float(np.all(x > 0.0, axis=1).mean())
         se = math.sqrt(p * (1.0 - p) / draws)
         return p, se, draws, "mc"
-    if mean.shape[0] == 1:   # skips the reduction: single rows stay as cheap
-        s = math.sqrt(max(float(scale[0, 0]), 0.0))
-        if s == 0.0:
-            return (1.0 if mean[0] > 0 else 0.0), 0.0, 0, "exact"
+    # a row with variance skips the reduction: single rows stay as cheap
+    if mean.shape[0] == 1 and scale[0, 0] > 0.0:
+        s = math.sqrt(float(scale[0, 0]))
         return _cdf(kind, float(mean[0]) / s, df), 0.0, 0, "exact"
     if mean.shape[0] == 2:   # a full-rank pair skips the reduction too
         v0, v1 = float(scale[0, 0]), float(scale[1, 1])

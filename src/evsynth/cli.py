@@ -133,6 +133,10 @@ def cmd_synthesize(args) -> int:
     if args.priors != "uniform":
         priors = [float(x) for x in args.priors.split(",")]
     state, alternative = synthesize_records(records, priors)
+    # write nothing unless every output can be written
+    _check_writable(args.out)
+    if args.trail:
+        _check_writable(args.trail)
     summary = state.as_dict()
     summary["alternative"] = alternative
     Path(args.out).write_text(

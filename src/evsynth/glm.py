@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit, log_ndtr, ndtr

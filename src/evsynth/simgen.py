@@ -68,7 +68,7 @@ class DataGenSpec:
             raise ValueError("need more observations than predictors")
 
 
-def predictor_cov(spec: DataGenSpec) -> np.ndarray:
+def predictor_cov() -> np.ndarray:
     """Unit variances and pairwise correlation DEFAULT_RHO, for every spec."""
     k = len(DEFAULT_WEIGHTS)
     return np.full((k, k), DEFAULT_RHO) + (1.0 - DEFAULT_RHO) * np.eye(k)
@@ -92,7 +92,7 @@ def compute_beta(spec: DataGenSpec) -> np.ndarray:
     Var(X beta) = V by construction.
     """
     a = np.asarray(DEFAULT_WEIGHTS, dtype=float)
-    denom = float(a @ predictor_cov(spec) @ a)
+    denom = float(a @ predictor_cov() @ a)
     return a * math.sqrt(latent_variance(spec) / denom)
 
 
@@ -101,7 +101,7 @@ def _generator(spec: DataGenSpec) -> tuple[np.ndarray, np.ndarray, tuple[str, ..
     """beta, the Cholesky factor of the predictor covariance and the
     predictor names of ``spec``, computed once per spec (read-only)."""
     beta = compute_beta(spec)
-    chol = np.linalg.cholesky(predictor_cov(spec))
+    chol = np.linalg.cholesky(predictor_cov())
     beta.flags.writeable = chol.flags.writeable = False
     return beta, chol, tuple(f"x{j + 1}" for j in range(len(beta)))
 

@@ -153,7 +153,7 @@ def test_criterion_01_coefficient_calibration():
 def test_criterion_02_quadratic_form_oracle():
     spec = simgen.DataGenSpec(family="gaussian", n=100, r2=0.25)
     a = np.asarray(simgen.DEFAULT_WEIGHTS)
-    sigma = simgen.predictor_cov(spec)
+    sigma = simgen.predictor_cov()
     brute = 0.0
     for i in range(6):
         for j in range(6):

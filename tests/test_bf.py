@@ -19,8 +19,8 @@ from evsynth import bf, simgen
 from evsynth.bf import (ALTERNATIVES, MASS_METHODS, CoefDistribution,
                         EvidenceRecord, FractionSpec, NumericError,
                         adjustment_center, bf_between, bf_cu, bf_ic, bf_iu,
-                        build_posterior, build_prior, constraint_count,
-                        default_fraction, evaluate, prob_region)
+                        build_posterior, build_prior, default_fraction,
+                        evaluate, prob_region)
 from evsynth.glm import FAMILIES, DataError, Dataset, add_intercept, fit_ols
 from evsynth.glm import fit as glm_fit
 from evsynth.hypothesis import (ConstraintSystem,
@@ -98,20 +98,26 @@ class TestFractionSpec:
 
 
 class TestConstraintCount:
+    """J of the binomial rule b = J / n is the rank of the one hypothesis."""
+
     def test_single_inequality(self):
-        assert constraint_count([parse("b6 > 0")]) == 1
+        fit = logit_fit(n=200)
+        assert default_fraction(fit, [parse("b6 > 0")]).b == 1.0 / 200
 
     def test_chain_counts_rows(self):
-        assert constraint_count([parse("b4 < b5 < b6")]) == 2
+        fit = logit_fit(n=200)
+        assert default_fraction(fit, [parse("b4 < b5 < b6")]).b == 2.0 / 200
 
-    def test_union_deduplicates_dependent_rows(self):
-        assert constraint_count([parse("b1 > 0"), parse("b1 < 0")]) == 1
+    def test_rank_not_row_count(self):
+        fit = logit_fit(n=200)
+        h = parse("x2 > 0 & x3 > 0 & x2 + x3 > 0.1")
+        assert default_fraction(fit, [h]).b == 2.0 / 200
 
-    def test_independent_systems_add(self):
-        assert constraint_count([parse("b1 > 0"), parse("b2 > 0")]) == 2
-
-    def test_minimum_one(self):
-        assert constraint_count([]) == 1
+    def test_one_hypothesis_only(self):
+        for fit in (logit_fit(n=200), gaussian_fit(n=120, p=5)):
+            for systems in ([], [parse("x2 > 0"), parse("x3 > 0")]):
+                with pytest.raises(ValueError, match="one hypothesis, got"):
+                    default_fraction(fit, systems)
 
 
 class TestAdjustmentCenter:
@@ -232,14 +238,17 @@ class TestProbRegion:
         else:   # a box, or None for an empty one (opposed rows)
             bf._standard_box(np.array([0.3, -0.2]), scale)
 
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_rows_without_variance_are_decided_by_their_means(self, k):
+    @pytest.mark.parametrize("kind,k", [
+        pytest.param(kind, k, id=str(k) if kind == "normal" else f"t-{k}")
+        for kind in ("normal", "student-t") for k in (1, 2, 3)])
+    def test_rows_without_variance_are_decided_by_their_means(self, kind, k):
         names = ("b1", "b2", "b3")[:k]
         h = parse("{" + ", ".join(names) + "} > 0")
-        sure = normal_dist(np.linspace(0.2, 0.5, k), np.zeros((k, k)))
-        assert prob_region(sure, h) == (1.0, 0.0)
-        never = normal_dist(np.linspace(-0.2, 0.5, k), np.zeros((k, k)))
-        assert prob_region(never, h) == (0.0, 0.0)
+        for mean, p in ((np.linspace(0.2, 0.5, k), 1.0),
+                        (np.linspace(-0.2, 0.5, k), 0.0)):
+            dist = CoefDistribution(kind, mean, np.zeros((k, k)), names,
+                                    df=4.0 if kind == "student-t" else None)
+            assert prob_region(dist, h) == (p, 0.0)
 
     def test_standard_normal_half(self):
         p, se = prob_region(normal_dist([0.0], [[1.0]]), parse("b1 > 0"))
@@ -1291,6 +1300,46 @@ class TestEvidenceRecord:
         assert back == rec
         assert repr(back) == repr(rec)  # also tells -0.0 from 0.0
 
+    VALID = dict(study_id="s", hypothesis="h", fit=0.5, complexity=0.25,
+                 log_bf_iu=math.log(2.0), log_bf_ic=0.0, mc_se_fit=0.0,
+                 mc_se_complexity=0.0, mc_draws=0, family="logit", n=10,
+                 alternative="unconstrained", mass_method="exact")
+    NUMBERS = ("fit", "complexity", "log_bf_iu", "log_bf_ic", "mc_se_fit",
+               "mc_se_complexity")
+    POOL = (st.floats() | st.integers(-10 ** 6, 10 ** 6)
+            | st.integers(-10 ** 6, 10 ** 6).map(float)
+            | st.floats().map(repr) | st.integers().map(str)
+            | st.lists(st.integers(), max_size=2)
+            | st.sampled_from([None, "inf", "-inf", "nan", "abc", "", " 3 ",
+                               True, 2 ** 60, 10 ** 400, -0.0, {}, "exact"]))
+
+    # the constructor once accepted the first three, which from_dict
+    # rejected, and from_dict the fourth, which the constructor rejected
+    @given(st.sampled_from(sorted(VALID)), POOL)
+    @example("fit", "abc")
+    @example("fit", None)
+    @example("log_bf_iu", [1])
+    @example("mc_draws", 1.0)
+    @example("n", 2 ** 60)
+    @settings(max_examples=300, deadline=None)
+    def test_constructor_and_from_dict_agree(self, key, value):
+        data = dict(self.VALID, **{key: value})
+        try:
+            rec = EvidenceRecord(**data)
+        except ValueError as exc:
+            with pytest.raises(DataError) as read:
+                EvidenceRecord.from_dict(data)
+            assert str(read.value) == str(exc)
+            return
+        assert EvidenceRecord.from_dict(data) == rec
+        assert all(type(getattr(rec, k)) is float for k in self.NUMBERS
+                   if getattr(rec, k) is not None)
+        assert type(rec.mc_draws) is int and type(rec.n) is int
+        if key in ("mc_draws", "n") and type(value) is int:
+            assert getattr(rec, key) == value   # kept whole, past 2**53 too
+        back = EvidenceRecord.from_dict(json.loads(json.dumps(rec.to_dict())))
+        assert back == rec
+
 
 class TestParsedSystemMemo:
     """The per-system quantities kept on a parsed ConstraintSystem give the
@@ -1334,11 +1383,6 @@ class TestParsedSystemMemo:
                 array[:] = 7.0
             assert evaluate(fit, h, label="h",
                             rng=np.random.default_rng(0)) == fresh
-
-    def test_constraint_count_is_per_system(self):
-        h = parse("x2 > 0 & x3 > 0 & x2 + x3 > 0.1")
-        assert constraint_count([h]) == constraint_count([h]) == 2
-        assert constraint_count([h, parse("x4 > 0")]) == 3
 
 
 class TestEvaluate:

@@ -288,6 +288,25 @@ class TestSynthesize:
         assert math.isclose(float(final["cumulative_log_bf"]),
                             math.log(4.0), rel_tol=1e-9)
 
+    @pytest.mark.parametrize("trail", ["missing/trail.csv", "."],
+                             ids=["missing-directory", "directory"])
+    @pytest.mark.parametrize("old", [None, b"old summary\n"],
+                             ids=["absent-out", "present-out"])
+    def test_unwritable_trail_writes_nothing(self, tmp_path, capsys, trail,
+                                             old):
+        write_record(tmp_path / "s1.json", "s1", math.log(2.0), 0.5, 0.25)
+        out = tmp_path / "summary.json"
+        if old is not None:
+            out.write_bytes(old)
+        code = cli.main(["synthesize", "--records", str(tmp_path / "s1.json"),
+                         "--out", str(out), "--trail", str(tmp_path / trail)])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: [Errno ")
+        if old is None:
+            assert not out.exists()
+        else:
+            assert out.read_bytes() == old
+
     def test_custom_priors(self, tmp_path):
         write_record(tmp_path / "s1.json", "s1", 0.0, 0.5, 0.5)
         out = tmp_path / "summary.json"
@@ -331,9 +350,11 @@ class TestSynthesize:
         json.dumps([dict(record_dict(), n=-3.7)]),
         json.dumps([dict(record_dict(), n=-3)]),
         json.dumps([dict(record_dict(), mass_method="guess")]),
+        json.dumps([dict(record_dict(), log_bf_iu=10 ** 400)]),
     ], ids=["invalid-json", "missing-mc-draws", "non-numeric-fit",
             "non-object-item", "unknown-alternative", "non-integral-mc-draws",
-            "negative-non-integral-n", "negative-n", "unknown-mass-method"])
+            "negative-non-integral-n", "negative-n", "unknown-mass-method",
+            "integer-beyond-float"])
     def test_malformed_record_exit_3(self, tmp_path, capsys, text):
         (tmp_path / "s1.json").write_text(text, encoding="utf-8")
         code = cli.main(["synthesize", "--records", str(tmp_path),

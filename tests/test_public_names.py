@@ -1,7 +1,8 @@
 """Names that code outside the package reaches by attribute, private
 names the package reaches outside itself, private names no module of the
-package takes from another, and public names and dataclass fields that
-something reads.
+package takes from another, public names and dataclass fields that
+something reads, and imports and parameters that their module and
+function read.
 
 The benchmark's traced runs (``bench/spans.py``) replace the functions in
 its ``TRACED`` list by module attribute, so moving or renaming one of them
@@ -187,6 +188,46 @@ def test_every_dataclass_field_has_a_reader():
     unread = [f"{module}.{qualified}" for module, tree in trees
               for qualified, name, written in dataclass_fields(tree)
               if name not in read and not written and qualified not in ORACLES]
+    assert unread == []
+
+
+def loaded_names(node: ast.AST) -> set[str]:
+    return {sub.id for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+
+
+def test_every_import_is_read():
+    # the package's own re-exports are exempt, as is from __future__
+    unread = []
+    for module, tree in package_trees():
+        exported = set(evsynth.__all__) if module == "__init__" else set()
+        read = loaded_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.partition(".")[0]
+                         for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unread += [f"{module}:{node.lineno} {name}" for name in bound
+                       if name not in read and name not in exported]
+    assert unread == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for module, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                params = [a.arg for a in args.posonlyargs + args.args
+                          + args.kwonlyargs + [args.vararg, args.kwarg]
+                          if a is not None]
+                read = set().union(*(loaded_names(sub) for sub in node.body))
+                unread += [f"{module}.{node.name} {name}" for name in params
+                           if name not in read and name not in ("self", "cls")]
     assert unread == []
 
 

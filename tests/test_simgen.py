@@ -31,7 +31,7 @@ CALIBRATION_TABLE = {
 class TestQuadraticForm:
     def test_explicit_double_loop_equals_304(self):
         a = np.array(DEFAULT_WEIGHTS, dtype=float)
-        cov = predictor_cov(DataGenSpec(family="gaussian", n=100, r2=0.25))
+        cov = predictor_cov()
         total = 0.0
         for i in range(6):
             for j in range(6):
@@ -51,7 +51,7 @@ class TestQuadraticForm:
         beta = compute_beta(spec)
         # invert the calibration: Var(y hat) = beta' Sigma beta must equal
         # the family's latent variance target
-        cov = predictor_cov(spec)
+        cov = predictor_cov()
         assert math.isclose(float(beta @ cov @ beta), latent_variance(spec),
                             rel_tol=1e-12)
 
@@ -134,7 +134,7 @@ class TestGenDataset:
         spec = DataGenSpec(family="probit", n=100_000, r2=0.09)
         d = gen_dataset(spec, rng_stream(17), lambda d: d)
         sample_cov = np.cov(d.X.T)
-        assert np.allclose(sample_cov, predictor_cov(spec), atol=0.02)
+        assert np.allclose(sample_cov, predictor_cov(), atol=0.02)
 
     def test_binomial_outcomes_binary(self):
         spec = DataGenSpec(family="logit", n=200, r2=0.09)
