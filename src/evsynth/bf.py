@@ -130,8 +130,11 @@ class EvidenceRecord:
     :func:`bf_iu`, :meth:`from_dict` or directly): ValueError unless text
     fields are strings, number fields (``log_bf_ic`` may be None) what
     ``float()`` takes and not NaN (±inf, or "inf" / "-inf", is the
-    sentinel), counts integral and non-negative, and the alternative and
-    mass method known (:data:`ALTERNATIVES`, :data:`MASS_METHODS`).
+    sentinel), ``fit``, ``complexity`` and their ``mc_se_*`` non-negative,
+    ``fit`` and ``complexity`` at most 1 when ``log_bf_ic`` is not None (an
+    inequality-only hypothesis, whose masses are probabilities), counts
+    integral and non-negative, and the alternative and mass method known
+    (:data:`ALTERNATIVES`, :data:`MASS_METHODS`).
     Numbers are stored as floats and counts as ints.
     Records are frozen, so a record stays as checked."""
 
@@ -162,6 +165,16 @@ class EvidenceRecord:
                 object.__setattr__(self, key, value)
             if value != value:
                 raise ValueError(f"evidence record field {key!r} is NaN")
+        for key in ("fit", "complexity", "mc_se_fit", "mc_se_complexity"):
+            if getattr(self, key) < 0.0:
+                raise ValueError(f"evidence record field {key!r} must be "
+                                 f"non-negative, got {getattr(self, key)!r}")
+        if self.log_bf_ic is not None:
+            for key in ("fit", "complexity"):
+                if getattr(self, key) > 1.0:
+                    raise ValueError(f"evidence record field {key!r} of an "
+                                     f"inequality-only hypothesis is a "
+                                     f"probability, got {getattr(self, key)!r}")
         for key in ("mc_draws", "n"):
             value = getattr(self, key)
             # an int is kept whole, past 2**53 too

@@ -64,6 +64,8 @@ def _compact(text: str) -> str:
 
 
 def cmd_analyze(args) -> int:
+    # fail before reading and fitting the data, not after
+    _check_writable(args.out)
     predictors = args.predictors.split(",") if args.predictors else None
     d = glm.dataset_from_csv(args.data, args.outcome, predictors,
                              family=args.family,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -137,10 +138,17 @@ def dataset_from_csv(path, outcome: str, predictors: list[str] | None = None,
                      family: str = "gaussian", intercept: bool = True) -> Dataset:
     """Load a Dataset from a headed CSV file.
 
-    The header is read by ``csv.reader`` and the used columns of the body
-    by numpy's C reader.  A file that reader cannot take exactly as
-    ``csv.reader`` plus ``float()`` would is read again cell by cell, which
-    is also where every data error is worded; both give the same doubles.
+    The file is read once, as bytes, and parsed from that copy.  The header
+    is read by ``csv.reader`` and the used columns of the body by numpy's C
+    reader.  A file that reader cannot take exactly as ``csv.reader`` plus
+    ``float()`` would is parsed again cell by cell, which is also where
+    every data error is worded; both give the same doubles.
+
+    The last parsed table is kept for the next call: a call on the same
+    bytes with the same ``outcome``, ``predictors`` and
+    ``csv.field_size_limit()`` skips the parse, whatever the path.  One
+    table is kept per process; a parse that fails is not kept.  Every call
+    still builds and checks its own :class:`Dataset` with writable arrays.
 
     Parameters
     ----------
@@ -161,26 +169,53 @@ def dataset_from_csv(path, outcome: str, predictors: list[str] | None = None,
         listed among the predictors, or columns a :class:`Dataset` rejects;
         every message names the file.
     """
+    global _last_parse
     if predictors is not None and outcome in predictors:
         raise DataError(f"{path}: outcome column {outcome!r} is also listed "
                         f"as a predictor")
-    parsed = _c_parsed_table(path, outcome, predictors)
-    if parsed is None:
-        parsed = _cell_parsed_table(path, outcome, predictors)
-    predictors, table = parsed
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    key = (raw, outcome, None if predictors is None else tuple(predictors),
+           csv.field_size_limit())
+    last_key, parsed = _last_parse
+    if last_key != key:
+        parsed = _c_parsed_table(raw, outcome, predictors)
+        if parsed is None:
+            parsed = _cell_parsed_table(path, raw, outcome, predictors)
+        names, table = parsed
+        table.flags.writeable = False
+        # a tuple: the names may be the caller's list, which it can change
+        parsed = tuple(names), table
+        _last_parse = key, parsed
+    names, table = parsed
     try:
         # contiguous copies, laid out as the per-cell reader's arrays always
-        # were: BLAS results can depend on the layout
-        d = Dataset(np.ascontiguousarray(table[:, 1:]),
-                    np.ascontiguousarray(table[:, 0]), family, tuple(predictors))
+        # were (BLAS results can depend on the layout), and never views of
+        # the kept table
+        d = Dataset(np.array(table[:, 1:], order="C"),
+                    np.array(table[:, 0], order="C"), family, names)
         return add_intercept(d) if intercept else d
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
 
 
-def _c_parsed_table(path, outcome: str, predictors: list[str] | None):
-    """(predictor names, table with the outcome column first) parsed by
-    ``np.loadtxt``, or None when the file needs ``_cell_parsed_table``.
+# (key, (predictor names, read-only table)) of the last parse that
+# succeeded; the key holds the file's bytes and every other input of the
+# parse.  Kept as one tuple, replaced in one assignment, so a concurrent
+# caller sees a key with its own table.
+_last_parse: tuple = (None, None)
+
+
+def _text(raw: bytes):
+    """``raw`` as the text file ``open(path, newline="", encoding="utf-8")``
+    gives."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
+
+
+def _c_parsed_table(raw: bytes, outcome: str, predictors: list[str] | None):
+    """(predictor names, table with the outcome column first) parsed from a
+    file's bytes by ``np.loadtxt``, or None when the file needs
+    ``_cell_parsed_table``.
 
     None is returned for any header problem, any cell numpy rejects
     (blanks, text, ``1_0``) and any line the two readers could take
@@ -200,7 +235,7 @@ def _c_parsed_table(path, outcome: str, predictors: list[str] | None):
                 raise ValueError("line needs the per-cell reader")
             yield line
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _text(raw) as fh:
         try:
             header = next(csv.reader(fh))
             if predictors is None:
@@ -231,13 +266,15 @@ def csv_read_error(path, exc: UnicodeDecodeError | csv.Error,
     return DataError(f"{path}: {where}: {exc}")
 
 
-def _cell_parsed_table(path, outcome: str, predictors: list[str] | None):
+def _cell_parsed_table(path, raw: bytes, outcome: str,
+                       predictors: list[str] | None):
     """``_c_parsed_table``'s result from ``csv.reader`` and one ``float()``
-    per used cell; raises the DataError that names the first bad cell, the
-    row holding a cell longer than ``csv.field_size_limit()``, or a file
-    that is not UTF-8 text."""
+    per used cell of ``raw``, the bytes of the file at ``path``; raises the
+    DataError that names ``path`` and the first bad cell, the row holding a
+    cell longer than ``csv.field_size_limit()``, or a file that is not
+    UTF-8 text."""
     header, rows = None, []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _text(raw) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -1266,7 +1266,10 @@ class TestEvidenceRecord:
 
     @pytest.mark.parametrize("field,value", [
         ("alternative", "bogus"), ("mass_method", "guess"), ("mc_draws", -1),
-        ("n", -3), ("mc_draws", 1.5), ("hypothesis", 7), ("study_id", None)])
+        ("n", -3), ("mc_draws", 1.5), ("hypothesis", 7), ("study_id", None),
+        ("fit", 1.7), ("complexity", -0.2), ("mc_se_fit", -1),
+        ("mc_se_complexity", -1e-300), ("fit", -math.inf),
+        ("complexity", math.inf)])
     def test_invalid_record_rejected_at_construction(self, field, value):
         fields = dict(dict(study_id="s", hypothesis="h", fit=0.5,
                            complexity=0.5, log_bf_iu=0.0, log_bf_ic=0.0,
@@ -1274,6 +1277,14 @@ class TestEvidenceRecord:
                       **{field: value})
         with pytest.raises(ValueError, match=field.replace("_", ".")):
             EvidenceRecord(**fields)
+
+    def test_equality_densities_may_exceed_one(self):
+        # with an equality constraint fit and complexity are densities
+        rec = EvidenceRecord(study_id="s", hypothesis="h", fit=1.7,
+                             complexity=3.5, log_bf_iu=math.log(1.7 / 3.5),
+                             log_bf_ic=None, mc_se_fit=0.0,
+                             mc_se_complexity=0.0, mc_draws=0)
+        assert (rec.fit, rec.complexity) == (1.7, 3.5)
 
     def test_fields_cannot_be_assigned(self):
         rec = evaluate(gaussian_fit(n=80, p=2, seed=1), parse("x2 > 0"),
@@ -1321,6 +1332,11 @@ class TestEvidenceRecord:
     @example("log_bf_iu", [1])
     @example("mc_draws", 1.0)
     @example("n", 2 ** 60)
+    @example("fit", 1.7)
+    @example("complexity", -0.2)
+    @example("mc_se_fit", -1)
+    @example("mc_se_complexity", "-inf")
+    @example("log_bf_ic", None)
     @settings(max_examples=300, deadline=None)
     def test_constructor_and_from_dict_agree(self, key, value):
         data = dict(self.VALID, **{key: value})
@@ -1335,6 +1351,10 @@ class TestEvidenceRecord:
         assert all(type(getattr(rec, k)) is float for k in self.NUMBERS
                    if getattr(rec, k) is not None)
         assert type(rec.mc_draws) is int and type(rec.n) is int
+        assert min(rec.fit, rec.complexity, rec.mc_se_fit,
+                   rec.mc_se_complexity) >= 0.0
+        if rec.log_bf_ic is not None:
+            assert max(rec.fit, rec.complexity) <= 1.0
         if key in ("mc_draws", "n") and type(value) is int:
             assert getattr(rec, key) == value   # kept whole, past 2**53 too
         back = EvidenceRecord.from_dict(json.loads(json.dumps(rec.to_dict())))

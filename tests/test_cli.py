@@ -175,6 +175,22 @@ class TestAnalyze:
         assert capsys.readouterr().err == f"error: {path}: {words}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_fails_before_the_data_is_read(
+            self, strong_effect_csv, tmp_path, monkeypatch, capsys, where):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the data was read")
+
+        monkeypatch.setattr(cli.glm, "dataset_from_csv", unreachable)
+        out = tmp_path / "absent" / "r.json" if where == "missing-dir" else tmp_path
+        code = cli.main(["analyze", "--data", str(strong_effect_csv),
+                         "--family", "gaussian", "--outcome", "y",
+                         "--hypothesis", "x1 > 0", "--seed", "3",
+                         "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and str(out) in err
+
     def test_fraction_of_one_exit_3(self, tmp_path, capsys):
         # n = 3 rows, p = 2 coefficients: the default b = (p + 1) / n is 1
         path = tmp_path / "tiny.csv"
@@ -411,6 +427,21 @@ class TestSynthesize:
         assert code == 3
         err = capsys.readouterr().err
         assert err == f"error: {path}: evidence record field {key!r} is NaN\n"
+        assert not out.exists()
+
+
+    def test_out_of_range_masses_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "s1.json"
+        path.write_text(json.dumps([dict(record_dict(), fit=1.7,
+                                         complexity=-0.2, mc_se_fit=-1)]),
+                        encoding="utf-8")
+        out = tmp_path / "o.json"
+        code = cli.main(["synthesize", "--records", str(path),
+                         "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: evidence record field 'complexity' must be "
+            f"non-negative, got -0.2\n")
         assert not out.exists()
 
 

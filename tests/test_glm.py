@@ -2,6 +2,7 @@
 
 import csv
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import expit, log_ndtr, ndtr
 from scipy.stats import norm
 
-from evsynth import glm
+from evsynth import cli, glm
 from evsynth.glm import (DataError, Dataset, NotConvergedError,
                          SeparationError, SingularDesignError, add_intercept,
                          dataset_from_csv, detect_separation, fit,
@@ -492,18 +493,167 @@ class TestCsvReaderDifferential:
         ("y,a\n1,2\n3,4\n5,7\n", ["a", "y"]),
         ("", ["y"]),
     ])
-    def test_contract_cases(self, tmp_path, text, predictors):
-        assert_matches_reference(tmp_path / "data.csv", text,
-                                 predictors=predictors)
+    def test_contract_cases(self, tmp_path, monkeypatch, text, predictors):
+        monkeypatch.setattr(glm, "_last_parse", (None, None))
+        for _ in ("cold", "warm"):
+            assert_matches_reference(tmp_path / "data.csv", text,
+                                     predictors=predictors)
 
     def test_plain_files_take_the_c_reader(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("y,a,t\r\n1, 2.5,x\r\n3,-4e-3,y z\r\n", encoding="utf-8")
-        names, table = glm._c_parsed_table(path, "y", ["a"])
+        names, table = glm._c_parsed_table(path.read_bytes(), "y", ["a"])
         assert names == ["a"] and table.tolist() == [[1.0, 2.5], [3.0, -0.004]]
         for text in ("y,a\n1,2\n\n3,4\n", 'y,a\n1,"2"\n', "y,a\n1,2_0\n"):
             path.write_text(text, encoding="utf-8")
-            assert glm._c_parsed_table(path, "y", None) is None
+            assert glm._c_parsed_table(path.read_bytes(), "y", None) is None
+
+
+class TestParsedTableMemo:
+    """``dataset_from_csv`` keeps the last parsed table: a call on the same
+    bytes and columns gives what a cold call gives, without the parse."""
+
+    GOOD = "y,a,b\n1,2,3\n4,5,7\n6,8,9\n2,2,1\n"
+    OTHER = "y,a,b\n1,2,3\n4,5,7\n6,8,9\n2,2,5\n"
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(glm, "_last_parse", (None, None))
+
+    @staticmethod
+    def cold_outcome(monkeypatch, *args):
+        monkeypatch.setattr(glm, "_last_parse", (None, None))
+        return load_outcome(dataset_from_csv, *args)
+
+    def test_same_size_rewrite_with_old_mtime_is_read(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(self.GOOD, encoding="utf-8")
+        before = dataset_from_csv(path, "y", intercept=False)
+        stat = os.stat(path)
+        path.write_text(self.OTHER, encoding="utf-8")
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert os.stat(path).st_size == stat.st_size
+        after = dataset_from_csv(path, "y", intercept=False)
+        assert before.X[:, 1].tolist() == [3.0, 7.0, 9.0, 1.0]
+        assert after.X[:, 1].tolist() == [3.0, 7.0, 9.0, 5.0]
+
+    def test_bad_file_after_a_good_one_fails_as_cold(self, tmp_path,
+                                                     monkeypatch):
+        path = tmp_path / "data.csv"
+        args = (path, "y", None, "gaussian", True)
+        path.write_text(self.GOOD, encoding="utf-8")
+        good = load_outcome(dataset_from_csv, *args)
+        path.write_text("y,a,b\n1,2,3\n4,oops,7\n6,8,9\n", encoding="utf-8")
+        bad = load_outcome(dataset_from_csv, *args)
+        assert bad[0] == "DataError" and "data row 2" in bad[1]
+        assert load_outcome(dataset_from_csv, *args) == bad
+        assert bad == self.cold_outcome(monkeypatch, *args)
+        path.write_text(self.GOOD, encoding="utf-8")
+        assert load_outcome(dataset_from_csv, *args) == good
+
+    def test_lowered_field_size_limit_reads_as_cold(self, tmp_path,
+                                                    monkeypatch):
+        path = tmp_path / "data.csv"
+        path.write_text("y,a\n1,2.000000000000000\n3,4\n5,7\n",
+                        encoding="utf-8")
+        args = (path, "y", None, "gaussian", True)
+        assert load_outcome(dataset_from_csv, *args)[0] == ("intercept", "a")
+        limit = csv.field_size_limit(10)
+        try:
+            warm = load_outcome(dataset_from_csv, *args)
+            assert warm == self.cold_outcome(monkeypatch, *args)
+        finally:
+            csv.field_size_limit(limit)
+        assert warm == ("DataError", f"{path}: data row 1: field larger than "
+                                     f"field limit (10)")
+
+    def test_one_parse_per_content(self, tmp_path, monkeypatch):
+        parses = []
+        c_parsed_table = glm._c_parsed_table
+
+        def spy(*args):
+            parses.append(args[0])
+            return c_parsed_table(*args)
+
+        monkeypatch.setattr(glm, "_c_parsed_table", spy)
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(self.GOOD, encoding="utf-8")
+        b.write_text(self.OTHER, encoding="utf-8")
+        for path in (a, a, a):
+            dataset_from_csv(path, "y")
+        assert len(parses) == 1
+        parses.clear()
+        monkeypatch.setattr(glm, "_last_parse", (None, None))
+        for path in (a, b, a):
+            dataset_from_csv(path, "y")
+        assert len(parses) == 3
+        # other columns of the same bytes are another parse
+        parses.clear()
+        dataset_from_csv(a, "y", ["b"])
+        dataset_from_csv(a, "a")
+        assert len(parses) == 2
+
+    def test_caller_changing_its_predictor_list(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(self.GOOD, encoding="utf-8")
+        predictors = ["a"]
+        dataset_from_csv(path, "y", predictors)
+        predictors.append("b")
+        assert dataset_from_csv(path, "y", ["a"]).names == ("intercept", "a")
+        assert dataset_from_csv(path, "y", predictors).names == \
+            ("intercept", "a", "b")
+
+    @pytest.mark.parametrize("predictors,intercept", [
+        (None, True), (None, False), (["b"], False), ([], False)])
+    def test_arrays_are_writable_and_not_kept(self, tmp_path, predictors,
+                                              intercept):
+        path = tmp_path / "data.csv"
+        path.write_text(self.GOOD, encoding="utf-8")
+        first = dataset_from_csv(path, "y", predictors, intercept=intercept)
+        second = dataset_from_csv(path, "y", predictors, intercept=intercept)
+        kept = glm._last_parse[1][1]
+        assert not kept.flags.writeable
+        for d in (first, second):
+            assert d.X.flags.writeable and d.y.flags.writeable
+            assert d.X.flags.c_contiguous and d.y.flags.c_contiguous
+            assert not np.shares_memory(d.X, kept)
+            assert not np.shares_memory(d.y, kept)
+        assert not np.shares_memory(first.y, second.y)
+        first.y[0] = 99.0
+        assert second.y[0] == 1.0
+        assert dataset_from_csv(path, "y", predictors,
+                                intercept=intercept).y[0] == 1.0
+
+    @pytest.mark.parametrize("family", ["gaussian", "probit"])
+    def test_analyze_records_equal_cold_calls(self, tmp_path, monkeypatch,
+                                              family):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(200, 6))
+        eta = X @ np.array([0.0, 0.2, 0.3, 0.4, 0.5, 0.6])
+        y = (eta + rng.normal(size=200) if family == "gaussian"
+             else (eta + rng.normal(size=200) > 0).astype(float))
+        data = tmp_path / "study.csv"
+        with open(data, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["y"] + [f"x{j}" for j in range(1, 7)])
+            w.writerows([[repr(v) for v in row]
+                         for row in np.column_stack([y, X]).tolist()])
+
+        def records(cold):
+            out = []
+            for j, text in enumerate(("x4 < x5 < x6", "{x2, x3, x4} > 0",
+                                      "x6 > 0")):
+                if cold:
+                    monkeypatch.setattr(glm, "_last_parse", (None, None))
+                path = tmp_path / f"{cold}-{j}.json"
+                assert cli.main(["analyze", "--data", str(data), "--family",
+                                 family, "--outcome", "y", "--hypothesis",
+                                 text, "--seed", str(11 + j), "--out",
+                                 str(path)]) == 0
+                out.append(path.read_bytes())
+            return out
+
+        assert records(cold=False) == records(cold=True)
 
 
 class TestDispatch:
