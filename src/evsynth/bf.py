@@ -27,12 +27,11 @@ which holds it, is imported on that first use.
 Rank-deficient constraint scales reduce to fewer rows first.  Every mass
 of two rows, a full-rank pair or what a reduction leaves, is taken on
 Python floats by one routine, as single rows are, since numpy's dispatch
-on two-element arrays costs several times the arithmetic.  The Monte
-Carlo sampler remains as ``method="mc"`` of :func:`bf_iu` and
-:func:`prob_region`, the test oracle.  Every mass reports an error estimate
-and the name of its method (:data:`MASS_METHODS`).  Zero-mass corner cases
-are reported with +-inf sentinels; a 0/0 Bayes factor raises
-:class:`NumericError`.
+on two-element arrays costs several times the arithmetic.  Every mass
+reports an error estimate and the name of its method (:data:`MASS_METHODS`;
+"mc", the Monte Carlo sampler, names only masses of records written by
+earlier versions).  Zero-mass corner cases are reported with +-inf
+sentinels; a 0/0 Bayes factor raises :class:`NumericError`.
 
 Each study's evidence is a frozen :class:`EvidenceRecord`; the Bayes
 factors against and of the complement are read from it by :func:`bf_ic`
@@ -296,14 +295,6 @@ def adjustment_center(h: hyp.ConstraintSystem,
 # ---------------------------------------------------------------------------
 # region probabilities and densities
 
-def _psd_sqrt(S: np.ndarray) -> np.ndarray:
-    w, V = np.linalg.eigh(S)
-    wmax = max(float(w.max(initial=0.0)), 0.0)
-    if float(w.min(initial=0.0)) < -1e-8 * max(1.0, wmax):
-        raise NumericError("transformed scale matrix is not positive semidefinite")
-    return V * np.sqrt(np.clip(w, 0.0, None))
-
-
 @functools.cache
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes of the 64- and 32-point Gauss-Legendre rules on (0, 1), the
@@ -549,9 +540,14 @@ def _qmc_box(kind: str, lo: np.ndarray, hi: np.ndarray, corr: np.ndarray,
     standard error too noisily to stop on alone: in 100-seed trials,
     stopping on the first low value missed by up to 15 reported standard
     errors.  Returns (probability, error estimate, points used over all
-    rules).  A Student-t law with df below 1 raises :class:`NumericError`:
-    there scipy's rule misses by many times the error it reports.
+    rules).  ``draws`` below 1 raises ValueError, and ``rng`` None takes a
+    fresh generator.  A Student-t law with df below 1 raises
+    :class:`NumericError`: there scipy's rule misses by many times the error
+    it reports.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be a positive integer, got {draws!r}")
+    rng = np.random.default_rng() if rng is None else rng
     if kind == "student-t" and df < 1.0:
         raise NumericError(
             f"no lattice QMC mass for a Student-t law with df {df!r} below 1")
@@ -577,12 +573,6 @@ def _qmc_box(kind: str, lo: np.ndarray, hi: np.ndarray, corr: np.ndarray,
 def _unit(p: float) -> float:
     """``p`` clipped to [0, 1] against rounding."""
     return min(max(p, 0.0), 1.0)
-
-
-def _sampler_rng(rng, draws: int):
-    if draws < 1:
-        raise ValueError(f"draws must be a positive integer, got {draws!r}")
-    return np.random.default_rng() if rng is None else rng
 
 
 def _side(terms: list):
@@ -625,15 +615,14 @@ def _cdf(kind: str, x: float, df: float | None) -> float:
 
 
 def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
-                  df: float | None, rng, draws: int,
-                  method: str) -> tuple[float, float, int, str]:
+                  df: float | None, rng,
+                  draws: int) -> tuple[float, float, int, str]:
     """P(eta > 0) with eta ~ kind(mean, scale, df).
 
-    Returns (probability, error estimate, points used, method name).
-    ``method="mc"`` is the Monte Carlo sampler, kept as a test oracle.
-    Otherwise a deterministic ladder runs on the rank-reduced problem, on
-    Python floats for one row and for two.  A row with positive variance,
-    and a pair with positive variances and |rho| < 1 - _RHO_TOL
+    Returns (probability, error estimate, points used, method name).  A
+    deterministic ladder runs on the rank-reduced problem, on Python floats
+    for one row and for two.  A row with positive variance, and a pair
+    with positive variances and |rho| < 1 - _RHO_TOL
     (:func:`_pair_prob`), skip the reduction; the rest go through
     :func:`_standard_box`, which decides rows without variance by their
     means.  Then one row takes the exact CDF; zero-mean two- and three-row orthants the
@@ -650,20 +639,6 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
     Student-t law with df below 1 that rung raises :class:`NumericError`.
     Error estimates are 0 for closed forms and CDFs.
     """
-    if method not in ("auto", "mc"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "mc":
-        rng = _sampler_rng(rng, draws)
-        k = mean.shape[0]
-        A = _psd_sqrt(scale)
-        z = rng.standard_normal((draws, k))
-        x = z @ A.T
-        if kind == "student-t":
-            x /= np.sqrt(rng.chisquare(df, draws) / df)[:, None]
-        x += mean
-        p = float(np.all(x > 0.0, axis=1).mean())
-        se = math.sqrt(p * (1.0 - p) / draws)
-        return p, se, draws, "mc"
     # a row with variance skips the reduction: single rows stay as cheap
     if mean.shape[0] == 1 and scale[0, 0] > 0.0:
         s = math.sqrt(float(scale[0, 0]))
@@ -699,8 +674,7 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
         rule = _tvn_orthant(kind, -lo, corr, df)
         if rule is not None:
             return rule[0], rule[1], 0, "quadrature"
-    p, se, used = _qmc_box(kind, lo, hi, corr, df, _sampler_rng(rng, draws),
-                           draws)
+    p, se, used = _qmc_box(kind, lo, hi, corr, df, rng, draws)
     return p, se, used, "qmc"
 
 
@@ -715,7 +689,7 @@ def _log1m(x: float) -> float:
 
 
 def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
-              rng, draws: int, method: str,
+              rng, draws: int,
               rows=None) -> tuple[float, float, float, int, str]:
     """(log mass, mass, error estimate, points used, method name) of
     ``dist`` under ``h``, whose rows embedded in ``dist.names`` are
@@ -728,8 +702,7 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
     conditioning of the inequality block; for Student-t the degrees of
     freedom are kept unchanged (documented approximation).  The region
     probability comes from :func:`_orthant_prob`'s ladder (closed forms,
-    CDFs, Owen's T, quadrature, lattice QMC) or from its Monte Carlo
-    sampler with ``method="mc"``; densities are exact.
+    CDFs, Owen's T, quadrature, lattice QMC); densities are exact.
     """
     eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names,
                                     dist.df, rows=rows)
@@ -765,28 +738,8 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
     p, se, used, how = 1.0, 0.0, 0, "exact"
     if ineq is not None:
         p, se, used, how = _orthant_prob(dist.kind, ineq.mean, ineq.scale,
-                                         dist.df, rng, draws, method)
+                                         dist.df, rng, draws)
     return _log(dens) + _log(p), dens * p, dens * se, used, how
-
-
-def prob_region(dist: CoefDistribution, h: hyp.ConstraintSystem,
-                rng=None, draws: int = DEFAULT_DRAWS,
-                method: str = "auto") -> tuple[float, float]:
-    """Probability that ``dist`` satisfies the inequality rows of ``h``.
-
-    ``h`` must have inequality rows only; equality constraints take the
-    density path.  Returns (probability, error estimate): 0 for closed
-    forms and CDFs, the difference of two rules for quadrature (at least
-    _QUAD_FLOOR), one standard error for lattice QMC (``method="auto"``)
-    and the Monte Carlo sampler (``method="mc"``).  With
-    ``method="auto"``, a Student-t law with df below 1 whose mass needs
-    lattice QMC (four or more rows, a three-row box, or a three-row orthant
-    the quadrature rule cannot resolve) raises :class:`NumericError`.
-    """
-    if h.n_eq:
-        raise ValueError("prob_region requires an inequality-only hypothesis")
-    _, p, se, _, _ = _log_mass(dist, h, rng, draws, method)
-    return p, se
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +758,7 @@ def _log_complement_ratio(f: float, c: float) -> float | None:
 
 def bf_iu(posterior: CoefDistribution, adjusted_prior: CoefDistribution,
           h: hyp.ConstraintSystem, rng=None, draws: int = DEFAULT_DRAWS,
-          method: str = "auto", label: str = "H", study_id: str = "",
+          label: str = "H", study_id: str = "",
           family: str = "", n: int = 0,
           alternative: str = "unconstrained") -> EvidenceRecord:
     """Bayes factor of ``h`` against the unconstrained model.
@@ -833,10 +786,9 @@ def bf_iu(posterior: CoefDistribution, adjusted_prior: CoefDistribution,
     # the rows are embedded once when both distributions share their names,
     # as they do for every posterior and prior of :func:`evaluate`
     rows = hyp.embed_rows(h, posterior.names)
-    log_f, f, f_se, used_f, how_f = _log_mass(posterior, h, rng, draws, method,
-                                              rows)
+    log_f, f, f_se, used_f, how_f = _log_mass(posterior, h, rng, draws, rows)
     log_c, c, c_se, used_c, how_c = _log_mass(
-        adjusted_prior, h, rng, draws, method,
+        adjusted_prior, h, rng, draws,
         rows if adjusted_prior.names == posterior.names else None)
     if log_f == log_c == -math.inf:
         raise NumericError("fit and complexity are both zero; "

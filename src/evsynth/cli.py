@@ -64,7 +64,11 @@ def _compact(text: str) -> str:
 
 
 def cmd_analyze(args) -> int:
-    # fail before reading and fitting the data, not after
+    # fail before reading and fitting the data, not after: a malformed
+    # hypothesis first (exit 2 whatever the data file holds), then an
+    # unwritable output
+    cs = hyp.parse(args.hypothesis)
+    frac = None if args.fraction == "auto" else bf.FractionSpec(args.fraction)
     _check_writable(args.out)
     predictors = args.predictors.split(",") if args.predictors else None
     d = glm.dataset_from_csv(args.data, args.outcome, predictors,
@@ -76,8 +80,6 @@ def cmd_analyze(args) -> int:
         # reworded in place: the type and a SeparationError's trace stay
         exc.args = (f"{args.data}: {exc}",)
         raise
-    cs = hyp.parse(args.hypothesis)
-    frac = None if args.fraction == "auto" else bf.FractionSpec(args.fraction)
     rng = simgen.rng_stream(args.seed)
     record = bf.evaluate(fit, cs, label=_compact(args.hypothesis),
                          study_id=args.study_id or Path(args.data).stem,
@@ -451,9 +453,8 @@ def _int_from(lowest: int):
     return parse
 
 
-_DRAWS_HELP = ("integration point budget (QMC lattice points or Monte Carlo "
-               "draws); unused on exact and quadrature paths "
-               f"(default {bf.DEFAULT_DRAWS})")
+_DRAWS_HELP = ("lattice QMC point budget per region mass; unused on exact "
+               f"and quadrature paths (default {bf.DEFAULT_DRAWS})")
 
 
 @functools.cache

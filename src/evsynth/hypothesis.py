@@ -87,8 +87,7 @@ class ConstraintSystem:
     The given rows are copied, every array is read-only, and the last five
     attributes are derived at construction (again by
     :func:`dataclasses.replace`).  Systems compare and hash by identity
-    (:func:`parse` returns one object per text); :meth:`equals` compares
-    their rows.
+    (:func:`parse` returns one object per text).
     """
 
     param_names: tuple[str, ...]
@@ -152,13 +151,6 @@ class ConstraintSystem:
 
     def __str__(self) -> str:
         return self.to_text()
-
-    def equals(self, other: "ConstraintSystem") -> bool:
-        """Whether ``other`` has the same names and exactly the same rows."""
-        pairs = ((self.R_e, other.R_e), (self.r_e, other.r_e),
-                 (self.R_i, other.R_i), (self.r_i, other.r_i))
-        return (self.param_names == other.param_names
-                and all(np.array_equal(a, b) for a, b in pairs))
 
 
 @dataclass(frozen=True)

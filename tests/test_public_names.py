@@ -4,6 +4,11 @@ package takes from another, public names and dataclass fields that
 something reads, and imports and parameters that their module and
 function read.
 
+A public name or dataclass field that only tests read is listed in
+``ORACLES``; an entry that the package or ``bench/`` reads again fails
+here, so the list holds only what tests alone keep.  Oracles that the
+package need not hold at all live in ``tests/oracles.py``.
+
 The benchmark's traced runs (``bench/spans.py``) replace the functions in
 its ``TRACED`` list by module attribute, so moving or renaming one of them
 must fail here rather than crash the traced benchmark.  The benchmark also
@@ -33,9 +38,6 @@ PACKAGE = ROOT / "src" / "evsynth"
 # public names and dataclass fields whose only readers are tests, each
 # kept as an oracle
 ORACLES = {
-    "prob_region": "acceptance criteria 08 and 09 check region masses with it",
-    "ConstraintSystem.equals": "tests/test_hypothesis.py compares reparsed "
-                               "systems by their rows with it",
     "SimulationResult.aggregates": "bench/workloads.py builds the result "
                                    "positionally, and acceptance criteria "
                                    "01 and 03 read the aggregate rows",
@@ -162,33 +164,54 @@ def test_oracles_name_definitions():
     assert set(ORACLES) <= defined
 
 
-def test_every_public_name_has_a_reader():
-    # read in the package, in bench/, exported, or kept as a test oracle;
-    # matching is by name, so a name that another definition shares passes
-    defined, read = [], set(evsynth.__all__)
-    for module, tree in package_trees():
-        defined += [(module, qualified, name)
-                    for qualified, name in public_definitions(tree)]
+def public_name_reads() -> set[str]:
+    """Names read in the package or in bench/, or exported; matching is by
+    name, so a name that another definition shares counts as read."""
+    read = set(evsynth.__all__)
+    for _, tree in package_trees():
         read |= read_names(tree, strings=False)
     for tree in bench_trees():
         read |= read_names(tree, strings=True)
-    assert [f"{module}.{qualified}" for module, qualified, name in defined
+    return read
+
+
+def field_reads() -> set[str]:
+    """Attributes loaded in the package or in bench/ (tests do not
+    count)."""
+    return {node.attr
+            for tree in [tree for _, tree in package_trees()] + bench_trees()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_public_name_has_a_reader():
+    # read in the package, in bench/, exported, or kept as a test oracle
+    read = public_name_reads()
+    assert [f"{module}.{qualified}" for module, tree in package_trees()
+            for qualified, name in public_definitions(tree)
             if name not in read and qualified not in ORACLES] == []
 
 
 def test_every_dataclass_field_has_a_reader():
-    # read as an attribute in the package or in bench/ (tests do not
-    # count), written out by its class through asdict, or kept as a test
-    # oracle; matching is by name, as for public names
-    trees, read = package_trees(), set()
-    for tree in [tree for _, tree in trees] + bench_trees():
-        read |= {node.attr for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute)
-                 and isinstance(node.ctx, ast.Load)}
-    unread = [f"{module}.{qualified}" for module, tree in trees
-              for qualified, name, written in dataclass_fields(tree)
-              if name not in read and not written and qualified not in ORACLES]
-    assert unread == []
+    # read as an attribute in the package or in bench/, written out by its
+    # class through asdict, or kept as a test oracle
+    read = field_reads()
+    assert [f"{module}.{qualified}" for module, tree in package_trees()
+            for qualified, name, written in dataclass_fields(tree)
+            if name not in read and not written
+            and qualified not in ORACLES] == []
+
+
+def test_oracles_have_no_reader_outside_tests():
+    # an entry that the package or bench/ reads no longer needs its place;
+    # fields count attribute loads, as above, other names any read
+    fields = {qualified for _, tree in package_trees()
+              for qualified, _, _ in dataclass_fields(tree)}
+    fields_read, names_read = field_reads(), public_name_reads()
+    assert [qualified for qualified in ORACLES
+            if qualified.rpartition(".")[2] in (
+                fields_read if qualified in fields else names_read)] == []
 
 
 def loaded_names(node: ast.AST) -> set[str]:
