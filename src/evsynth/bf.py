@@ -706,7 +706,9 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
     """
     eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names,
                                     dist.df, rows=rows)
-    ineq, dens = eta.ineq, 1.0
+    dens = 1.0
+    if eta.ineq is not None:
+        mean, scale = eta.ineq.mean, eta.ineq.scale
     if eta.eq is not None:
         k = eta.eq.mean.shape[0]
         try:
@@ -729,16 +731,16 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
                        - 0.5 * (k * math.log(nu * math.pi) + log_det)
                        - (nu + k) / 2.0 * math.log1p(quad / nu))
         dens = math.exp(log_pdf)
-        if ineq is not None:
+        if eta.ineq is not None:
+            # the inequality block conditioned on the equality boundary
             c = np.linalg.solve(chol, eta.cross.T)
-            mean_c = ineq.mean + q @ c
-            scale_c = ineq.scale - c.T @ c
-            ineq = hyp.EtaDistribution(mean_c, (scale_c + scale_c.T) / 2.0,
-                                       dist.df)
+            mean = mean + q @ c
+            scale = scale - c.T @ c
+            scale = (scale + scale.T) / 2.0
     p, se, used, how = 1.0, 0.0, 0, "exact"
-    if ineq is not None:
-        p, se, used, how = _orthant_prob(dist.kind, ineq.mean, ineq.scale,
-                                         dist.df, rng, draws)
+    if eta.ineq is not None:
+        p, se, used, how = _orthant_prob(dist.kind, mean, scale, dist.df,
+                                         rng, draws)
     return _log(dens) + _log(p), dens * p, dens * se, used, how
 
 

@@ -68,7 +68,6 @@ def cmd_analyze(args) -> int:
     # hypothesis first (exit 2 whatever the data file holds), then an
     # unwritable output
     cs = hyp.parse(args.hypothesis)
-    frac = None if args.fraction == "auto" else bf.FractionSpec(args.fraction)
     _check_writable(args.out)
     predictors = args.predictors.split(",") if args.predictors else None
     d = glm.dataset_from_csv(args.data, args.outcome, predictors,
@@ -83,7 +82,7 @@ def cmd_analyze(args) -> int:
     rng = simgen.rng_stream(args.seed)
     record = bf.evaluate(fit, cs, label=_compact(args.hypothesis),
                          study_id=args.study_id or Path(args.data).stem,
-                         frac=frac, rng=rng, draws=args.mc_draws,
+                         frac=args.fraction, rng=rng, draws=args.mc_draws,
                          alternative=args.alternative)
     payload = [record.to_dict()]
     Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
@@ -133,10 +132,7 @@ def load_records(paths: list[str]) -> list[bf.EvidenceRecord]:
 
 def cmd_synthesize(args) -> int:
     records = load_records(args.records)
-    priors = None
-    if args.priors != "uniform":
-        priors = [float(x) for x in args.priors.split(",")]
-    state, alternative = synthesize_records(records, priors)
+    state, alternative = synthesize_records(records, args.priors)
     # write nothing unless every output can be written
     _check_writable(args.out)
     if args.trail:
@@ -155,7 +151,7 @@ def cmd_synthesize(args) -> int:
                     w.writerow((study_id, lab, _fmt(v), _fmt(cum)))
     pmps = summary["pmps"]
     best = max(pmps, key=pmps.get)
-    print(f"aggregated {state.study_count} studies; "
+    print(f"aggregated {len(state.trail)} studies; "
           f"highest posterior probability: {best} ({_fmt(pmps[best])})")
     return EXIT_OK
 
@@ -181,7 +177,6 @@ class SimulationConfig:
 class SimulationResult:
     columns: tuple[str, ...]
     rows: list[dict]
-    aggregates: list[dict]
     skips: list[dict] = field(default_factory=list)
 
 
@@ -267,24 +262,18 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         # only here: multiprocessing costs every other command its import
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            outputs = list(pool.map(_run_iteration_star, tasks, chunksize=1))
+            outputs = list(pool.map(run_iteration, *zip(*tasks), chunksize=1))
     else:
         outputs = [run_iteration(*task) for task in tasks]
 
     rows: list[dict] = []
-    aggregates: list[dict] = []
     skips: list[dict] = []
     for study_rows, agg_rows, skipped in outputs:
         rows.extend(study_rows)
         rows.extend(agg_rows)
-        aggregates.extend(agg_rows)
         skips.extend(skipped)
     _check_aggregates(rows)
-    return SimulationResult(RESULT_COLUMNS, rows, aggregates, skips)
-
-
-def _run_iteration_star(task):
-    return run_iteration(*task)
+    return SimulationResult(RESULT_COLUMNS, rows, skips)
 
 
 def _check_aggregates(rows: list[dict]):
@@ -333,14 +322,8 @@ def _check_writable(path):
 
 def cmd_simulate(args) -> int:
     sequential = args.sim in simgen.SEQUENTIAL_SIMS
-    if args.n:
-        ns = tuple(int(x) for x in args.n.split(","))
-    else:
-        ns = simgen.SEQUENTIAL_N_GRID if sequential else simgen.N_GRID
-    if args.r2:
-        r2s = tuple(float(x) for x in args.r2.split(","))
-    else:
-        r2s = (simgen.SEQUENTIAL_R2,) if sequential else simgen.R2_GRID
+    ns = args.n or (simgen.SEQUENTIAL_N_GRID if sequential else simgen.N_GRID)
+    r2s = args.r2 or ((simgen.SEQUENTIAL_R2,) if sequential else simgen.R2_GRID)
     if args.alternative == "both":
         alternatives = bf.ALTERNATIVES
     else:
@@ -351,18 +334,27 @@ def cmd_simulate(args) -> int:
                               n_studies=args.studies,
                               decomposed=args.decomposed,
                               threads=args.threads)
-    # a run can take hours: fail before it, not after
+    # a run can take hours: fail before it, not after, on a bad (n, r2)
+    # condition first, then on --out.  Whether a plan is valid does not
+    # depend on the rng, which only places simulation 2's n = 25 study
+    for n in ns:
+        for r2 in r2s:
+            simgen.study_plan(args.sim, n, r2, rng=simgen.rng_stream(args.seed),
+                              n_studies=args.studies, decomposed=args.decomposed)
     _check_writable(args.out)
     result = run_simulation(config)
     write_results_csv(result, args.out)
+    # the sidecar describes this run's skips, or is not there
+    sidecar = Path(str(args.out) + ".skips.json")
     if result.skips:
-        sidecar = Path(str(args.out) + ".skips.json")
         sidecar.write_text(json.dumps(bf.json_safe(result.skips), sort_keys=True,
                                       indent=2) + "\n", encoding="utf-8")
         for skip in result.skips:
             print(f"skipped: sim {skip['sim_id']} n={skip['n']} r2={skip['r2']} "
                   f"iteration {skip['iteration']}: {skip['reason']}",
                   file=sys.stderr)
+    elif sidecar.is_file():
+        sidecar.unlink()
     n_agg = sum(1 for row in result.rows if row.get("study") is None)
     print(f"wrote {len(result.rows)} rows ({n_agg} aggregates) to {args.out}")
     return EXIT_OK
@@ -423,16 +415,34 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _fraction_arg(text: str):
+def _fraction_arg(text: str) -> bf.FractionSpec | None:
+    """argparse type for --fraction: None for 'auto' (the family rule),
+    else the fraction, whose range :class:`evsynth.bf.FractionSpec`
+    checks."""
     if text == "auto":
-        return "auto"
+        return None
     try:
-        value = float(text)
+        return bf.FractionSpec(float(text))
     except ValueError:
-        raise argparse.ArgumentTypeError("expected 'auto' or a number in (0, 1)")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError("fraction must lie in (0, 1)")
-    return value
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or a number in (0, 1), got {text!r}") from None
+
+
+def _list_of(convert, kind: str, keyword: str | None = None):
+    """argparse type for a comma-separated list of ``kind`` read by
+    ``convert``, as a tuple; ``keyword`` stands for None when given."""
+
+    def parse(text: str):
+        if text == keyword:
+            return None
+        try:
+            return tuple(convert(x) for x in text.split(","))
+        except ValueError:
+            expected = f"'{keyword}' or " if keyword else ""
+            raise argparse.ArgumentTypeError(
+                f"expected {expected}comma-separated {kind}, got {text!r}") from None
+
+    return parse
 
 
 def _int_from(lowest: int):
@@ -470,8 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="evaluate a hypothesis on a CSV dataset")
     pa.add_argument("--data", required=True, help="input CSV with a header row")
-    pa.add_argument("--family", required=True,
-                    choices=("gaussian", "logit", "probit"))
+    pa.add_argument("--family", required=True, choices=glm.FAMILIES)
     pa.add_argument("--outcome", required=True, help="outcome column name")
     pa.add_argument("--predictors",
                     help="comma-separated predictor columns (default: all others)")
@@ -493,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("synthesize", help="aggregate evidence records")
     ps.add_argument("--records", required=True, nargs="+",
                     help="record JSON files and/or directories of them")
-    ps.add_argument("--priors", default="uniform",
+    ps.add_argument("--priors", type=_list_of(float, "numbers", "uniform"),
+                    default="uniform",
                     help="'uniform' or comma-separated prior probabilities "
                          "(hypotheses first, alternative last)")
     ps.add_argument("--out", required=True, help="output summary JSON path")
@@ -504,9 +514,11 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--sim", type=int, required=True, choices=range(1, 12),
                     metavar="1..11")
     pm.add_argument("--iters", type=_int_from(1), default=1000)
-    pm.add_argument("--n", help="comma-separated sample sizes (default: the "
-                                "simulation's grid)")
-    pm.add_argument("--r2", help="comma-separated target R^2 values")
+    pm.add_argument("--n", type=_list_of(int, "integers"),
+                    help="comma-separated sample sizes (default: the "
+                         "simulation's grid)")
+    pm.add_argument("--r2", type=_list_of(float, "numbers"),
+                    help="comma-separated target R^2 values")
     pm.add_argument("--alternative", default="both",
                     choices=bf.ALTERNATIVES + ("both",))
     pm.add_argument("--mc-draws", type=_int_from(1), default=bf.DEFAULT_DRAWS,

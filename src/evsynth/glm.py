@@ -120,10 +120,14 @@ class FitResult:
     beta: np.ndarray
     cov: np.ndarray
     n: int
-    p: int
     family: str
     names: tuple[str, ...]
     trace: list[IrlsStep] = field(default_factory=list, repr=False)
+
+    @property
+    def p(self) -> int:
+        """Number of coefficients, one per name."""
+        return len(self.names)
 
 
 def add_intercept(d: Dataset) -> Dataset:
@@ -353,7 +357,7 @@ def fit_ols(d: Dataset) -> FitResult:
     phi = rss / (d.n - d.p)
     cov = phi * np.linalg.inv(XtX)
     cov = (cov + cov.T) / 2.0
-    return FitResult(beta=beta, cov=cov, n=d.n, p=d.p, family=d.family,
+    return FitResult(beta=beta, cov=cov, n=d.n, family=d.family,
                      names=d.names)
 
 
@@ -399,6 +403,9 @@ def fit_binomial(d: Dataset) -> FitResult:
 
     Raises
     ------
+    DataError
+        If the family is not binomial (the one place that rule is checked)
+        or the response holds a single class.
     SeparationError
         If the iterate history satisfies :func:`detect_separation` (all
         fitted probabilities within ``SEPARATION_EPS`` of {0, 1} at some
@@ -447,7 +454,7 @@ def fit_binomial(d: Dataset) -> FitResult:
         trace.append(IrlsStep(loglik, float(np.abs(grad).max()),
                               float(np.abs(beta).max()), margin))
 
-    if detect_separation(d, trace):
+    if detect_separation(trace):
         raise SeparationError("complete separation detected", trace=trace)
     if not converged:
         raise NotConvergedError(
@@ -456,7 +463,7 @@ def fit_binomial(d: Dataset) -> FitResult:
 
     cov = np.linalg.inv(neg_hess)
     cov = (cov + cov.T) / 2.0
-    return FitResult(beta=beta, cov=cov, n=d.n, p=d.p, family=d.family,
+    return FitResult(beta=beta, cov=cov, n=d.n, family=d.family,
                      names=d.names, trace=trace)
 
 
@@ -467,16 +474,15 @@ def fit(d: Dataset) -> FitResult:
     return fit_binomial(d)
 
 
-def detect_separation(d: Dataset, trace: list[IrlsStep]) -> bool:
-    """Separation predicate over a Newton iterate history.
+def detect_separation(trace: list[IrlsStep]) -> bool:
+    """Separation predicate over a binomial fit's Newton iterate history.
 
     True when every fitted probability sat within ``SEPARATION_EPS`` of
     {0, 1} at any iterate, or when the final iterate has a coefficient
     beyond ``SEPARATION_BETA_LIMIT`` in magnitude while the score never met
-    ``GRAD_TOL``.
+    ``GRAD_TOL``; False for an empty history.  The family is checked where
+    the history is made, in :func:`fit_binomial`.
     """
-    if d.family not in BINOMIAL_FAMILIES:
-        raise DataError("separation is defined for binomial families only")
     if not trace:
         return False
     if any(step.prob_margin <= SEPARATION_EPS for step in trace):

@@ -194,14 +194,12 @@ def scale_score(d: glm.Dataset, columns: list[str]) -> glm.Dataset:
     score = d.X[:, idx].mean(axis=1)
 
     cols, names = [], []
-    inserted = False
     first = min(idx)
     for k, col_name in enumerate(d.names):
         if col_name in columns:
-            if k == first and not inserted:
+            if k == first:
                 cols.append(score[:, None])
                 names.append("scale")
-                inserted = True
             continue
         cols.append(d.X[:, k:k + 1])
         names.append(col_name)
@@ -275,9 +273,11 @@ def study_plan(sim_id: int, n: int, r2: float,
     (default 150).  ``decomposed`` replaces simulation 11's joint
     hypothesis with its three single-coefficient parts.
 
-    Raises ValueError, before anything is drawn, unless every study has
-    more observations than design columns p, and more than p + 1 for a
-    gaussian study, whose default fraction (p + 1) / n must stay below 1.
+    Raises ValueError, before anything is drawn, unless ``n`` exceeds
+    every study's design columns p, and p + 1 for a gaussian study, whose
+    default fraction (p + 1) / n must stay below 1.  Simulation 2 is held
+    to the same rule, so whether a condition is valid does not depend on
+    which study ``rng`` forces to n = 25.
     """
     if sim_id in _PART1:
         cfg = _PART1[sim_id]
@@ -302,8 +302,8 @@ def study_plan(sim_id: int, n: int, r2: float,
         raise ValueError(f"unknown simulation id {sim_id!r}")
     for entry in plan:
         lowest = entry.width + 1 + (entry.spec.family == "gaussian")
-        if entry.spec.n < lowest:
+        if n < lowest:
             raise ValueError(
-                f"n = {entry.spec.n} is too small for a {entry.spec.family} "
+                f"n = {n} is too small for a {entry.spec.family} "
                 f"study with {entry.width} design columns; need n >= {lowest}")
     return plan

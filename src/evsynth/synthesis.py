@@ -101,14 +101,16 @@ def _pmps(lb, log_priors) -> np.ndarray:
 
 @dataclass
 class SynthesisState:
-    """Running evidence totals over a fixed label set."""
+    """Running evidence totals over a fixed label set.
+
+    ``trail`` holds the folded studies in order, each as its id and its log
+    Bayes factors by label; the study ids and their count are read from it.
+    """
 
     labels: tuple[str, ...]
     prior_probs: np.ndarray
     _log_priors: tuple[float, ...] = field(repr=False)
     _cum: tuple[float, ...] = field(repr=False)   # the running sums
-    study_count: int = 0
-    study_ids: tuple[str, ...] = ()
     trail: tuple[tuple[str, dict], ...] = ()
 
     @property
@@ -136,7 +138,7 @@ class SynthesisState:
             "prior_probs": [float(x) for x in self.prior_probs],
             "aggregated_log_bf": dict(zip(self.labels, self._cum)),
             "pmps": {lab: float(v) for lab, v in zip(self.labels, self.pmps())},
-            "study_count": self.study_count,
+            "study_count": len(self.trail),
             "trail": [{"study_id": sid, "log_bf": dict(logs)}
                       for sid, logs in self.trail],
         }
@@ -161,8 +163,9 @@ def update(state: SynthesisState, study_id: str,
     ``log_bfs`` must provide exactly the tracked labels; each study id may
     be aggregated once.  ``state`` itself does not change.
     """
-    if study_id in state.study_ids:
-        raise DuplicateStudyError(f"study {study_id!r} already aggregated")
+    for folded, _ in state.trail:
+        if folded == study_id:
+            raise DuplicateStudyError(f"study {study_id!r} already aggregated")
     if set(log_bfs) != set(state.labels):
         raise LabelMismatchError(
             f"update labels {sorted(log_bfs)} do not match state labels "
@@ -170,9 +173,7 @@ def update(state: SynthesisState, study_id: str,
     logs = {lab: float(log_bfs[lab]) for lab in state.labels}
     cum = tuple(map(_add, state._cum, logs.values()))
     return SynthesisState(state.labels, state.prior_probs, state._log_priors,
-                          cum, state.study_count + 1,
-                          state.study_ids + (study_id,),
-                          state.trail + ((study_id, logs),))
+                          cum, state.trail + ((study_id, logs),))
 
 
 def pairwise_pmp(log_bf: float) -> float:

@@ -59,8 +59,8 @@ def _run(sim_id, *, iterations, ns, r2s, alternatives,
 
 def _agg_medians(result, alternative="unconstrained"):
     cells = {}
-    for row in result.aggregates:
-        if row["alternative"] == alternative:
+    for row in result.rows:
+        if row.get("study") is None and row["alternative"] == alternative:
             cells.setdefault((row["n"], row["r2"]), []).append(row["agg_log_bf"])
     return {cell: float(np.median(vals)) for cell, vals in cells.items()}
 
@@ -173,7 +173,8 @@ def test_criterion_02_quadratic_form_oracle():
 
 def test_criterion_03_aggregated_bf_caps(sim3_run):
     result, elapsed = sim3_run
-    rows = [r for r in result.aggregates if r["alternative"] == "unconstrained"]
+    rows = [r for r in result.rows
+            if r.get("study") is None and r["alternative"] == "unconstrained"]
     values = [r["agg_log_bf"] for r in rows]
     median = float(np.median(values))
     cap = math.log(8.0)

@@ -578,6 +578,59 @@ class TestSimulate:
         assert "separation" in skips[0]["reason"]
         assert "skipped" in capsys.readouterr().err
 
+    def test_clean_rerun_removes_the_skips_sidecar(self, tmp_path,
+                                                    monkeypatch, capsys):
+        def explode(spec, rng, analyze):
+            raise simgen.PersistentSeparationError("separation persisted")
+
+        out = tmp_path / "rerun.csv"
+        argv = ["simulate", "--sim", "3", "--iters", "1", "--n", "50",
+                "--r2", "0.25", "--seed", "9", "--mc-draws", "2000",
+                "--out", str(out)]
+        with monkeypatch.context() as patched:
+            patched.setattr(cli.simgen, "gen_dataset", explode)
+            assert cli.main(argv) == 0
+        sidecar = tmp_path / "rerun.csv.skips.json"
+        assert sidecar.exists() and "skipped" in capsys.readouterr().err
+        assert cli.main(argv) == 0
+        assert not sidecar.exists()
+        assert "skipped" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sim,n,r2,words", [
+        ("1", "25,5", "0.09", "need more observations than predictors"),
+        ("1", "25,200", "0.09,1.5", "r2 must lie in (0, 1)"),
+        ("2", "25,8", "0.09", "n = 8 is too small for a gaussian study"),
+        ("9", "25", "0.09,1.5", "r2 must lie in (0, 1)"),
+        ("9", "25,200,8", "0.09", "n = 8 is too small")])
+    def test_bad_grid_value_fails_before_any_draw(self, tmp_path, monkeypatch,
+                                                  capsys, sim, n, r2, words):
+        # the first conditions are valid: the whole grid is planned before
+        # the first study is drawn and before --out is touched
+        drawn = []
+
+        def record(spec, rng, analyze):
+            drawn.append(spec)
+            return real(spec, rng, analyze)
+
+        real = cli.simgen.gen_dataset
+        monkeypatch.setattr(cli.simgen, "gen_dataset", record)
+        out = tmp_path / "old.csv"
+        out.write_text("old results\n", encoding="utf-8")
+        code = cli.main(["simulate", "--sim", sim, "--iters", "3", "--n", n,
+                         "--r2", r2, "--studies", "2", "--seed", "1",
+                         "--mc-draws", "2000", "--out", str(out)])
+        assert code == 2
+        assert words in capsys.readouterr().err
+        assert drawn == []
+        assert out.read_text(encoding="utf-8") == "old results\n"
+
+    def test_bad_grid_beats_a_bad_out(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "x.csv"
+        code = cli.main(["simulate", "--sim", "3", "--iters", "1",
+                         "--n", "50,5", "--seed", "9", "--out", str(out)])
+        assert code == 2
+        assert "need more observations" in capsys.readouterr().err
+
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch,
                                                  capsys, where):
@@ -780,6 +833,39 @@ class TestParserPlumbing:
                       "--outcome", "y", "--hypothesis", "a > 0",
                       "--fraction", "1.5", "--seed", "1",
                       "--out", str(tmp_path / "r.json")])
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["simulate", "--sim", "1", "--seed", "1", "--n", "25,2.5"], "--n"),
+        (["simulate", "--sim", "1", "--seed", "1", "--r2", "0.3,abc"], "--r2"),
+        (["synthesize", "--records", "r.json", "--priors", "0.5,abc"],
+         "--priors")], ids=["n", "r2", "priors"])
+    def test_malformed_list_names_its_option(self, tmp_path, capsys, argv,
+                                             flag):
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected " in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_list_options_parse_to_tuples(self):
+        parse = cli.build_parser().parse_args
+        sim = parse(["simulate", "--sim", "1", "--n", "25,200",
+                     "--r2", "0.09,0.25", "--seed", "1", "--out", "o.csv"])
+        assert (sim.n, sim.r2) == ((25, 200), (0.09, 0.25))
+        priors = ["synthesize", "--records", "r.json", "--out", "o.json"]
+        assert parse(priors).priors is None
+        assert parse(priors + ["--priors", "0.8,0.2"]).priors == (0.8, 0.2)
+
+    def test_fraction_parses_to_a_spec(self):
+        argv = ["analyze", "--data", "x.csv", "--family", "gaussian",
+                "--outcome", "y", "--hypothesis", "x1 > 0", "--seed", "1",
+                "--out", "r.json"]
+        parse = cli.build_parser().parse_args
+        assert parse(argv).fraction is None
+        assert parse(argv + ["--fraction", "0.25"]).fraction == \
+            cli.bf.FractionSpec(0.25)
 
     @pytest.mark.parametrize("value", ["0", "-5", "many"])
     def test_mc_draws_must_be_positive(self, tmp_path, capsys, value):

@@ -248,23 +248,24 @@ class TestSeparationDetection:
         d = make_dataset(y, np.column_stack([np.ones(len(x)), x]),
                          family="logit", names=("intercept", "x"))
         try:
-            result = fit_binomial(d)
-            return d, result.trace
+            return fit_binomial(d).trace
         except SeparationError as err:
-            return d, err.trace
+            return err.trace
 
     def test_perfect_split_detected(self):
-        d, trace = self._trace_for([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 2.0, 3.0])
-        assert detect_separation(d, trace)
+        trace = self._trace_for([0.0, 0.0, 1.0, 1.0], [0.0, 1.0, 2.0, 3.0])
+        assert detect_separation(trace)
 
     def test_interleaved_classes_clean(self):
-        d, trace = self._trace_for([0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 2.0, 3.0])
-        assert not detect_separation(d, trace)
+        trace = self._trace_for([0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 2.0, 3.0])
+        assert not detect_separation(trace)
 
     def test_gaussian_family_rejected(self):
+        # fit_binomial is where the family is checked, before any iterate
         d = make_dataset([0.0, 1.0], np.ones((2, 1)), names=("intercept",))
-        with pytest.raises(DataError):
-            detect_separation(d, [])
+        with pytest.raises(DataError, match="binomial family"):
+            fit_binomial(d)
+        assert detect_separation([]) is False
 
 
 class TestDatasetValidation:

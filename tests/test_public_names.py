@@ -36,12 +36,8 @@ SPANS = ROOT / "bench" / "spans.py"
 PACKAGE = ROOT / "src" / "evsynth"
 
 # public names and dataclass fields whose only readers are tests, each
-# kept as an oracle
-ORACLES = {
-    "SimulationResult.aggregates": "bench/workloads.py builds the result "
-                                   "positionally, and acceptance criteria "
-                                   "01 and 03 read the aggregate rows",
-}
+# kept as an oracle, with the reason
+ORACLES = {}
 
 
 def load_spans():
@@ -259,19 +255,35 @@ def positional(fn) -> list[str]:
             if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
 
 
-def test_benchmark_call_shapes():
+def test_benchmark_call_shapes(tmp_path):
     from evsynth import bf, cli, glm, hypothesis, simgen
 
     assert len(positional(cli.run_iteration)) == 10
     assert positional(simgen.gen_dataset)[0] == "spec"
-    result = cli.SimulationResult(cli.RESULT_COLUMNS, [{}], [])
-    assert (result.columns, result.rows, result.aggregates) == (
-        cli.RESULT_COLUMNS, [{}], [])
+    # bench/workloads.py writes rows through a three-positional result
+    result = cli.SimulationResult(cli.RESULT_COLUMNS, [{"sim_id": 1}], [])
+    assert (result.columns, result.rows, result.skips) == (
+        cli.RESULT_COLUMNS, [{"sim_id": 1}], [])
+    cli.write_results_csv(result, tmp_path / "rows.csv")
+    assert (tmp_path / "rows.csv").read_text(encoding="utf-8").splitlines() == [
+        ",".join(cli.RESULT_COLUMNS), "1" + "," * (len(cli.RESULT_COLUMNS) - 1)]
     assert positional(hypothesis.transform_constraints) == [
         "h", "mean", "scale", "names", "df"]
     assert {"trace"} <= set(glm.FitResult.__dataclass_fields__)
     assert glm.SeparationError("separated", trace=[1]).trace == [1]
     assert {"mc_draws"} <= set(bf.EvidenceRecord.__dataclass_fields__)
+
+
+def test_cli_choices_are_the_library_names():
+    # the families and alternatives are stated in glm and bf alone
+    from evsynth import bf, cli, glm
+
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if action.dest == "command").choices
+    choices = {action.dest: action.choices
+               for action in subparsers["analyze"]._actions}
+    assert choices["family"] is glm.FAMILIES
+    assert choices["alternative"] is bf.ALTERNATIVES
 
 
 def test_benchmark_synthesis_shapes():

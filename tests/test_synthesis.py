@@ -56,8 +56,8 @@ class TestUpdate:
     def test_worked_example(self):
         state = three_study_state()
         assert math.isclose(math.exp(state.cum_log_bf[0]), 0.8, rel_tol=1e-12)
-        assert state.study_count == 3
-        assert state.study_ids == ("s1", "s2", "s3")
+        assert len(state.trail) == 3
+        assert [sid for sid, _ in state.trail] == ["s1", "s2", "s3"]
 
     def test_pmp_cap_8_9(self):
         state = three_study_state((2.0, 2.0, 2.0))
@@ -127,7 +127,7 @@ def chain(ids, values, labels=("h", "unconstrained")):
 
 
 def snapshot(state):
-    return (state.study_count, state.study_ids, state.trail,
+    return (state.trail,
             state.cum_log_bf.tolist(), state.pmps().tolist(),
             state.running_totals(), state.as_dict())
 
@@ -332,7 +332,7 @@ class TestSynthesizeRecords:
         assert alternative == "unconstrained"
         assert state.labels == ("a", "b", "unconstrained")
         assert state.cum_log_bf.tolist() == [0.75, 0.75, 0.0]
-        assert state.study_ids == ("s1", "s2")
+        assert [sid for sid, _ in state.trail] == ["s1", "s2"]
 
     def test_complement_from_iu_and_ic(self):
         # log BF_cu = log BF_iu - log BF_ic
