@@ -84,9 +84,7 @@ def cmd_analyze(args) -> int:
                          study_id=args.study_id or Path(args.data).stem,
                          frac=args.fraction, rng=rng, draws=args.mc_draws,
                          alternative=args.alternative)
-    payload = [record.to_dict()]
-    Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                              encoding="utf-8")
+    _write_json(args.out, [record.to_dict()])
     log_bf = record.log_bf_iu if args.alternative == "unconstrained" else record.log_bf_ic
     print(f"study {record.study_id}: {record.hypothesis} vs {args.alternative}: "
           f"fit={_fmt(record.fit)} complexity={_fmt(record.complexity)} "
@@ -139,9 +137,7 @@ def cmd_synthesize(args) -> int:
         _check_writable(args.trail)
     summary = state.as_dict()
     summary["alternative"] = alternative
-    Path(args.out).write_text(
-        json.dumps(bf.json_safe(summary), sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
+    _write_json(args.out, summary)
     if args.trail:
         with open(args.trail, "w", newline="", encoding="utf-8") as fh:
             w = csv_writer(fh)
@@ -193,32 +189,26 @@ def run_iteration(sim_id: int, cond_idx: int, n: int, r2: float, iteration: int,
 
     base = dict(sim_id=sim_id, n=n, r2=r2, iteration=iteration, _cond=cond_idx)
     records: dict[str, list[bf.EvidenceRecord]] = {text: [] for text in hyp_texts}
-    families: list[str] = []
     for entry in plan:
         data_rng = simgen.rng_stream(seed, sim_id, cond_idx, iteration,
                                      entry.study_index, 0)
         mc_rng = simgen.rng_stream(seed, sim_id, cond_idx, iteration,
                                    entry.study_index, 1)
-
-        def analyze(raw: glm.Dataset) -> glm.FitResult:
-            transformed = simgen.apply_transform(raw, entry.transform)
-            design = glm.add_intercept(transformed) if entry.intercept else transformed
-            return glm.fit(design)
-
         try:
-            fit = simgen.gen_dataset(entry.spec, data_rng, analyze)
+            fit = simgen.gen_dataset(entry.spec, data_rng,
+                                     lambda raw: glm.fit(entry.design(raw)))
         except (simgen.PersistentSeparationError, glm.NotConvergedError) as exc:
             skip = dict(base, study=entry.study_index + 1,
                         family=entry.spec.family, reason=str(exc))
             return [], [], [skip]
-        families.append(entry.spec.family)
         for text in hyp_texts:
             rec = bf.evaluate(fit, parsed[text], label=labels[text],
                               study_id=f"s{entry.study_index + 1}",
                               rng=mc_rng, draws=draws)
             records[text].append(rec)
 
-    family_set = "+".join(dict.fromkeys(families))
+    # a skip returns early, so every study of the plan was analyzed
+    family_set = "+".join(dict.fromkeys(entry.spec.family for entry in plan))
     study_rows: list[dict] = []
     agg_rows: list[dict] = []
     for text in hyp_texts:
@@ -227,7 +217,6 @@ def run_iteration(sim_id: int, cond_idx: int, n: int, r2: float, iteration: int,
             per_study = [rec.log_bf_iu if alt == "unconstrained" else bf.bf_ic(rec)
                          for rec in recs]
             agg = synthesis.aggregate_log_bf(per_study)
-            # a skip returns early, so the records follow the plan
             for entry, rec, v in zip(plan, recs, per_study):
                 study_rows.append(dict(base, family=rec.family,
                                        study=entry.study_index + 1,
@@ -304,6 +293,11 @@ def write_results_csv(result: SimulationResult, path):
             w.writerow(tuple(_fmt(row.get(col)) for col in result.columns))
 
 
+def _write_json(path, payload):
+    Path(path).write_text(json.dumps(bf.json_safe(payload), sort_keys=True, indent=2)
+                          + "\n", encoding="utf-8")
+
+
 def _check_writable(path):
     """Raise the OSError that opening ``path`` for writing would raise for
     a missing or unwritable directory, or a directory given as the path,
@@ -335,20 +329,19 @@ def cmd_simulate(args) -> int:
                               decomposed=args.decomposed,
                               threads=args.threads)
     # a run can take hours: fail before it, not after, on a bad (n, r2)
-    # condition first, then on --out.  Whether a plan is valid does not
-    # depend on the rng, which only places simulation 2's n = 25 study
+    # condition first, then on --out or its skips sidecar.  Whether a plan is
+    # valid does not depend on the rng, which only places sim 2's n = 25 study
     for n in ns:
         for r2 in r2s:
             simgen.study_plan(args.sim, n, r2, rng=simgen.rng_stream(args.seed),
                               n_studies=args.studies, decomposed=args.decomposed)
+    sidecar = Path(str(args.out) + ".skips.json")
     _check_writable(args.out)
+    _check_writable(sidecar)
     result = run_simulation(config)
     write_results_csv(result, args.out)
-    # the sidecar describes this run's skips, or is not there
-    sidecar = Path(str(args.out) + ".skips.json")
     if result.skips:
-        sidecar.write_text(json.dumps(bf.json_safe(result.skips), sort_keys=True,
-                                      indent=2) + "\n", encoding="utf-8")
+        _write_json(sidecar, result.skips)
         for skip in result.skips:
             print(f"skipped: sim {skip['sim_id']} n={skip['n']} r2={skip['r2']} "
                   f"iteration {skip['iteration']}: {skip['reason']}",
@@ -511,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=cmd_synthesize)
 
     pm = sub.add_parser("simulate", help="run a bundled simulation study")
-    pm.add_argument("--sim", type=int, required=True, choices=range(1, 12),
+    pm.add_argument("--sim", type=int, required=True, choices=simgen.SIMULATION_IDS,
                     metavar="1..11")
     pm.add_argument("--iters", type=_int_from(1), default=1000)
     pm.add_argument("--n", type=_list_of(int, "integers"),
@@ -526,8 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--studies", type=_int_from(1),
                     help="study count per iteration (simulations 9-11)")
     pm.add_argument("--decomposed", action="store_true",
-                    help="simulation 11: evaluate the three single-coefficient "
-                         "parts instead of the joint hypothesis")
+                    help="simulation 11 only: evaluate the three single-"
+                         "coefficient parts instead of the joint hypothesis")
     pm.add_argument("--seed", type=_int_from(0), required=True)
     pm.add_argument("--threads", type=_int_from(1), default=1,
                     help="worker processes (results are identical for any value)")

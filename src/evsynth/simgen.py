@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,6 @@ DEFAULT_WEIGHTS = (0.0, 1.0, 1.0, 1.0, 2.0, 3.0)
 DEFAULT_RHO = 0.3
 N_GRID = (25, 50, 100, 200, 400, 800)
 R2_GRID = (0.02, 0.09, 0.25)
-SEQUENTIAL_SIMS = (9, 10, 11)
 SEQUENTIAL_N_GRID = (25, 200)
 SEQUENTIAL_R2 = 0.09
 SEQUENTIAL_STUDIES = 150
@@ -206,21 +206,27 @@ def scale_score(d: glm.Dataset, columns: list[str]) -> glm.Dataset:
     return glm.Dataset(np.hstack(cols), d.y, d.family, tuple(names))
 
 
+def _transform(tag: str):
+    """The rewrite of a raw dataset that a transform tag names, and the
+    predictor columns it adds; ValueError for an unknown kind."""
+    kind, _, arg = tag.partition(":")
+    if kind == "tertile":
+        return (lambda d: tertile_categorize(d, arg)), 2
+    if kind == "scale":
+        columns = arg.split(",")
+        return (lambda d: scale_score(d, columns)), 1 - len(columns)
+    raise ValueError(f"unknown transform {tag!r}")
+
+
 def apply_transform(d: glm.Dataset, transform: str | None) -> glm.Dataset:
     """Apply a study-plan transform tag to a raw dataset."""
-    if transform is None:
-        return d
-    kind, _, arg = transform.partition(":")
-    if kind == "tertile":
-        return tertile_categorize(d, arg)
-    if kind == "scale":
-        return scale_score(d, arg.split(","))
-    raise ValueError(f"unknown transform {transform!r}")
+    return d if transform is None else _transform(transform)[0](d)
 
 
 @dataclass(frozen=True)
 class StudyPlanEntry:
-    """How to generate and analyze one study within an iteration."""
+    """How to generate and analyze one study within an iteration: ``spec``
+    draws it, then ``transform`` (or None) and ``intercept`` give its design."""
 
     study_index: int
     spec: DataGenSpec
@@ -228,37 +234,39 @@ class StudyPlanEntry:
     intercept: bool
     hypotheses: tuple[str, ...]
 
+    def design(self, raw: glm.Dataset) -> glm.Dataset:
+        """The fitted design of a raw draw: ``transform``, then the intercept."""
+        d = apply_transform(raw, self.transform)
+        return glm.add_intercept(d) if self.intercept else d
+
     @property
     def width(self) -> int:
         """Design columns of the fit: the predictors after ``transform``,
         plus the intercept."""
-        kind, _, arg = (self.transform or "").partition(":")
-        width = len(DEFAULT_WEIGHTS)
-        if kind == "tertile":
-            width += 2
-        elif kind == "scale":
-            width -= len(arg.split(",")) - 1
-        return width + self.intercept
+        added = 0 if self.transform is None else _transform(self.transform)[1]
+        return len(DEFAULT_WEIGHTS) + added + self.intercept
 
 
-_PART1 = {
-    1: dict(hyps=("x4 < x5 < x6",), transform=None, intercept=True),
-    2: dict(hyps=("x4 < x5 < x6",), transform=None, intercept=True),
-    3: dict(hyps=("x6 > 0",), transform=None, intercept=True),
-    4: dict(hyps=("x6_low < x6_medium < x6_high",), transform="tertile:x6",
-            intercept=False),
-    5: dict(hyps=("scale > 0",), transform="scale:x2,x3,x4", intercept=True),
-    6: dict(hyps=("{x2, x3, x4} > 0",), transform=None, intercept=True),
-    7: dict(hyps=("{x2, x3, x4} < 0",), transform=None, intercept=True),
-    8: dict(hyps=("{x1, x2, x3} > 0",), transform=None, intercept=True),
+# a bundled simulation: hypotheses, study design, whether the studies form a
+# growing gaussian series, and the decomposed variant's hypotheses (or None)
+_Simulation = namedtuple("_Simulation", "hypotheses transform intercept series decomposed",
+                         defaults=(None, True, False, None))
+_SIMULATIONS = {
+    1: _Simulation(("x4 < x5 < x6",)),
+    2: _Simulation(("x4 < x5 < x6",)),
+    3: _Simulation(("x6 > 0",)),
+    4: _Simulation(("x6_low < x6_medium < x6_high",), "tertile:x6", False),
+    5: _Simulation(("scale > 0",), "scale:x2,x3,x4"),
+    6: _Simulation(("{x2, x3, x4} > 0",)),
+    7: _Simulation(("{x2, x3, x4} < 0",)),
+    8: _Simulation(("{x1, x2, x3} > 0",)),
+    9: _Simulation(("x2 > 0",), series=True),
+    10: _Simulation(("x1 > 0",), series=True),
+    11: _Simulation(("{x2, x3, x4} > 0",), series=True,
+                    decomposed=("x2 > 0", "x3 > 0", "x4 > 0")),
 }
-
-_SEQUENTIAL_HYPS = {
-    9: ("x2 > 0",),
-    10: ("x1 > 0",),
-    11: ("{x2, x3, x4} > 0",),
-}
-DECOMPOSED_11 = ("x2 > 0", "x3 > 0", "x4 > 0")
+SIMULATION_IDS = tuple(_SIMULATIONS)
+SEQUENTIAL_SIMS = tuple(i for i, sim in _SIMULATIONS.items() if sim.series)
 
 
 def study_plan(sim_id: int, n: int, r2: float,
@@ -270,8 +278,8 @@ def study_plan(sim_id: int, n: int, r2: float,
     Simulations 1-8 yield one gaussian, one logit and one probit study of
     size ``n``; simulation 2 additionally forces one uniformly chosen study
     down to n = 25.  Simulations 9-11 yield ``n_studies`` gaussian studies
-    (default 150).  ``decomposed`` replaces simulation 11's joint
-    hypothesis with its three single-coefficient parts.
+    (default 150).  ``decomposed`` replaces simulation 11's joint hypothesis
+    with its three single-coefficient parts, and is a ValueError elsewhere.
 
     Raises ValueError, before anything is drawn, unless ``n`` exceeds
     every study's design columns p, and p + 1 for a gaussian study, whose
@@ -279,27 +287,26 @@ def study_plan(sim_id: int, n: int, r2: float,
     to the same rule, so whether a condition is valid does not depend on
     which study ``rng`` forces to n = 25.
     """
-    if sim_id in _PART1:
-        cfg = _PART1[sim_id]
+    if sim_id not in _SIMULATIONS:
+        raise ValueError(f"unknown simulation id {sim_id!r}")
+    sim = _SIMULATIONS[sim_id]
+    if decomposed and sim.decomposed is None:
+        raise ValueError(f"simulation {sim_id} has no decomposed variant")
+    if sim.series:
+        count = SEQUENTIAL_STUDIES if n_studies is None else n_studies
+        if count < 1:
+            raise ValueError("need at least one study")
+        specs = [DataGenSpec("gaussian", n, r2)] * count
+    else:
         ns = [n, n, n]
         if sim_id == 2:
             if rng is None:
                 raise ValueError("simulation 2 needs an rng to place its n=25 study")
             ns[int(rng.integers(3))] = 25
-        plan = [StudyPlanEntry(i, DataGenSpec(fam, ns[i], r2),
-                               cfg["transform"], cfg["intercept"], cfg["hyps"])
-                for i, fam in enumerate(("gaussian", "logit", "probit"))]
-    elif sim_id in _SEQUENTIAL_HYPS:
-        if decomposed and sim_id != 11:
-            raise ValueError("the decomposed variant applies to simulation 11 only")
-        hyps = DECOMPOSED_11 if (sim_id == 11 and decomposed) else _SEQUENTIAL_HYPS[sim_id]
-        count = SEQUENTIAL_STUDIES if n_studies is None else n_studies
-        if count < 1:
-            raise ValueError("need at least one study")
-        plan = [StudyPlanEntry(i, DataGenSpec("gaussian", n, r2), None, True, hyps)
-                for i in range(count)]
-    else:
-        raise ValueError(f"unknown simulation id {sim_id!r}")
+        specs = [DataGenSpec(fam, size, r2) for fam, size in zip(glm.FAMILIES, ns)]
+    hyps = sim.decomposed if decomposed else sim.hypotheses
+    plan = [StudyPlanEntry(i, spec, sim.transform, sim.intercept, hyps)
+            for i, spec in enumerate(specs)]
     for entry in plan:
         lowest = entry.width + 1 + (entry.spec.family == "gaussian")
         if n < lowest:

@@ -624,6 +624,43 @@ class TestSimulate:
         assert drawn == []
         assert out.read_text(encoding="utf-8") == "old results\n"
 
+    @pytest.mark.parametrize("sim", ["1", "3", "9", "10"])
+    def test_decomposed_refused_before_any_draw(self, tmp_path, monkeypatch,
+                                                capsys, sim):
+        # only simulation 11 has a decomposed variant; no other run ignores
+        # the flag
+        drawn = []
+        monkeypatch.setattr(cli.simgen, "gen_dataset",
+                            lambda spec, rng, analyze: drawn.append(spec))
+        out = tmp_path / "old.csv"
+        out.write_text("old results\n", encoding="utf-8")
+        code = cli.main(["simulate", "--sim", sim, "--iters", "1", "--n", "25",
+                         "--r2", "0.25", "--studies", "2", "--decomposed",
+                         "--seed", "1", "--out", str(out)])
+        assert code == 2
+        assert f"simulation {sim} has no decomposed variant" in capsys.readouterr().err
+        assert drawn == []
+        assert out.read_text(encoding="utf-8") == "old results\n"
+
+    def test_directory_at_the_sidecar_fails_before_any_draw(self, tmp_path,
+                                                           monkeypatch, capsys):
+        # a run with skips would write the CSV and then fail on the sidecar
+        drawn = []
+        monkeypatch.setattr(cli.simgen, "gen_dataset",
+                            lambda spec, rng, analyze: drawn.append(spec))
+        out = tmp_path / "old.csv"
+        out.write_text("old results\n", encoding="utf-8")
+        sidecar = tmp_path / "old.csv.skips.json"
+        sidecar.mkdir()
+        code = cli.main(["simulate", "--sim", "3", "--iters", "1", "--n", "50",
+                         "--r2", "0.25", "--seed", "9", "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(sidecar) in err
+        assert drawn == []
+        assert out.read_text(encoding="utf-8") == "old results\n"
+        assert sidecar.is_dir()
+
     def test_bad_grid_beats_a_bad_out(self, tmp_path, capsys):
         out = tmp_path / "absent" / "x.csv"
         code = cli.main(["simulate", "--sim", "3", "--iters", "1",

@@ -275,8 +275,9 @@ def test_benchmark_call_shapes(tmp_path):
 
 
 def test_cli_choices_are_the_library_names():
-    # the families and alternatives are stated in glm and bf alone
-    from evsynth import bf, cli, glm
+    # the families and alternatives are stated in glm and bf alone, the
+    # simulation ids in simgen alone
+    from evsynth import bf, cli, glm, simgen
 
     subparsers = next(action for action in cli.build_parser()._actions
                       if action.dest == "command").choices
@@ -284,6 +285,9 @@ def test_cli_choices_are_the_library_names():
                for action in subparsers["analyze"]._actions}
     assert choices["family"] is glm.FAMILIES
     assert choices["alternative"] is bf.ALTERNATIVES
+    simulate = {action.dest: action.choices
+                for action in subparsers["simulate"]._actions}
+    assert simulate["sim"] is simgen.SIMULATION_IDS
 
 
 def test_benchmark_synthesis_shapes():

@@ -8,7 +8,8 @@ import pytest
 from evsynth import simgen
 from evsynth.glm import DataError, Dataset, SeparationError, add_intercept, fit
 from evsynth.simgen import (DEFAULT_RHO, DEFAULT_WEIGHTS, DataGenSpec,
-                            PersistentSeparationError, apply_transform,
+                            PersistentSeparationError, StudyPlanEntry,
+                            apply_transform,
                             compute_beta, gen_dataset, latent_variance,
                             predictor_cov, rng_stream, scale_score,
                             study_plan, tertile_categorize)
@@ -246,6 +247,13 @@ class TestScaleScore:
         with pytest.raises(ValueError):
             apply_transform(d, "mystery:x1")
 
+    def test_width_rejects_an_unknown_transform(self):
+        # width reads the same dispatcher as apply_transform
+        entry = StudyPlanEntry(0, DataGenSpec("gaussian", 50, 0.25),
+                               "mystery:x1", True, ("x1 > 0",))
+        with pytest.raises(ValueError, match="unknown transform 'mystery:x1'"):
+            entry.width
+
 
 class TestStudyPlan:
     def test_part_one_family_triple(self):
@@ -276,10 +284,9 @@ class TestStudyPlan:
     def test_width_is_the_fitted_design(self, sim_id):
         plan = study_plan(sim_id, 60, 0.25, rng=rng_stream(1), n_studies=1)
         for entry in plan:
-            def analyze(raw):
-                d = apply_transform(raw, entry.transform)
-                return fit(add_intercept(d) if entry.intercept else d)
-            assert gen_dataset(entry.spec, rng_stream(2), analyze).p == entry.width
+            fitted = gen_dataset(entry.spec, rng_stream(2),
+                                 lambda raw: fit(entry.design(raw)))
+            assert fitted.p == entry.width
 
     @pytest.mark.parametrize("sim_id,lowest", [(1, 9), (3, 9), (4, 10), (5, 7),
                                                (6, 9), (9, 9), (11, 9)])
@@ -326,6 +333,13 @@ class TestStudyPlan:
         assert joint[0].hypotheses == ("{x2, x3, x4} > 0",)
         parts = study_plan(11, 25, 0.09, n_studies=5, decomposed=True)
         assert parts[0].hypotheses == ("x2 > 0", "x3 > 0", "x4 > 0")
+
+    @pytest.mark.parametrize("sim_id", range(1, 11))
+    def test_decomposed_is_refused_without_a_variant(self, sim_id):
+        with pytest.raises(ValueError, match=f"simulation {sim_id} has no "
+                                             "decomposed variant"):
+            study_plan(sim_id, 100, 0.25, rng=rng_stream(1), n_studies=2,
+                       decomposed=True)
 
     def test_unknown_sim(self):
         with pytest.raises(ValueError):
