@@ -35,7 +35,8 @@ sentinels; a 0/0 Bayes factor raises :class:`NumericError`.
 
 Each study's evidence is a frozen :class:`EvidenceRecord`; the Bayes
 factors against and of the complement are read from it by :func:`bf_ic`
-and :func:`bf_cu`.  Priors and posterior model probabilities across
+and :func:`bf_cu`, and the one against a named alternative by
+:func:`log_bf`.  Priors and posterior model probabilities across
 studies belong to :mod:`evsynth.synthesis`.
 """
 
@@ -816,6 +817,13 @@ def bf_ic(record: EvidenceRecord) -> float:
         raise NumericError(f"study {record.study_id!r}: hypothesis "
                            f"{record.hypothesis!r} has no complement Bayes factor")
     return record.log_bf_ic
+
+
+def log_bf(record: EvidenceRecord, alternative: str) -> float:
+    """log Bayes factor of a stored record's hypothesis against
+    ``alternative``: ``log_bf_iu`` against the unconstrained model,
+    :func:`bf_ic` (which can raise) against the complement."""
+    return record.log_bf_iu if alternative == "unconstrained" else bf_ic(record)
 
 
 def bf_cu(record: EvidenceRecord) -> float:

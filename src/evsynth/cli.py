@@ -43,6 +43,7 @@ EXIT_NUMERIC = 4
 RESULT_COLUMNS = ("sim_id", "family", "n", "r2", "iteration", "study",
                   "hypothesis", "alternative", "fit", "complexity", "log_bf",
                   "agg_log_bf", "pmp")
+TRAIL_COLUMNS = ("study_id", "label", "log_bf", "cumulative_log_bf")
 REPORT_COLUMNS = ("sim_id", "family", "n", "r2", "hypothesis", "alternative",
                   "iterations", "min_log_bf", "q25_log_bf", "median_log_bf",
                   "q75_log_bf", "max_log_bf", "mean_pmp")
@@ -84,8 +85,8 @@ def cmd_analyze(args) -> int:
                          study_id=args.study_id or Path(args.data).stem,
                          frac=args.fraction, rng=rng, draws=args.mc_draws,
                          alternative=args.alternative)
+    log_bf = bf.log_bf(record, args.alternative)   # raises before the write
     _write_json(args.out, [record.to_dict()])
-    log_bf = record.log_bf_iu if args.alternative == "unconstrained" else record.log_bf_ic
     print(f"study {record.study_id}: {record.hypothesis} vs {args.alternative}: "
           f"fit={_fmt(record.fit)} complexity={_fmt(record.complexity)} "
           f"log_bf={_fmt(log_bf)}")
@@ -139,12 +140,10 @@ def cmd_synthesize(args) -> int:
     summary["alternative"] = alternative
     _write_json(args.out, summary)
     if args.trail:
-        with open(args.trail, "w", newline="", encoding="utf-8") as fh:
-            w = csv_writer(fh)
-            w.writerow(("study_id", "label", "log_bf", "cumulative_log_bf"))
-            for study_id, logs, cums in state.running_totals():
-                for lab, v, cum in zip(state.labels, logs, cums):
-                    w.writerow((study_id, lab, _fmt(v), _fmt(cum)))
+        write_results_csv(SimulationResult(TRAIL_COLUMNS, [
+            dict(zip(TRAIL_COLUMNS, (study_id, lab, v, cum)))
+            for study_id, logs, cums in state.running_totals()
+            for lab, v, cum in zip(state.labels, logs, cums)]), args.trail)
     pmps = summary["pmps"]
     best = max(pmps, key=pmps.get)
     print(f"aggregated {len(state.trail)} studies; "
@@ -214,8 +213,7 @@ def run_iteration(sim_id: int, cond_idx: int, n: int, r2: float, iteration: int,
     for text in hyp_texts:
         recs = records[text]
         for alt in alternatives:
-            per_study = [rec.log_bf_iu if alt == "unconstrained" else bf.bf_ic(rec)
-                         for rec in recs]
+            per_study = [bf.log_bf(rec, alt) for rec in recs]
             agg = synthesis.aggregate_log_bf(per_study)
             for entry, rec, v in zip(plan, recs, per_study):
                 study_rows.append(dict(base, family=rec.family,
@@ -286,11 +284,13 @@ def _check_aggregates(rows: list[dict]):
 
 
 def write_results_csv(result: SimulationResult, path):
+    """Write ``result.columns``, then each row's values in that order by
+    :func:`_fmt`: the one CSV writer, of results, trail and report."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv_writer(fh)
         w.writerow(result.columns)
-        for row in result.rows:
-            w.writerow(tuple(_fmt(row.get(col)) for col in result.columns))
+        w.writerows([_fmt(row.get(col)) for col in result.columns]
+                    for row in result.rows)
 
 
 def _write_json(path, payload):
@@ -315,9 +315,8 @@ def _check_writable(path):
 
 
 def cmd_simulate(args) -> int:
-    sequential = args.sim in simgen.SEQUENTIAL_SIMS
-    ns = args.n or (simgen.SEQUENTIAL_N_GRID if sequential else simgen.N_GRID)
-    r2s = args.r2 or ((simgen.SEQUENTIAL_R2,) if sequential else simgen.R2_GRID)
+    grid_ns, grid_r2s = simgen.default_grid(args.sim)
+    ns, r2s = args.n or grid_ns, args.r2 or grid_r2s
     if args.alternative == "both":
         alternatives = bf.ALTERNATIVES
     else:
@@ -392,15 +391,12 @@ def cmd_report(args) -> int:
     groups = _aggregate_rows(args.input)
     if not groups:
         raise glm.DataError(f"{args.input}: no aggregate rows found")
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        w = csv_writer(fh)
-        w.writerow(REPORT_COLUMNS)
-        for key in sorted(groups):
-            vals = np.array(groups[key]["log_bf"])
-            q = np.quantile(vals, (0.0, 0.25, 0.5, 0.75, 1.0))
-            mean_pmp = float(np.mean(groups[key]["pmp"]))
-            w.writerow(tuple(key) + (str(len(vals)),)
-                       + tuple(_fmt(float(v)) for v in q) + (_fmt(mean_pmp),))
+    rows = []
+    for key, g in sorted(groups.items()):
+        q = np.quantile(g["log_bf"], (0.0, 0.25, 0.5, 0.75, 1.0)).tolist()
+        rows.append(dict(zip(REPORT_COLUMNS, (*key, len(g["log_bf"]), *q,
+                                              float(np.mean(g["pmp"]))))))
+    write_results_csv(SimulationResult(REPORT_COLUMNS, rows), args.out)
     print(f"wrote {len(groups)} condition summaries to {args.out}")
     return EXIT_OK
 

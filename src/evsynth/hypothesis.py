@@ -138,20 +138,6 @@ class ConstraintSystem:
     def n_ineq(self) -> int:
         return self.R_i.shape[0]
 
-    def to_text(self) -> str:
-        """Render back to hypothesis syntax, one relation per row.
-
-        Reparsing the result reproduces this system exactly.
-        """
-        parts = [f"{_format_row(row, self.param_names)} = {float(rhs)!r}"
-                 for row, rhs in zip(self.R_e, self.r_e)]
-        parts += [f"{_format_row(row, self.param_names)} > {float(rhs)!r}"
-                  for row, rhs in zip(self.R_i, self.r_i)]
-        return " & ".join(parts)
-
-    def __str__(self) -> str:
-        return self.to_text()
-
 
 @dataclass(frozen=True)
 class EtaDistribution:

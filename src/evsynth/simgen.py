@@ -162,22 +162,9 @@ def tertile_categorize(d: glm.Dataset, column: str) -> glm.Dataset:
         group[order[start:start + size]] = g
         start += size
     indicators = np.stack([(group == g).astype(float) for g in range(3)], axis=1)
-    new_names = tuple(f"{column}_{lab}" for lab in ("low", "medium", "high"))
-    for name in new_names:
-        if name in d.names:
-            raise glm.DataError(f"column {name!r} already present")
-
-    cols, names = [], []
-    for k, name in enumerate(d.names):
-        if name == column:
-            cols.append(indicators)
-            names.extend(new_names)
-        elif name == "intercept":
-            continue
-        else:
-            cols.append(d.X[:, k:k + 1])
-            names.append(name)
-    return glm.Dataset(np.hstack(cols), d.y, d.family, tuple(names))
+    return _splice(d, [column], indicators,
+                   tuple(f"{column}_{lab}" for lab in ("low", "medium", "high")),
+                   dropped=("intercept",))
 
 
 def scale_score(d: glm.Dataset, columns: list[str]) -> glm.Dataset:
@@ -188,22 +175,28 @@ def scale_score(d: glm.Dataset, columns: list[str]) -> glm.Dataset:
     missing = [c for c in columns if c not in d.names]
     if missing:
         raise glm.DataError(f"columns {missing} not found")
-    if "scale" in d.names and "scale" not in columns:
-        raise glm.DataError("column 'scale' already present")
-    idx = [d.names.index(c) for c in columns]
-    score = d.X[:, idx].mean(axis=1)
+    score = d.X[:, [d.names.index(c) for c in columns]].mean(axis=1)
+    return _splice(d, columns, score[:, None], ("scale",))
 
-    cols, names = [], []
-    first = min(idx)
-    for k, col_name in enumerate(d.names):
-        if col_name in columns:
-            if k == first:
-                cols.append(score[:, None])
-                names.append("scale")
-            continue
-        cols.append(d.X[:, k:k + 1])
-        names.append(col_name)
-    return glm.Dataset(np.hstack(cols), d.y, d.family, tuple(names))
+
+def _splice(d: glm.Dataset, replaced, block: np.ndarray, names: tuple[str, ...],
+            dropped=()) -> glm.Dataset:
+    """``d`` with its ``replaced`` columns swapped for ``block``, whose
+    columns are ``names``, at the first one's position, and its ``dropped``
+    columns removed; DataError if one of ``names`` is a column that stays."""
+    for name in names:
+        if name in d.names and name not in replaced:
+            raise glm.DataError(f"column {name!r} already present")
+    first = min(map(d.names.index, replaced))
+    cols, kept = [], []
+    for k, name in enumerate(d.names):
+        if k == first:
+            cols.append(block)
+            kept.extend(names)
+        elif name not in replaced and name not in dropped:
+            cols.append(d.X[:, k:k + 1])
+            kept.append(name)
+    return glm.Dataset(np.hstack(cols), d.y, d.family, tuple(kept))
 
 
 def _transform(tag: str):
@@ -266,7 +259,14 @@ _SIMULATIONS = {
                     decomposed=("x2 > 0", "x3 > 0", "x4 > 0")),
 }
 SIMULATION_IDS = tuple(_SIMULATIONS)
-SEQUENTIAL_SIMS = tuple(i for i, sim in _SIMULATIONS.items() if sim.series)
+
+
+def default_grid(sim_id: int) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """The (n, R^2) grid a simulation runs when none is given: ``N_GRID`` by
+    ``R2_GRID``, or ``SEQUENTIAL_N_GRID`` at ``SEQUENTIAL_R2`` for a series."""
+    if _SIMULATIONS[sim_id].series:
+        return SEQUENTIAL_N_GRID, (SEQUENTIAL_R2,)
+    return N_GRID, R2_GRID
 
 
 def study_plan(sim_id: int, n: int, r2: float,

@@ -12,7 +12,7 @@ sentinel-aware sum and the PMPs.
 States are values: :func:`update` returns a new state and leaves its
 argument as it was, so an older state can be extended again.  The running
 sums are Python floats, added by one sentinel-aware helper, and the PMPs
-take log priors computed once per state.
+take the logs of the state's prior probabilities, which it holds once.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def _prior_probs(priors, m: int) -> np.ndarray:
     (NaN is not positive)."""
     if priors is None:
         return np.full(m, 1.0 / m)
-    priors = np.asarray(priors, dtype=float)
+    priors = np.array(priors, dtype=float)   # a copy: states are values
     if (priors.shape != (m,) or not (priors > 0).all()
             or abs(priors.sum() - 1.0) > 1e-9):
         raise ValueError("priors must be positive and sum to 1")
@@ -105,11 +105,11 @@ class SynthesisState:
 
     ``trail`` holds the folded studies in order, each as its id and its log
     Bayes factors by label; the study ids and their count are read from it.
+    ``prior_probs`` is the one copy of the checked priors.
     """
 
     labels: tuple[str, ...]
     prior_probs: np.ndarray
-    _log_priors: tuple[float, ...] = field(repr=False)
     _cum: tuple[float, ...] = field(repr=False)   # the running sums
     trail: tuple[tuple[str, dict], ...] = ()
 
@@ -130,7 +130,8 @@ class SynthesisState:
         return out
 
     def pmps(self) -> np.ndarray:
-        return _pmps(self._cum, self._log_priors)
+        """Posterior model probabilities of the labels so far."""
+        return _pmps(self._cum, np.log(self.prior_probs).tolist())
 
     def as_dict(self) -> dict:
         return {
@@ -151,8 +152,7 @@ def new_state(labels: Iterable[str], priors=None) -> SynthesisState:
         raise ValueError("no labels")
     if len(set(labels)) != len(labels):
         raise ValueError("duplicate labels")
-    probs = _prior_probs(priors, len(labels))
-    return SynthesisState(labels, probs, tuple(np.log(probs).tolist()),
+    return SynthesisState(labels, _prior_probs(priors, len(labels)),
                           (0.0,) * len(labels))
 
 
@@ -172,8 +172,8 @@ def update(state: SynthesisState, study_id: str,
             f"{sorted(state.labels)}")
     logs = {lab: float(log_bfs[lab]) for lab in state.labels}
     cum = tuple(map(_add, state._cum, logs.values()))
-    return SynthesisState(state.labels, state.prior_probs, state._log_priors,
-                          cum, state.trail + ((study_id, logs),))
+    return SynthesisState(state.labels, state.prior_probs, cum,
+                          state.trail + ((study_id, logs),))
 
 
 def pairwise_pmp(log_bf: float) -> float:

@@ -1,6 +1,6 @@
 """Oracles that only tests use: region probabilities by name, the Monte
-Carlo sampler of region masses, and row-by-row equality of constraint
-systems.
+Carlo sampler of region masses, row-by-row equality of constraint
+systems, and their rendering back to hypothesis syntax.
 
 The sampler draws ``standard_normal((draws, k))``, scales the draws by a
 symmetric square root of the eta scale and, for a Student-t law, divides
@@ -88,3 +88,15 @@ def same_system(a: hyp.ConstraintSystem, b: hyp.ConstraintSystem) -> bool:
     pairs = ((a.R_e, b.R_e), (a.r_e, b.r_e), (a.R_i, b.R_i), (a.r_i, b.r_i))
     return (a.param_names == b.param_names
             and all(np.array_equal(x, y) for x, y in pairs))
+
+
+def to_text(cs: hyp.ConstraintSystem) -> str:
+    """Render ``cs`` back to hypothesis syntax, one relation per row, in
+    the notation of the package's contradiction messages; reparsing the
+    result reproduces ``cs`` exactly."""
+    names = cs.param_names
+    parts = [f"{hyp._format_row(row, names)} = {float(rhs)!r}"
+             for row, rhs in zip(cs.R_e, cs.r_e)]
+    parts += [f"{hyp._format_row(row, names)} > {float(rhs)!r}"
+              for row, rhs in zip(cs.R_i, cs.r_i)]
+    return " & ".join(parts)

@@ -1194,6 +1194,15 @@ class TestBfIcAndBetween:
                            match="study 's': hypothesis 'h' has no complement"):
             bf_ic(rec)
 
+    def test_log_bf_reads_the_alternative(self):
+        rec = self._record(1.0, log_ic=2.5)
+        assert bf.log_bf(rec, "unconstrained") == 1.0
+        assert bf.log_bf(rec, "complement") == 2.5
+        undefined = dataclasses.replace(rec, log_bf_ic=None)
+        assert bf.log_bf(undefined, "unconstrained") == 1.0
+        with pytest.raises(NumericError, match="has no complement"):
+            bf.log_bf(undefined, "complement")
+
     def test_transitivity(self):
         a = self._record(math.log(6.0))
         b = self._record(math.log(3.0))

@@ -87,6 +87,31 @@ class TestAnalyze:
             "constraints\n")
         assert not out.exists()
 
+    def test_undefined_complement_bf_exit_4(self, tmp_path, capsys):
+        # both bounds are far outside either law, so fit = complexity = 1
+        # and the complement Bayes factor is 0/0: no record is written
+        rng = np.random.default_rng(11)
+        x1 = rng.normal(size=200)
+        y = (rng.random(200) < 1.0 / (1.0 + np.exp(-0.5 * x1))).astype(float)
+        path = tmp_path / "logit.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(("y", "x1"))
+            w.writerows(zip(y.tolist(), x1.tolist()))
+        out = tmp_path / "rec.json"
+        with pytest.warns(RuntimeWarning) as caught:
+            code = cli.main(["analyze", "--data", str(path), "--family",
+                             "logit", "--outcome", "y", "--hypothesis",
+                             "x1 > -1e9 & x1 < 1e9", "--alternative",
+                             "complement", "--seed", "3", "--out", str(out)])
+        assert code == 4
+        assert ("indeterminate complement Bayes factor (0/0)"
+                in [str(w.message) for w in caught])
+        assert capsys.readouterr().err == (
+            "error: study 'logit': hypothesis 'x1>-1e9&x1<1e9' has no "
+            "complement Bayes factor\n")
+        assert not out.exists()
+
     def test_outcome_among_predictors_exit_3(self, strong_effect_csv, tmp_path,
                                              capsys):
         out = tmp_path / "rec.json"
@@ -300,6 +325,28 @@ class TestSynthesize:
         pmp = summary["pmps"]["h1"]
         assert math.isclose(pmp, 0.8 / 1.8, rel_tol=1e-12)
         assert "aggregated 3 studies" in capsys.readouterr().out
+
+    def test_single_object_and_records_key_forms(self, tmp_path):
+        # the README's three record-file forms give one summary
+        records = [record_dict("s1", math.log(2.0), 0.5, 0.25),
+                   record_dict("s2", math.log(0.5), 0.25, 0.5)]
+        forms = {"list": lambda rec: [rec], "object": lambda rec: rec,
+                 "records-key": lambda rec: {"records": [rec]}}
+        summaries = {}
+        for form, wrap in forms.items():
+            paths = []
+            for rec in records:
+                path = tmp_path / f"{form}-{rec['study_id']}.json"
+                path.write_text(json.dumps(wrap(rec)), encoding="utf-8")
+                paths.append(str(path))
+            out = tmp_path / f"{form}-summary.json"
+            code = cli.main(["synthesize", "--records", *paths,
+                             "--out", str(out)])
+            assert code == 0
+            summaries[form] = out.read_text(encoding="utf-8")
+        assert json.loads(summaries["list"])["study_count"] == 2
+        assert summaries["object"] == summaries["list"]
+        assert summaries["records-key"] == summaries["list"]
 
     def test_trail_csv(self, tmp_path):
         write_record(tmp_path / "s1.json", "s1", math.log(2.0), 0.5, 0.25)
@@ -681,6 +728,21 @@ class TestSimulate:
         assert err.startswith("error: ") and str(out) in err
         assert calls == []
 
+    @pytest.mark.parametrize("sim", [3, 9])
+    def test_default_grid_is_simgens(self, tmp_path, monkeypatch, sim):
+        configs = []
+
+        def capture(config):
+            configs.append(config)
+            return cli.SimulationResult(cli.RESULT_COLUMNS, [])
+
+        monkeypatch.setattr(cli, "run_simulation", capture)
+        code = cli.main(["simulate", "--sim", str(sim), "--iters", "1",
+                         "--seed", "9", "--out", str(tmp_path / "x.csv")])
+        assert code == 0
+        [config] = configs
+        assert (config.ns, config.r2s) == simgen.default_grid(sim)
+
     def test_failed_run_keeps_old_results(self, tmp_path, monkeypatch):
         def fail(config):
             raise cli.bf.NumericError("degenerate")
@@ -764,6 +826,20 @@ class TestReport:
         err = capsys.readouterr().err
         assert (f"{path}: non-numeric value 'oops' in column {column!r}, "
                 "data row 2") in err
+
+    def test_no_aggregate_rows_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "studies.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(cli.RESULT_COLUMNS)
+            w.writerow(("3", "gaussian", "100", "0.25", "0", "1", "h",
+                        "unconstrained", "0.6", "0.5", "0.18", "", "0.55"))
+        out = tmp_path / "r.csv"
+        code = cli.main(["report", "--in", str(path), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: no aggregate rows found\n")
+        assert not out.exists()
 
     def test_missing_columns_exit_3(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from evsynth.hypothesis import (ConstraintSystem, NameMappingError,
                                 ParseError, columns, embed_rows, parse,
                                 transform_constraints)
-from oracles import same_system
+from oracles import same_system, to_text
 
 
 class TestWorkedExamples:
@@ -127,6 +127,12 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse(text)
 
+    def test_unterminated_brace_set_names_its_opening(self):
+        with pytest.raises(ParseError, match=r"^unterminated brace set "
+                                             r"\(at position 0\)$") as err:
+            parse("{x1, x2")
+        assert err.value.position == 0
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as err:
             parse("b1 > b1")
@@ -180,7 +186,7 @@ class TestRoundTrip:
     ])
     def test_reparse_gives_identical_system(self, text):
         cs = parse(text)
-        again = parse(cs.to_text())
+        again = parse(to_text(cs))
         assert same_system(cs, again)
 
     @given(st.text(max_size=40))
@@ -191,7 +197,7 @@ class TestRoundTrip:
         except ParseError:
             return
         assert isinstance(cs, ConstraintSystem)
-        assert same_system(cs, parse(cs.to_text()))
+        assert same_system(cs, parse(to_text(cs)))
 
     @given(st.integers(1, 4), st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)

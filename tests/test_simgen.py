@@ -157,6 +157,27 @@ class TestGenDataset:
         assert len(calls) == 4
         assert (result.family, result.n) == ("logit", 40)
 
+    def test_single_class_draw_is_redrawn_without_a_probe(self):
+        # a draw whose outcomes are all 0 is redrawn before analyze sees it
+        class FirstDrawAllZero:
+            def __init__(self, rng):
+                self.rng, self.uniform_calls = rng, 0
+
+            def standard_normal(self, size):
+                return self.rng.standard_normal(size)
+
+            def random(self, size):
+                self.uniform_calls += 1
+                u = self.rng.random(size)
+                return np.ones(size) if self.uniform_calls == 1 else u
+
+        spec = DataGenSpec(family="logit", n=200, r2=0.09)
+        rng, seen = FirstDrawAllZero(rng_stream(31)), []
+        gen_dataset(spec, rng, seen.append)
+        assert rng.uniform_calls == 2
+        [d] = seen
+        assert set(np.unique(d.y)) == {0.0, 1.0}
+
     def test_persistent_separation_raises(self, monkeypatch):
         spec = DataGenSpec(family="logit", n=40, r2=0.09)
         calls = []

@@ -187,6 +187,15 @@ class TestNewState:
         state = new_state(("a", "b", "unconstrained"))
         assert np.allclose(state.prior_probs, 1.0 / 3.0)
 
+    def test_priors_are_copied(self):
+        # a state holds its priors once; the caller's array is not them
+        priors = np.array([0.5, 0.5])
+        state = update(new_state(("a", "b"), priors), "s1", {"a": 1.0, "b": 0.0})
+        before = state.pmps()
+        priors[:] = (0.9, 0.1)
+        assert state.prior_probs.tolist() == [0.5, 0.5]
+        assert np.array_equal(state.pmps(), before)
+
     def test_bad_priors(self):
         with pytest.raises(ValueError):
             new_state(("a", "b"), (0.9, 0.2))
