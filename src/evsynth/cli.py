@@ -22,16 +22,18 @@ import argparse
 import errno
 import functools
 import json
+import math
 import os
 import sys
 from csv import DictReader, Error as CsvError, writer as csv_writer
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import bf, glm, simgen, synthesis
 from . import hypothesis as hyp
+from .simgen import (RESULT_COLUMNS, SimulationConfig, SimulationResult,
+                     run_iteration, run_simulation)
 from .synthesis import synthesize_records
 
 EXIT_OK = 0
@@ -40,9 +42,6 @@ EXIT_PARSE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
-RESULT_COLUMNS = ("sim_id", "family", "n", "r2", "iteration", "study",
-                  "hypothesis", "alternative", "fit", "complexity", "log_bf",
-                  "agg_log_bf", "pmp")
 TRAIL_COLUMNS = ("study_id", "label", "log_bf", "cumulative_log_bf")
 REPORT_COLUMNS = ("sim_id", "family", "n", "r2", "hypothesis", "alternative",
                   "iterations", "min_log_bf", "q25_log_bf", "median_log_bf",
@@ -60,10 +59,6 @@ def _fmt(value) -> str:
 # ---------------------------------------------------------------------------
 # analyze
 
-def _compact(text: str) -> str:
-    return text.replace(" ", "")
-
-
 def cmd_analyze(args) -> int:
     # fail before reading and fitting the data, not after: a malformed
     # hypothesis first (exit 2 whatever the data file holds), then an
@@ -80,10 +75,10 @@ def cmd_analyze(args) -> int:
         # reworded in place: the type and a SeparationError's trace stay
         exc.args = (f"{args.data}: {exc}",)
         raise
-    rng = simgen.rng_stream(args.seed)
-    record = bf.evaluate(fit, cs, label=_compact(args.hypothesis),
+    record = bf.evaluate(fit, cs, label=hyp.label_of(args.hypothesis),
                          study_id=args.study_id or Path(args.data).stem,
-                         frac=args.fraction, rng=rng, draws=args.mc_draws,
+                         frac=args.fraction, rng=simgen.LazyStream(args.seed),
+                         draws=args.mc_draws,
                          alternative=args.alternative)
     log_bf = bf.log_bf(record, args.alternative)   # raises before the write
     _write_json(args.out, [record.to_dict()])
@@ -154,135 +149,6 @@ def cmd_synthesize(args) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    sim_id: int
-    iterations: int
-    ns: tuple[int, ...]
-    r2s: tuple[float, ...]
-    seed: int
-    draws: int = bf.DEFAULT_DRAWS
-    alternatives: tuple[str, ...] = bf.ALTERNATIVES
-    n_studies: int | None = None
-    decomposed: bool = False
-    threads: int = 1
-
-
-@dataclass
-class SimulationResult:
-    columns: tuple[str, ...]
-    rows: list[dict]
-    skips: list[dict] = field(default_factory=list)
-
-
-def run_iteration(sim_id: int, cond_idx: int, n: int, r2: float, iteration: int,
-                  seed: int, draws: int, alternatives: tuple[str, ...],
-                  n_studies: int | None, decomposed: bool):
-    """One simulation iteration; returns (study rows, aggregate rows, skips)."""
-    plan_rng = simgen.rng_stream(seed, sim_id, cond_idx, iteration, 3)
-    plan = simgen.study_plan(sim_id, n, r2, rng=plan_rng,
-                             n_studies=n_studies, decomposed=decomposed)
-    hyp_texts = plan[0].hypotheses
-    parsed = {text: hyp.parse(text) for text in hyp_texts}
-    labels = {text: _compact(text) for text in hyp_texts}
-
-    base = dict(sim_id=sim_id, n=n, r2=r2, iteration=iteration, _cond=cond_idx)
-    records: dict[str, list[bf.EvidenceRecord]] = {text: [] for text in hyp_texts}
-    for entry in plan:
-        data_rng = simgen.rng_stream(seed, sim_id, cond_idx, iteration,
-                                     entry.study_index, 0)
-        mc_rng = simgen.rng_stream(seed, sim_id, cond_idx, iteration,
-                                   entry.study_index, 1)
-        try:
-            fit = simgen.gen_dataset(entry.spec, data_rng,
-                                     lambda raw: glm.fit(entry.design(raw)))
-        except (simgen.PersistentSeparationError, glm.NotConvergedError) as exc:
-            skip = dict(base, study=entry.study_index + 1,
-                        family=entry.spec.family, reason=str(exc))
-            return [], [], [skip]
-        for text in hyp_texts:
-            rec = bf.evaluate(fit, parsed[text], label=labels[text],
-                              study_id=f"s{entry.study_index + 1}",
-                              rng=mc_rng, draws=draws)
-            records[text].append(rec)
-
-    # a skip returns early, so every study of the plan was analyzed
-    family_set = "+".join(dict.fromkeys(entry.spec.family for entry in plan))
-    study_rows: list[dict] = []
-    agg_rows: list[dict] = []
-    for text in hyp_texts:
-        recs = records[text]
-        for alt in alternatives:
-            per_study = [bf.log_bf(rec, alt) for rec in recs]
-            agg = synthesis.aggregate_log_bf(per_study)
-            for entry, rec, v in zip(plan, recs, per_study):
-                study_rows.append(dict(base, family=rec.family,
-                                       study=entry.study_index + 1,
-                                       n=rec.n, hypothesis=labels[text],
-                                       alternative=alt, fit=rec.fit,
-                                       complexity=rec.complexity, log_bf=v,
-                                       agg_log_bf=None,
-                                       pmp=synthesis.pairwise_pmp(v)))
-            agg_rows.append(dict(base, family=family_set, study=None,
-                                 hypothesis=labels[text], alternative=alt,
-                                 fit=None, complexity=None, log_bf=None,
-                                 agg_log_bf=agg,
-                                 pmp=synthesis.pairwise_pmp(agg)))
-    return study_rows, agg_rows, []
-
-
-def run_simulation(config: SimulationConfig) -> SimulationResult:
-    """Run every (condition, iteration) cell and collect ordered rows.
-
-    Work is keyed by (seed, sim, condition, iteration, study) generator
-    streams, so results do not depend on the execution schedule; rows are
-    ordered by condition then iteration before returning.
-    """
-    conditions = [(ci, n, r2)
-                  for ci, (n, r2) in enumerate((n, r2) for n in config.ns
-                                               for r2 in config.r2s)]
-    tasks = [(config.sim_id, ci, n, r2, it, config.seed, config.draws,
-              config.alternatives, config.n_studies, config.decomposed)
-             for ci, n, r2 in conditions
-             for it in range(config.iterations)]
-    if config.threads > 1:
-        # only here: multiprocessing costs every other command its import
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            outputs = list(pool.map(run_iteration, *zip(*tasks), chunksize=1))
-    else:
-        outputs = [run_iteration(*task) for task in tasks]
-
-    rows: list[dict] = []
-    skips: list[dict] = []
-    for study_rows, agg_rows, skipped in outputs:
-        rows.extend(study_rows)
-        rows.extend(agg_rows)
-        skips.extend(skipped)
-    _check_aggregates(rows)
-    return SimulationResult(RESULT_COLUMNS, rows, skips)
-
-
-def _check_aggregates(rows: list[dict]):
-    # every aggregate row must equal the sum of its per-study rows
-    sums: dict[tuple, list[float]] = {}
-    for row in rows:
-        if row.get("study") is not None:
-            key = (row["_cond"], row["iteration"],
-                   row["hypothesis"], row["alternative"])
-            sums.setdefault(key, []).append(row["log_bf"])
-    for row in rows:
-        if row.get("study") is None:
-            key = (row["_cond"], row["iteration"],
-                   row["hypothesis"], row["alternative"])
-            expected = synthesis.aggregate_log_bf(sums.get(key, ()))
-            got = row["agg_log_bf"]
-            if expected != got and abs(expected - got) > 1e-9:
-                raise bf.NumericError(
-                    f"aggregate cross-check failed for {key}: "
-                    f"{got!r} vs sum {expected!r}")
-
-
 def write_results_csv(result: SimulationResult, path):
     """Write ``result.columns``, then each row's values in that order by
     :func:`_fmt`: the one CSV writer, of results, trail and report."""
@@ -317,23 +183,17 @@ def _check_writable(path):
 def cmd_simulate(args) -> int:
     grid_ns, grid_r2s = simgen.default_grid(args.sim)
     ns, r2s = args.n or grid_ns, args.r2 or grid_r2s
-    if args.alternative == "both":
-        alternatives = bf.ALTERNATIVES
-    else:
-        alternatives = (args.alternative,)
+    alternatives = (bf.ALTERNATIVES if args.alternative == "both"
+                    else (args.alternative,))
+    # a run can take hours: fail before it, not after, on a bad (n, r2)
+    # condition first (the config plans them all), then on --out or its
+    # skips sidecar
     config = SimulationConfig(sim_id=args.sim, iterations=args.iters, ns=ns,
                               r2s=r2s, seed=args.seed, draws=args.mc_draws,
                               alternatives=alternatives,
                               n_studies=args.studies,
                               decomposed=args.decomposed,
                               threads=args.threads)
-    # a run can take hours: fail before it, not after, on a bad (n, r2)
-    # condition first, then on --out or its skips sidecar.  Whether a plan is
-    # valid does not depend on the rng, which only places sim 2's n = 25 study
-    for n in ns:
-        for r2 in r2s:
-            simgen.study_plan(args.sim, n, r2, rng=simgen.rng_stream(args.seed),
-                              n_studies=args.studies, decomposed=args.decomposed)
     sidecar = Path(str(args.out) + ".skips.json")
     _check_writable(args.out)
     _check_writable(sidecar)
@@ -387,13 +247,32 @@ def _aggregate_rows(path) -> dict[tuple, dict]:
     return groups
 
 
+def _quantiles(values: list[float], qs) -> list[float]:
+    """np.quantile's (linear) quantiles ``qs`` of log BFs, with the +-inf
+    sentinels as values: a quantile that falls on one value, or between
+    equal ones, is that value; between a finite and an infinite value, the
+    infinite one; between -inf and +inf, the nearer one (+inf half way).
+    Finite values give np.quantile's bytes."""
+    x = np.sort(values)
+    with np.errstate(invalid="ignore"):   # inf - inf and inf * 0 are NaN
+        out = np.quantile(x, qs).tolist()
+    for k, q in enumerate(qs):
+        h = (len(x) - 1) * q
+        j = int(h)
+        a, b = x[j], x[min(j + 1, len(x) - 1)]
+        if math.isinf(a) or math.isinf(b):
+            lower = h == j or (a == -math.inf and (b != math.inf or h - j < 0.5))
+            out[k] = float(a if lower else b)
+    return out
+
+
 def cmd_report(args) -> int:
     groups = _aggregate_rows(args.input)
     if not groups:
         raise glm.DataError(f"{args.input}: no aggregate rows found")
     rows = []
     for key, g in sorted(groups.items()):
-        q = np.quantile(g["log_bf"], (0.0, 0.25, 0.5, 0.75, 1.0)).tolist()
+        q = _quantiles(g["log_bf"], (0.0, 0.25, 0.5, 0.75, 1.0))
         rows.append(dict(zip(REPORT_COLUMNS, (*key, len(g["log_bf"]), *q,
                                               float(np.mean(g["pmp"]))))))
     write_results_csv(SimulationResult(REPORT_COLUMNS, rows), args.out)

@@ -374,6 +374,12 @@ def parse(text: str) -> ConstraintSystem:
     return _parse(text)
 
 
+def label_of(text: str) -> str:
+    """The label an evidence record gives a hypothesis text: the text
+    without its spaces."""
+    return text.replace(" ", "")
+
+
 @functools.lru_cache(maxsize=256)
 def _parse(text: str) -> ConstraintSystem:
     parser = _Parser(text)

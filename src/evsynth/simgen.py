@@ -7,19 +7,26 @@ R^2 directly for gaussian outcomes, and the latent-variable (McKelvey-
 Zavoina) R^2 for logit and probit outcomes.  Studies 1-8 compare one
 gaussian, one logit and one probit study per iteration; studies 9-11 track
 a growing sequence of gaussian studies.
+
+The simulation runner lives here too: :class:`SimulationConfig` plans a
+run's (n, R^2) grid, :func:`run_iteration` draws, fits and scores one
+iteration of one condition, and :func:`run_simulation` runs them all into
+the rows of a :class:`SimulationResult`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
-from . import glm
+from . import bf, glm, synthesis
+from . import hypothesis as hyp
 
 DEFAULT_WEIGHTS = (0.0, 1.0, 1.0, 1.0, 2.0, 3.0)
 DEFAULT_RHO = 0.3
@@ -49,6 +56,28 @@ def rng_stream(*keys: int) -> np.random.Generator:
     if all(0 <= key < 1 << 32 for key in keys):
         return np.random.default_rng(np.array(keys, dtype=np.uint32))
     return np.random.default_rng(list(keys))
+
+
+class LazyStream:
+    """``rng_stream(*keys)``, seeded when something first draws from it.
+
+    Many streams a run sets up are never drawn from: a study's lattice-QMC
+    stream and ``analyze``'s (only masses of four or more rows, or a
+    three-row fallback, draw), and an iteration's plan stream (only
+    simulation 2 draws).  Those cost nothing undrawn; the draws of a
+    stream that is used are its own.
+    """
+
+    def __init__(self, *keys: int):
+        self.keys = keys
+
+    @functools.cached_property
+    def generator(self) -> np.random.Generator:
+        return rng_stream(*self.keys)
+
+    def __getattr__(self, name: str):
+        # reached only for what the instance lacks: the generator's methods
+        return getattr(self.generator, name)
 
 
 @dataclass(frozen=True)
@@ -314,3 +343,165 @@ def study_plan(sim_id: int, n: int, r2: float,
                 f"n = {n} is too small for a {entry.spec.family} "
                 f"study with {entry.width} design columns; need n >= {lowest}")
     return plan
+
+
+# ---------------------------------------------------------------------------
+# running a simulation
+
+RESULT_COLUMNS = ("sim_id", "family", "n", "r2", "iteration", "study",
+                  "hypothesis", "alternative", "fit", "complexity", "log_bf",
+                  "agg_log_bf", "pmp")
+
+
+@dataclass(frozen=True)
+class SimulationConfig:
+    """One run of a bundled simulation over the grid ``ns`` by ``r2s``.
+
+    A config plans its grid when it is made (see :attr:`conditions`), so a
+    condition that no study can take raises ValueError before anything is
+    drawn: a run can take hours.
+    """
+
+    sim_id: int
+    iterations: int
+    ns: tuple[int, ...]
+    r2s: tuple[float, ...]
+    seed: int
+    draws: int = bf.DEFAULT_DRAWS
+    alternatives: tuple[str, ...] = bf.ALTERNATIVES
+    n_studies: int | None = None
+    decomposed: bool = False
+    threads: int = 1
+
+    def __post_init__(self):
+        self.conditions   # plans the grid now
+
+    @functools.cached_property
+    def conditions(self) -> tuple[tuple[int, int, float], ...]:
+        """Each condition as (index, n, R^2), n major, in run order, every
+        one planned by :func:`study_plan`, the first bad one raising its
+        ValueError.  Whether a plan is valid does not depend on the
+        stream, which only places simulation 2's n = 25 study."""
+        conditions = tuple((ci, n, r2) for ci, (n, r2)
+                           in enumerate(itertools.product(self.ns, self.r2s)))
+        for _, n, r2 in conditions:
+            study_plan(self.sim_id, n, r2, rng=LazyStream(self.seed),
+                       n_studies=self.n_studies, decomposed=self.decomposed)
+        return conditions
+
+
+@dataclass
+class SimulationResult:
+    """Rows, each a dict read by ``columns``, and the skipped iterations."""
+
+    columns: tuple[str, ...]
+    rows: list[dict]
+    skips: list[dict] = field(default_factory=list)
+
+
+def run_iteration(sim_id: int, cond_idx: int, n: int, r2: float, iteration: int,
+                  seed: int, draws: int, alternatives: tuple[str, ...],
+                  n_studies: int | None, decomposed: bool):
+    """One simulation iteration; returns (study rows, aggregate rows, skips).
+
+    Study ``k`` draws its data from the stream keyed (seed, sim_id,
+    cond_idx, iteration, k, 0) and its lattice-QMC masses from (..., k, 1);
+    the plan draws from (seed, sim_id, cond_idx, iteration, 3).
+    """
+    plan = study_plan(sim_id, n, r2,
+                      rng=LazyStream(seed, sim_id, cond_idx, iteration, 3),
+                      n_studies=n_studies, decomposed=decomposed)
+    hyp_texts = plan[0].hypotheses
+    parsed = {text: hyp.parse(text) for text in hyp_texts}
+    labels = {text: hyp.label_of(text) for text in hyp_texts}
+
+    base = dict(sim_id=sim_id, n=n, r2=r2, iteration=iteration, _cond=cond_idx)
+    records: dict[str, list[bf.EvidenceRecord]] = {text: [] for text in hyp_texts}
+    for entry in plan:
+        keys = (seed, sim_id, cond_idx, iteration, entry.study_index)
+        mc_rng = LazyStream(*keys, 1)
+        try:
+            fit = gen_dataset(entry.spec, rng_stream(*keys, 0),
+                              lambda raw: glm.fit(entry.design(raw)))
+        except (PersistentSeparationError, glm.NotConvergedError) as exc:
+            skip = dict(base, study=entry.study_index + 1,
+                        family=entry.spec.family, reason=str(exc))
+            return [], [], [skip]
+        for text in hyp_texts:
+            rec = bf.evaluate(fit, parsed[text], label=labels[text],
+                              study_id=f"s{entry.study_index + 1}",
+                              rng=mc_rng, draws=draws)
+            records[text].append(rec)
+
+    # a skip returns early, so every study of the plan was analyzed
+    family_set = "+".join(dict.fromkeys(entry.spec.family for entry in plan))
+    study_rows: list[dict] = []
+    agg_rows: list[dict] = []
+    for text in hyp_texts:
+        recs = records[text]
+        for alt in alternatives:
+            per_study = [bf.log_bf(rec, alt) for rec in recs]
+            agg = synthesis.aggregate_log_bf(per_study)
+            for entry, rec, v in zip(plan, recs, per_study):
+                study_rows.append(dict(base, family=rec.family,
+                                       study=entry.study_index + 1,
+                                       n=rec.n, hypothesis=labels[text],
+                                       alternative=alt, fit=rec.fit,
+                                       complexity=rec.complexity, log_bf=v,
+                                       agg_log_bf=None,
+                                       pmp=synthesis.pairwise_pmp(v)))
+            agg_rows.append(dict(base, family=family_set, study=None,
+                                 hypothesis=labels[text], alternative=alt,
+                                 fit=None, complexity=None, log_bf=None,
+                                 agg_log_bf=agg,
+                                 pmp=synthesis.pairwise_pmp(agg)))
+    return study_rows, agg_rows, []
+
+
+def run_simulation(config: SimulationConfig) -> SimulationResult:
+    """Run every (condition, iteration) cell and collect ordered rows.
+
+    Work is keyed by (seed, sim, condition, iteration, study) generator
+    streams, so results do not depend on the execution schedule; rows are
+    ordered by condition then iteration before returning.
+    """
+    tasks = [(config.sim_id, ci, n, r2, it, config.seed, config.draws,
+              config.alternatives, config.n_studies, config.decomposed)
+             for ci, n, r2 in config.conditions
+             for it in range(config.iterations)]
+    if config.threads > 1:
+        # only here: multiprocessing costs every other command its import
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+            outputs = list(pool.map(run_iteration, *zip(*tasks), chunksize=1))
+    else:
+        outputs = [run_iteration(*task) for task in tasks]
+
+    rows: list[dict] = []
+    skips: list[dict] = []
+    for study_rows, agg_rows, skipped in outputs:
+        rows.extend(study_rows)
+        rows.extend(agg_rows)
+        skips.extend(skipped)
+    _check_aggregates(rows)
+    return SimulationResult(RESULT_COLUMNS, rows, skips)
+
+
+def _check_aggregates(rows: list[dict]):
+    # every aggregate row must equal the sum of its per-study rows
+    sums: dict[tuple, list[float]] = {}
+    for row in rows:
+        if row.get("study") is not None:
+            key = (row["_cond"], row["iteration"],
+                   row["hypothesis"], row["alternative"])
+            sums.setdefault(key, []).append(row["log_bf"])
+    for row in rows:
+        if row.get("study") is None:
+            key = (row["_cond"], row["iteration"],
+                   row["hypothesis"], row["alternative"])
+            expected = synthesis.aggregate_log_bf(sums.get(key, ()))
+            got = row["agg_log_bf"]
+            if expected != got and abs(expected - got) > 1e-9:
+                raise bf.NumericError(
+                    f"aggregate cross-check failed for {key}: "
+                    f"{got!r} vs sum {expected!r}")

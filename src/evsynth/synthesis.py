@@ -10,9 +10,10 @@ those across-study decisions: the checked prior probabilities, the
 sentinel-aware sum and the PMPs.
 
 States are values: :func:`update` returns a new state and leaves its
-argument as it was, so an older state can be extended again.  The running
-sums are Python floats, added by one sentinel-aware helper, and the PMPs
-take the logs of the state's prior probabilities, which it holds once.
+argument as it was, so an older state can be extended again, and no part
+of a state can be changed through another.  The running sums are Python
+floats, added by one sentinel-aware helper, and the PMPs take the logs of
+the state's prior probabilities, which it holds once.
 """
 
 from __future__ import annotations
@@ -57,17 +58,17 @@ def aggregate_log_bf(values: Iterable[float]) -> float:
     return total
 
 
-def _prior_probs(priors, m: int) -> np.ndarray:
+def _prior_probs(priors, m: int) -> tuple[float, ...]:
     """Prior model probabilities over ``m`` models: uniform when ``priors``
     is None, otherwise checked to be ``m`` positive values summing to 1
     (NaN is not positive)."""
     if priors is None:
-        return np.full(m, 1.0 / m)
-    priors = np.array(priors, dtype=float)   # a copy: states are values
+        return (1.0 / m,) * m
+    priors = np.array(priors, dtype=float)
     if (priors.shape != (m,) or not (priors > 0).all()
             or abs(priors.sum() - 1.0) > 1e-9):
         raise ValueError("priors must be positive and sum to 1")
-    return priors
+    return tuple(priors.tolist())
 
 
 def pmps(log_bfs, priors=None) -> np.ndarray:
@@ -99,19 +100,25 @@ def _pmps(lb, log_priors) -> np.ndarray:
     return e / e.sum()
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SynthesisState:
     """Running evidence totals over a fixed label set.
 
     ``trail`` holds the folded studies in order, each as its id and its log
-    Bayes factors by label; the study ids and their count are read from it.
-    ``prior_probs`` is the one copy of the checked priors.
+    Bayes factors in label order; the study ids and their count are read
+    from it.  Every part is immutable: the priors, the running sums and
+    each trail entry are tuples of floats.
     """
 
     labels: tuple[str, ...]
-    prior_probs: np.ndarray
-    _cum: tuple[float, ...] = field(repr=False)   # the running sums
-    trail: tuple[tuple[str, dict], ...] = ()
+    _priors: tuple[float, ...] = field(repr=False)   # checked, summing to 1
+    _cum: tuple[float, ...] = field(repr=False)      # the running sums
+    trail: tuple[tuple[str, tuple[float, ...]], ...] = ()
+
+    @property
+    def prior_probs(self) -> np.ndarray:
+        """The prior probability of each label, as a fresh array."""
+        return np.array(self._priors)
 
     @property
     def cum_log_bf(self) -> np.ndarray:
@@ -124,9 +131,8 @@ class SynthesisState:
         log Bayes factors after it), both in label order."""
         out, cum = [], (0.0,) * len(self.labels)
         for study_id, logs in self.trail:
-            own = tuple(logs[lab] for lab in self.labels)
-            cum = tuple(map(_add, cum, own))
-            out.append((study_id, own, cum))
+            cum = tuple(map(_add, cum, logs))
+            out.append((study_id, logs, cum))
         return out
 
     def pmps(self) -> np.ndarray:
@@ -136,11 +142,11 @@ class SynthesisState:
     def as_dict(self) -> dict:
         return {
             "labels": list(self.labels),
-            "prior_probs": [float(x) for x in self.prior_probs],
+            "prior_probs": list(self._priors),
             "aggregated_log_bf": dict(zip(self.labels, self._cum)),
             "pmps": {lab: float(v) for lab, v in zip(self.labels, self.pmps())},
             "study_count": len(self.trail),
-            "trail": [{"study_id": sid, "log_bf": dict(logs)}
+            "trail": [{"study_id": sid, "log_bf": dict(zip(self.labels, logs))}
                       for sid, logs in self.trail],
         }
 
@@ -166,13 +172,13 @@ def update(state: SynthesisState, study_id: str,
     for folded, _ in state.trail:
         if folded == study_id:
             raise DuplicateStudyError(f"study {study_id!r} already aggregated")
-    if set(log_bfs) != set(state.labels):
+    if log_bfs.keys() != set(state.labels):
         raise LabelMismatchError(
             f"update labels {sorted(log_bfs)} do not match state labels "
             f"{sorted(state.labels)}")
-    logs = {lab: float(log_bfs[lab]) for lab in state.labels}
-    cum = tuple(map(_add, state._cum, logs.values()))
-    return SynthesisState(state.labels, state.prior_probs, cum,
+    logs = tuple([float(log_bfs[lab]) for lab in state.labels])
+    cum = tuple(map(_add, state._cum, logs))
+    return SynthesisState(state.labels, state._priors, cum,
                           state.trail + ((study_id, logs),))
 
 

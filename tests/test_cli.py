@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evsynth import cli, simgen
 
@@ -47,6 +49,18 @@ class TestAnalyze:
         assert rec["study_id"] == "data"
         assert list(rec) == sorted(rec)
         assert "log_bf=" in capsys.readouterr().out
+
+    def test_exact_masses_seed_no_stream(self, strong_effect_csv, tmp_path,
+                                         monkeypatch):
+        # analyze's stream is lazy: only lattice QMC would draw from it
+        seeded = []
+        monkeypatch.setattr(cli.simgen, "rng_stream", seeded.append)
+        code = cli.main(["analyze", "--data", str(strong_effect_csv),
+                         "--family", "gaussian", "--outcome", "y",
+                         "--hypothesis", "x1 > x2 > 0", "--seed", "3",
+                         "--out", str(tmp_path / "rec.json")])
+        assert code == 0
+        assert seeded == []
 
     def test_predictor_subset_and_study_id(self, strong_effect_csv, tmp_path):
         out = tmp_path / "rec.json"
@@ -806,6 +820,46 @@ class TestReport:
                     "q75_log_bf", "max_log_bf"):
             assert row[key] == "1.5"
         assert row["mean_pmp"] == "0.8"
+
+    @pytest.mark.parametrize("values,expected", [
+        # four values: the quantiles sit at positions 0, 0.75, 1.5, 2.25, 3
+        (("-inf", "1", "2", "inf"), ("-inf", "-inf", "1.5", "inf", "inf")),
+        (("inf", "inf", "1", "inf"), ("1", "inf", "inf", "inf", "inf")),
+        (("-inf", "-inf", "-inf", "4"), ("-inf", "-inf", "-inf", "-inf", "4")),
+        # -inf next to +inf: the nearer one, +inf half way
+        (("-inf", "-inf", "inf", "inf"), ("-inf", "-inf", "inf", "inf", "inf")),
+        (("-inf", "inf", "-inf"), ("-inf", "-inf", "-inf", "inf", "inf"))])
+    def test_sentinel_quantiles(self, tmp_path, recwarn, values, expected):
+        path = tmp_path / "inf.csv"
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(cli.RESULT_COLUMNS)
+            for it, v in enumerate(values):
+                w.writerow(("3", "gaussian", "100", "0.25", str(it), "",
+                            "h", "complement", "", "", "", v, "0.5"))
+        out = tmp_path / "report.csv"
+        assert cli.main(["report", "--in", str(path), "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            [row] = list(csv.DictReader(fh))
+        assert tuple(row[k] for k in ("min_log_bf", "q25_log_bf",
+                                      "median_log_bf", "q75_log_bf",
+                                      "max_log_bf")) == expected
+        assert "nan" not in out.read_text()
+        assert len(recwarn) == 0
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_finite_quantiles_are_numpys(self, values):
+        qs = (0.0, 0.25, 0.5, 0.75, 1.0)
+        assert cli._quantiles(values, qs) == np.quantile(values, qs).tolist()
+
+    @given(st.lists(st.floats(-1e6, 1e6) | st.sampled_from((-math.inf, math.inf)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_sentinel_quantiles_are_ordered(self, values):
+        q = cli._quantiles(values, (0.0, 0.25, 0.5, 0.75, 1.0))
+        assert not any(map(math.isnan, q))
+        assert q == sorted(q) and (q[0], q[-1]) == (min(values), max(values))
 
     @pytest.mark.parametrize("column", ["agg_log_bf", "pmp"])
     def test_non_numeric_cell_exit_3(self, tmp_path, capsys, column):

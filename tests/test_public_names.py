@@ -11,7 +11,10 @@ package need not hold at all live in ``tests/oracles.py``.
 
 The benchmark's traced runs (``bench/spans.py``) replace the functions in
 its ``TRACED`` list by module attribute, so moving or renaming one of them
-must fail here rather than crash the traced benchmark.  The benchmark also
+must fail here rather than crash the traced benchmark.  A module may import
+a name only so that the benchmark finds it there (``cli`` imports
+``run_iteration`` from ``simgen``): an import that ``TRACED`` names for
+its module counts as read.  The benchmark also
 calls some of them positionally and reads fields of their results, so
 those call shapes and fields are pinned here too.  ``evsynth.bf``
 calls scipy's private lattice-QMC integrators, so a scipy release that
@@ -216,10 +219,15 @@ def loaded_names(node: ast.AST) -> set[str]:
 
 
 def test_every_import_is_read():
-    # the package's own re-exports are exempt, as is from __future__
+    # the package's own re-exports are exempt, as is from __future__, and
+    # so is a name that the benchmark's TRACED list wraps in a module that
+    # imports it: the benchmark reads it there
+    traced = load_spans().TRACED
     unread = []
     for module, tree in package_trees():
-        exported = set(evsynth.__all__) if module == "__init__" else set()
+        exported = {name for mod, name in traced if mod == module}
+        if module == "__init__":
+            exported |= set(evsynth.__all__)
         read = loaded_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -259,6 +267,11 @@ def test_benchmark_call_shapes(tmp_path):
     from evsynth import bf, cli, glm, hypothesis, simgen
 
     assert len(positional(cli.run_iteration)) == 10
+    # the simulation runner lives in simgen; cli offers the names the
+    # benchmark reads
+    assert (cli.run_iteration, cli.SimulationResult, cli.RESULT_COLUMNS) == (
+        simgen.run_iteration, simgen.SimulationResult, simgen.RESULT_COLUMNS)
+    assert len(cli.SimulationConfig.__dataclass_fields__) == 10
     assert positional(simgen.gen_dataset)[0] == "spec"
     # bench/workloads.py writes rows through a three-positional result
     result = cli.SimulationResult(cli.RESULT_COLUMNS, [{"sim_id": 1}], [])

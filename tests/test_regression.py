@@ -5,6 +5,14 @@ an earlier build.
 
     evsynth simulate --sim S --iters 2 --n 25,100 --seed 4 --studies 4 --out simS.csv
 
+and ``sim{3,4,5,7,8,10,11}.csv`` and ``sim11-decomposed.csv``, so that every
+bundled simulation is covered, by::
+
+    evsynth simulate --sim S --iters 2 --n 25,100 --seed 4 --studies 4 \
+        --alternative both --out simS.csv
+    evsynth simulate --sim 11 --decomposed --iters 2 --n 25,100 --seed 4 \
+        --studies 4 --alternative both --out sim11-decomposed.csv
+
 Labels and counts must match exactly and every number to 1e-9 relative, so
 a refactor that is meant to keep results unchanged is checked here.
 
@@ -54,12 +62,15 @@ def same_number(a: str, b: str) -> bool:
     return x == y or math.isclose(x, y, rel_tol=1e-9)
 
 
-@pytest.mark.parametrize("sim", [1, 2, 6, 9])
+@pytest.mark.parametrize("sim", ["1", "2", "3", "4", "5", "6", "7", "8", "9",
+                                 "10", "11", "11-decomposed"])
 def test_simulate_matches_checked_in_output(sim, tmp_path, capsys):
     out = tmp_path / f"sim{sim}.csv"
-    assert cli.main(["simulate", "--sim", str(sim), "--iters", "2",
+    sim_id, _, variant = sim.partition("-")
+    assert cli.main(["simulate", "--sim", sim_id, "--iters", "2",
                      "--n", "25,100", "--seed", "4", "--studies", "4",
-                     "--out", str(out)]) == 0
+                     "--alternative", "both", "--out", str(out)]
+                    + (["--decomposed"] if variant else [])) == 0
     header, rows = read(out)
     ref_header, ref_rows = read(DATA / f"sim{sim}.csv")
     assert header == ref_header

@@ -392,3 +392,46 @@ class TestRngStream:
     def test_negative_key_raises(self, keys):
         with pytest.raises(ValueError):
             rng_stream(*keys)
+
+
+@pytest.fixture
+def seeded(monkeypatch):
+    """The keys of every stream seeded while the test runs."""
+    keys, real = [], simgen.rng_stream
+
+    def record(*k):
+        keys.append(k)
+        return real(*k)
+
+    monkeypatch.setattr(simgen, "rng_stream", record)
+    return keys
+
+
+class TestLazyStream:
+    def test_draws_are_the_streams(self):
+        lazy, eager = simgen.LazyStream(1, 2, 3), rng_stream(1, 2, 3)
+        assert lazy.integers(3) == eager.integers(3)
+        assert np.array_equal(lazy.random((2, 3)), eager.random((2, 3)))
+
+    def test_seeded_on_the_first_draw_only(self, seeded):
+        lazy = simgen.LazyStream(4, 5)
+        assert seeded == []
+        lazy.random()
+        lazy.standard_normal(2)
+        assert seeded == [(4, 5)]
+
+    @pytest.mark.parametrize("sim,plan", [(1, []), (6, []), (2, [(7, 2, 0, 1, 3)])])
+    def test_an_iteration_seeds_only_what_it_draws_from(self, seeded, sim, plan):
+        # every mass of these simulations is exact or quadrature: only the
+        # data streams, and simulation 2's plan stream, are drawn from
+        rows, aggs, skips = simgen.run_iteration(sim, 0, 60, 0.25, 1, 7, 1000,
+                                                 ("unconstrained",), None, False)
+        assert len(rows) == 3 and len(aggs) == 1 and skips == []
+        assert seeded == plan + [(7, sim, 0, 1, k, 0) for k in range(3)]
+
+    def test_a_config_plans_without_seeding(self, seeded):
+        config = simgen.SimulationConfig(sim_id=1, iterations=2, ns=(25, 50),
+                                         r2s=(0.09, 0.25), seed=3)
+        assert config.conditions == ((0, 25, 0.09), (1, 25, 0.25),
+                                     (2, 50, 0.09), (3, 50, 0.25))
+        assert seeded == []

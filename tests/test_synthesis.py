@@ -1,11 +1,15 @@
 """Cross-study aggregation tests: sums, states, priors, PMPs, records."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (Bundle, RuleBasedStateMachine, invariant,
+                                 multiple, rule)
 
 from evsynth.bf import EvidenceRecord, NumericError
 from evsynth.synthesis import (DuplicateStudyError, LabelMismatchError,
@@ -88,7 +92,8 @@ class TestUpdate:
         assert len(state.trail) == 3
         study, logs = state.trail[0]
         assert study == "s1"
-        assert math.isclose(logs["h"], math.log(0.2), rel_tol=1e-15)
+        # in label order: h, then unconstrained
+        assert logs == (math.log(0.2), 0.0)
 
     def test_sentinel_conflict_through_updates(self):
         state = new_state(("h", "unconstrained"))
@@ -454,3 +459,160 @@ class TestSynthesisInvariance:
         assert a[:3] == b[:3]
         assert_same_totals(a[3], b[3])
         assert_same_totals(a[4], b[4])
+
+
+class TestStatesAreValues:
+    def test_no_part_is_shared(self):
+        s0 = new_state(["a", "b"])
+        s1 = update(s0, "s1", {"a": 1.0, "b": 0.0})
+        s2 = update(s1, "s2", {"a": 0.5, "b": 0.0})
+        s1.prior_probs[0] = 0.9
+        assert s0.prior_probs.tolist() == [0.5, 0.5]
+        assert s1.prior_probs.tolist() == [0.5, 0.5]
+        with pytest.raises(TypeError):
+            s2.trail[0][1][0] = 99.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s1.trail = ()
+        assert s1.running_totals() == [("s1", (1.0, 0.0), (1.0, 0.0))]
+        assert s1.cum_log_bf.tolist() == [1.0, 0.0]
+
+
+def oracle_total(values):
+    """The aggregate of plain-list log Bayes factors: an infinity dominates,
+    both infinities conflict (None), else the sum in order."""
+    if math.inf in values and -math.inf in values:
+        return None
+    for sentinel in (math.inf, -math.inf):
+        if sentinel in values:
+            return sentinel
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def dump(state) -> str:
+    """Everything a state reports, as text."""
+    try:
+        view = state.as_dict()
+    except NumericError as exc:   # no label has support
+        view = {"error": str(exc), "trail": repr(state.trail)}
+    return json.dumps([view, state.running_totals(), state.cum_log_bf.tolist(),
+                       state.prior_probs.tolist()])
+
+
+LOG_BF_OR_SENTINEL = st.one_of(st.floats(-5.0, 5.0),
+                               st.sampled_from((math.inf, -math.inf)))
+
+
+class StateMachine(RuleBasedStateMachine):
+    """``new_state`` and ``update`` against plain lists: each model is
+    (labels, priors, [(study id, [log BF per label])]).  Every state made
+    keeps reporting what it reported when it was made."""
+
+    states = Bundle("states")
+
+    def __init__(self):
+        super().__init__()
+        self.made = []
+
+    def keep(self, state, model):
+        self.made.append((state, dump(state)))
+        return state, model
+
+    @rule(target=states, labels=st.lists(st.sampled_from("abc"), min_size=1,
+                                         max_size=3),
+          weights=st.none() | st.lists(st.integers(1, 9), min_size=3,
+                                       max_size=3),
+          as_array=st.booleans())
+    def new(self, labels, weights, as_array):
+        if len(set(labels)) < len(labels):
+            with pytest.raises(ValueError, match="duplicate labels"):
+                new_state(labels)
+            return multiple()
+        m = len(labels)
+        if weights is None:
+            priors, expected = None, [1.0 / m] * m
+        else:
+            total = sum(weights[:m])
+            expected = [w / total for w in weights[:m]]
+            priors = np.array(expected) if as_array else list(expected)
+        state = new_state(labels, priors)
+        if priors is not None:
+            priors[0] = 0.5   # the caller's copy is not the state's
+        return self.keep(state, (tuple(labels), expected, []))
+
+    @rule(target=states, pair=states, study_id=st.sampled_from("wxyz"),
+          values=st.lists(LOG_BF_OR_SENTINEL, min_size=3, max_size=3),
+          labels=st.sampled_from(("same", "missing", "extra")))
+    def fold(self, pair, study_id, values, labels):
+        state, (names, priors, trail) = pair
+        log_bfs = dict(zip(names, values))
+        if labels == "missing":
+            del log_bfs[names[0]]
+        elif labels == "extra":
+            log_bfs["other"] = 0.0
+        if study_id in [sid for sid, _ in trail]:
+            with pytest.raises(DuplicateStudyError):
+                update(state, study_id, log_bfs)
+            return multiple()
+        if labels != "same":
+            with pytest.raises(LabelMismatchError):
+                update(state, study_id, log_bfs)
+            return multiple()
+        own = values[:len(names)]
+        longer = trail + [(study_id, own)]
+        if any(oracle_total([logs[k] for _, logs in longer]) is None
+               for k in range(len(names))):
+            with pytest.raises(NumericError, match="conflicting"):
+                update(state, study_id, log_bfs)
+            return multiple()
+        return self.keep(update(state, study_id, log_bfs),
+                         (names, priors, longer))
+
+    @rule(pair=states)
+    def read(self, pair):
+        state, (names, priors, trail) = pair
+        assert state.labels == names
+        assert state.prior_probs.tolist() == priors
+        totals = [oracle_total([logs[k] for _, logs in trail])
+                  for k in range(len(names))]
+        assert state.cum_log_bf.tolist() == totals
+        assert state.running_totals() == [
+            (sid, tuple(logs), tuple(oracle_total([l[k] for _, l in trail[:t + 1]])
+                                     for k in range(len(names))))
+            for t, (sid, logs) in enumerate(trail)]
+        try:
+            expected = pmps_numpy(totals, priors).tolist()
+        except NumericError:
+            with pytest.raises(NumericError):
+                state.pmps()
+            return
+        assert state.pmps().tolist() == expected
+        assert state.as_dict() == {
+            "labels": list(names), "prior_probs": priors,
+            "aggregated_log_bf": dict(zip(names, totals)),
+            "pmps": dict(zip(names, expected)), "study_count": len(trail),
+            "trail": [{"study_id": sid, "log_bf": dict(zip(names, logs))}
+                      for sid, logs in trail]}
+
+    @rule(pair=states)
+    def tamper(self, pair):
+        state = pair[0]
+        state.prior_probs[0] = 0.25
+        state.cum_log_bf[0] = 7.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.labels = ("z",)
+        if state.trail:
+            with pytest.raises(TypeError):
+                state.trail[0][1][0] = 99.0
+
+    @invariant()
+    def made_states_unchanged(self):
+        for state, text in self.made:
+            assert dump(state) == text
+
+
+TestStateMachine = StateMachine.TestCase
+TestStateMachine.settings = settings(max_examples=60, stateful_step_count=25,
+                                     deadline=None)
