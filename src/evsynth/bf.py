@@ -64,21 +64,20 @@ class NumericError(ArithmeticError):
 
 @dataclass(frozen=True)
 class CoefDistribution:
-    """Normal or Student-t distribution over named coefficients."""
+    """Student-t distribution over named coefficients with ``df`` degrees
+    of freedom; above _CHI_DF_MAX, the default infinity included, it is
+    the normal law, for densities and masses alike."""
 
-    kind: str                      # "normal" | "student-t"
     mean: np.ndarray
     scale: np.ndarray
     names: tuple[str, ...]
-    df: float | None = None
+    df: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "scale", np.asarray(self.scale, dtype=float))
         object.__setattr__(self, "names", tuple(self.names))
         p = self.mean.shape[0]
-        if self.kind not in ("normal", "student-t"):
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
         if self.scale.shape != (p, p):
             raise ValueError("scale shape does not match mean")
         if len(self.names) != p:
@@ -87,8 +86,13 @@ class CoefDistribution:
             raise ValueError("mean and scale must be finite")
         if np.abs(self.scale - self.scale.T).max(initial=0.0) > 1e-10:
             raise ValueError("scale matrix is not symmetric")
-        if self.kind == "student-t" and (self.df is None or not self.df > 0):
-            raise ValueError("student-t requires positive degrees of freedom")
+        if self.df is None or not self.df > 0:
+            raise ValueError(f"degrees of freedom must be positive, got {self.df!r}")
+
+    @property
+    def kind(self) -> str:
+        """The law's name, "normal" or "student-t", read from ``df``."""
+        return "normal" if self.df > _CHI_DF_MAX else "student-t"
 
 
 @dataclass(frozen=True)
@@ -224,10 +228,8 @@ class EvidenceRecord:
 def build_posterior(fit: FitResult) -> CoefDistribution:
     """Coefficient posterior: Student-t(beta, cov, n - p) for gaussian fits,
     Normal(beta, cov) for binomial fits."""
-    if fit.family == "gaussian":
-        return CoefDistribution("student-t", fit.beta, fit.cov, fit.names,
-                                df=float(fit.n - fit.p))
-    return CoefDistribution("normal", fit.beta, fit.cov, fit.names)
+    df = float(fit.n - fit.p) if fit.family == "gaussian" else math.inf
+    return CoefDistribution(fit.beta, fit.cov, fit.names, df)
 
 
 def build_prior(fit: FitResult, frac: FractionSpec,
@@ -240,10 +242,8 @@ def build_prior(fit: FitResult, frac: FractionSpec,
     center = np.asarray(center, dtype=float)
     if center.shape != fit.beta.shape:
         raise ValueError("center length does not match the fitted coefficients")
-    scale = fit.cov / frac.b
-    if fit.family == "gaussian":
-        return CoefDistribution("student-t", center, scale, fit.names, df=1.0)
-    return CoefDistribution("normal", center, scale, fit.names)
+    df = 1.0 if fit.family == "gaussian" else math.inf
+    return CoefDistribution(center, fit.cov / frac.b, fit.names, df)
 
 
 def default_fraction(fit: FitResult,
@@ -319,7 +319,10 @@ def _stieltjes_grid(beta: float) -> tuple[np.ndarray, np.ndarray]:
     return roots_jacobi(200, 0.0, beta)
 
 
-_CHI_DF_MAX = 1e12     # largest df a chi rule is built for, and a t density
+# a law with more degrees of freedom is the normal law: the spread of s
+# would move a mass by about 1 / df, far below _QUAD_FLOOR, while the grid
+# of _chi_rule would lose its resolution
+_CHI_DF_MAX = 1e12
 
 
 @functools.lru_cache(maxsize=64)
@@ -342,9 +345,6 @@ def _chi_rule(df: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s^(df - 1), so that what is left to discretize is smooth for any
     df > 0; every integer df has beta = 0, a Gauss-Legendre grid.
     """
-    # above _CHI_DF_MAX the spread of s moves a mass by about 1 / df, far
-    # below _QUAD_FLOOR, while the grid below would lose its resolution
-    df = min(df, _CHI_DF_MAX)
     # s in [a, b] is W = df s^2 in df -+ 40 sqrt(2 df) + 800: the chi-square
     # mass above is below exp(-400) (Laurent & Massart 2000, Ann. Statist.
     # 28:1302), the mass below smaller still
@@ -435,8 +435,8 @@ def _ieee_div(x: float, y: float) -> float:
 _UPPER_PAIRS_3 = (np.array([0, 0, 1]), np.array([1, 2, 2]))
 
 
-def _tvn_orthant(kind: str, h: np.ndarray, corr: np.ndarray,
-                 df: float | None) -> tuple[float, float] | None:
+def _tvn_orthant(h: np.ndarray, corr: np.ndarray,
+                 df: float) -> tuple[float, float] | None:
     """P(Z < h) for a trivariate normal or Student-t Z with unit scales
     and correlation ``corr``, and its error estimate; None when the
     estimate exceeds QMC_SE.
@@ -468,13 +468,12 @@ def _tvn_orthant(kind: str, h: np.ndarray, corr: np.ndarray,
     var_k = (one_m - a * a - b * b + 2.0 * a * b * rho) / one_m
     with np.errstate(divide="ignore", invalid="ignore"):
         c = (h_k - mu_k) / np.sqrt(var_k)
-        if kind == "normal":
+        if df > _CHI_DF_MAX:
             terms = np.exp(-q / 2.0) * ndtr(c)
             start, start_err = float(np.prod(ndtr(h))), 0.0
         else:
-            nu = min(df, _CHI_DF_MAX)
-            terms = (np.exp(-nu / 2.0 * np.log1p(q / nu))
-                     * stdtr(nu, c * np.sqrt(nu / (nu + q))))
+            terms = (np.exp(-df / 2.0 * np.log1p(q / df))
+                     * stdtr(df, c * np.sqrt(df / (df + q))))
             s, v32, v16 = _chi_rule(df)
             starts = ndtr(np.outer(s, h)).prod(axis=1)
             start = float(v32 @ starts[:32])
@@ -529,8 +528,8 @@ def _standard_box(mean: np.ndarray, scale: np.ndarray):
     return lo[alive], hi[alive], corr[alive][:, alive]
 
 
-def _qmc_box(kind: str, lo: np.ndarray, hi: np.ndarray, corr: np.ndarray,
-             df: float | None, rng, draws: int) -> tuple[float, float, int]:
+def _qmc_box(lo: np.ndarray, hi: np.ndarray, corr: np.ndarray,
+             df: float, rng, draws: int) -> tuple[float, float, int]:
     """P(lo < Z < hi) by randomized lattice QMC (Genz & Bretz 2009).
 
     Rules of doubling size run until ``draws`` points are spent (at least
@@ -549,7 +548,7 @@ def _qmc_box(kind: str, lo: np.ndarray, hi: np.ndarray, corr: np.ndarray,
     if draws < 1:
         raise ValueError(f"draws must be a positive integer, got {draws!r}")
     rng = np.random.default_rng() if rng is None else rng
-    if kind == "student-t" and df < 1.0:
+    if df < 1.0:
         raise NumericError(
             f"no lattice QMC mass for a Student-t law with df {df!r} below 1")
     # scipy.stats takes about as long to import as the rest of evsynth
@@ -559,7 +558,7 @@ def _qmc_box(kind: str, lo: np.ndarray, hi: np.ndarray, corr: np.ndarray,
     corr = np.ascontiguousarray(corr)   # _qmvt's Cython loop needs C order
     used, m, se_prev, rules = 0, max(min(_QMC_START, draws), _QMC_MIN), 0.0, 0
     while True:
-        if kind == "normal":
+        if df > _CHI_DF_MAX:
             p, err, n = _qmvn(m, corr, lo, hi, rng)
         else:
             p, err, n = _qmvt(m, df, corr, lo, hi, rng)
@@ -582,8 +581,8 @@ def _side(terms: list):
     return terms[0] - terms[1] if len(terms) == 2 else terms[0]
 
 
-def _pair_prob(kind: str, lo0: float, hi0: float, lo1: float, hi1: float,
-               rho: float, df: float | None) -> tuple[float, float, int, str]:
+def _pair_prob(lo0: float, hi0: float, lo1: float, hi1: float,
+               rho: float, df: float) -> tuple[float, float, int, str]:
     """P(lo < Z < hi) for two rows of unit scale and correlation
     |rho| < 1 - _RHO_TOL, on floats, as :func:`_orthant_prob` returns it.
 
@@ -601,7 +600,7 @@ def _pair_prob(kind: str, lo0: float, hi0: float, lo1: float, hi1: float,
         return _unit(p), 0.0, 0, "exact"
     xs = (lo0, hi0) if hi0 < math.inf else (lo0,)
     ys = (lo1, hi1) if hi1 < math.inf else (lo1,)
-    if kind == "normal":
+    if df > _CHI_DF_MAX:
         p = _side([_side([_bvn_corner(-x, -y, rho) for x in xs]) for y in ys])
         return _unit(p), 0.0, 0, "exact"
     s, v32, v16 = _chi_rule(df)
@@ -611,14 +610,14 @@ def _pair_prob(kind: str, lo0: float, hi0: float, lo1: float, hi1: float,
     return _unit(p32), max(abs(p32 - p16), _QUAD_FLOOR), 0, "quadrature"
 
 
-def _cdf(kind: str, x: float, df: float | None) -> float:
-    return float(ndtr(x)) if kind == "normal" else float(stdtr(df, x))
+def _cdf(x: float, df: float) -> float:
+    return float(ndtr(x)) if df > _CHI_DF_MAX else float(stdtr(df, x))
 
 
-def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
-                  df: float | None, rng,
+def _orthant_prob(mean: np.ndarray, scale: np.ndarray, df: float, rng,
                   draws: int) -> tuple[float, float, int, str]:
-    """P(eta > 0) with eta ~ kind(mean, scale, df).
+    """P(eta > 0) with eta ~ t(mean, scale, df), the normal law above
+    _CHI_DF_MAX.
 
     Returns (probability, error estimate, points used, method name).  A
     deterministic ladder runs on the rank-reduced problem, on Python floats
@@ -643,14 +642,14 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
     # a row with variance skips the reduction: single rows stay as cheap
     if mean.shape[0] == 1 and scale[0, 0] > 0.0:
         s = math.sqrt(float(scale[0, 0]))
-        return _cdf(kind, float(mean[0]) / s, df), 0.0, 0, "exact"
+        return _cdf(float(mean[0]) / s, df), 0.0, 0, "exact"
     if mean.shape[0] == 2:   # a full-rank pair skips the reduction too
         v0, v1 = float(scale[0, 0]), float(scale[1, 1])
         if v0 > 0.0 and v1 > 0.0:
             s0, s1 = math.sqrt(v0), math.sqrt(v1)
             rho = float(scale[0, 1]) / (s0 * s1)
             if abs(rho) < 1.0 - _RHO_TOL:
-                return _pair_prob(kind, -(float(mean[0]) / s0), math.inf,
+                return _pair_prob(-(float(mean[0]) / s0), math.inf,
                                   -(float(mean[1]) / s1), math.inf, rho, df)
     box = _standard_box(mean, scale)
     if box is None:
@@ -661,21 +660,21 @@ def _orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
     if k == 0:
         return 1.0, 0.0, 0, "exact"
     if k == 1:
-        p = _cdf(kind, -lo[0], df)
+        p = _cdf(-lo[0], df)
         if not orthant:
-            p -= _cdf(kind, -hi[0], df)
+            p -= _cdf(-hi[0], df)
         return p, 0.0, 0, "exact"
     if k == 2:
-        return _pair_prob(kind, float(lo[0]), float(hi[0]), float(lo[1]),
+        return _pair_prob(float(lo[0]), float(hi[0]), float(lo[1]),
                           float(hi[1]), float(corr[0, 1]), df)
     if orthant and k == 3:
         if not lo.any():
             asin_sum = float(np.arcsin(corr[_UPPER_PAIRS_3]).sum())
             return _unit(0.125 + asin_sum / (4.0 * math.pi)), 0.0, 0, "exact"
-        rule = _tvn_orthant(kind, -lo, corr, df)
+        rule = _tvn_orthant(-lo, corr, df)
         if rule is not None:
             return rule[0], rule[1], 0, "quadrature"
-    p, se, used = _qmc_box(kind, lo, hi, corr, df, rng, draws)
+    p, se, used = _qmc_box(lo, hi, corr, df, rng, draws)
     return p, se, used, "qmc"
 
 
@@ -724,7 +723,7 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
         # above _CHI_DF_MAX the t density is the normal one, as the masses
         # are.  lgamma((nu + k) / 2) - lgamma(nu / 2) would cancel at large
         # nu (1e-5 relative at 1e12); the beta function form does not
-        if dist.kind == "normal" or dist.df > _CHI_DF_MAX:
+        if dist.df > _CHI_DF_MAX:
             log_pdf = -0.5 * (k * math.log(2.0 * math.pi) + log_det + quad)
         else:
             nu = dist.df
@@ -740,8 +739,7 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
             scale = (scale + scale.T) / 2.0
     p, se, used, how = 1.0, 0.0, 0, "exact"
     if eta.ineq is not None:
-        p, se, used, how = _orthant_prob(dist.kind, mean, scale, dist.df,
-                                         rng, draws)
+        p, se, used, how = _orthant_prob(mean, scale, dist.df, rng, draws)
     return _log(dens) + _log(p), dens * p, dens * se, used, how
 
 

@@ -62,9 +62,10 @@ def _fmt(value) -> str:
 def cmd_analyze(args) -> int:
     # fail before reading and fitting the data, not after: a malformed
     # hypothesis first (exit 2 whatever the data file holds), then an
-    # unwritable output
+    # unwritable output, or one that is the data file
     cs = hyp.parse(args.hypothesis)
     _check_writable(args.out)
+    _check_not_input([("--out", args.out)], [("--data", args.data)])
     predictors = args.predictors.split(",") if args.predictors else None
     d = glm.dataset_from_csv(args.data, args.outcome, predictors,
                              family=args.family,
@@ -91,7 +92,9 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # synthesize
 
-def load_records(paths: list[str]) -> list[bf.EvidenceRecord]:
+def _record_files(paths: list[str]) -> list[Path]:
+    """The files ``--records`` names: each file, and each directory's
+    ``*.json`` files in name order."""
     files: list[Path] = []
     for raw in paths:
         p = Path(raw)
@@ -99,6 +102,10 @@ def load_records(paths: list[str]) -> list[bf.EvidenceRecord]:
             files.extend(sorted(p.glob("*.json")))
         else:
             files.append(p)
+    return files
+
+
+def load_records(files: list[Path]) -> list[bf.EvidenceRecord]:
     records: list[bf.EvidenceRecord] = []
     for f in files:
         try:
@@ -125,7 +132,10 @@ def load_records(paths: list[str]) -> list[bf.EvidenceRecord]:
 
 
 def cmd_synthesize(args) -> int:
-    records = load_records(args.records)
+    files = _record_files(args.records)
+    _check_not_input([("--out", args.out), ("--trail", args.trail)],
+                     [("--records", f) for f in files])
+    records = load_records(files)
     state, alternative = synthesize_records(records, args.priors)
     # write nothing unless every output can be written
     _check_writable(args.out)
@@ -178,6 +188,29 @@ def _check_writable(path):
     else:
         return
     raise OSError(code, os.strerror(code), str(path))
+
+
+def _check_not_input(outputs, inputs):
+    """Raise ValueError when an output is one of the inputs or an earlier
+    output, so that no command overwrites what it reads or has just
+    written; both are (option, path) pairs, and an output path None is
+    skipped.  Files are told apart as :func:`os.path.samefile` does, by
+    device and inode, so ``./x``, symlinks and hard links count; paths
+    not yet written, by their real paths."""
+    seen = {}
+    for k, (option, path) in enumerate([*inputs, *outputs]):
+        if path is None:
+            continue
+        try:
+            st = os.stat(path)
+            key = (st.st_dev, st.st_ino)
+        except OSError:
+            key = os.path.realpath(path)
+        if k >= len(inputs) and key in seen:
+            first_option, first = seen[key]
+            raise ValueError(f"{option} {str(path)!r} and {first_option} "
+                             f"{str(first)!r} name the same file")
+        seen.setdefault(key, (option, path))
 
 
 def cmd_simulate(args) -> int:
@@ -267,6 +300,7 @@ def _quantiles(values: list[float], qs) -> list[float]:
 
 
 def cmd_report(args) -> int:
+    _check_not_input([("--out", args.out)], [("--in", args.input)])
     groups = _aggregate_rows(args.input)
     if not groups:
         raise glm.DataError(f"{args.input}: no aggregate rows found")
@@ -296,8 +330,8 @@ def _fraction_arg(text: str) -> bf.FractionSpec | None:
             f"expected 'auto' or a number in (0, 1), got {text!r}") from None
 
 
-def _list_of(convert, kind: str, keyword: str | None = None):
-    """argparse type for a comma-separated list of ``kind`` read by
+def _list_of(convert, items: str, keyword: str | None = None):
+    """argparse type for a comma-separated list of ``items`` read by
     ``convert``, as a tuple; ``keyword`` stands for None when given."""
 
     def parse(text: str):
@@ -308,7 +342,7 @@ def _list_of(convert, kind: str, keyword: str | None = None):
         except ValueError:
             expected = f"'{keyword}' or " if keyword else ""
             raise argparse.ArgumentTypeError(
-                f"expected {expected}comma-separated {kind}, got {text!r}") from None
+                f"expected {expected}comma-separated {items}, got {text!r}") from None
 
     return parse
 

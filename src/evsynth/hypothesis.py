@@ -141,11 +141,12 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class EtaDistribution:
-    """Distribution of eta = R @ beta - r for one block of rows."""
+    """Distribution of eta = R @ beta - r for one block of rows, with the
+    degrees of freedom of its coefficient law (infinite for a normal law)."""
 
     mean: np.ndarray
     scale: np.ndarray
-    df: float | None = None
+    df: float = np.inf
 
 
 @dataclass(frozen=True)
@@ -511,7 +512,7 @@ def transform_constraints(h: ConstraintSystem,
                           mean: np.ndarray,
                           scale: np.ndarray,
                           names: tuple[str, ...] | list[str],
-                          df: float | None = None, *,
+                          df: float = np.inf, *,
                           rows: tuple[np.ndarray, np.ndarray] | None = None
                           ) -> TransformedConstraints:
     """Map a coefficient distribution into constraint (eta) space.
@@ -528,7 +529,8 @@ def transform_constraints(h: ConstraintSystem,
     names : sequence of str
         Coefficient names aligned with ``mean``/``scale``.
     df : float, optional
-        Degrees of freedom when the distribution is Student-t.
+        Degrees of freedom of a Student-t law; infinite, the default, for a
+        normal law.
     rows : (ndarray, ndarray), optional
         ``embed_rows(h, names)``, when the caller holds it already (one
         study transforms its posterior and its prior over the same names).

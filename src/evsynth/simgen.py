@@ -359,7 +359,8 @@ class SimulationConfig:
 
     A config plans its grid when it is made (see :attr:`conditions`), so a
     condition that no study can take raises ValueError before anything is
-    drawn: a run can take hours.
+    drawn: a run can take hours.  So does ``n_studies`` on a simulation
+    that is not a series (1-8), whose plan it would not change.
     """
 
     sim_id: int
@@ -375,6 +376,11 @@ class SimulationConfig:
 
     def __post_init__(self):
         self.conditions   # plans the grid now
+        if self.n_studies is not None and not _SIMULATIONS[self.sim_id].series:
+            series = [i for i, sim in _SIMULATIONS.items() if sim.series]
+            raise ValueError(f"simulation {self.sim_id} has a fixed study "
+                             f"plan; a study count is for simulations "
+                             f"{series[0]}-{series[-1]}")
 
     @functools.cached_property
     def conditions(self) -> tuple[tuple[int, int, float], ...]:

@@ -65,8 +65,10 @@ def _prior_probs(priors, m: int) -> tuple[float, ...]:
     if priors is None:
         return (1.0 / m,) * m
     priors = np.array(priors, dtype=float)
-    if (priors.shape != (m,) or not (priors > 0).all()
-            or abs(priors.sum() - 1.0) > 1e-9):
+    if priors.shape != (m,):
+        raise ValueError(f"expected {m} prior probabilities (hypotheses "
+                         f"first, alternative last), got {priors.size}")
+    if not (priors > 0).all() or abs(priors.sum() - 1.0) > 1e-9:
         raise ValueError("priors must be positive and sum to 1")
     return tuple(priors.tolist())
 

@@ -27,10 +27,10 @@ def psd_sqrt(S: np.ndarray) -> np.ndarray:
     return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def mc_orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
-                    df: float | None, rng,
+def mc_orthant_prob(mean: np.ndarray, scale: np.ndarray, df: float, rng,
                     draws: int) -> tuple[float, float, int, str]:
-    """P(eta > 0) with eta ~ kind(mean, scale, df) by Monte Carlo, returned
+    """P(eta > 0) with eta ~ t(mean, scale, df), the normal law above
+    ``bf._CHI_DF_MAX``, by Monte Carlo, returned
     as :func:`evsynth.bf._orthant_prob` returns it: (probability, standard
     error, draws, "mc")."""
     if draws < 1:
@@ -40,7 +40,7 @@ def mc_orthant_prob(kind: str, mean: np.ndarray, scale: np.ndarray,
     A = psd_sqrt(scale)
     z = rng.standard_normal((draws, k))
     x = z @ A.T
-    if kind == "student-t":
+    if df <= bf._CHI_DF_MAX:
         x /= np.sqrt(rng.chisquare(df, draws) / df)[:, None]
     x += mean
     p = float(np.all(x > 0.0, axis=1).mean())
@@ -78,8 +78,7 @@ def mc_prob_region(dist: bf.CoefDistribution, h: hyp.ConstraintSystem,
     _inequality_only(h)
     eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names,
                                     dist.df).ineq
-    p, se, _, _ = mc_orthant_prob(dist.kind, eta.mean, eta.scale, dist.df,
-                                  rng, draws)
+    p, se, _, _ = mc_orthant_prob(eta.mean, eta.scale, dist.df, rng, draws)
     return p, se
 
 

@@ -30,20 +30,21 @@ from oracles import mc_orthant_prob, mc_prob_region, prob_region
 
 
 def normal_dist(mean, cov, names=None):
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    if names is None:
-        names = tuple(f"b{j + 1}" for j in range(mean.shape[0]))
-    return CoefDistribution("normal", mean, np.atleast_2d(np.asarray(cov, dtype=float)),
-                            tuple(names))
+    return t_dist(mean, cov, math.inf, names)
 
 
 def t_dist(mean, cov, df, names=None):
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     if names is None:
         names = tuple(f"b{j + 1}" for j in range(mean.shape[0]))
-    return CoefDistribution("student-t", mean,
-                            np.atleast_2d(np.asarray(cov, dtype=float)),
+    return CoefDistribution(mean, np.atleast_2d(np.asarray(cov, dtype=float)),
                             tuple(names), df=float(df))
+
+
+def law_df(df):
+    """The degrees of freedom of a law whose parameter ids spell the normal
+    law as df None."""
+    return math.inf if df is None else df
 
 
 def gaussian_fit(n=100, p=7, seed=0):
@@ -183,9 +184,9 @@ class TestDistributions:
 
     @pytest.mark.parametrize("df", [None, 0.0, -2.0, math.nan])
     def test_student_t_needs_positive_df(self, df):
-        with pytest.raises(ValueError, match="positive degrees of freedom"):
-            CoefDistribution("student-t", np.zeros(1), np.eye(1), ("b1",),
-                             df=df)
+        with pytest.raises(ValueError,
+                           match="degrees of freedom must be positive"):
+            CoefDistribution(np.zeros(1), np.eye(1), ("b1",), df=df)
 
     @pytest.mark.parametrize("mean,scale", [
         ([0.0, math.nan], np.eye(2)),
@@ -194,12 +195,51 @@ class TestDistributions:
     ])
     def test_non_finite_mean_or_scale_rejected(self, mean, scale):
         with pytest.raises(ValueError, match="must be finite"):
-            CoefDistribution("normal", mean, scale, ("b1", "b2"))
+            CoefDistribution(mean, scale, ("b1", "b2"))
 
     def test_scale_symmetry_enforced(self):
         with pytest.raises(ValueError):
-            CoefDistribution("normal", np.zeros(2),
-                             np.array([[1.0, 0.5], [0.2, 1.0]]), ("a", "b"))
+            CoefDistribution(np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]),
+                             ("a", "b"))
+
+
+class TestOneLawOneAnswer:
+    """A law is its degrees of freedom: above bf._CHI_DF_MAX, infinity
+    included, a Student-t law is the normal law, with the same masses,
+    mass methods and records on every rung."""
+
+    NAMES = ("b1", "b2", "b3")
+    COV = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 1.5]])
+
+    def records(self, df, text):
+        post = CoefDistribution(np.array([0.4, -0.2, 0.3]), self.COV,
+                                self.NAMES, df)
+        prior = CoefDistribution(np.zeros(3), 4.0 * self.COV, self.NAMES, df)
+        return [bf_iu(post, prior, parse(text), rng=np.random.default_rng(3),
+                      draws=2_000, alternative=alternative)
+                for alternative in ALTERNATIVES
+                if alternative == "unconstrained" or "=" not in text]
+
+    @pytest.mark.parametrize("df", [math.inf, 1e13])
+    @pytest.mark.parametrize("text,method", [
+        ("b2 > -0.5", "exact"),
+        ("b1 > 0 & b2 > 0", "exact"),
+        ("{b1, b2, b3} > 0", "quadrature"),
+        ("b3 > 0 & b2 > 0 & b3 < 0.5", "exact"),
+        ("b1 > 0 & b2 > 0 & b3 > 0 & b1 + b3 > 0.1", "qmc"),
+        ("b1 = 0 & b2 > 0 & b3 > 0", "exact")])
+    def test_huge_df_is_the_normal_law(self, df, text, method):
+        normal = self.records(math.inf, text)
+        assert CoefDistribution(np.zeros(1), np.eye(1), ("b1",), df).kind \
+            == "normal"
+        assert [r.mass_method for r in normal] == [method] * len(normal)
+        assert self.records(df, text) == normal
+
+    def test_the_normal_law_is_the_default(self):
+        law = CoefDistribution(np.zeros(2), np.eye(2), ("b1", "b2"))
+        assert (law.df, law.kind) == (math.inf, "normal")
+        assert CoefDistribution(np.zeros(1), np.eye(1), ("b1",), 1e12).kind \
+            == "student-t"
 
 
 class TestProbRegion:
@@ -253,8 +293,8 @@ class TestProbRegion:
         h = parse("{" + ", ".join(names) + "} > 0")
         for mean, p in ((np.linspace(0.2, 0.5, k), 1.0),
                         (np.linspace(-0.2, 0.5, k), 0.0)):
-            dist = CoefDistribution(kind, mean, np.zeros((k, k)), names,
-                                    df=4.0 if kind == "student-t" else None)
+            dist = CoefDistribution(mean, np.zeros((k, k)), names,
+                                    df=4.0 if kind == "student-t" else math.inf)
             assert prob_region(dist, h) == (p, 0.0)
 
     def test_standard_normal_half(self):
@@ -582,7 +622,7 @@ class TestBfIu:
                     .filter(any), min_size=1, max_size=3),
            st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
            st.integers(0, 2), st.floats(0.01, 100.0),
-           st.sampled_from([None, 12.0]))
+           st.sampled_from([math.inf, 12.0]))
     @settings(max_examples=80, deadline=None)
     def test_row_scaling_leaves_log_bf_unchanged(self, rows, offsets, which,
                                                  factor, df):
@@ -593,11 +633,9 @@ class TestBfIu:
         R_c[which % len(rows)] *= factor
         r_c[which % len(rows)] *= factor
         cov = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 1.5]])
-        kind = "normal" if df is None else "student-t"
-        post = CoefDistribution(kind, np.array([0.4, -0.2, 0.3]), cov, names,
-                                df=df)
-        prior = CoefDistribution(kind, np.array([0.1, 0.05, -0.1]), 4.0 * cov,
-                                 names, df=None if df is None else 1.0)
+        post = CoefDistribution(np.array([0.4, -0.2, 0.3]), cov, names, df=df)
+        prior = CoefDistribution(np.array([0.1, 0.05, -0.1]), 4.0 * cov,
+                                 names, df=1.0 if df < math.inf else df)
         records = []
         for R_i, r_i in ((R, r), (R_c, r_c)):
             h = ConstraintSystem(param_names=names, R_e=np.zeros((0, 3)),
@@ -659,9 +697,9 @@ class TestOrthantLadder:
         cov = np.array([[s0 * s0, rho * s0 * s1], [rho * s0 * s1, s1 * s1]])
         mean = np.array([z[0] * s0, z[1] * s1])
         P = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        df = None if kind == "normal" else df
-        direct = bf._orthant_prob(kind, mean, cov, df, None, 1)
-        padded = bf._orthant_prob(kind, P @ mean, P @ cov @ P.T, df, None, 1)
+        df = math.inf if kind == "normal" else df
+        direct = bf._orthant_prob(mean, cov, df, None, 1)
+        padded = bf._orthant_prob(P @ mean, P @ cov @ P.T, df, None, 1)
         assert direct[2:] == padded[2:]
         assert [v.hex() for v in direct[:2]] == [v.hex() for v in padded[:2]]
 
@@ -678,8 +716,7 @@ class TestOrthantLadder:
         cov = np.array([[a * a, r * a * b], [r * a * b, b * b]])
         P = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
         mean = np.array([m[0], m[1], w[0] - m[0], w[1] - m[1]])
-        p, _, used, _ = bf._orthant_prob(kind, mean, P @ cov @ P.T, df, None,
-                                         1)
+        p, _, used, _ = bf._orthant_prob(mean, P @ cov @ P.T, law_df(df), None, 1)
         assert used == 0 and p.hex() == want
 
     @pytest.mark.parametrize("nu", [2.0, 5.0, 30.0, 4795.0])
@@ -698,8 +735,7 @@ class TestOrthantLadder:
     @pytest.mark.parametrize("text", ["b1 < b2 < b3", "{b1, b2, b3} > 0"])
     def test_zero_mean_closed_forms_agree_with_sampler(self, kind, df, text):
         cov = np.array([[1.0, 0.5, -0.2], [0.5, 2.0, 0.3], [-0.2, 0.3, 1.0]])
-        dist = CoefDistribution(kind, np.zeros(3), cov, ("b1", "b2", "b3"),
-                                df=df)
+        dist = CoefDistribution(np.zeros(3), cov, ("b1", "b2", "b3"), law_df(df))
         p, se = prob_region(dist, parse(text))
         p_mc, se_mc = mc_prob_region(dist, parse(text),
                                      rng=np.random.default_rng(11),
@@ -713,8 +749,8 @@ class TestOrthantLadder:
         cov = np.array([[1.0, 0.4, 0.2, 0.0], [0.4, 1.0, 0.1, -0.3],
                         [0.2, 0.1, 1.0, 0.2], [0.0, -0.3, 0.2, 1.0]])[:k, :k]
         names = ("b1", "b2", "b3", "b4")[:k]
-        dist = CoefDistribution(kind, np.array([0.3, -0.1, 0.5, 0.8])[:k], cov,
-                                names, df=df)
+        dist = CoefDistribution(np.array([0.3, -0.1, 0.5, 0.8])[:k], cov,
+                                names, law_df(df))
         h = parse("{" + ", ".join(names) + "} > 0")
         p, se = prob_region(dist, h, rng=np.random.default_rng(5))
         p_mc, se_mc = mc_prob_region(dist, h, rng=np.random.default_rng(6),
@@ -830,8 +866,8 @@ class TestOrthantLadder:
         # the opposed pair on b3 reduces to an interval beside the b2 row: a
         # two-row box with one finite bound, summed over its corners
         cov = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 1.5]])
-        dist = CoefDistribution(kind, np.array([0.4, -0.2, 0.3]), cov,
-                                ("b1", "b2", "b3"), df=df)
+        dist = CoefDistribution(np.array([0.4, -0.2, 0.3]), cov,
+                                ("b1", "b2", "b3"), law_df(df))
         h = parse("b3 > 0 & b2 > 0 & b3 < 0.5")
         p, se = prob_region(dist, h, rng=np.random.default_rng(1))
         p_mc, se_mc = mc_prob_region(dist, h, rng=np.random.default_rng(2),
@@ -849,8 +885,8 @@ class TestOrthantLadder:
         # both rows bounded on both sides: four corners; oracle is a
         # 10^6-point lattice estimate on the same box
         cov = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 1.5]])
-        dist = CoefDistribution(kind, np.array([0.4, 0.2, 0.3]), cov,
-                                ("b1", "b2", "b3"), df=df)
+        dist = CoefDistribution(np.array([0.4, 0.2, 0.3]), cov,
+                                ("b1", "b2", "b3"), law_df(df))
         h = parse("b3 > 0 & b3 < 0.8 & b2 > -0.5 & b2 < 1")
         p, se = prob_region(dist, h)
         s = np.sqrt(np.diag(cov)[1:])
@@ -909,9 +945,8 @@ class TestOrthantLadder:
                              r_e=np.zeros(0), R_i=np.array(rows, dtype=float),
                              r_i=np.zeros(len(rows)))
         cov = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 1.5]])
-        normal = CoefDistribution("normal", np.zeros(3), cov / b1, names)
-        cauchy = CoefDistribution("student-t", np.zeros(3), cov / b2, names,
-                                  df=1.0)
+        normal = CoefDistribution(np.zeros(3), cov / b1, names)
+        cauchy = CoefDistribution(np.zeros(3), cov / b2, names, df=1.0)
         p_normal, se_normal = prob_region(normal, h)
         p_cauchy, se_cauchy = prob_region(cauchy, h)
         assert se_normal == se_cauchy == 0.0
@@ -964,7 +999,7 @@ class TestTrivariateRule:
     @pytest.mark.parametrize("kind,df", [("normal", None), ("student-t", 5.0)])
     def test_agrees_with_sampler(self, kind, df):
         mean, cov = (np.array(v) for v in THREE_ROW_CASES[1])
-        dist = CoefDistribution(kind, mean, cov, ("b1", "b2", "b3"), df=df)
+        dist = CoefDistribution(mean, cov, ("b1", "b2", "b3"), law_df(df))
         p, err = prob_region(dist, self.H)
         p_mc, se_mc = mc_prob_region(dist, self.H,
                                      rng=np.random.default_rng(8),
@@ -1006,14 +1041,13 @@ class TestTrivariateRule:
 
     @given(st.lists(st.floats(-2.0, 2.0), min_size=9, max_size=9),
            st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3),
-           st.sampled_from([None, 1.0, 6.0, 300.0]))
+           st.sampled_from([math.inf, 1.0, 6.0, 300.0]))
     @settings(max_examples=60, deadline=None)
     def test_row_permutations_agree_within_estimates(self, entries, h, df):
         A = np.array(entries).reshape(3, 3)
         S = A @ A.T + 0.05 * np.eye(3)
         corr = S / np.sqrt(np.outer(np.diag(S), np.diag(S)))
-        kind = "normal" if df is None else "student-t"
-        rules = [bf._tvn_orthant(kind, np.array(h)[list(order)],
+        rules = [bf._tvn_orthant(np.array(h)[list(order)],
                                  corr[np.ix_(order, order)], df)
                  for order in itertools.permutations(range(3))]
         assert None not in rules
@@ -1029,8 +1063,7 @@ class TestTrivariateRule:
             [[1.0, -0.0066839984012262805, -0.14364776575584526],
              [-0.0066839984012262805, 1.0000000000000002, -0.28443809889574334],
              [-0.14364776575584526, -0.28443809889574334, 1.0]])
-        p, err, used, how = bf._orthant_prob("student-t", h, corr, 18.0, None,
-                                             1)
+        p, err, used, how = bf._orthant_prob(h, corr, 18.0, None, 1)
         assert (used, how) == (0, "quadrature") and err <= 1e-8
         assert abs(p - 0.1316238813058983) <= 1e-10
 
@@ -1051,7 +1084,7 @@ class TestTrivariateRule:
         # near-singular laws, A A^T + eps I with eps from 1e-6 to 1e-3, on
         # which the estimate stays within QMC_SE
         h, corr = np.array(h), np.array(corr)
-        p, err, used, how = bf._orthant_prob("student-t", h, corr, nu, None, 1)
+        p, err, used, how = bf._orthant_prob(h, corr, nu, None, 1)
         ref, ref_err, _ = _qmvt(10**6, nu, corr, -np.full(3, np.inf), h,
                                 np.random.default_rng(7))
         assert (used, how) == (0, "quadrature") and 0.0 < err <= 1e-5
@@ -1117,8 +1150,8 @@ class TestChiRule:
             h, k = rng.uniform(-2.5, 2.5, size=2)
             rho = rng.uniform(-0.9, 0.9)
             cov = np.array([[1.0, rho], [rho, 1.0]])
-            p, err, used, how = bf._orthant_prob(
-                "student-t", np.array([h, k]), cov, nu, None, 1)
+            p, err, used, how = bf._orthant_prob(np.array([h, k]), cov, nu,
+                                                 None, 1)
             ref = chi_square_quad(
                 lambda s: float(bf._bvn_orthant(h * s, k * s, rho)), nu)
             assert (used, how) == (0, "quadrature")
@@ -1127,12 +1160,12 @@ class TestChiRule:
 
     @pytest.mark.parametrize("nu", [1e30, 1e40, math.inf])
     def test_huge_df_gives_the_normal_mass(self, nu):
-        # df is capped where the grid over s would lose its resolution
+        # above _CHI_DF_MAX, where the grid over s would lose its
+        # resolution, a law is the normal one
         mean, cov = np.array([0.4, -0.7]), np.array([[1.0, 0.3], [0.3, 1.0]])
-        p, err, _, how = bf._orthant_prob("student-t", mean, cov, nu, None, 1)
-        normal, _, _, _ = bf._orthant_prob("normal", mean, cov, None, None, 1)
-        assert how == "quadrature" and math.isfinite(err)
-        assert abs(p - normal) <= 1e-10
+        p, err, used, how = bf._orthant_prob(mean, cov, nu, None, 1)
+        assert (err, used, how) == (0.0, 0, "exact")
+        assert p == bf._orthant_prob(mean, cov, math.inf, None, 1)[0]
 
     def test_integer_df_grid_is_gauss_legendre(self):
         # beta = 0 takes numpy's rule; scipy's Gauss-Jacobi rule is the oracle

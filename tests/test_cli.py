@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,22 @@ def strong_effect_csv(tmp_path):
         for row in zip(y, x1, x2):
             w.writerow([f"{v:.8f}" for v in row])
     return path
+
+
+def same_file(path: Path, tmp_path: Path, alias: str) -> str:
+    """Another name of the file ``path``: itself, with ``./`` before its
+    name, or a symlink or hard link to it in ``tmp_path`` (named without a
+    ``.json`` suffix)."""
+    if alias == "dot":
+        return f"{path.parent}/./{path.name}"
+    link = tmp_path / f"{alias}-to-{path.stem}"
+    if alias == "symlink":
+        link.symlink_to(path)
+    elif alias == "hardlink":
+        os.link(path, link)
+    else:
+        return str(path)
+    return str(link)
 
 
 class TestAnalyze:
@@ -243,6 +260,24 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: [Errno ") and str(out) in err
 
+    @pytest.mark.parametrize("alias", ["path", "dot", "symlink", "hardlink"])
+    def test_out_naming_the_data_is_refused(self, strong_effect_csv, tmp_path,
+                                            monkeypatch, capsys, alias):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the data was read")
+
+        before = strong_effect_csv.read_bytes()
+        out = same_file(strong_effect_csv, tmp_path, alias)
+        monkeypatch.setattr(cli.glm, "dataset_from_csv", unreachable)
+        code = cli.main(["analyze", "--data", str(strong_effect_csv),
+                         "--family", "gaussian", "--outcome", "y",
+                         "--hypothesis", "x1 > 0", "--seed", "3",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "--data" in err and "same file" in err
+        assert strong_effect_csv.read_bytes() == before
+
     def test_fraction_of_one_exit_3(self, tmp_path, capsys):
         # n = 3 rows, p = 2 coefficients: the default b = (p + 1) / n is 1
         path = tmp_path / "tiny.csv"
@@ -405,6 +440,55 @@ class TestSynthesize:
         assert code == 0
         summary = json.loads(out.read_text())
         assert math.isclose(summary["pmps"]["h1"], 0.8, rel_tol=1e-12)
+
+    def test_prior_count_is_named(self, tmp_path, capsys):
+        # positive and summing to 1, but three for one hypothesis and its
+        # alternative
+        write_record(tmp_path / "s1.json", "s1", 0.0, 0.5, 0.5)
+        out = tmp_path / "summary.json"
+        code = cli.main(["synthesize", "--records", str(tmp_path / "s1.json"),
+                         "--priors", "0.5,0.3,0.2", "--out", str(out)])
+        assert code == 2
+        assert ("expected 2 prior probabilities (hypotheses first, "
+                "alternative last), got 3") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alias", ["path", "dot", "symlink", "hardlink"])
+    @pytest.mark.parametrize("option", ["--out", "--trail"])
+    def test_output_naming_a_records_file_is_refused(self, tmp_path, capsys,
+                                                     option, alias):
+        write_record(tmp_path / "s1.json", "s1", 0.0, 0.5, 0.5)
+        write_record(tmp_path / "s2.json", "s2", 0.5, 0.5, 0.5)
+        before = (tmp_path / "s2.json").read_bytes()
+        target = same_file(tmp_path / "s2.json", tmp_path, alias)
+        outputs = {"--out": str(tmp_path / "summary.json"),
+                   "--trail": str(tmp_path / "trail.csv"), option: str(target)}
+        # a directory names its records as well as a file does
+        code = cli.main(["synthesize", "--records", str(tmp_path)]
+                        + [x for pair in outputs.items() for x in pair])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert option in err and "--records" in err and "same file" in err
+        assert (tmp_path / "s2.json").read_bytes() == before
+        assert not (tmp_path / "summary.json").exists()
+        assert not (tmp_path / "trail.csv").exists()
+
+    @pytest.mark.parametrize("present", [False, True])
+    def test_trail_naming_the_summary_is_refused(self, tmp_path, capsys,
+                                                 present):
+        write_record(tmp_path / "s1.json", "s1", 0.0, 0.5, 0.5)
+        out = tmp_path / "out" / "summary.json"
+        out.parent.mkdir()
+        if present:
+            out.write_bytes(b"old summary\n")
+        code = cli.main(["synthesize", "--records", str(tmp_path / "s1.json"),
+                         "--out", str(out), "--trail",
+                         f"{out.parent}/./summary.json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--trail" in err and "--out" in err and "same file" in err
+        assert (out.read_bytes() == b"old summary\n") if present \
+            else not out.exists()
 
     @pytest.mark.parametrize("priors", ["nan,0.5", "0.5,nan", "inf,0.5"])
     def test_non_finite_priors_exit_2(self, tmp_path, capsys, priors):
@@ -703,6 +787,25 @@ class TestSimulate:
         assert drawn == []
         assert out.read_text(encoding="utf-8") == "old results\n"
 
+    @pytest.mark.parametrize("sim", [str(s) for s in range(1, 9)])
+    def test_studies_refused_before_any_draw(self, tmp_path, monkeypatch,
+                                             capsys, sim):
+        # simulations 1-8 run one study per family; only a series (9-11)
+        # takes a study count
+        drawn = []
+        monkeypatch.setattr(cli.simgen, "gen_dataset",
+                            lambda spec, rng, analyze: drawn.append(spec))
+        out = tmp_path / "old.csv"
+        out.write_text("old results\n", encoding="utf-8")
+        code = cli.main(["simulate", "--sim", sim, "--iters", "1", "--n", "50",
+                         "--r2", "0.25", "--studies", "4", "--seed", "1",
+                         "--out", str(out)])
+        assert code == 2
+        assert (f"simulation {sim} has a fixed study plan; a study count is "
+                f"for simulations 9-11") in capsys.readouterr().err
+        assert drawn == []
+        assert out.read_text(encoding="utf-8") == "old results\n"
+
     def test_directory_at_the_sidecar_fails_before_any_draw(self, tmp_path,
                                                            monkeypatch, capsys):
         # a run with skips would write the CSV and then fail on the sidecar
@@ -803,6 +906,22 @@ class TestReport:
                                               "median_log_bf", "q75_log_bf",
                                               "max_log_bf")]
             assert values == sorted(values)
+
+    @pytest.mark.parametrize("alias", ["path", "dot", "symlink", "hardlink"])
+    def test_out_naming_the_input_is_refused(self, tmp_path, monkeypatch,
+                                             capsys, alias):
+        def unreachable(path):
+            raise AssertionError("the input was read")
+
+        sim_csv = self._simulate(tmp_path)
+        before = sim_csv.read_bytes()
+        monkeypatch.setattr(cli, "_aggregate_rows", unreachable)
+        code = cli.main(["report", "--in", str(sim_csv), "--out",
+                         same_file(sim_csv, tmp_path, alias)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "--in" in err and "same file" in err
+        assert sim_csv.read_bytes() == before
 
     def test_identical_rows_collapse_quantiles(self, tmp_path):
         path = tmp_path / "flat.csv"

@@ -28,6 +28,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,26 @@ def test_benchmark_call_shapes(tmp_path):
     assert {"trace"} <= set(glm.FitResult.__dataclass_fields__)
     assert glm.SeparationError("separated", trace=[1]).trace == [1]
     assert {"mc_draws"} <= set(bf.EvidenceRecord.__dataclass_fields__)
+    # bench/build_reference.py reads .kind and .df of each law and passes
+    # .df on to transform_constraints
+    rng = np.random.default_rng(0)
+    X = np.column_stack([np.ones(40), rng.normal(size=40)])
+    h = hypothesis.parse("x2 > 0")
+    for family, y, kind, dfs in (
+            ("gaussian", X @ [0.2, 0.5] + rng.normal(size=40), "student-t",
+             (38.0, 1.0)),
+            ("logit", (rng.random(40) < 0.5).astype(float), "normal",
+             (math.inf, math.inf))):
+        fit = glm.fit(glm.Dataset(y=y, X=X, names=("intercept", "x2"),
+                                  family=family))
+        center = bf.adjustment_center(h, names=fit.names)
+        laws = (bf.build_posterior(fit),
+                bf.build_prior(fit, bf.default_fraction(fit, [h]), center))
+        assert [(law.kind, law.df) for law in laws] == [(kind, df) for df in dfs]
+        for law in laws:
+            eta = hypothesis.transform_constraints(h, law.mean, law.scale,
+                                                   law.names, law.df).ineq
+            assert eta.df == law.df
 
 
 def test_cli_choices_are_the_library_names():

@@ -207,6 +207,15 @@ class TestNewState:
         with pytest.raises(ValueError):
             new_state(("a", "b"), (1.0, 0.0))
 
+    def test_prior_count_is_named(self):
+        # positive and summing to 1, but one value too many
+        words = (r"expected 2 prior probabilities \(hypotheses first, "
+                 r"alternative last\), got 3")
+        with pytest.raises(ValueError, match=words):
+            new_state(("a", "b"), (0.5, 0.3, 0.2))
+        with pytest.raises(ValueError, match=words):
+            pmps([0.0, 0.0], priors=(0.5, 0.3, 0.2))
+
     @pytest.mark.parametrize("priors", [(math.nan, 0.5), (math.nan, math.nan),
                                         (math.inf, 0.5), (0.5, 0.5, math.nan)])
     def test_non_finite_priors(self, priors):
