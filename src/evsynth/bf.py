@@ -688,11 +688,28 @@ def _log1m(x: float) -> float:
     return math.log1p(-x) if x < 1.0 else -math.inf
 
 
+def _region_rows(h: hyp.ConstraintSystem,
+                 names) -> tuple[np.ndarray, np.ndarray]:
+    """``hyp.embed_rows(h, names)`` with each inequality row and its offset
+    divided by the row's largest absolute entry.
+
+    c R_j beta > c r_j is one region for every c > 0, and so it gets one
+    mass: rows of small integers scaled by any c, and rows scaled by a
+    power of two, divide back to the same floats.  Equality rows keep their
+    scale, which their boundary densities carry.
+    """
+    R, r = hyp.embed_rows(h, names)
+    big = np.abs(R[h.n_eq:]).max(axis=1)
+    R[h.n_eq:] /= big[:, None]
+    r[h.n_eq:] /= big
+    return R, r
+
+
 def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
               rng, draws: int,
               rows=None) -> tuple[float, float, float, int, str]:
     """(log mass, mass, error estimate, points used, method name) of
-    ``dist`` under ``h``, whose rows embedded in ``dist.names`` are
+    ``dist`` under ``h``, whose rows ``_region_rows(h, dist.names)`` are
     ``rows`` when given.
 
     Mass means region probability for inequality-only systems, boundary
@@ -704,6 +721,8 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
     probability comes from :func:`_orthant_prob`'s ladder (closed forms,
     CDFs, Owen's T, quadrature, lattice QMC); densities are exact.
     """
+    if rows is None:
+        rows = _region_rows(h, dist.names)
     eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names,
                                     dist.df, rows=rows)
     dens = 1.0
@@ -786,7 +805,7 @@ def bf_iu(posterior: CoefDistribution, adjusted_prior: CoefDistribution,
             "complement is undefined for hypotheses with equality constraints")
     # the rows are embedded once when both distributions share their names,
     # as they do for every posterior and prior of :func:`evaluate`
-    rows = hyp.embed_rows(h, posterior.names)
+    rows = _region_rows(h, posterior.names)
     log_f, f, f_se, used_f, how_f = _log_mass(posterior, h, rng, draws, rows)
     log_c, c, c_se, used_c, how_c = _log_mass(
         adjusted_prior, h, rng, draws,

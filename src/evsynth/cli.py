@@ -9,7 +9,8 @@ report      summarize a simulation results CSV (quantiles per condition)
 
 Exit codes: 0 success, 2 hypothesis/input parse errors, 3 data or fitting
 errors, 4 numeric errors (degenerate Bayes factors, sentinel conflicts,
-label mismatches), 1 anything unexpected.
+label mismatches), 1 anything unexpected.  Every command checks its
+request, then all its outputs, and only then reads an input.
 
 All randomness flows from --seed through per-task generator streams keyed
 by (seed, simulation, condition, iteration, study), so outputs are
@@ -56,16 +57,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _check_outputs(outputs, inputs=()):
+    """Refuse a command's outputs before it reads an input, writing
+    nothing.  Both are (option, path) pairs; an output path None is
+    skipped.  An output gets the OSError that opening it for writing would
+    raise for a missing or unwritable directory, or a directory given as
+    the path, without creating or truncating the file; then a ValueError
+    when it is one of the inputs or an earlier output, so that no command
+    overwrites what it reads or has just written.  Files are told apart as
+    :func:`os.path.samefile` does, by device and inode, so ``./x``,
+    symlinks and hard links count; paths not yet written, by their real
+    paths."""
+    seen = {}
+    for k, (option, path) in enumerate([*inputs, *outputs]):
+        if path is None:
+            continue
+        p, output = Path(path), k >= len(inputs)
+        if output:
+            code = (errno.EISDIR if p.is_dir() else
+                    errno.ENOENT if not p.parent.is_dir() else
+                    None if os.access(p if p.exists() else p.parent, os.W_OK)
+                    else errno.EACCES)
+            if code:
+                raise OSError(code, os.strerror(code), str(path))
+        try:
+            st = os.stat(path)
+            key = (st.st_dev, st.st_ino)
+        except OSError:
+            key = os.path.realpath(path)
+        if output and key in seen:
+            first_option, first = seen[key]
+            raise ValueError(f"{option} {str(path)!r} and {first_option} "
+                             f"{str(first)!r} name the same file")
+        seen.setdefault(key, (option, path))
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
 def cmd_analyze(args) -> int:
-    # fail before reading and fitting the data, not after: a malformed
-    # hypothesis first (exit 2 whatever the data file holds), then an
-    # unwritable output, or one that is the data file
+    # a malformed hypothesis exits 2 whatever the data file holds
     cs = hyp.parse(args.hypothesis)
-    _check_writable(args.out)
-    _check_not_input([("--out", args.out)], [("--data", args.data)])
+    _check_outputs([("--out", args.out)], [("--data", args.data)])
     predictors = args.predictors.split(",") if args.predictors else None
     d = glm.dataset_from_csv(args.data, args.outcome, predictors,
                              family=args.family,
@@ -92,22 +125,26 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 # synthesize
 
-def _record_files(paths: list[str]) -> list[Path]:
-    """The files ``--records`` names: each file, and each directory's
-    ``*.json`` files in name order."""
-    files: list[Path] = []
+def _record_files(paths: list[str]) -> list[tuple[Path, bool]]:
+    """The files ``--records`` names, each with whether a directory scan
+    found it: each file, and each directory's ``*.json`` files in name
+    order."""
+    files: list[tuple[Path, bool]] = []
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(sorted(p.glob("*.json")))
+            files.extend((f, True) for f in sorted(p.glob("*.json")))
         else:
-            files.append(p)
+            files.append((p, False))
     return files
 
 
-def load_records(files: list[Path]) -> list[bf.EvidenceRecord]:
+def load_records(files: list[tuple[Path, bool]]) -> list[bf.EvidenceRecord]:
+    """The evidence records of :func:`_record_files`' files.  A summary
+    that ``synthesize`` wrote (an object with ``pmps`` and ``trail`` and
+    no ``records``) is skipped where a directory scan found it."""
     records: list[bf.EvidenceRecord] = []
-    for f in files:
+    for f, scanned in files:
         try:
             data = json.loads(f.read_text(encoding="utf-8"))
         except UnicodeDecodeError as exc:
@@ -116,6 +153,8 @@ def load_records(files: list[Path]) -> list[bf.EvidenceRecord]:
             raise glm.DataError(f"{f}: not valid JSON ({exc})") from None
         if isinstance(data, dict) and "records" in data:
             data = data["records"]
+        elif scanned and isinstance(data, dict) and {"pmps", "trail"} <= data.keys():
+            continue
         if isinstance(data, dict):
             data = [data]
         if not isinstance(data, list):
@@ -133,14 +172,10 @@ def load_records(files: list[Path]) -> list[bf.EvidenceRecord]:
 
 def cmd_synthesize(args) -> int:
     files = _record_files(args.records)
-    _check_not_input([("--out", args.out), ("--trail", args.trail)],
-                     [("--records", f) for f in files])
+    _check_outputs([("--out", args.out), ("--trail", args.trail)],
+                   [("--records", f) for f, _ in files])
     records = load_records(files)
     state, alternative = synthesize_records(records, args.priors)
-    # write nothing unless every output can be written
-    _check_writable(args.out)
-    if args.trail:
-        _check_writable(args.trail)
     summary = state.as_dict()
     summary["alternative"] = alternative
     _write_json(args.out, summary)
@@ -174,53 +209,13 @@ def _write_json(path, payload):
                           + "\n", encoding="utf-8")
 
 
-def _check_writable(path):
-    """Raise the OSError that opening ``path`` for writing would raise for
-    a missing or unwritable directory, or a directory given as the path,
-    without creating or truncating the file."""
-    p = Path(path)
-    if p.is_dir():
-        code = errno.EISDIR
-    elif not p.parent.is_dir():
-        code = errno.ENOENT
-    elif not os.access(p if p.exists() else p.parent, os.W_OK):
-        code = errno.EACCES
-    else:
-        return
-    raise OSError(code, os.strerror(code), str(path))
-
-
-def _check_not_input(outputs, inputs):
-    """Raise ValueError when an output is one of the inputs or an earlier
-    output, so that no command overwrites what it reads or has just
-    written; both are (option, path) pairs, and an output path None is
-    skipped.  Files are told apart as :func:`os.path.samefile` does, by
-    device and inode, so ``./x``, symlinks and hard links count; paths
-    not yet written, by their real paths."""
-    seen = {}
-    for k, (option, path) in enumerate([*inputs, *outputs]):
-        if path is None:
-            continue
-        try:
-            st = os.stat(path)
-            key = (st.st_dev, st.st_ino)
-        except OSError:
-            key = os.path.realpath(path)
-        if k >= len(inputs) and key in seen:
-            first_option, first = seen[key]
-            raise ValueError(f"{option} {str(path)!r} and {first_option} "
-                             f"{str(first)!r} name the same file")
-        seen.setdefault(key, (option, path))
-
-
 def cmd_simulate(args) -> int:
     grid_ns, grid_r2s = simgen.default_grid(args.sim)
     ns, r2s = args.n or grid_ns, args.r2 or grid_r2s
     alternatives = (bf.ALTERNATIVES if args.alternative == "both"
                     else (args.alternative,))
-    # a run can take hours: fail before it, not after, on a bad (n, r2)
-    # condition first (the config plans them all), then on --out or its
-    # skips sidecar
+    # a run can take hours: a bad (n, r2) condition fails before it (the
+    # config plans them all), as does --out or its skips sidecar
     config = SimulationConfig(sim_id=args.sim, iterations=args.iters, ns=ns,
                               r2s=r2s, seed=args.seed, draws=args.mc_draws,
                               alternatives=alternatives,
@@ -228,8 +223,7 @@ def cmd_simulate(args) -> int:
                               decomposed=args.decomposed,
                               threads=args.threads)
     sidecar = Path(str(args.out) + ".skips.json")
-    _check_writable(args.out)
-    _check_writable(sidecar)
+    _check_outputs([("--out", args.out), ("the skips sidecar", sidecar)])
     result = run_simulation(config)
     write_results_csv(result, args.out)
     if result.skips:
@@ -300,7 +294,7 @@ def _quantiles(values: list[float], qs) -> list[float]:
 
 
 def cmd_report(args) -> int:
-    _check_not_input([("--out", args.out)], [("--in", args.input)])
+    _check_outputs([("--out", args.out)], [("--in", args.input)])
     groups = _aggregate_rows(args.input)
     if not groups:
         raise glm.DataError(f"{args.input}: no aggregate rows found")

@@ -202,6 +202,15 @@ class TestDistributions:
             CoefDistribution(np.zeros(2), np.array([[1.0, 0.5], [0.2, 1.0]]),
                              ("a", "b"))
 
+    @pytest.mark.parametrize("scale,names,words", [
+        (np.eye(3), ("b1", "b2"), "scale shape does not match mean"),
+        (np.ones(2), ("b1", "b2"), "scale shape does not match mean"),
+        (np.eye(2), ("b1",), "names length does not match mean"),
+    ], ids=["3x3-scale", "1-d-scale", "too-few-names"])
+    def test_shape_errors_are_named(self, scale, names, words):
+        with pytest.raises(ValueError, match=f"^{words}$"):
+            CoefDistribution(np.zeros(2), scale, names)
+
 
 class TestOneLawOneAnswer:
     """A law is its degrees of freedom: above bf._CHI_DF_MAX, infinity
@@ -623,6 +632,10 @@ class TestBfIu:
            st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3),
            st.integers(0, 2), st.floats(0.01, 100.0),
            st.sampled_from([math.inf, 12.0]))
+    # a slab 0 < b3 < 2^-23 whose scaled row once standardized one ulp apart
+    @example(rows=[[0, 0, 1], [0, 0, 1], [0, 0, -1]],
+             offsets=[0.0, 0.0, -1.192092896e-07], which=0, factor=3.0,
+             df=math.inf)
     @settings(max_examples=80, deadline=None)
     def test_row_scaling_leaves_log_bf_unchanged(self, rows, offsets, which,
                                                  factor, df):
@@ -664,6 +677,15 @@ class TestBfIu:
 class TestOrthantLadder:
     """The deterministic ladder of the region masses against its oracles:
     scipy's CDFs and lattice rules, and the Monte Carlo sampler."""
+
+    @pytest.mark.parametrize("y", [0.0, -0.0])
+    @pytest.mark.parametrize("x", [0.0, -0.0, math.nan, 1.5, -2.0])
+    def test_owen_argument_divides_as_numpy(self, x, y):
+        # the float twin of _bvn_orthant's masked division: 0/0 and nan/0
+        # are nan, a non-zero x over a signed zero a signed infinity
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = float(np.float64(x) / np.float64(y))
+        assert np.array_equal([bf._ieee_div(x, y)], [want], equal_nan=True)
 
     @pytest.mark.parametrize("m1", [-1.3, 0.0, 0.7])
     @pytest.mark.parametrize("m2", [-0.4, 0.0, 2.1])

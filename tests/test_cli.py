@@ -618,6 +618,73 @@ class TestSynthesize:
         assert out.exists()
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("text", ["7", '"seven"', "null"])
+    def test_record_file_of_a_bare_value_exit_3(self, tmp_path, capsys, text):
+        # the message, which test_malformed_record_exit_3 does not check
+        path = tmp_path / "s1.json"
+        path.write_text(text, encoding="utf-8")
+        code = cli.main(["synthesize", "--records", str(path),
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: expected a record, a list of records, or an "
+            f"object with a 'records' key\n")
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("option", ["--out", "--trail"])
+    def test_unwritable_output_fails_before_the_records_are_read(
+            self, tmp_path, monkeypatch, capsys, option, where):
+        def unreachable(files):
+            raise AssertionError("the records were read")
+
+        monkeypatch.setattr(cli, "load_records", unreachable)
+        write_record(tmp_path / "s1.json", "s1", 0.0, 0.5, 0.5)
+        bad = tmp_path / "absent" / "x.json"
+        if where == "directory":
+            bad = tmp_path / "d"
+            bad.mkdir()
+        outputs = {"--out": str(tmp_path / "summary.json"),
+                   "--trail": str(tmp_path / "trail.csv"), option: str(bad)}
+        code = cli.main(["synthesize", "--records", str(tmp_path / "s1.json")]
+                        + [x for pair in outputs.items() for x in pair])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and str(bad) in err
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+            ["s1.json"] + (["d"] if where == "directory" else []))
+
+    def test_summary_among_the_records_is_skipped(self, strong_effect_csv,
+                                                  tmp_path, capsys):
+        recs = tmp_path / "recs"
+        recs.mkdir()
+        for study in ("a", "b"):
+            assert cli.main(["analyze", "--data", str(strong_effect_csv),
+                             "--family", "gaussian", "--outcome", "y",
+                             "--hypothesis", "x1 > x2", "--seed", "3",
+                             "--study-id", study,
+                             "--out", str(recs / f"{study}.json")]) == 0
+        first = recs / "summary.json"
+        assert cli.main(["synthesize", "--records", str(recs),
+                         "--out", str(first)]) == 0
+        # a later scan of the directory finds the summary and skips it
+        second = tmp_path / "s2.json"
+        assert cli.main(["synthesize", "--records", str(recs),
+                         "--out", str(second)]) == 0
+        a, b = (json.loads(f.read_text(encoding="utf-8"))
+                for f in (first, second))
+        assert b["pmps"] == a["pmps"] and b["study_count"] == a["study_count"] == 2
+        capsys.readouterr()
+        # it is still an input: writing it again is refused
+        before = first.read_bytes()
+        assert cli.main(["synthesize", "--records", str(recs),
+                         "--out", str(first)]) == 2
+        assert "same file" in capsys.readouterr().err
+        assert first.read_bytes() == before
+        # and named by itself it is no record
+        assert cli.main(["synthesize", "--records", str(first),
+                         "--out", str(tmp_path / "s3.json")]) == 3
+        assert "evidence record lacks fields" in capsys.readouterr().err
+
 
 class TestSimulate:
     def _run(self, tmp_path, name, extra=()):
@@ -922,6 +989,21 @@ class TestReport:
         err = capsys.readouterr().err
         assert "--out" in err and "--in" in err and "same file" in err
         assert sim_csv.read_bytes() == before
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_fails_before_the_input_is_read(
+            self, tmp_path, monkeypatch, capsys, where):
+        def unreachable(path):
+            raise AssertionError("the input was read")
+
+        sim_csv = tmp_path / "sim.csv"
+        sim_csv.write_text(",".join(cli.RESULT_COLUMNS) + "\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "_aggregate_rows", unreachable)
+        out = tmp_path / "absent" / "x.csv" if where == "missing-dir" else tmp_path
+        code = cli.main(["report", "--in", str(sim_csv), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and str(out) in err
 
     def test_identical_rows_collapse_quantiles(self, tmp_path):
         path = tmp_path / "flat.csv"

@@ -3,6 +3,7 @@
 import csv
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -241,6 +242,47 @@ class TestBinomial:
         direct = float(np.sum(y * np.log(mu) + (1.0 - y) * np.log1p(-mu)))
         assert math.isclose(result.trace[-1].loglik, direct, rel_tol=1e-10)
 
+    @staticmethod
+    def _effect_data(family):
+        rng = np.random.default_rng(31)
+        X = np.column_stack([np.ones(120), rng.normal(size=(120, 2))])
+        eta = X @ np.array([0.3, 0.8, -0.5])
+        mu = expit(eta) if family == "logit" else ndtr(eta)
+        y = (rng.random(120) < mu).astype(float)
+        return make_dataset(y, X, family=family, names=("intercept", "x1", "x2"))
+
+    @pytest.mark.parametrize("family", ["logit", "probit"])
+    def test_singular_information_takes_a_least_squares_step(self, monkeypatch,
+                                                              family):
+        # solve fails once, as on a singular observed information; on this
+        # invertible one the least-squares step is the Newton step
+        d = self._effect_data(family)
+        want = fit_binomial(d).beta
+        solve, failed = np.linalg.solve, []
+
+        def singular_once(a, b):
+            if not failed:
+                failed.append(a)
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(glm.np.linalg, "solve", singular_once)
+        result = fit_binomial(d)
+        assert len(failed) == 1
+        assert np.allclose(result.beta, want, rtol=0.0, atol=1e-8)
+        assert result.trace[-1].grad_inf < glm.GRAD_TOL
+
+    @pytest.mark.parametrize("family", ["logit", "probit"])
+    def test_no_improving_step_length_stops_newton(self, monkeypatch, family):
+        # a step against the Newton direction lowers the concave
+        # log-likelihood at every length down to 2**-29
+        d = self._effect_data(family)
+        solve = np.linalg.solve
+        monkeypatch.setattr(glm.np.linalg, "solve", lambda a, b: -solve(a, b))
+        with pytest.raises(NotConvergedError,
+                           match=rf"^no convergence in {glm.MAX_ITER} iterations"):
+            fit_binomial(d)
+
 
 class TestSeparationDetection:
     @staticmethod
@@ -306,6 +348,20 @@ class TestDatasetValidation:
         d = make_dataset([0.0, 1.0, 2.0], np.ones((3, 1)), names=("intercept",))
         with pytest.raises(DataError):
             add_intercept(d)
+
+    @pytest.mark.parametrize("build,words", [
+        (lambda: Dataset(X=np.ones(5), y=np.arange(5.0), family="gaussian",
+                         names=("x1",)), "X must be a 2-d array"),
+        (lambda: make_dataset(np.arange(5.0), np.ones((5, 2)), names=("x1",)),
+         "names length does not match X"),
+        (lambda: fit_ols(make_dataset([0.0, 1.0, 0.0, 1.0, 1.0],
+                                      np.ones((5, 1)), family="logit",
+                                      names=("intercept",))),
+         "fit_ols requires the gaussian family, got 'logit'"),
+    ], ids=["1-d-X", "names-length", "fit-ols-on-logit"])
+    def test_invalid_input_is_named(self, build, words):
+        with pytest.raises(DataError, match=f"^{re.escape(words)}$"):
+            build()
 
 
 class TestCsvLoading:

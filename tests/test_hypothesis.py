@@ -1,6 +1,8 @@
 """Parser and constraint-system tests."""
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,13 @@ from evsynth.hypothesis import (ConstraintSystem, NameMappingError,
                                 ParseError, columns, embed_rows, parse,
                                 transform_constraints)
 from oracles import same_system, to_text
+
+
+def inequalities(names, rows):
+    """A ConstraintSystem built directly from inequality ``rows > 0``."""
+    rows = np.array(rows, dtype=float)
+    return ConstraintSystem(names, np.zeros((0, len(names))), np.zeros(0),
+                            rows, np.zeros(len(rows)))
 
 
 class TestWorkedExamples:
@@ -137,6 +146,28 @@ class TestErrors:
         with pytest.raises(ParseError) as err:
             parse("b1 > b1")
         assert err.value.position is not None
+
+    @pytest.mark.parametrize("build,error,words", [
+        (lambda: parse("x1 > 0 }"), ParseError,
+         "unexpected token '}' (at position 7)"),
+        (lambda: parse("{x1 x2} > 0"), ParseError,
+         "unexpected token 'x2' in brace set (at position 4)"),
+        (lambda: inequalities(("b1", "b1"), [[1.0, 0.0]]), ValueError,
+         "duplicate coefficient names"),
+        (lambda: inequalities(("b1", "b2"), [[1.0, 0.0, 0.0]]), ValueError,
+         "inequality rows have inconsistent shape"),
+        (lambda: inequalities(("b1", "b2"), [[1.0, math.inf]]), ValueError,
+         "inequality rows contain non-finite values"),
+        (lambda: ConstraintSystem(("b1", "b2"), np.array([[1.0, 0.0]]),
+                                  np.array([math.nan]), np.zeros((0, 2)),
+                                  np.zeros(0)), ValueError,
+         "equality rows contain non-finite values"),
+    ], ids=["stray-token", "brace-set-token", "duplicate-names",
+            "inconsistent-shape", "non-finite-inequality",
+            "non-finite-equality"])
+    def test_invalid_input_is_named(self, build, error, words):
+        with pytest.raises(error, match=f"^{re.escape(words)}$"):
+            build()
 
 
 class TestParseMemo:

@@ -1,6 +1,7 @@
 """Data generation and study plan tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,18 @@ class TestScaleScore:
                     names=("a", "b", "scale"), family="gaussian")
         with pytest.raises(DataError):
             scale_score(d, ["a", "b"])
+
+    @pytest.mark.parametrize("build,error,words", [
+        (lambda: scale_score(Dataset(y=np.zeros(4), X=np.ones((4, 2)),
+                                     names=("a", "b"), family="gaussian"),
+                             ["a", "zz"]),
+         DataError, "columns ['zz'] not found"),
+        (lambda: study_plan(9, 25, 0.09, n_studies=0), ValueError,
+         "need at least one study"),
+    ], ids=["scale-score-missing-column", "no-studies"])
+    def test_invalid_input_is_named(self, build, error, words):
+        with pytest.raises(error, match=f"^{re.escape(words)}$"):
+            build()
 
     def test_apply_transform_dispatch(self):
         X = np.column_stack([np.arange(6.0), np.arange(6.0) * 2.0])

@@ -290,6 +290,12 @@ class TestPmps:
         with pytest.raises(ValueError):
             pmps([0.0, 0.0], priors=[0.5, 0.4])
 
+    @pytest.mark.parametrize("log_bfs", [[], (), iter(())],
+                             ids=["list", "tuple", "iterator"])
+    def test_no_hypotheses_raises(self, log_bfs):
+        with pytest.raises(ValueError, match="^no hypotheses$"):
+            pmps(log_bfs)
+
     @given(st.lists(LOG_BF_WIDE, min_size=1, max_size=12), st.data())
     @settings(max_examples=300, deadline=None)
     def test_bitwise_numpy_formula(self, logs, data):
