@@ -10,7 +10,9 @@ Mixed systems multiply the equality density ratio by the ratio of
 conditional inequality probabilities given the equalities.
 
 Region probabilities are deterministic where a closed form or a rule
-exists: the exact CDF for one inequality row; 1/4 + asin(rho) / 2pi and
+exists: for one inequality row, the exact CDF of an orthant, and of a
+slab with two bounds a difference of tail CDFs or, where that would
+cancel, a Gauss-Legendre rule on the density; 1/4 + asin(rho) / 2pi and
 1/8 + sum asin(rho_ij) / 4pi for zero-mean two- and three-row orthants of
 any elliptical law (every boundary-centered prior of a homogeneous
 hypothesis); Owen's T for nonzero-mean bivariate normal orthants, and for
@@ -26,12 +28,12 @@ randomized lattice QMC seeded from the caller's generator; scipy.stats,
 which holds it, is imported on that first use.
 Rank-deficient constraint scales reduce to fewer rows first.  Every mass
 of two rows, a full-rank pair or what a reduction leaves, is taken on
-Python floats by one routine, as single rows are, since numpy's dispatch
-on two-element arrays costs several times the arithmetic.  Every mass
-reports an error estimate and the name of its method (:data:`MASS_METHODS`;
-"mc", the Monte Carlo sampler, names only masses of records written by
-earlier versions).  Zero-mass corner cases are reported with +-inf
-sentinels; a 0/0 Bayes factor raises :class:`NumericError`.
+Python floats by one routine, as every one-row mass is by another, since
+numpy's dispatch on two-element arrays costs several times the arithmetic.
+Every mass reports an error estimate and the name of its method
+(:data:`MASS_METHODS`; "mc", the Monte Carlo sampler, names only masses of
+records written by earlier versions).  Zero-mass corner cases are reported
+with +-inf sentinels; a 0/0 Bayes factor raises :class:`NumericError`.
 
 Each study's evidence is a frozen :class:`EvidenceRecord`; the Bayes
 factors against and of the complement are read from it by :func:`bf_ic`
@@ -251,7 +253,7 @@ def default_fraction(fit: FitResult,
     """Family rule for the one hypothesis in ``systems``: b = (p + 1) / n
     for gaussian, with p counting every design column, and b = J / n for
     binomial, with J the number of independent constraints of the
-    hypothesis, its rank (at least 1).
+    hypothesis, its rank.
 
     Raises
     ------
@@ -271,7 +273,7 @@ def default_fraction(fit: FitResult,
                 f"the default fraction b = (p + 1) / n = 1; a gaussian study "
                 f"needs n > p + 1 = {fit.p + 1}")
         return FractionSpec((fit.p + 1) / fit.n)
-    return FractionSpec(max(systems[0].rank, 1) / fit.n)
+    return FractionSpec(systems[0].rank / fit.n)
 
 
 def adjustment_center(h: hyp.ConstraintSystem,
@@ -299,8 +301,9 @@ def adjustment_center(h: hyp.ConstraintSystem,
 @functools.cache
 def _legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nodes of the 64- and 32-point Gauss-Legendre rules on (0, 1), the
-    path of :func:`_tvn_orthant`, stacked, and the weights of each; built
-    on first use, not at import."""
+    path of :func:`_tvn_orthant` (and a narrow slab of :func:`_slab`, the
+    32-point rule), stacked, and the weights of each; built on first use,
+    not at import."""
     rules = [np.polynomial.legendre.leggauss(n) for n in (64, 32)]
     nodes = np.concatenate([(x + 1.0) / 2.0 for x, _ in rules])
     return nodes, rules[0][1] / 2.0, rules[1][1] / 2.0
@@ -614,6 +617,38 @@ def _cdf(x: float, df: float) -> float:
     return float(ndtr(x)) if df > _CHI_DF_MAX else float(stdtr(df, x))
 
 
+def _slab(lo: float, hi: float, df: float) -> float:
+    """P(lo < Z < hi) for Z of unit scale, normal above _CHI_DF_MAX and
+    Student-t at or below; hi is inf for a one-row orthant, whose mass is
+    one CDF.
+
+    A slab on one side of zero is mirrored to the positive side, where the
+    CDFs at -lo and -hi are tail masses that keep their relative digits.
+    Their difference still cancels when the slab is narrow against the
+    slope of the log density at its end nearer zero; such a slab, at most
+    1 wide, takes the 32-point Gauss-Legendre rule of
+    :func:`_legendre_rule` on the density instead.  Both keep a relative
+    error near 1e-15 (mpmath oracle in the tests).
+    """
+    if hi == math.inf:
+        return _cdf(-lo, df)
+    if hi <= 0.0:
+        lo, hi = -hi, -lo
+    normal = df > _CHI_DF_MAX
+    near = max(lo, 0.0)
+    slope = near if normal else (df + 1.0) * near / (df + near * near)
+    if (hi - lo) * max(slope, 1.0) > 1.0:
+        return _cdf(-lo, df) - _cdf(-hi, df)
+    nodes, _, w32 = _legendre_rule()
+    x = lo + (hi - lo) * nodes[64:]
+    if normal:
+        log_f = -0.5 * (x * x + math.log(2.0 * math.pi))
+    else:
+        log_f = (-(df + 1.0) / 2.0 * np.log1p(x * x / df)
+                 - 0.5 * math.log(df) - float(betaln(df / 2.0, 0.5)))
+    return (hi - lo) * float(w32 @ np.exp(log_f))
+
+
 def _orthant_prob(mean: np.ndarray, scale: np.ndarray, df: float, rng,
                   draws: int) -> tuple[float, float, int, str]:
     """P(eta > 0) with eta ~ t(mean, scale, df), the normal law above
@@ -625,24 +660,25 @@ def _orthant_prob(mean: np.ndarray, scale: np.ndarray, df: float, rng,
     with positive variances and |rho| < 1 - _RHO_TOL
     (:func:`_pair_prob`), skip the reduction; the rest go through
     :func:`_standard_box`, which decides rows without variance by their
-    means.  Then one row takes the exact CDF; zero-mean two- and three-row orthants the
-    closed forms 1/4 + asin(rho) / 2pi and 1/8 + sum asin(rho_ij) / 4pi,
-    valid for any elliptical law; other two-row orthants, and two-row
-    boxes with finite bounds (an opposed pair beside another row), Owen's
-    T summed over the box corners by inclusion-exclusion (normal, exact) or
-    that sum under the 32-node Gauss rule of :func:`_chi_rule` over the
-    mixing scale (Student-t, error |S32 - S16| floored at _QUAD_FLOOR);
+    means.  Then one row takes :func:`_slab`; zero-mean two- and
+    three-row orthants the closed forms 1/4 + asin(rho) / 2pi and
+    1/8 + sum asin(rho_ij) / 4pi, valid for any elliptical law; other
+    two-row orthants, and two-row boxes with finite bounds (an opposed
+    pair beside another row), Owen's T summed over the box corners by
+    inclusion-exclusion (normal, exact) or that sum under the 32-node Gauss
+    rule of :func:`_chi_rule` over the mixing scale (Student-t, error
+    |S32 - S16| floored at _QUAD_FLOOR);
     nonzero-mean three-row orthants Plackett's integral by the
     Gauss-Legendre rules of :func:`_tvn_orthant` while its error estimate
     is within QMC_SE.  The rest, four or more rows and three-row boxes
     among them, takes randomized lattice QMC seeded from ``rng``; for a
     Student-t law with df below 1 that rung raises :class:`NumericError`.
-    Error estimates are 0 for closed forms and CDFs.
+    Error estimates are 0 for closed forms and one-row masses.
     """
     # a row with variance skips the reduction: single rows stay as cheap
     if mean.shape[0] == 1 and scale[0, 0] > 0.0:
         s = math.sqrt(float(scale[0, 0]))
-        return _cdf(float(mean[0]) / s, df), 0.0, 0, "exact"
+        return _slab(-(float(mean[0]) / s), math.inf, df), 0.0, 0, "exact"
     if mean.shape[0] == 2:   # a full-rank pair skips the reduction too
         v0, v1 = float(scale[0, 0]), float(scale[1, 1])
         if v0 > 0.0 and v1 > 0.0:
@@ -660,10 +696,7 @@ def _orthant_prob(mean: np.ndarray, scale: np.ndarray, df: float, rng,
     if k == 0:
         return 1.0, 0.0, 0, "exact"
     if k == 1:
-        p = _cdf(-lo[0], df)
-        if not orthant:
-            p -= _cdf(-hi[0], df)
-        return p, 0.0, 0, "exact"
+        return _slab(float(lo[0]), float(hi[0]), df), 0.0, 0, "exact"
     if k == 2:
         return _pair_prob(float(lo[0]), float(hi[0]), float(lo[1]),
                           float(hi[1]), float(corr[0, 1]), df)
@@ -688,43 +721,27 @@ def _log1m(x: float) -> float:
     return math.log1p(-x) if x < 1.0 else -math.inf
 
 
-def _region_rows(h: hyp.ConstraintSystem,
-                 names) -> tuple[np.ndarray, np.ndarray]:
-    """``hyp.embed_rows(h, names)`` with each inequality row and its offset
-    divided by the row's largest absolute entry.
-
-    c R_j beta > c r_j is one region for every c > 0, and so it gets one
-    mass: rows of small integers scaled by any c, and rows scaled by a
-    power of two, divide back to the same floats.  Equality rows keep their
-    scale, which their boundary densities carry.
-    """
-    R, r = hyp.embed_rows(h, names)
-    big = np.abs(R[h.n_eq:]).max(axis=1)
-    R[h.n_eq:] /= big[:, None]
-    r[h.n_eq:] /= big
-    return R, r
-
-
 def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
               rng, draws: int,
               rows=None) -> tuple[float, float, float, int, str]:
     """(log mass, mass, error estimate, points used, method name) of
-    ``dist`` under ``h``, whose rows ``_region_rows(h, dist.names)`` are
+    ``dist`` under ``h``, whose rows ``hyp.embed_rows(h, dist.names)`` are
     ``rows`` when given.
 
     Mass means region probability for inequality-only systems, boundary
     density for equality-only systems, and density times conditional
     region probability for mixed systems.  One Cholesky factor of the
     equality block gives both the boundary density and the Schur-complement
-    conditioning of the inequality block; for Student-t the degrees of
-    freedom are kept unchanged (documented approximation).  The region
-    probability comes from :func:`_orthant_prob`'s ladder (closed forms,
-    CDFs, Owen's T, quadrature, lattice QMC); densities are exact.
+    conditioning of the inequality block, which is exact for Student-t laws
+    too: given k equality rows the conditional law has df + k degrees of
+    freedom and a scale widened by the boundary's quadratic form.  The
+    region probability comes from :func:`_orthant_prob`'s ladder (closed
+    forms, CDFs, Gauss rules, Owen's T, quadrature, lattice QMC); densities
+    are exact.
     """
-    if rows is None:
-        rows = _region_rows(h, dist.names)
+    df = dist.df
     eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names,
-                                    dist.df, rows=rows)
+                                    df, rows=rows)
     dens = 1.0
     if eta.ineq is not None:
         mean, scale = eta.ineq.mean, eta.ineq.scale
@@ -742,23 +759,28 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
         # above _CHI_DF_MAX the t density is the normal one, as the masses
         # are.  lgamma((nu + k) / 2) - lgamma(nu / 2) would cancel at large
         # nu (1e-5 relative at 1e12); the beta function form does not
-        if dist.df > _CHI_DF_MAX:
+        if df > _CHI_DF_MAX:
             log_pdf = -0.5 * (k * math.log(2.0 * math.pi) + log_det + quad)
         else:
-            nu = dist.df
-            log_pdf = (math.lgamma(k / 2.0) - float(betaln(nu / 2.0, k / 2.0))
-                       - 0.5 * (k * math.log(nu * math.pi) + log_det)
-                       - (nu + k) / 2.0 * math.log1p(quad / nu))
+            log_pdf = (math.lgamma(k / 2.0) - float(betaln(df / 2.0, k / 2.0))
+                       - 0.5 * (k * math.log(df * math.pi) + log_det)
+                       - (df + k) / 2.0 * math.log1p(quad / df))
         dens = math.exp(log_pdf)
         if eta.ineq is not None:
-            # the inequality block conditioned on the equality boundary
+            # the inequality block conditioned on the equality boundary; for
+            # a Student-t law that is a Student-t with df + k degrees of
+            # freedom whose Schur complement is widened by
+            # (1 + quad / df) / (1 + k / df) (Ding 2016, Am. Stat. 70:293)
             c = np.linalg.solve(chol, eta.cross.T)
             mean = mean + q @ c
             scale = scale - c.T @ c
             scale = (scale + scale.T) / 2.0
+            if df <= _CHI_DF_MAX:
+                scale = scale * ((1.0 + quad / df) / (1.0 + k / df))
+                df = df + k
     p, se, used, how = 1.0, 0.0, 0, "exact"
     if eta.ineq is not None:
-        p, se, used, how = _orthant_prob(mean, scale, dist.df, rng, draws)
+        p, se, used, how = _orthant_prob(mean, scale, df, rng, draws)
     return _log(dens) + _log(p), dens * p, dens * se, used, how
 
 
@@ -805,7 +827,7 @@ def bf_iu(posterior: CoefDistribution, adjusted_prior: CoefDistribution,
             "complement is undefined for hypotheses with equality constraints")
     # the rows are embedded once when both distributions share their names,
     # as they do for every posterior and prior of :func:`evaluate`
-    rows = _region_rows(h, posterior.names)
+    rows = hyp.embed_rows(h, posterior.names)
     log_f, f, f_se, used_f, how_f = _log_mass(posterior, h, rng, draws, rows)
     log_c, c, c_se, used_c, how_c = _log_mass(
         adjusted_prior, h, rng, draws,

@@ -49,7 +49,8 @@ class SingularDesignError(GlmError):
 
 
 class NotConvergedError(GlmError):
-    """Newton iterations exhausted without meeting the gradient tolerance."""
+    """Newton iterations stopped without meeting the gradient tolerance:
+    exhausted, or at a step no length of which improves the fit."""
 
 
 class SeparationError(GlmError):
@@ -412,7 +413,9 @@ def fit_binomial(d: Dataset) -> FitResult:
         iterate, or coefficients beyond ``SEPARATION_BETA_LIMIT`` without
         score convergence).
     NotConvergedError
-        If iterations are exhausted without separation.
+        If iterations are exhausted, or no step length improves the
+        log-likelihood, without separation; the message names which, and
+        the iteration a line search failed in.
     """
     if d.family not in BINOMIAL_FAMILIES:
         raise DataError(f"fit_binomial requires a binomial family, got {d.family!r}")
@@ -428,6 +431,7 @@ def fit_binomial(d: Dataset) -> FitResult:
     beta = np.zeros(d.p)
     trace: list[IrlsStep] = []
     converged = False
+    stop = f"no convergence in {MAX_ITER} iterations"
     loglik, grad, neg_hess, margin = parts(beta)
     for _ in range(MAX_ITER):
         grad_inf = float(np.abs(grad).max())
@@ -447,7 +451,9 @@ def fit_binomial(d: Dataset) -> FitResult:
                 break
             step /= 2.0
         else:
-            break  # no step length improves the log-likelihood
+            stop = (f"no step length improves the log-likelihood in Newton "
+                    f"iteration {len(trace)}")
+            break
         beta = cand
         loglik, grad, neg_hess, margin = cand_parts
     else:
@@ -458,8 +464,7 @@ def fit_binomial(d: Dataset) -> FitResult:
         raise SeparationError("complete separation detected", trace=trace)
     if not converged:
         raise NotConvergedError(
-            f"no convergence in {MAX_ITER} iterations "
-            f"(|score| = {trace[-1].grad_inf:.3e})")
+            f"{stop} (|score| = {trace[-1].grad_inf:.3e})")
 
     cov = np.linalg.inv(neg_hess)
     cov = (cov + cov.T) / 2.0

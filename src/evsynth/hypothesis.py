@@ -21,11 +21,12 @@ the named coefficients::
     R_e @ beta = r_e      (equality rows)
     R_i @ beta > r_i      (inequality rows)
 
-Rows are normalized (equality rows scaled so their first nonzero entry is
-+1, inequality rows so their largest absolute entry is 1), exact duplicates
-are dropped, linearly dependent equality rows are removed when they agree
-with the rows kept and rejected with a :class:`ParseError` when they
-contradict them, and names that end up with all-zero columns are pruned.
+Every system, parsed or built directly, scales each inequality row and its
+offset so that the row's largest absolute entry is 1.  Parsing also scales
+equality rows so their first nonzero entry is +1, drops exact duplicates,
+removes linearly dependent equality rows when they agree with the rows
+kept and rejects them with a :class:`ParseError` when they contradict
+them, and prunes names that end up with all-zero columns.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ class ConstraintSystem:
     R_e, r_e : ndarray
         Equality rows and right-hand sides, ``R_e @ beta = r_e``.
     R_i, r_i : ndarray
-        Inequality rows and right-hand sides, ``R_i @ beta > r_i``.
+        Inequality rows and right-hand sides, ``R_i @ beta > r_i``, each
+        row's largest absolute entry 1.
     R, r : ndarray
         The stacked rows ``[R_e; R_i]`` and ``[r_e; r_i]``.
     rank : int
@@ -84,10 +86,11 @@ class ConstraintSystem:
     consistent : bool
         Whether ``center`` solves the boundary system.
 
-    The given rows are copied, every array is read-only, and the last five
-    attributes are derived at construction (again by
-    :func:`dataclasses.replace`).  Systems compare and hash by identity
-    (:func:`parse` returns one object per text).
+    The given rows are copied, each inequality row and its offset divided
+    by the row's largest absolute entry, every array is read-only, and the
+    last five attributes are derived from those rows at construction
+    (again by :func:`dataclasses.replace`).  Systems compare and hash by
+    identity (:func:`parse` returns one object per text).
     """
 
     param_names: tuple[str, ...]
@@ -102,32 +105,32 @@ class ConstraintSystem:
     consistent: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("R_e", "r_e", "R_i", "r_i"):
-            rows = np.array(getattr(self, name))
-            rows.flags.writeable = False
-            object.__setattr__(self, name, rows)
         p = len(self.param_names)
         if len(set(self.param_names)) != p:
             raise ValueError("duplicate coefficient names")
-        for mat, rhs, kind in ((self.R_e, self.r_e, "equality"),
-                               (self.R_i, self.r_i, "inequality")):
+        R_e, r_e, R_i, r_i = (np.array(given) for given in
+                              (self.R_e, self.r_e, self.R_i, self.r_i))
+        for mat, rhs, kind in ((R_e, r_e, "equality"),
+                               (R_i, r_i, "inequality")):
             if mat.shape != (len(rhs), p):
                 raise ValueError(f"{kind} rows have inconsistent shape")
             if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
                 raise ValueError(f"{kind} rows contain non-finite values")
             if mat.shape[0] and not np.abs(mat).max(axis=1).all():
                 raise ValueError(f"{kind} system contains an all-zero row")
-        if self.n_eq + self.n_ineq == 0:
+        if len(r_e) + len(r_i) == 0:
             raise ValueError("constraint system has no rows")
-        R = np.vstack([self.R_e, self.R_i])
-        r = np.concatenate([self.r_e, self.r_i])
+        R_i, r_i = _unit_rows(R_i, r_i)
+        R = np.vstack([R_e, R_i])
+        r = np.concatenate([r_e, r_i])
         center, *_ = np.linalg.lstsq(R, r, rcond=None)
-        for array in (R, r, center):
-            array.flags.writeable = False
-        derived = {"R": R, "r": r, "rank": int(np.linalg.matrix_rank(R)),
+        derived = {"R_e": R_e, "r_e": r_e, "R_i": R_i, "r_i": r_i, "R": R,
+                   "r": r, "rank": int(np.linalg.matrix_rank(R)),
                    "center": center,
                    "consistent": not np.abs(R @ center - r).max() > 1e-8}
         for name, value in derived.items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
@@ -405,8 +408,7 @@ def _parse(text: str) -> ConstraintSystem:
             pivot = row[np.flatnonzero(row)[0]]
             eq_rows.append((row / pivot, rhs / pivot))
         else:
-            scale = np.abs(row).max()
-            ineq_rows.append((row / scale, rhs / scale))
+            ineq_rows.append(_unit_rows(row, rhs))
 
     eq_rows = _dedupe(eq_rows)
     eq_rows = _independent_equalities(eq_rows, names)
@@ -427,6 +429,14 @@ def _parse(text: str) -> ConstraintSystem:
     R_i = R_i[:, keep]
 
     return ConstraintSystem(tuple(names), R_e, r_e, R_i, r_i)
+
+
+def _unit_rows(R: np.ndarray, r):
+    """Inequality rows (one, or a matrix of them) and their offsets, each
+    divided by the row's largest absolute entry: c R_j beta > c r_j is one
+    region for every c > 0, and so it has one set of rows."""
+    big = np.abs(R).max(axis=-1, initial=0.0)
+    return R / big[..., None], r / big
 
 
 def _dedupe(rows: list[tuple[np.ndarray, float]]) -> list[tuple[np.ndarray, float]]:

@@ -6,12 +6,13 @@ import json
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.stats import multivariate_normal, norm
+from scipy.stats import multivariate_normal, multivariate_t, norm
 from scipy.stats import t as student_t
 from scipy.stats._qmvnt import _qmvn, _qmvt
 
@@ -430,7 +431,9 @@ class TestDensityAtEquality:
 
     @pytest.mark.parametrize("text,want", [
         ("b1 = 0", 0.3813645036448456),
-        ("b1 = 0 & b2 > 0", 0.1551228368232906)])
+        # the exact conditional law (df 4794); quadrature of the joint
+        # density along b1 = 0 agrees to 4e-13
+        ("b1 = 0 & b2 > 0", 0.1551195231614585)])
     def test_fit_size_df_unchanged(self, text, want):
         dist = t_dist([0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]], df=4793)
         assert density_at_equality(dist, parse(text)) == want
@@ -536,16 +539,30 @@ class TestBfIu:
         assert record.mc_draws == 0 and record.mc_se_fit == 0.0
         assert math.isclose(record.fit, oracle, rel_tol=1e-12)
 
-    def test_mixed_student_t_keeps_df(self):
-        # documented approximation: marginal t density at the boundary times
-        # the conditional (Schur) t probability with unchanged df
-        cov = np.array([[1.0, 0.6], [0.6, 1.0]])
-        post = t_dist([0.3, 0.5], cov, df=4)
-        record = bf_iu(post, t_dist([0.0, 0.0], 2.0 * cov, df=1),
-                       parse("b1 = 0 & b2 > 0"))
-        dens = float(student_t.pdf(-0.3, 4))
-        cond_p = float(student_t.cdf((0.5 - 0.6 * 0.3) / 0.8, 4))
-        assert math.isclose(record.fit, dens * cond_p, rel_tol=1e-12)
+    @pytest.mark.parametrize("df", [1.0, 4.0, 38.0])
+    def test_mixed_student_t_one_row_matches_quad(self, df):
+        # the mass of b1 = 0 & b2 > 0 is the joint t density along the
+        # boundary b1 = 0, integrated over b2 > 0
+        mean, cov = [0.4, -0.3], [[1.3, 0.6], [0.6, 0.9]]
+        law = t_dist(mean, cov, df)
+        joint = multivariate_t(mean, cov, df=df)
+        want, _ = integrate.quad(lambda x2: joint.pdf([0.0, x2]), 0.0,
+                                 math.inf, epsabs=0.0, epsrel=1e-12)
+        record = bf_iu(law, law, parse("b1 = 0 & b2 > 0"))
+        assert math.isclose(record.fit, want, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("df", [1.0, 4.0, 38.0])
+    def test_mixed_student_t_two_rows_match_dblquad(self, df):
+        mean = [0.3, 0.2, -0.1]
+        cov = [[1.0, 0.4, -0.3], [0.4, 1.2, 0.2], [-0.3, 0.2, 0.8]]
+        law = t_dist(mean, cov, df)
+        joint = multivariate_t(mean, cov, df=df)
+        want, _ = integrate.dblquad(
+            lambda x3, x2: joint.pdf([0.0, x2, x3]), 0.0, math.inf, 0.0,
+            math.inf, epsabs=0.0, epsrel=1e-10)
+        record = bf_iu(law, law, parse("b1 = 0 & b2 > 0 & b3 > 0"))
+        assert record.mass_method == "quadrature"
+        assert math.isclose(record.fit, want, rel_tol=1e-10)
 
     def test_contradiction_raises(self):
         dist = normal_dist([0.0, 0.0], np.eye(2))
@@ -981,6 +998,48 @@ THREE_ROW_CASES = [
     ([-1.5, 2.0, 0.7], [[1.0, 0.9, -0.5], [0.9, 1.0, -0.6], [-0.5, -0.6, 1.0]]),
     ([2.5, -0.2, 3.1], [[1.0, 0.0, 0.7], [0.0, 0.5, 0.1], [0.7, 0.1, 2.0]]),
 ]
+
+
+class TestSlab:
+    """One-row masses, orthants and slabs of every width, against mpmath."""
+
+    @staticmethod
+    def exact(lo, hi, df):
+        """P(lo < Z < hi) at 50 digits, as a difference of upper tails on
+        the side of zero the slab leans to."""
+        with mpmath.workdps(50):
+            lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+            if lo + hi < 0:
+                lo, hi = -hi, -lo
+
+            def upper(x):
+                if df == math.inf:
+                    return mpmath.ncdf(-x)
+                nu = mpmath.mpf(df)
+                tail = mpmath.betainc(nu / 2, 0.5, 0, nu / (nu + x * x),
+                                      regularized=True) / 2
+                return tail if x >= 0 else 1 - tail
+            return upper(lo) - upper(hi)
+
+    @pytest.mark.parametrize("df", [math.inf, 1.0, 3.0, 38.0])
+    def test_relative_error_against_mpmath(self, df):
+        widths = [10.0 ** e for e in range(-12, 1)] + [2.0, 4.0]
+        # a slab 0 < b3 < 1.2e-7 under a N(0.3, 1.5) margin
+        cases = [(-0.3 / math.sqrt(1.5), 1.2e-7 / math.sqrt(1.5))]
+        cases += [(float(lo), width) for lo in np.linspace(-8.0, 8.0, 33)
+                  for width in widths]
+        bad = []
+        for lo, width in cases:
+            hi = lo + width
+            got, want = bf._slab(lo, hi, df), self.exact(lo, hi, df)
+            if abs(got - want) > 1e-13 * want:
+                bad.append((lo, width, float((got - want) / want)))
+        assert bad == []
+
+    @pytest.mark.parametrize("df", [math.inf, 1e13, 1.0, 3.0, 38.0])
+    def test_orthant_is_one_cdf(self, df):
+        for lo in np.linspace(-8.0, 8.0, 33):
+            assert bf._slab(float(lo), math.inf, df) == bf._cdf(-lo, df)
 
 
 class TestTrivariateRule:

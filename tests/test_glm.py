@@ -280,7 +280,8 @@ class TestBinomial:
         solve = np.linalg.solve
         monkeypatch.setattr(glm.np.linalg, "solve", lambda a, b: -solve(a, b))
         with pytest.raises(NotConvergedError,
-                           match=rf"^no convergence in {glm.MAX_ITER} iterations"):
+                           match=r"^no step length improves the log-likelihood "
+                                 r"in Newton iteration 1 \(\|score\| = "):
             fit_binomial(d)
 
 

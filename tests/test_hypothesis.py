@@ -377,3 +377,47 @@ class TestDerivedGeometry:
         assert {cs: 1, copy: 2}[cs] == 1
         assert len({cs, copy, parse("b1 > 0 & b2 > 0")}) == 2
         assert same_system(cs, copy)
+
+
+class TestRowScaling:
+    """Every system, parsed or built directly, divides each inequality row
+    and its offset by the row's largest absolute entry: c R_j beta > c r_j
+    is one region for every c > 0, and so gives one set of rows."""
+
+    NAMES = ("b1", "b2", "b3")
+
+    def system(self, R_i, r_i):
+        return ConstraintSystem(self.NAMES, np.array([[1.0, 0.0, -1.0]]),
+                                np.array([0.2]), R_i, r_i)
+
+    def test_built_rows_are_scaled(self):
+        cs = ConstraintSystem(("b1", "b2"), np.zeros((0, 2)), np.zeros(0),
+                              np.array([[2.0, -2.0]]), np.array([1.0]))
+        assert np.array_equal(cs.R_i, [[1.0, -1.0]])
+        assert np.array_equal(cs.r_i, [0.5])
+
+    @pytest.mark.parametrize("factor", [3.0, 0.1])
+    def test_transform_is_free_of_a_row_scale(self, factor):
+        R_i = np.array([[1.0, -2.0, 0.0], [0.0, 1.0, 1.0]])
+        r_i = np.array([0.5, -1.0])
+        R_c, r_c = R_i.copy(), r_i.copy()
+        R_c[0] *= factor
+        r_c[0] *= factor
+        mean = np.array([0.3, -0.2, 0.5])
+        scale = np.array([[1.0, 0.3, -0.2], [0.3, 2.0, 0.4], [-0.2, 0.4, 1.5]])
+        base, scaled = (transform_constraints(self.system(R, r), mean, scale,
+                                              self.NAMES)
+                        for R, r in ((R_i, r_i), (R_c, r_c)))
+        for a, b in ((base.eq.mean, scaled.eq.mean),
+                     (base.eq.scale, scaled.eq.scale),
+                     (base.ineq.mean, scaled.ineq.mean),
+                     (base.ineq.scale, scaled.ineq.scale),
+                     (base.cross, scaled.cross)):
+            assert np.array_equal(a, b)
+
+    def test_inconsistent_center_is_free_of_a_row_scale(self):
+        parsed = parse("x1 > 0 & x1 > 1")
+        built = ConstraintSystem(("x1",), np.zeros((0, 1)), np.zeros(0),
+                                 np.array([[1.0], [4.0]]), np.array([0.0, 4.0]))
+        assert not built.consistent
+        assert np.array_equal(built.center, parsed.center)
