@@ -23,10 +23,11 @@ the named coefficients::
 
 Every system, parsed or built directly, scales each inequality row and its
 offset so that the row's largest absolute entry is 1.  Parsing also scales
-equality rows so their first nonzero entry is +1, drops exact duplicates,
-removes linearly dependent equality rows when they agree with the rows
-kept and rejects them with a :class:`ParseError` when they contradict
-them, and prunes names that end up with all-zero columns.
+equality rows so their first nonzero entry is +1, drops exact duplicate
+inequality rows, removes linearly dependent equality rows (a duplicate
+among them) when they agree with the rows kept and rejects them with a
+:class:`ParseError` when they contradict them, and prunes names that end
+up with all-zero columns.
 """
 
 from __future__ import annotations
@@ -410,7 +411,6 @@ def _parse(text: str) -> ConstraintSystem:
         else:
             ineq_rows.append(_unit_rows(row, rhs))
 
-    eq_rows = _dedupe(eq_rows)
     eq_rows = _independent_equalities(eq_rows, names)
     ineq_rows = _dedupe(ineq_rows)
 
@@ -509,27 +509,18 @@ def columns(h: ConstraintSystem,
                                f"coefficients {list(names)}") from None
 
 
-def embed_rows(h: ConstraintSystem,
-               names: tuple[str, ...] | list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``h.R`` and ``h.r`` over a wider coefficient space given by ``names``
-    (zero columns elsewhere), as fresh arrays."""
-    R = np.zeros((h.R.shape[0], len(names)))
-    R[:, columns(h, names)] = h.R
-    return R, h.r.copy()
-
-
 def transform_constraints(h: ConstraintSystem,
                           mean: np.ndarray,
                           scale: np.ndarray,
                           names: tuple[str, ...] | list[str],
-                          df: float = np.inf, *,
-                          rows: tuple[np.ndarray, np.ndarray] | None = None
-                          ) -> TransformedConstraints:
+                          df: float = np.inf) -> TransformedConstraints:
     """Map a coefficient distribution into constraint (eta) space.
 
-    For each block of rows R with offsets r, eta = R @ beta - r has mean
-    ``R @ mean - r`` and scale ``R @ scale @ R.T``; Student-t degrees of
-    freedom pass through unchanged.
+    Only the law's block on the constrained coefficients is read: with its
+    mean m and scale S over ``h.param_names``, eta = R @ beta - r has mean
+    ``h.R @ m - h.r`` and scale ``h.R @ S @ h.R.T``, split into equality
+    and inequality blocks; Student-t degrees of freedom pass through
+    unchanged.
 
     Parameters
     ----------
@@ -537,13 +528,11 @@ def transform_constraints(h: ConstraintSystem,
     mean : ndarray, shape (p,)
     scale : ndarray, shape (p, p)
     names : sequence of str
-        Coefficient names aligned with ``mean``/``scale``.
+        Coefficient names aligned with ``mean``/``scale``, among them every
+        name of ``h`` (else :class:`NameMappingError`).
     df : float, optional
         Degrees of freedom of a Student-t law; infinite, the default, for a
         normal law.
-    rows : (ndarray, ndarray), optional
-        ``embed_rows(h, names)``, when the caller holds it already (one
-        study transforms its posterior and its prior over the same names).
 
     Returns
     -------
@@ -551,19 +540,15 @@ def transform_constraints(h: ConstraintSystem,
         With ``eq`` and/or ``ineq`` populated depending on the rows in
         ``h``, and ``cross`` when both are.
     """
-    mean = np.asarray(mean, dtype=float)
-    scale = np.asarray(scale, dtype=float)
-    R, r = embed_rows(h, names) if rows is None else rows
-    eta_mean = R @ mean - r
-    eta_scale = R @ scale @ R.T
+    cols = columns(h, names)
+    mean = np.asarray(mean, dtype=float).take(cols)
+    scale = np.asarray(scale, dtype=float).take(cols, 0).take(cols, 1)
+    eta_mean = h.R @ mean - h.r
+    eta_scale = h.R @ scale @ h.R.T
     eta_scale = (eta_scale + eta_scale.T) / 2.0
-
-    def block(lo: int, hi: int) -> EtaDistribution | None:
-        if hi == lo:
-            return None
-        return EtaDistribution(eta_mean[lo:hi], eta_scale[lo:hi, lo:hi], df)
-
     ke = h.n_eq
-    cross = eta_scale[ke:, :ke] if ke and h.n_ineq else None
-    return TransformedConstraints(eq=block(0, ke),
-                                  ineq=block(ke, ke + h.n_ineq), cross=cross)
+    eq = EtaDistribution(eta_mean[:ke], eta_scale[:ke, :ke], df) if ke else None
+    ineq = (EtaDistribution(eta_mean[ke:], eta_scale[ke:, ke:], df)
+            if h.n_ineq else None)
+    cross = eta_scale[ke:, :ke] if eq and ineq else None
+    return TransformedConstraints(eq, ineq, cross)

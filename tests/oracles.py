@@ -1,6 +1,7 @@
 """Oracles that only tests use: region probabilities by name, the Monte
-Carlo sampler of region masses, row-by-row equality of constraint
-systems, and their rendering back to hypothesis syntax.
+Carlo sampler of region masses, the constraint transform over the whole
+law, row-by-row equality of constraint systems, and their rendering back
+to hypothesis syntax.
 
 The sampler draws ``standard_normal((draws, k))``, scales the draws by a
 symmetric square root of the eta scale and, for a Student-t law, divides
@@ -80,6 +81,26 @@ def mc_prob_region(dist: bf.CoefDistribution, h: hyp.ConstraintSystem,
                                     dist.df).ineq
     p, se, _, _ = mc_orthant_prob(eta.mean, eta.scale, dist.df, rng, draws)
     return p, se
+
+
+def padded_transform(h: hyp.ConstraintSystem, mean: np.ndarray,
+                     scale: np.ndarray, names, df: float = math.inf
+                     ) -> hyp.TransformedConstraints:
+    """:func:`evsynth.hypothesis.transform_constraints` over every
+    coefficient in ``names``: the rows of ``h`` zero-padded to the law's
+    full width, whose eta moments do not depend on the coefficients that
+    ``h`` leaves free."""
+    R = np.zeros((h.R.shape[0], len(names)))
+    R[:, hyp.columns(h, names)] = h.R
+    eta_mean = R @ np.asarray(mean, dtype=float) - h.r
+    eta_scale = R @ np.asarray(scale, dtype=float) @ R.T
+    eta_scale = (eta_scale + eta_scale.T) / 2.0
+    ke, k = h.n_eq, h.R.shape[0]
+    eq, ineq = ((hyp.EtaDistribution(eta_mean[lo:hi], eta_scale[lo:hi, lo:hi],
+                                     df) if hi > lo else None)
+                for lo, hi in ((0, ke), (ke, k)))
+    cross = eta_scale[ke:, :ke] if eq and ineq else None
+    return hyp.TransformedConstraints(eq, ineq, cross)
 
 
 def same_system(a: hyp.ConstraintSystem, b: hyp.ConstraintSystem) -> bool:

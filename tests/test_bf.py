@@ -25,8 +25,7 @@ from evsynth.bf import (ALTERNATIVES, MASS_METHODS, CoefDistribution,
 from evsynth.glm import FAMILIES, DataError, Dataset, add_intercept, fit_ols
 from evsynth.glm import fit as glm_fit
 from evsynth.hypothesis import (ConstraintSystem,
-                                EqualityComplementUnsupportedError,
-                                embed_rows, parse)
+                                EqualityComplementUnsupportedError, parse)
 from oracles import mc_orthant_prob, mc_prob_region, prob_region
 
 
@@ -427,16 +426,32 @@ class TestDensityAtEquality:
         dist = t_dist([0.3, -0.2, 0.5], [[1.0, 0.4, 0.1], [0.4, 2.0, 0.3],
                                          [0.1, 0.3, 1.5]], df=df)
         assert abs(math.log(density_at_equality(dist, parse(text)))
-                   - want) <= 1e-9
+                   - want) <= 1e-13
 
     @pytest.mark.parametrize("text,want", [
-        ("b1 = 0", 0.3813645036448456),
-        # the exact conditional law (df 4794); quadrature of the joint
-        # density along b1 = 0 agrees to 4e-13
-        ("b1 = 0 & b2 > 0", 0.1551195231614585)])
-    def test_fit_size_df_unchanged(self, text, want):
+        # by mpmath at 50 digits: the density of b1 at 0, and times the
+        # mass of b2 > 0 under the exact conditional law (df 4794)
+        ("b1 = 0", 0.38136450364576087),
+        ("b1 = 0 & b2 > 0", 0.15511952316183075)])
+    def test_fit_size_df_matches_mpmath(self, text, want):
         dist = t_dist([0.3, -0.2], [[1.0, 0.4], [0.4, 2.0]], df=4793)
-        assert density_at_equality(dist, parse(text)) == want
+        assert abs(density_at_equality(dist, parse(text)) - want) <= 1e-15 * want
+
+    def test_log_gamma_ratio_matches_mpmath(self):
+        # log Gamma(a + b) - log Gamma(a) for every half-integer b of up to
+        # ten rows, across the switch to Stirling's series and at df up to
+        # _CHI_DF_MAX
+        bad = []
+        for a in [0.5, 1.0, 2.5, 7.5, 7.999999, 8.0, 8.000001, 19.0, 2396.5,
+                  7.5e3, 5e4, 5e5, 1.4e6, 3e8, 5e11]:
+            for b in [j / 2 for j in range(1, 11)]:
+                with mpmath.workdps(50):
+                    want = float(mpmath.loggamma(mpmath.mpf(a) + b)
+                                 - mpmath.loggamma(a))
+                got = bf._log_gamma_ratio(a, b)
+                if abs(got - want) > 4e-15 * max(abs(want), 1.0):
+                    bad.append((a, b, got, want))
+        assert bad == []
 
 
 class TestBfIu:
@@ -1021,11 +1036,14 @@ class TestSlab:
                 return tail if x >= 0 else 1 - tail
             return upper(lo) - upper(hi)
 
-    @pytest.mark.parametrize("df", [math.inf, 1.0, 3.0, 38.0])
+    @pytest.mark.parametrize("df", [math.inf, 1.0, 3.0, 38.0, 1e6])
     def test_relative_error_against_mpmath(self, df):
         widths = [10.0 ** e for e in range(-12, 1)] + [2.0, 4.0]
-        # a slab 0 < b3 < 1.2e-7 under a N(0.3, 1.5) margin
-        cases = [(-0.3 / math.sqrt(1.5), 1.2e-7 / math.sqrt(1.5))]
+        # a slab 0 < b3 < 1.2e-7 under a N(0.3, 1.5) margin, and a narrow
+        # slab far in the tail, where the density's normalizing constant
+        # decides the mass
+        cases = [(-0.3 / math.sqrt(1.5), 1.2e-7 / math.sqrt(1.5)),
+                 (-11.0727, 1.39e-12)]
         cases += [(float(lo), width) for lo in np.linspace(-8.0, 8.0, 33)
                   for width in widths]
         bad = []
@@ -1532,8 +1550,6 @@ class TestParsedSystemMemo:
             assert kept == fresh
             # a caller's changes to returned arrays reach no later record
             adjustment_center(h, names=fit.names)[:] = 7.0
-            for array in embed_rows(h, fit.names):
-                array[:] = 7.0
             assert evaluate(fit, h, label="h",
                             rng=np.random.default_rng(0)) == fresh
 

@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evsynth.hypothesis import (ConstraintSystem, NameMappingError,
-                                ParseError, columns, embed_rows, parse,
+                                ParseError, columns, parse,
                                 transform_constraints)
-from oracles import same_system, to_text
+from oracles import padded_transform, same_system, to_text
 
 
 def inequalities(names, rows):
@@ -246,14 +246,18 @@ class TestRoundTrip:
 
 class TestEmbedAndTransform:
     def test_embed_into_wider_space(self):
-        cs = parse("b2 > b1")
-        R, r = embed_rows(cs, ("b0", "b1", "b2"))
-        assert np.array_equal(R, [[0.0, -1.0, 1.0]])
-        assert np.array_equal(r, [0.0])
+        # the law's block on b1 and b2 is read; b0 is left free
+        cs = parse("b2 > b1 + 0.5")
+        mean = np.array([9.0, 1.0, 2.0])
+        scale = np.array([[5.0, 1.0, 1.0], [1.0, 2.0, 0.5], [1.0, 0.5, 3.0]])
+        out = transform_constraints(cs, mean, scale, ("b0", "b1", "b2"))
+        assert np.array_equal(out.ineq.mean, [0.5])
+        assert np.array_equal(out.ineq.scale, [[4.0]])
 
     def test_embed_unknown_name(self):
-        with pytest.raises(NameMappingError):
-            embed_rows(parse("q > 0"), ("b1", "b2"))
+        with pytest.raises(NameMappingError, match=r"\['q'\]"):
+            transform_constraints(parse("q > 0"), np.zeros(2), np.eye(2),
+                                  ("b1", "b2"))
 
     def test_columns_follow_the_names(self):
         cs = parse("b3 > b1 & b2 = 0")
@@ -262,20 +266,46 @@ class TestEmbedAndTransform:
         with pytest.raises(NameMappingError, match=r"\['b2'\]"):
             columns(cs, ["b1", "b3"])
 
-    def test_embedded_rows_are_fresh(self):
+    def test_names_in_any_order(self):
         cs = parse("b2 > b1 + 0.5")
-        names = ("b0", "b1", "b2")
-        want = transform_constraints(cs, np.ones(3), np.eye(3), names)
-        R, r = embed_rows(cs, names)
-        R[0, 0], r[0] = 9.0, 9.0
-        again, r_again = embed_rows(cs, list(names))
-        assert again is not R and r_again is not r
-        assert np.array_equal(again, [[0.0, -1.0, 1.0]])
-        assert np.array_equal(r_again, [0.5])
-        got = transform_constraints(cs, np.ones(3), np.eye(3), names)
-        assert np.array_equal(got.ineq.mean, want.ineq.mean)
-        assert np.array_equal(got.ineq.scale, want.ineq.scale)
-        assert np.array_equal(embed_rows(cs, ("b2", "b1"))[0], [[1.0, -1.0]])
+        mean, scale = np.array([3.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]])
+        for names in (("b2", "b1"), ["b2", "b1"]):
+            out = transform_constraints(cs, mean, scale, names)
+            assert np.array_equal(out.ineq.mean, [0.5])
+            assert np.array_equal(out.ineq.scale, [[2.0]])
+
+    TEXTS = ("x6 > x1", "2*x3 - x1 > 0.3 & x5 = x6", "{x1 = x2} < x3",
+             "x1 = 0 & x2 > 0", "x5 < x2 < x6", "x6 = x5 = x4",
+             "x3 > 0 & x3 < 0.5 & x2 > 0", "-x4 + 0.5*x2 > 1e-3 & x3 = 2",
+             "x2 - x1 > 0 & x1 > 0.1 & x3 > x2 & x6 > 0")
+
+    @given(st.sampled_from(TEXTS), st.permutations(
+        ("x1", "x2", "x3", "x4", "x5", "x6", "intercept")),
+           st.booleans(), st.sampled_from([math.inf, 1.0, 4.5, 4793.0]),
+           st.integers(0, 10 ** 6))
+    @settings(max_examples=200, deadline=None)
+    def test_constrained_block_matches_the_padded_rows(self, text, names,
+                                                       as_list, df, seed):
+        # the eta moments of the constrained block are those of the whole
+        # law under zero-padded rows, bit for bit
+        rng = np.random.default_rng(seed)
+        p = len(names)
+        A = rng.normal(size=(p, p)) * rng.uniform(0.01, 10.0, size=p)
+        mean = rng.normal(size=p) * rng.uniform(0.01, 10.0)
+        scale = A @ A.T
+        names = list(names) if as_list else tuple(names)
+        h = parse(text)
+        got = transform_constraints(h, mean, scale, names, df)
+        want = padded_transform(h, mean, scale, names, df)
+        for g, w in ((got.eq, want.eq), (got.ineq, want.ineq)):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert g.mean.tobytes() == w.mean.tobytes()
+                assert g.scale.tobytes() == w.scale.tobytes()
+                assert g.df == w.df == df
+        assert (got.cross is None) == (want.cross is None)
+        if got.cross is not None:
+            assert got.cross.tobytes() == want.cross.tobytes()
 
     def test_identity_rows_unchanged(self):
         cs = parse("{b1, b2} > 0")

@@ -30,10 +30,16 @@ Every record field must match exactly.  The same records, and those of the
 inequality-only texts against the complement, must survive a JSON round
 trip unchanged, down to their ``repr``.
 
-A change that moves results on purpose regenerates the files with the
-commands above and says why in CHANGES.md.
+A change that moves results on purpose lists the record fields it moves,
+each with its relative change, by::
+
+    PYTHONPATH=src python tests/test_regression.py --diff
+
+then regenerates the files with the commands above and says why in
+CHANGES.md.
 """
 
+import argparse
 import csv
 import json
 import math
@@ -143,5 +149,47 @@ def test_records_round_trip_through_json(alternative):
                 f"{record.study_id}, {record.hypothesis}")
 
 
+def moved_fields(want: list[dict], got: list[dict]) -> list[str]:
+    """One line for each field of the records ``want`` whose value in
+    ``got`` differs, with its relative change where both are finite
+    numbers."""
+    if len(got) != len(want):
+        return [f"{len(want)} records checked in, {len(got)} made"]
+    lines = []
+    for w, g in zip(want, got):
+        for field in sorted(w.keys() | g.keys()):
+            old, new = w.get(field), g.get(field)
+            if old == new:
+                continue
+            line = f"{w['study_id']}, {w['hypothesis']}, {field}: {old!r} -> {new!r}"
+            if all(isinstance(x, float) and math.isfinite(x) for x in (old, new)):
+                line += f" ({(new - old) / abs(old) if old else math.inf:+.2e})"
+            lines.append(line)
+    return lines
+
+
+def test_moved_fields_names_each_change():
+    want = [{"study_id": "s", "hypothesis": "h", "fit": 0.5, "n": 60,
+             "log_bf_ic": None}]
+    assert moved_fields(want, want) == []
+    got = [{**want[0], "fit": 0.5 * (1 + 2e-13), "log_bf_ic": 1.0}]
+    assert moved_fields(want, got) == [
+        "s, h, fit: 0.5 -> 0.5000000000001 (+2.00e-13)",
+        "s, h, log_bf_ic: None -> 1.0"]
+    assert moved_fields(want, []) == ["1 records checked in, 0 made"]
+
+
 if __name__ == "__main__":
-    print(json.dumps([record.to_dict() for record in records()], indent=1))
+    parser = argparse.ArgumentParser(
+        description="Print the records that records.json holds, or with "
+                    "--diff the fields that differ from it.")
+    parser.add_argument("--diff", action="store_true",
+                        help="list each field of records.json that a fresh "
+                             "run moves, with its relative change")
+    fresh = [record.to_dict() for record in records()]
+    if parser.parse_args().diff:
+        with open(DATA / "records.json", encoding="utf-8") as fh:
+            print("\n".join(moved_fields(json.load(fh), fresh))
+                  or "no field differs")
+    else:
+        print(json.dumps(fresh, indent=1))
