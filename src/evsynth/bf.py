@@ -37,7 +37,8 @@ Every mass reports an error estimate and the name of its method
 records written by earlier versions).  Zero-mass corner cases are reported
 with +-inf sentinels; a 0/0 Bayes factor raises :class:`NumericError`.
 
-Each study's evidence is a frozen :class:`EvidenceRecord`; the Bayes
+Each study's evidence is a frozen :class:`EvidenceRecord`, made from a fit
+by :func:`evaluate` or from two laws by :func:`bf_iu`; the Bayes
 factors against and of the complement are read from it by :func:`bf_ic`
 and :func:`bf_cu`, and the one against a named alternative by
 :func:`log_bf`.  Priors and posterior model probabilities across
@@ -86,17 +87,22 @@ class CoefDistribution:
             raise ValueError("scale shape does not match mean")
         if len(self.names) != p:
             raise ValueError("names length does not match mean")
-        if not (np.isfinite(self.mean).all() and np.isfinite(self.scale).all()):
-            raise ValueError("mean and scale must be finite")
+        _check_law(self.df, self.mean, self.scale)
         if np.abs(self.scale - self.scale.T).max(initial=0.0) > 1e-10:
             raise ValueError("scale matrix is not symmetric")
-        if self.df is None or not self.df > 0:
-            raise ValueError(f"degrees of freedom must be positive, got {self.df!r}")
 
     @property
     def kind(self) -> str:
         """The law's name, "normal" or "student-t", read from ``df``."""
         return "normal" if self.df > _CHI_DF_MAX else "student-t"
+
+
+def _check_law(df: float, *arrays: np.ndarray):
+    """ValueError unless a law's arrays are finite and its df positive."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError("mean and scale must be finite")
+    if df is None or not df > 0:
+        raise ValueError(f"degrees of freedom must be positive, got {df!r}")
 
 
 @dataclass(frozen=True)
@@ -229,11 +235,17 @@ class EvidenceRecord:
             raise DataError(str(exc)) from None
 
 
+def _law_dfs(fit: FitResult) -> tuple[float, float]:
+    """The df of ``fit``'s posterior and adjusted prior: n - p and 1
+    (Student-t, Cauchy) for a gaussian fit, normal laws for a binomial one."""
+    return ((float(fit.n - fit.p), 1.0) if fit.family == "gaussian"
+            else (math.inf, math.inf))
+
+
 def build_posterior(fit: FitResult) -> CoefDistribution:
     """Coefficient posterior: Student-t(beta, cov, n - p) for gaussian fits,
     Normal(beta, cov) for binomial fits."""
-    df = float(fit.n - fit.p) if fit.family == "gaussian" else math.inf
-    return CoefDistribution(fit.beta, fit.cov, fit.names, df)
+    return CoefDistribution(fit.beta, fit.cov, fit.names, _law_dfs(fit)[0])
 
 
 def build_prior(fit: FitResult, frac: FractionSpec,
@@ -246,8 +258,8 @@ def build_prior(fit: FitResult, frac: FractionSpec,
     center = np.asarray(center, dtype=float)
     if center.shape != fit.beta.shape:
         raise ValueError("center length does not match the fitted coefficients")
-    df = 1.0 if fit.family == "gaussian" else math.inf
-    return CoefDistribution(center, fit.cov / frac.b, fit.names, df)
+    return CoefDistribution(center, fit.cov / frac.b, fit.names,
+                            _law_dfs(fit)[1])
 
 
 def default_fraction(fit: FitResult,
@@ -291,10 +303,15 @@ def adjustment_center(h: hyp.ConstraintSystem,
     names = h.param_names if names is None else names
     out = np.zeros(len(names))
     out[hyp.columns(h, names)] = h.center
+    _warn_inconsistent(h)
+    return out
+
+
+def _warn_inconsistent(h: hyp.ConstraintSystem):
+    """Warn at the caller of the public function that calls this one."""
     if not h.consistent:
         _warnings.warn("inconsistent boundary system; least-squares center used",
-                       RuntimeWarning, stacklevel=2)
-    return out
+                       RuntimeWarning, stacklevel=3)
 
 
 # ---------------------------------------------------------------------------
@@ -749,10 +766,10 @@ def _log1m(x: float) -> float:
     return math.log1p(-x) if x < 1.0 else -math.inf
 
 
-def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
+def _log_mass(eta: hyp.TransformedConstraints,
               rng, draws: int) -> tuple[float, float, float, int, str]:
-    """(log mass, mass, error estimate, points used, method name) of
-    ``dist`` under ``h``.
+    """(log mass, mass, error estimate, points used, method name) of a law
+    whose constraint-space images under a hypothesis are ``eta``.
 
     Mass means region probability for inequality-only systems, boundary
     density for equality-only systems, and density times conditional
@@ -765,8 +782,7 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
     forms, CDFs, Gauss rules, Owen's T, quadrature, lattice QMC); densities
     are exact.
     """
-    df = dist.df
-    eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names, df)
+    df = (eta.eq or eta.ineq).df
     dens = 1.0
     if eta.ineq is not None:
         mean, scale = eta.ineq.mean, eta.ineq.scale
@@ -803,15 +819,36 @@ def _log_mass(dist: CoefDistribution, h: hyp.ConstraintSystem,
 # ---------------------------------------------------------------------------
 # Bayes factors
 
-def _log_complement_ratio(f: float, c: float) -> float | None:
-    """log of (f / c) / ((1 - f) / (1 - c)) with sentinel handling."""
-    log_num = _log(f) + _log1m(c)
-    log_den = _log(c) + _log1m(f)
-    if log_num == log_den == -math.inf:
-        _warnings.warn("indeterminate complement Bayes factor (0/0)",
-                       RuntimeWarning, stacklevel=3)
-        return None
-    return log_num - log_den
+def _evidence(h: hyp.ConstraintSystem, laws, rng, draws: int,
+              **fields) -> EvidenceRecord:
+    """The record of ``h``, labelled by ``fields``, from the (mean, scale,
+    names, df) of the posterior and the adjusted prior, in that order; the
+    warnings name the caller of :func:`bf_iu` or :func:`evaluate`."""
+    if fields["alternative"] == "complement" and h.n_eq:
+        raise hyp.EqualityComplementUnsupportedError(
+            "complement is undefined for hypotheses with equality constraints")
+    (log_f, f, f_se, used_f, how_f), (log_c, c, c_se, used_c, how_c) = (
+        _log_mass(hyp.transform_constraints(h, *law), rng, draws)
+        for law in laws)
+    if log_f == log_c == -math.inf:
+        raise NumericError("fit and complexity are both zero; "
+                           "the Bayes factor is undefined")
+    if log_c == -math.inf:
+        _warnings.warn("complexity underflowed to zero; Bayes factor reported "
+                       "as +inf", RuntimeWarning, stacklevel=3)
+    log_ic = None   # log of (f / c) / ((1 - f) / (1 - c)), None for 0/0
+    if h.n_eq == 0:
+        log_num, log_den = _log(f) + _log1m(c), _log(c) + _log1m(f)
+        if log_num == log_den == -math.inf:
+            _warnings.warn("indeterminate complement Bayes factor (0/0)",
+                           RuntimeWarning, stacklevel=3)
+        else:
+            log_ic = log_num - log_den
+    return EvidenceRecord(fit=f, complexity=c, log_bf_iu=log_f - log_c,
+                          log_bf_ic=log_ic, mc_se_fit=f_se,
+                          mc_se_complexity=c_se, mc_draws=max(used_f, used_c),
+                          mass_method=max(how_f, how_c, key=MASS_METHODS.index),
+                          **fields)
 
 
 def bf_iu(posterior: CoefDistribution, adjusted_prior: CoefDistribution,
@@ -819,7 +856,8 @@ def bf_iu(posterior: CoefDistribution, adjusted_prior: CoefDistribution,
           label: str = "H", study_id: str = "",
           family: str = "", n: int = 0,
           alternative: str = "unconstrained") -> EvidenceRecord:
-    """Bayes factor of ``h`` against the unconstrained model.
+    """Bayes factor of ``h`` against the unconstrained model, from two laws
+    over named coefficients (:func:`evaluate` takes a fit).
 
     Fit is the posterior mass of the constrained region (or boundary
     density), complexity the same quantity under the adjusted prior, and
@@ -838,25 +876,10 @@ def bf_iu(posterior: CoefDistribution, adjusted_prior: CoefDistribution,
     NumericError
         If both masses are zero (e.g. a contradictory system).
     """
-    if alternative == "complement" and h.n_eq:
-        raise hyp.EqualityComplementUnsupportedError(
-            "complement is undefined for hypotheses with equality constraints")
-    log_f, f, f_se, used_f, how_f = _log_mass(posterior, h, rng, draws)
-    log_c, c, c_se, used_c, how_c = _log_mass(adjusted_prior, h, rng, draws)
-    if log_f == log_c == -math.inf:
-        raise NumericError("fit and complexity are both zero; "
-                           "the Bayes factor is undefined")
-    if log_c == -math.inf:
-        _warnings.warn("complexity underflowed to zero; Bayes factor reported "
-                       "as +inf", RuntimeWarning, stacklevel=2)
-    log_ic = _log_complement_ratio(f, c) if h.n_eq == 0 else None
-    return EvidenceRecord(study_id=study_id, hypothesis=label, fit=f,
-                          complexity=c, log_bf_iu=log_f - log_c,
-                          log_bf_ic=log_ic, mc_se_fit=f_se,
-                          mc_se_complexity=c_se, mc_draws=max(used_f, used_c),
-                          family=family, n=n, alternative=alternative,
-                          mass_method=max(how_f, how_c,
-                                          key=MASS_METHODS.index))
+    return _evidence(h, [(d.mean, d.scale, d.names, d.df)
+                         for d in (posterior, adjusted_prior)], rng, draws,
+                     study_id=study_id, hypothesis=label, family=family, n=n,
+                     alternative=alternative)
 
 
 def bf_ic(record: EvidenceRecord) -> float:
@@ -907,18 +930,23 @@ def evaluate(fit: FitResult, h: hyp.ConstraintSystem, label: str,
              study_id: str = "", frac: FractionSpec | None = None,
              rng=None, draws: int = DEFAULT_DRAWS,
              alternative: str = "unconstrained") -> EvidenceRecord:
-    """Full pipeline for one fitted study and one hypothesis.
-
-    Builds the posterior, the boundary-centered adjusted prior (fraction
-    from :func:`default_fraction` unless given), and returns the evidence
-    record of :func:`bf_iu`, which raises on an unknown ``alternative`` or
-    on the complement of a hypothesis with equality rows.
+    """Full pipeline for one fitted study and one hypothesis: the record
+    :func:`bf_iu` gives for :func:`build_posterior` and :func:`build_prior`
+    at :func:`adjustment_center` (fraction from :func:`default_fraction`
+    unless given), read from the estimates m and covariance S of the
+    coefficients of ``h`` alone: the prior's block is ``h.center`` and
+    S / b.  It builds neither law, and raises and warns as they do.
     """
     if frac is None:
         frac = default_fraction(fit, [h])
-    center = adjustment_center(h, names=fit.names)
-    posterior = build_posterior(fit)
-    prior = build_prior(fit, frac, center)
-    return bf_iu(posterior, prior, h, rng=rng, draws=draws, label=label,
-                 study_id=study_id, family=fit.family, n=fit.n,
-                 alternative=alternative)
+    cols = hyp.columns(h, fit.names)
+    _warn_inconsistent(h)
+    post_df, prior_df = _law_dfs(fit)
+    scale = fit.cov.take(cols, 0).take(cols, 1)
+    prior_scale = scale / frac.b
+    _check_law(post_df, fit.beta, fit.cov, prior_scale)
+    laws = [(fit.beta.take(cols), scale, h.param_names, post_df),
+            (h.center, prior_scale, h.param_names, prior_df)]
+    return _evidence(h, laws, rng, draws, study_id=study_id,
+                     hypothesis=label, family=fit.family, n=fit.n,
+                     alternative=alternative)

@@ -22,12 +22,16 @@ the named coefficients::
     R_i @ beta > r_i      (inequality rows)
 
 Every system, parsed or built directly, scales each inequality row and its
-offset so that the row's largest absolute entry is 1.  Parsing also scales
-equality rows so their first nonzero entry is +1, drops exact duplicate
-inequality rows, removes linearly dependent equality rows (a duplicate
-among them) when they agree with the rows kept and rejects them with a
-:class:`ParseError` when they contradict them, and prunes names that end
-up with all-zero columns.
+offset so that the row's largest absolute entry is 1, and decides each
+inequality row that its equality rows fix (one in their row space): the
+row holds on the whole boundary, and is dropped, when the value they
+imply for it exceeds its offset, and leaves no region, a
+:class:`ParseError`, otherwise.  Parsing also scales equality rows so
+their first nonzero entry is +1, drops exact duplicate inequality rows,
+removes linearly dependent equality rows (a duplicate among them) when
+they agree with the rows kept and rejects them with a :class:`ParseError`
+when they contradict them, and prunes names that end up with all-zero
+columns.
 """
 
 from __future__ import annotations
@@ -76,7 +80,8 @@ class ConstraintSystem:
         Equality rows and right-hand sides, ``R_e @ beta = r_e``.
     R_i, r_i : ndarray
         Inequality rows and right-hand sides, ``R_i @ beta > r_i``, each
-        row's largest absolute entry 1.
+        row's largest absolute entry 1, none of them fixed by the equality
+        rows.
     R, r : ndarray
         The stacked rows ``[R_e; R_i]`` and ``[r_e; r_i]``.
     rank : int
@@ -88,10 +93,11 @@ class ConstraintSystem:
         Whether ``center`` solves the boundary system.
 
     The given rows are copied, each inequality row and its offset divided
-    by the row's largest absolute entry, every array is read-only, and the
-    last five attributes are derived from those rows at construction
-    (again by :func:`dataclasses.replace`).  Systems compare and hash by
-    identity (:func:`parse` returns one object per text).
+    by the row's largest absolute entry, inequality rows that the equality
+    rows fix dropped or rejected (module docstring), every array is
+    read-only, and the last five attributes are derived from those rows at
+    construction (again by :func:`dataclasses.replace`).  Systems compare
+    and hash by identity (:func:`parse` returns one object per text).
     """
 
     param_names: tuple[str, ...]
@@ -121,7 +127,7 @@ class ConstraintSystem:
                 raise ValueError(f"{kind} system contains an all-zero row")
         if len(r_e) + len(r_i) == 0:
             raise ValueError("constraint system has no rows")
-        R_i, r_i = _unit_rows(R_i, r_i)
+        R_i, r_i = _free_rows(R_e, r_e, *_unit_rows(R_i, r_i), self.param_names)
         R = np.vstack([R_e, R_i])
         r = np.concatenate([r_e, r_i])
         center, *_ = np.linalg.lstsq(R, r, rcond=None)
@@ -371,8 +377,10 @@ def parse(text: str) -> ConstraintSystem:
     ------
     ParseError
         If the string is malformed, a constraint involves no
-        coefficients (e.g. ``"1 > 0"``), or an equality row contradicts
-        the ones before it (e.g. ``"b1 = 0 & b1 = 1"``).
+        coefficients (e.g. ``"1 > 0"``), an equality row contradicts
+        the ones before it (e.g. ``"b1 = 0 & b1 = 1"``), or the equality
+        rows fix an inequality row at or below its offset, leaving no
+        region (e.g. ``"b1 = 0 & b1 > 0"``).
     """
     if not isinstance(text, str):
         raise ParseError("hypothesis must be a string")
@@ -439,6 +447,25 @@ def _unit_rows(R: np.ndarray, r):
     return R / big[..., None], r / big
 
 
+def _free_rows(R_e: np.ndarray, r_e: np.ndarray, R_i: np.ndarray,
+               r_i: np.ndarray, names) -> tuple[np.ndarray, np.ndarray]:
+    """The inequality rows that the equality rows do not fix.  A fixed row
+    holds on the whole equality boundary, and is dropped, when the value
+    they imply exceeds its offset by more than _ROW_TOL; otherwise the
+    region is empty, a ParseError."""
+    free = np.ones(len(r_i), dtype=bool)
+    for j in range(len(r_i)):
+        implied = _implied(R_e, r_e, R_i[j])
+        if implied is None:
+            continue
+        if not implied - r_i[j] > _ROW_TOL:
+            lhs = _format_row(R_i[j], names)
+            raise ParseError(f"empty region: {lhs} > {float(r_i[j])!r} stated, "
+                             f"{lhs} = {implied!r} implied by the equality rows")
+        free[j] = False
+    return R_i[free], r_i[free]
+
+
 def _dedupe(rows: list[tuple[np.ndarray, float]]) -> list[tuple[np.ndarray, float]]:
     kept: list[tuple[np.ndarray, float]] = []
     for row, rhs in rows:
@@ -450,20 +477,26 @@ def _dedupe(rows: list[tuple[np.ndarray, float]]) -> list[tuple[np.ndarray, floa
     return kept
 
 
+def _implied(K: np.ndarray, k: np.ndarray, row: np.ndarray) -> float | None:
+    """The value that the equality rows ``K @ beta = k`` fix for
+    ``row @ beta``, or None unless ``row`` lies in their row space (within
+    _ROW_TOL)."""
+    if not K.shape[0]:
+        return None
+    coefs, *_ = np.linalg.lstsq(K.T, row, rcond=None)
+    if np.abs(row - K.T @ coefs).max(initial=0.0) > _ROW_TOL:
+        return None
+    return float(coefs @ k)
+
+
 def _independent_equalities(rows: list[tuple[np.ndarray, float]],
                             names: list[str]) -> list[tuple[np.ndarray, float]]:
     kept: list[tuple[np.ndarray, float]] = []
     for row, rhs in rows:
-        if not kept:
+        implied = _implied(*_stack(kept, len(row)), row)
+        if implied is None:
             kept.append((row, rhs))
             continue
-        K = np.array([r for r, _ in kept])
-        coefs, *_ = np.linalg.lstsq(K.T, row, rcond=None)
-        residual = row - K.T @ coefs
-        if np.abs(residual).max(initial=0.0) > _ROW_TOL:
-            kept.append((row, rhs))
-            continue
-        implied = float(coefs @ np.array([c for _, c in kept]))
         if abs(implied - rhs) > _ROW_TOL:
             lhs = _format_row(row, names)
             raise ParseError(f"contradictory equality constraints: {lhs} = "

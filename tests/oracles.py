@@ -68,7 +68,9 @@ def prob_region(dist: bf.CoefDistribution, h: hyp.ConstraintSystem,
     cannot resolve) raises :class:`evsynth.bf.NumericError`.
     """
     _inequality_only(h)
-    _, p, se, _, _ = bf._log_mass(dist, h, rng, draws)
+    eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names,
+                                    dist.df)
+    _, p, se, _, _ = bf._log_mass(eta, rng, draws)
     return p, se
 
 

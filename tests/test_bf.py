@@ -1,10 +1,12 @@
 """Bayes factor engine tests: fractions, priors, masses, sentinels, records."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -17,16 +19,20 @@ from scipy.stats import t as student_t
 from scipy.stats._qmvnt import _qmvn, _qmvt
 
 from evsynth import bf, simgen
+from evsynth import hypothesis as hyp
 from evsynth.bf import (ALTERNATIVES, MASS_METHODS, CoefDistribution,
                         EvidenceRecord, FractionSpec, NumericError,
                         adjustment_center, bf_between, bf_cu, bf_ic, bf_iu,
                         build_posterior, build_prior, default_fraction,
                         evaluate)
-from evsynth.glm import FAMILIES, DataError, Dataset, add_intercept, fit_ols
+from evsynth.glm import (FAMILIES, DataError, Dataset, FitResult,
+                         add_intercept, fit_ols)
 from evsynth.glm import fit as glm_fit
 from evsynth.hypothesis import (ConstraintSystem,
-                                EqualityComplementUnsupportedError, parse)
-from oracles import mc_orthant_prob, mc_prob_region, prob_region
+                                EqualityComplementUnsupportedError,
+                                NameMappingError, parse)
+from oracles import (mc_orthant_prob, mc_prob_region, padded_transform,
+                     prob_region)
 
 
 def normal_dist(mean, cov, names=None):
@@ -1556,7 +1562,12 @@ class TestParsedSystemMemo:
 
 class TestEvaluate:
     @pytest.mark.parametrize("text", ["x2 = 0", "x2 = 0 & x3 > 0"])
-    def test_complement_of_equality_hypothesis_rejected(self, text):
+    def test_complement_of_equality_hypothesis_rejected(self, text,
+                                                        monkeypatch):
+        def no_mass(*args):
+            raise AssertionError("a mass was taken")
+
+        monkeypatch.setattr(bf, "_log_mass", no_mass)
         with pytest.raises(EqualityComplementUnsupportedError):
             evaluate(gaussian_fit(n=80, p=4, seed=1), parse(text), label="h",
                      alternative="complement")
@@ -1601,3 +1612,125 @@ class TestEvaluate:
                     / density_at_equality(prior, parse("x2 = 0")))
         assert math.isclose(math.exp(record.log_bf_iu), expected,
                             rel_tol=1e-12)
+
+
+class TestOnePass:
+    """evaluate reads the fit's block on the constrained coefficients once:
+    its eta images are those of the full-width laws, and its record is the
+    one bf_iu gives for them."""
+
+    TEXTS = ("x4 < x5 < x6", "x3 = 0", "x2 = x3 & x4 > 0", "-0.1 < x1 < 0.1",
+             "2*x3 - x1 > 0.3 & x5 = x6")
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def fit_of(family: str, order: tuple[int, ...], intercept: bool):
+        rng = np.random.default_rng(sum(order[:3]) + 17 * len(family))
+        n = 120
+        X = rng.normal(size=(n, 6))
+        eta = X @ np.array([0.3, -0.2, 0.4, 0.1, 0.25, -0.15]) * 0.6
+        if family == "gaussian":
+            y = eta + rng.normal(size=n)
+        else:
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
+        d = Dataset(X[:, list(order)], y, family,
+                    tuple(f"x{j + 1}" for j in order))
+        return glm_fit(add_intercept(d) if intercept else d)
+
+    @staticmethod
+    def evaluate_etas(fit, h, **kwargs):
+        """evaluate's record and the eta images it took."""
+        taken, original = [], hyp.transform_constraints
+
+        def spy(*args):
+            taken.append(original(*args))
+            return taken[-1]
+
+        with mock.patch.object(hyp, "transform_constraints", spy):
+            record = evaluate(fit, h, label="h", **kwargs)
+        return record, taken
+
+    @given(st.sampled_from(FAMILIES), st.permutations(range(6)),
+           st.booleans(), st.sampled_from(TEXTS),
+           st.sampled_from([None, 0.05]))
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore:inconsistent boundary system")
+    def test_etas_and_record_are_those_of_the_full_laws(self, family, order,
+                                                        intercept, text, b):
+        fit = self.fit_of(family, tuple(order), intercept)
+        h = parse(text)
+        frac = None if b is None else FractionSpec(b)
+        record, etas = self.evaluate_etas(fit, h, frac=frac,
+                                          rng=np.random.default_rng(3))
+        post = build_posterior(fit)
+        prior = build_prior(fit, frac or default_fraction(fit, [h]),
+                            adjustment_center(h, names=fit.names))
+        assert len(etas) == 2
+        for got, law in zip(etas, (post, prior)):
+            want = padded_transform(h, law.mean, law.scale, law.names, law.df)
+            for g, w in ((got.eq, want.eq), (got.ineq, want.ineq)):
+                assert (g is None) == (w is None)
+                if g is not None:
+                    assert g.mean.tobytes() == w.mean.tobytes()
+                    assert g.scale.tobytes() == w.scale.tobytes()
+                    assert g.df == w.df == law.df
+            assert (got.cross is None) == (want.cross is None)
+            if got.cross is not None:
+                assert got.cross.tobytes() == want.cross.tobytes()
+        assert record == bf_iu(post, prior, h, rng=np.random.default_rng(3),
+                               label="h", family=fit.family, n=fit.n)
+
+    @pytest.mark.filterwarnings("ignore:inconsistent boundary system")
+    def test_builds_no_full_width_law(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(CoefDistribution, "__post_init__",
+                            lambda law: built.append(law))
+        fit = gaussian_fit(n=80, p=7, seed=3)
+        for text in self.TEXTS:
+            evaluate(fit, parse(text.replace("x1", "x7")), label="h")
+        assert built == []
+        build_posterior(fit)
+        assert len(built) == 1   # the spy sees a law that is built
+
+    @pytest.mark.parametrize("where", ["beta", "cov", "free beta", "free cov"])
+    def test_non_finite_fit_rejected(self, where):
+        fit = gaussian_fit(n=80, p=4, seed=1)
+        beta, cov = fit.beta.copy(), fit.cov.copy()
+        j = 1 if where.startswith("free") else 2   # x3 is constrained
+        if where.endswith("beta"):
+            beta[j] = math.nan
+        else:
+            cov[j, j] = math.inf
+        bad = dataclasses.replace(fit, beta=beta, cov=cov)
+        with pytest.raises(ValueError, match="mean and scale must be finite"):
+            evaluate(bad, parse("x3 > 0"), label="h")
+
+    def test_missing_name_rejected(self):
+        with pytest.raises(NameMappingError, match="x9"):
+            evaluate(gaussian_fit(n=80, p=4, seed=1), parse("x9 > x2"),
+                     label="h")
+
+    # a normal law over x1 alone whose boundary points 0 and 1 (or 0 and 2)
+    # disagree: the prior sits at their least-squares point, where it puts
+    # no mass on x1 > 1 and all of it on 0 < x1 < 2
+    FIT = FitResult(beta=np.array([2.0]), cov=np.array([[1e-6]]), n=100,
+                    family="logit", names=("x1",))
+
+    @pytest.mark.parametrize("text, beta, second", [
+        ("x1 > 0 & x1 > 1", 2.0, "complexity underflowed"),
+        ("0 < x1 < 2", 1.0, "indeterminate complement Bayes factor")])
+    @pytest.mark.parametrize("entry", ["evaluate", "bf_iu"])
+    def test_warnings_fire_once_at_the_caller(self, text, beta, second, entry):
+        h, frac = parse(text), FractionSpec(0.5)
+        fit = dataclasses.replace(self.FIT, beta=np.array([beta]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if entry == "evaluate":
+                evaluate(fit, h, label="h", frac=frac)
+            else:   # the inconsistent boundary warns in adjustment_center
+                center = adjustment_center(h, names=fit.names)
+                bf_iu(build_posterior(fit), build_prior(fit, frac, center), h)
+        assert len(caught) == 2
+        for start in ("inconsistent boundary system", second):
+            assert any(str(w.message).startswith(start) for w in caught)
+        assert {w.filename for w in caught} == {__file__}

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evsynth import cli, simgen
+from evsynth import cli, glm, simgen
 
 
 @pytest.fixture()
@@ -341,6 +342,64 @@ class TestAnalyze:
                          "--hypothesis", "zz > 0", "--seed", "3",
                          "--out", str(tmp_path / "r.json")])
         assert code == 2
+
+
+def forty_rows(tmp_path, family: str) -> Path:
+    """A 40-row CSV of y on x1 and x2 (seed 1) for ``family``."""
+    rng = np.random.default_rng(1)
+    x1, x2 = rng.normal(size=(2, 40))
+    lin = 0.2 + 0.5 * x1 - 0.4 * x2
+    if family == "gaussian":
+        y = lin + rng.normal(size=40)
+    else:
+        y = (rng.random(40) < 1.0 / (1.0 + np.exp(-lin))).astype(float)
+    path = tmp_path / f"{family}.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(("y", "x1", "x2"))
+        w.writerows(zip(y, x1, x2))
+    return path
+
+
+class TestEqualityFixedRows:
+    """Inequality rows that the equality rows fix are decided when the
+    hypothesis is parsed, whatever the study's family."""
+
+    @staticmethod
+    def analyze(data, family, text, out):
+        return cli.main(["analyze", "--data", str(data), "--family", family,
+                         "--outcome", "y", "--hypothesis", text, "--seed",
+                         "1", "--out", str(out)])
+
+    @pytest.mark.parametrize("family", glm.FAMILIES)
+    @pytest.mark.parametrize("text", ["x1 = 0 & x1 > 0",
+                                      "x1 + x2 = 0 & x1 > -x2",
+                                      "x1 = 0.3 & x1 > 0.3"])
+    def test_empty_region_exit_2(self, family, text, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert self.analyze(forty_rows(tmp_path, family), family, text,
+                            out) == 2
+        err = capsys.readouterr().err
+        assert "empty region" in err and "implied by the equality rows" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", glm.FAMILIES)
+    @pytest.mark.parametrize("text, plain", [
+        ("x1 = 0 & x1 > -1", "x1 = 0"),
+        ("x1 = x2 & x1 - x2 > -0.5", "x1 = x2")])
+    def test_redundant_row_gives_the_plain_record(self, family, text, plain,
+                                                  tmp_path):
+        data = forty_rows(tmp_path, family)
+        records = []
+        for j, hypothesis in enumerate((text, plain)):
+            out = tmp_path / f"r{j}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert self.analyze(data, family, hypothesis, out) == 0
+            record, = json.loads(out.read_text())
+            assert record.pop("hypothesis") == hypothesis.replace(" ", "")
+            records.append(record)
+        assert records[0] == records[1]
 
 
 def record_dict(study_id="s1", log_bf=0.0, fit=0.5, complexity=0.5):

@@ -122,6 +122,48 @@ class TestNormalization:
         assert cs.param_names == ("b1",)
 
 
+# inequality rows that the equality rows fix: the region is empty, or the
+# row holds on the whole boundary and goes
+EMPTY_FIXED = (("x1 = 0 & x1 > 0", "x1 > 0.0 stated, x1 = 0.0 implied"),
+               ("x1 + x2 = 0 & x1 > -x2",
+                "x1 + x2 > 0.0 stated, x1 + x2 = 0.0 implied"),
+               ("x1 = 0.3 & x1 > 0.3", "x1 > 0.3 stated, x1 = 0.3 implied"))
+REDUNDANT_FIXED = (("x1 = 0 & x1 > -1", "x1 = 0"),
+                   ("x1 = x2 & x1 - x2 > -0.5", "x1 = x2"),
+                   ("x1 = 0.3 & 2*x1 < 1", "x1 = 0.3"))
+
+
+class TestEqualityFixedRows:
+    @pytest.mark.parametrize("text, words", EMPTY_FIXED)
+    def test_empty_region_raises(self, text, words):
+        with pytest.raises(ParseError, match="empty region") as info:
+            parse(text)
+        assert words in str(info.value)
+
+    @pytest.mark.parametrize("text, plain", REDUNDANT_FIXED)
+    def test_redundant_row_dropped(self, text, plain):
+        cs = parse(text)
+        assert cs.n_ineq == 0 and cs.consistent
+        assert same_system(cs, parse(plain))
+        assert np.array_equal(cs.center, parse(plain).center)
+
+    def test_free_rows_kept(self):
+        cs = parse("x1 = 0 & x1 + x2 > 0 & x3 > x1")
+        assert cs.n_eq == 1 and cs.n_ineq == 2
+
+    def test_directly_built_system(self):
+        names = ("x1", "x2")
+        R_e, r_e = np.array([[1.0, 1.0]]), np.array([0.5])
+        with pytest.raises(ParseError, match="x1 \\+ x2 > 0.5 stated"):
+            ConstraintSystem(names, R_e, r_e, np.array([[2.0, 2.0]]),
+                             np.array([1.0]))
+        cs = ConstraintSystem(names, R_e, r_e,
+                              np.array([[2.0, 2.0], [1.0, 0.0]]),
+                              np.array([0.0, 0.2]))
+        assert np.array_equal(cs.R_i, [[1.0, 0.0]])
+        assert np.array_equal(cs.r_i, [0.2])
+
+
 class TestErrors:
     @pytest.mark.parametrize("text", ["b1 > b1", "1 > 0", "b1 + 1 > b1"])
     def test_zero_coefficient_constraint(self, text):
@@ -395,9 +437,17 @@ class TestDerivedGeometry:
         mended = dataclasses.replace(bad, r_i=np.array([1.0, 1.0]))
         assert mended.consistent and not bad.consistent
         assert np.allclose(mended.center, [1.0], rtol=0.0, atol=1e-15)
-        stacked = dataclasses.replace(cs, R_i=np.array([[0.0, 0.0, 1.0]]),
-                                      r_i=np.array([0.7]))
-        assert stacked.rank == 1 and not stacked.consistent
+        stacked = dataclasses.replace(cs, R_i=np.array([[1.0, 0.0, 1.0],
+                                                        [1.0, 0.0, 0.0]]),
+                                      r_i=np.array([1.0, 0.7]))
+        assert stacked.rank == 2 and not stacked.consistent
+        # a row the equality rows fix is decided again too
+        with pytest.raises(ParseError, match="b3 = 0.5 implied"):
+            dataclasses.replace(cs, R_i=np.array([[0.0, 0.0, 1.0]]),
+                                r_i=np.array([0.7]))
+        freed = dataclasses.replace(cs, R_i=np.array([[0.0, 0.0, 1.0]]),
+                                    r_i=np.array([0.2]))
+        assert freed.n_ineq == 0 and freed.consistent
 
     def test_identity_comparison_and_hash(self):
         cs = parse("b1 > 0 & b2 > 0")
