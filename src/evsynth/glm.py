@@ -7,10 +7,20 @@ normal-equations covariance for OLS and the inverse observed Fisher
 information for the binomial links.
 
 Newton fits stop once the max-abs score is below ``GRAD_TOL`` and give up
-after ``MAX_ITER`` iterations.  A fit is separated when every fitted
-probability came within ``SEPARATION_EPS`` of {0, 1} at some iterate, or
-when a coefficient ends beyond ``SEPARATION_BETA_LIMIT`` in magnitude
-without score convergence.  The fits read these constants when called.
+after ``MAX_ITER`` iterations.  A link supplies only its per-observation
+log-likelihood, score residual and curvature; one Newton loop forms the
+score, the observed information and the separation margin for both.  A
+step is halved while it lowers the log-likelihood by more than
+1e-12 * max(1, |log-likelihood|): the slack scales with the
+log-likelihood, so rounding in a large study's sum does not reject a full
+Newton step.
+
+A fit is separated when every fitted probability came within
+``SEPARATION_EPS`` of {0, 1} at some iterate, or when a coefficient ends
+beyond ``SEPARATION_BETA_LIMIT`` in magnitude without score convergence.
+An iterate's margin, max_i min(p_i, 1 - p_i), is taken as F(-min_i |z_i|)
+with F the link's CDF and z the linear predictor: F is monotone and
+F(-x) = 1 - F(x).  The fits read these constants when called.
 """
 
 from __future__ import annotations
@@ -362,45 +372,52 @@ def fit_ols(d: Dataset) -> FitResult:
                      names=d.names)
 
 
-def _logit_parts(X, y, beta):
-    z = X @ beta
-    loglik = float(y @ z - np.logaddexp(0.0, z).sum())
+def _logit_terms(y, z):
+    """The logit log-likelihood, score residual ``y - mu`` and curvature
+    ``mu (1 - mu)`` at the linear predictor ``z``, with ``mu = expit(z)``.
+    Each log(1 + e^z) is max(z, 0) + log1p(e^-|z|), the formula
+    ``np.logaddexp(0, z)`` evaluates, taken here in whole-array passes."""
     mu = expit(z)
-    grad = X.T @ (y - mu)
-    mu0 = 1.0 - mu
-    neg_hess = X.T @ ((mu * mu0)[:, None] * X)
-    margin = float(np.minimum(mu, mu0).max())
-    return loglik, grad, neg_hess, margin
+    softplus = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    return float(y @ z - softplus.sum()), y - mu, mu * (1.0 - mu)
 
 
-def _probit_parts(X, y, y0, sign, beta):
-    """The probit log-likelihood, score, observed information and margin
-    at ``beta``, with ``y0 = 1 - y`` and ``sign = 2y - 1`` given once per
-    fit.  ``log_p`` is log P(Y = y), so one ``log_ndtr`` and one Mills
-    ratio ``r`` serve both classes."""
-    z = X @ beta
+def _probit_terms(y, y0, sign, z):
+    """The probit log-likelihood, score residual ``sign * r`` and curvature
+    ``r^2 + sign * z * r`` at the linear predictor ``z``, with
+    ``y0 = 1 - y`` and ``sign = 2y - 1`` given once per fit.  ``log_p`` is
+    log P(Y = y), so one ``log_ndtr`` and one Mills ratio ``r`` serve both
+    classes."""
     sz = sign * z
     log_p = log_ndtr(sz)
     # the two dots add the same terms as y @ log P(Y = 1) + y0 @ log P(Y = 0)
     loglik = float(y @ log_p + y0 @ log_p)
     log_pdf = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
     r = np.exp(log_pdf - log_p)
-    grad = X.T @ (sign * r)
-    curvature = r * r + sz * r
-    neg_hess = X.T @ (curvature[:, None] * X)
-    p = ndtr(z)
-    margin = float(np.minimum(p, 1.0 - p).max())
-    return loglik, grad, neg_hess, margin
+    return loglik, sign * r, r * r + sz * r
+
+
+def _newton_parts(X, z, resid, curv, cdf):
+    """The score, observed information and separation margin of the
+    iterate with linear predictor ``z``, from its link's score residual
+    ``resid`` and curvature ``curv`` and the link's CDF ``cdf``.
+
+    The margin, max_i min(p_i, 1 - p_i), is F(-min_i |z_i|): F is
+    monotone with F(-x) = 1 - F(x), so the observation nearest z = 0 sets
+    it, and no 1 - p is rounded."""
+    margin = float(cdf(-np.abs(z).min()))
+    return X.T @ resid, X.T @ (curv[:, None] * X), margin
 
 
 def fit_binomial(d: Dataset) -> FitResult:
     """Newton fit of a logit or probit regression.
 
     Each step solves the observed-information system and halves the step
-    until the log-likelihood does not decrease.  Convergence requires the
-    max-abs score to fall below ``GRAD_TOL`` within ``MAX_ITER`` iterations.
-    The coefficient covariance is the inverse observed Fisher information
-    at the optimum.
+    while it lowers the log-likelihood by more than
+    1e-12 * max(1, |log-likelihood|).  Convergence requires the max-abs
+    score to fall below ``GRAD_TOL`` within ``MAX_ITER`` iterations.  The
+    coefficient covariance is the inverse observed Fisher information at
+    the optimum.
 
     Raises
     ------
@@ -424,47 +441,47 @@ def fit_binomial(d: Dataset) -> FitResult:
     X, y = d.X, d.y
     _condition_guard(X)
     if d.family == "logit":
-        parts = functools.partial(_logit_parts, X, y)
+        terms, cdf = functools.partial(_logit_terms, y), expit
     else:
-        parts = functools.partial(_probit_parts, X, y, 1.0 - y, 2.0 * y - 1.0)
+        terms = functools.partial(_probit_terms, y, 1.0 - y, 2.0 * y - 1.0)
+        cdf = ndtr
 
     beta = np.zeros(d.p)
+    z = X @ beta
+    loglik, resid, curv = terms(z)
     trace: list[IrlsStep] = []
-    converged = False
     stop = f"no convergence in {MAX_ITER} iterations"
-    loglik, grad, neg_hess, margin = parts(beta)
-    for _ in range(MAX_ITER):
-        grad_inf = float(np.abs(grad).max())
-        trace.append(IrlsStep(loglik, grad_inf, float(np.abs(beta).max()), margin))
-        if grad_inf < GRAD_TOL:
-            converged = True
+    while True:
+        grad, neg_hess, margin = _newton_parts(X, z, resid, curv, cdf)
+        grad_inf = max(map(abs, grad.tolist()))
+        trace.append(IrlsStep(loglik, grad_inf, max(map(abs, beta.tolist())),
+                              margin))
+        if grad_inf < GRAD_TOL or len(trace) > MAX_ITER:
             break
         try:
             delta = np.linalg.solve(neg_hess, grad)
         except np.linalg.LinAlgError:
             delta = np.linalg.lstsq(neg_hess, grad, rcond=None)[0]
+        floor = loglik - 1e-12 * max(1.0, abs(loglik))
         step = 1.0
         while step > 2.0 ** -30:
             cand = beta + step * delta
-            cand_parts = parts(cand)
-            if cand_parts[0] >= loglik - 1e-12:
+            cand_z = X @ cand
+            cand_terms = terms(cand_z)
+            if cand_terms[0] >= floor:
                 break
             step /= 2.0
         else:
             stop = (f"no step length improves the log-likelihood in Newton "
                     f"iteration {len(trace)}")
             break
-        beta = cand
-        loglik, grad, neg_hess, margin = cand_parts
-    else:
-        trace.append(IrlsStep(loglik, float(np.abs(grad).max()),
-                              float(np.abs(beta).max()), margin))
+        beta, z = cand, cand_z
+        loglik, resid, curv = cand_terms
 
     if detect_separation(trace):
         raise SeparationError("complete separation detected", trace=trace)
-    if not converged:
-        raise NotConvergedError(
-            f"{stop} (|score| = {trace[-1].grad_inf:.3e})")
+    if not grad_inf < GRAD_TOL:
+        raise NotConvergedError(f"{stop} (|score| = {grad_inf:.3e})")
 
     cov = np.linalg.inv(neg_hess)
     cov = (cov + cov.T) / 2.0

@@ -7,12 +7,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit, log_ndtr, ndtr
 from scipy.stats import norm
 
-from evsynth import cli, glm
+from evsynth import cli, glm, simgen
 from evsynth.glm import (DataError, Dataset, NotConvergedError,
                          SeparationError, SingularDesignError, add_intercept,
                          dataset_from_csv, detect_separation, fit,
@@ -194,6 +194,17 @@ class TestBinomial:
         fd_cov = np.linalg.inv(-H)
         assert np.allclose(result.cov, fd_cov, rtol=1e-4, atol=1e-8)
 
+    @staticmethod
+    def _random_iterate(n, p, z_max, seed):
+        # a design with an intercept, a coefficient vector scaled so that
+        # max |z| = z_max, and outcomes of both classes
+        rng = np.random.default_rng(seed)
+        X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+        beta = rng.normal(size=p)
+        beta *= z_max / np.abs(X @ beta).max()
+        y = (rng.random(n) < 0.5).astype(float)
+        return X, y, X @ beta
+
     @given(st.sampled_from([25, 100, 400, 4800]), st.integers(1, 4),
            st.floats(0.5, 40.0), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=120, deadline=None)
@@ -201,23 +212,87 @@ class TestBinomial:
         # oracle: a log_ndtr and a Mills ratio for each class, weighted by
         # y and 1 - y; the fit shares one arm, which must be bit for bit
         # the same
-        rng = np.random.default_rng(seed)
-        X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
-        beta = rng.normal(size=p)
-        beta *= z_max / np.abs(X @ beta).max()
-        y = (rng.random(n) < 0.5).astype(float)
-        z = X @ beta
+        X, y, z = self._random_iterate(n, p, z_max, seed)
         log_p1, log_p0 = log_ndtr(z), log_ndtr(-z)
         log_pdf = -0.5 * z * z - 0.5 * math.log(2.0 * math.pi)
         r1, r0 = np.exp(log_pdf - log_p1), np.exp(log_pdf - log_p0)
         curvature = y * (z * r1 + r1 * r1) + (1.0 - y) * (r0 * r0 - z * r0)
-        p_hat = ndtr(z)
-        loglik, grad, neg_hess, margin = glm._probit_parts(
-            X, y, 1.0 - y, 2.0 * y - 1.0, beta)
+        loglik, resid, curv = glm._probit_terms(y, 1.0 - y, 2.0 * y - 1.0, z)
+        grad, neg_hess, margin = glm._newton_parts(X, z, resid, curv, ndtr)
         assert loglik == float(y @ log_p1 + (1.0 - y) @ log_p0)
         assert np.array_equal(grad, X.T @ (y * r1 - (1.0 - y) * r0))
         assert np.array_equal(neg_hess, X.T @ (curvature[:, None] * X))
-        assert margin == float(np.minimum(p_hat, 1.0 - p_hat).max())
+        assert margin == float(ndtr(-np.abs(z).min()))
+
+    @given(st.sampled_from([25, 100, 400, 4800]), st.integers(1, 4),
+           st.floats(0.5, 40.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_logit_parts_match_two_arm_formulas(self, n, p, z_max, seed):
+        # oracle: the score y (1 - mu) - (1 - y) mu and the information
+        # mu (1 - mu) of the closed form, bit for bit; the log-likelihood
+        # against np.logaddexp, which evaluates the same formula with
+        # scalar libm calls
+        X, y, z = self._random_iterate(n, p, z_max, seed)
+        mu = expit(z)
+        loglik, resid, curv = glm._logit_terms(y, z)
+        grad, neg_hess, margin = glm._newton_parts(X, z, resid, curv, expit)
+        assert math.isclose(loglik, float(y @ z - np.logaddexp(0.0, z).sum()),
+                            rel_tol=1e-13, abs_tol=1e-13)
+        assert np.array_equal(grad, X.T @ (y * (1.0 - mu) - (1.0 - y) * mu))
+        assert np.array_equal(neg_hess, X.T @ ((mu * (1.0 - mu))[:, None] * X))
+        assert margin == float(expit(-np.abs(z).min()))
+
+    @given(st.sampled_from(["logit", "probit"]), st.integers(2, 400),
+           st.floats(1e-3, 40.0), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_margin_matches_elementwise_formula(self, family, n, z_max, seed):
+        # F(-min |z|) against max_i min(p_i, 1 - p_i): they differ by the
+        # rounding of p and of 1 - p, within 2**-52
+        rng = np.random.default_rng(seed)
+        z = rng.uniform(-z_max, z_max, size=n)
+        cdf = expit if family == "logit" else ndtr
+        p_hat = cdf(z)
+        old = float(np.minimum(p_hat, 1.0 - p_hat).max())
+        resid = np.zeros(n)
+        margin = glm._newton_parts(np.ones((n, 1)), z, resid, resid, cdf)[2]
+        assert abs(margin - old) <= 2.0 ** -52
+
+    @given(st.sampled_from(["logit", "probit"]), st.floats(-15.0, -9.0),
+           st.sampled_from([-1.0, 1.0]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_separation_decided_alike_near_the_threshold(self, family, power,
+                                                         side, seed):
+        # a grid whose value nearest zero puts the margin on one side of
+        # SEPARATION_EPS, more than 1e-15 from it: F(-min |z|) and the
+        # elementwise margin take the same side
+        eps = glm.SEPARATION_EPS
+        q = eps + side * 10.0 ** power
+        if family == "logit":
+            cdf, m = expit, math.log((1.0 - q) / q)
+        else:
+            cdf, m = ndtr, -float(norm.ppf(q))
+        rng = np.random.default_rng(seed)
+        z = np.concatenate([[m], m + rng.uniform(0.0, 20.0, 30)])
+        z *= rng.choice([-1.0, 1.0], size=z.size)
+        p_hat = cdf(z)
+        old = float(np.minimum(p_hat, 1.0 - p_hat).max())
+        assume(abs(old - eps) > 1e-15)
+        resid = np.zeros(z.size)
+        new = glm._newton_parts(np.ones((z.size, 1)), z, resid, resid, cdf)[2]
+        assert (detect_separation([glm.IrlsStep(0.0, 0.0, 0.0, new)])
+                == detect_separation([glm.IrlsStep(0.0, 0.0, 0.0, old)])
+                == (side < 0.0))
+
+    def test_large_study_converges(self):
+        # n = 60,000: one ulp of the log-likelihood (about -4.1e4) is
+        # 7.3e-12, so a fixed 1e-12 slack rejected full Newton steps on
+        # rounding, and the short steps taken then stalled the score above
+        # GRAD_TOL or took extra iterations
+        result = simgen.gen_dataset(
+            simgen.DataGenSpec("logit", 60000, 0.02), simgen.rng_stream(1),
+            lambda raw: fit(add_intercept(raw)))
+        assert result.trace[-1].grad_inf < glm.GRAD_TOL
+        assert len(result.trace) <= 6
 
     def test_separated_data_raises(self):
         d = make_dataset([0.0, 0.0, 1.0, 1.0],
