@@ -792,8 +792,8 @@ def _log_mass(eta: hyp.TransformedConstraints,
             chol = np.linalg.cholesky(eta.eq.scale)
         except np.linalg.LinAlgError:
             raise NumericError(
-                "equality rows give a rank-deficient transformed scale; "
-                "remove redundant equality constraints") from None
+                "the law's scale is singular, or nearly so, on the "
+                "equality rows") from None
         log_det = 2.0 * np.log(np.diag(chol)).sum()
         q = np.linalg.solve(chol, -eta.eq.mean)
         quad = float(q @ q)

@@ -16,22 +16,24 @@ Either side of a relation is a linear expression in coefficient names with
 optional numeric terms.
 
 Parsing produces a :class:`ConstraintSystem` holding two row systems over
-the named coefficients::
+the named coefficients, in order of first appearance::
 
     R_e @ beta = r_e      (equality rows)
     R_i @ beta > r_i      (inequality rows)
 
-Every system, parsed or built directly, scales each inequality row and its
-offset so that the row's largest absolute entry is 1, and decides each
-inequality row that its equality rows fix (one in their row space): the
-row holds on the whole boundary, and is dropped, when the value they
-imply for it exceeds its offset, and leaves no region, a
-:class:`ParseError`, otherwise.  Parsing also scales equality rows so
-their first nonzero entry is +1, drops exact duplicate inequality rows,
-removes linearly dependent equality rows (a duplicate among them) when
-they agree with the rows kept and rejects them with a :class:`ParseError`
-when they contradict them, and prunes names that end up with all-zero
-columns.
+Parsing only turns the text into rows; the :class:`ConstraintSystem`
+constructor puts every system, parsed or built from rows, in one normal
+form, so one region gives one set of rows however it was stated.  In
+order, it scales each equality row so its first nonzero entry is +1;
+drops each equality row that the rows before it imply (one in their row
+space, within 1e-10) when it agrees with them, and raises a
+:class:`ParseError` when it contradicts them; divides each inequality row
+and its offset by the row's largest absolute entry; drops each inequality
+row equal to one before it (within 1e-10); prunes names whose column is
+zero in every row; and decides each inequality row that the equality rows
+fix (one in their row space): the row holds on the whole boundary, and is
+dropped, when the value they imply for it exceeds its offset, and leaves
+no region, a :class:`ParseError`, otherwise.
 """
 
 from __future__ import annotations
@@ -75,13 +77,15 @@ class ConstraintSystem:
     Attributes
     ----------
     param_names : tuple of str
-        Constrained coefficient names, in order of first appearance.
+        Constrained coefficient names: the given names, in their order,
+        less those whose column is zero in every normalized row.
     R_e, r_e : ndarray
-        Equality rows and right-hand sides, ``R_e @ beta = r_e``.
+        Independent equality rows and right-hand sides,
+        ``R_e @ beta = r_e``, each row's first nonzero entry +1.
     R_i, r_i : ndarray
-        Inequality rows and right-hand sides, ``R_i @ beta > r_i``, each
-        row's largest absolute entry 1, none of them fixed by the equality
-        rows.
+        Distinct inequality rows and right-hand sides, ``R_i @ beta > r_i``,
+        each row's largest absolute entry 1, none of them fixed by the
+        equality rows.
     R, r : ndarray
         The stacked rows ``[R_e; R_i]`` and ``[r_e; r_i]``.
     rank : int
@@ -90,14 +94,14 @@ class ConstraintSystem:
         The minimum-norm (least-squares when inconsistent) solution of the
         boundary system ``R @ beta = r`` over ``param_names``.
     consistent : bool
-        Whether ``center`` solves the boundary system.
+        Whether ``center`` solves the boundary system, to within
+        ``1e-8 * max(1, max|r|)``.
 
-    The given rows are copied, each inequality row and its offset divided
-    by the row's largest absolute entry, inequality rows that the equality
-    rows fix dropped or rejected (module docstring), every array is
-    read-only, and the last five attributes are derived from those rows at
-    construction (again by :func:`dataclasses.replace`).  Systems compare
-    and hash by identity (:func:`parse` returns one object per text).
+    The given rows are copied and normalized as the module docstring says
+    (again by :func:`dataclasses.replace`), every array is read-only, and
+    the last five attributes are derived from the normalized rows.
+    Systems compare and hash by identity (:func:`parse` returns one object
+    per text).
     """
 
     param_names: tuple[str, ...]
@@ -112,14 +116,14 @@ class ConstraintSystem:
     consistent: bool = field(init=False, repr=False)
 
     def __post_init__(self):
-        p = len(self.param_names)
-        if len(set(self.param_names)) != p:
+        names = self.param_names
+        if len(set(names)) != len(names):
             raise ValueError("duplicate coefficient names")
-        R_e, r_e, R_i, r_i = (np.array(given) for given in
+        R_e, r_e, R_i, r_i = (np.array(given, dtype=float) for given in
                               (self.R_e, self.r_e, self.R_i, self.r_i))
         for mat, rhs, kind in ((R_e, r_e, "equality"),
                                (R_i, r_i, "inequality")):
-            if mat.shape != (len(rhs), p):
+            if mat.shape != (len(rhs), len(names)):
                 raise ValueError(f"{kind} rows have inconsistent shape")
             if not (np.isfinite(mat).all() and np.isfinite(rhs).all()):
                 raise ValueError(f"{kind} rows contain non-finite values")
@@ -127,14 +131,24 @@ class ConstraintSystem:
                 raise ValueError(f"{kind} system contains an all-zero row")
         if len(r_e) + len(r_i) == 0:
             raise ValueError("constraint system has no rows")
-        R_i, r_i = _free_rows(R_e, r_e, *_unit_rows(R_i, r_i), self.param_names)
+        pivot = R_e[np.arange(len(r_e)), (R_e != 0).argmax(axis=1)]
+        R_e, r_e = _independent_equalities(R_e / pivot[:, None], r_e / pivot,
+                                           names)
+        big = np.abs(R_i).max(axis=1, initial=0.0)
+        R_i, r_i = _dedupe(R_i / big[:, None], r_i / big)
+        keep = np.flatnonzero(np.abs(np.vstack([R_e, R_i])).max(axis=0) > 0)
+        names = tuple(names[j] for j in keep)
+        R_e, R_i = R_e[:, keep], R_i[:, keep]
+        # after the pruning, so that its lstsq sees the kept columns only
+        R_i, r_i = _free_rows(R_e, r_e, R_i, r_i, names)
         R = np.vstack([R_e, R_i])
         r = np.concatenate([r_e, r_i])
         center, *_ = np.linalg.lstsq(R, r, rcond=None)
-        derived = {"R_e": R_e, "r_e": r_e, "R_i": R_i, "r_i": r_i, "R": R,
-                   "r": r, "rank": int(np.linalg.matrix_rank(R)),
-                   "center": center,
-                   "consistent": not np.abs(R @ center - r).max() > 1e-8}
+        residual = np.abs(R @ center - r).max()
+        derived = {"param_names": names, "R_e": R_e, "r_e": r_e, "R_i": R_i,
+                   "r_i": r_i, "R": R, "r": r,
+                   "rank": int(np.linalg.matrix_rank(R)), "center": center,
+                   "consistent": not residual > 1e-8 * max(1.0, np.abs(r).max())}
         for name, value in derived.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
@@ -397,54 +411,21 @@ def label_of(text: str) -> str:
 def _parse(text: str) -> ConstraintSystem:
     parser = _Parser(text)
     raw = parser.parse()
-    names = list(parser.param_order)
-
-    eq_rows: list[tuple[np.ndarray, float]] = []
-    ineq_rows: list[tuple[np.ndarray, float]] = []
+    names = tuple(parser.param_order)
     index = {name: j for j, name in enumerate(names)}
-    for con in raw:
-        row = np.zeros(len(names))
+    rows, rhs = np.zeros((len(raw), len(names))), np.zeros(len(raw))
+    for k, con in enumerate(raw):
         for name, coef in con.left.coefs.items():
-            row[index[name]] += coef
+            rows[k, index[name]] += coef
         for name, coef in con.right.coefs.items():
-            row[index[name]] -= coef
-        rhs = con.right.const - con.left.const
+            rows[k, index[name]] -= coef
+        rhs[k] = con.right.const - con.left.const
         if con.rel == "<":
-            row, rhs = -row, -rhs
-        if not np.abs(row).max(initial=0.0):
+            rows[k], rhs[k] = -rows[k], -rhs[k]
+        if not np.abs(rows[k]).max(initial=0.0):
             raise ParseError("constraint contains no coefficients", con.pos)
-        if con.rel == "=":
-            pivot = row[np.flatnonzero(row)[0]]
-            eq_rows.append((row / pivot, rhs / pivot))
-        else:
-            ineq_rows.append(_unit_rows(row, rhs))
-
-    eq_rows = _independent_equalities(eq_rows, names)
-    ineq_rows = _dedupe(ineq_rows)
-
-    R_e, r_e = _stack(eq_rows, len(names))
-    R_i, r_i = _stack(ineq_rows, len(names))
-
-    # prune names whose column is zero everywhere (e.g. 0*b coefficients)
-    used = np.zeros(len(names), dtype=bool)
-    if R_e.size:
-        used |= np.abs(R_e).max(axis=0) > 0
-    if R_i.size:
-        used |= np.abs(R_i).max(axis=0) > 0
-    keep = np.flatnonzero(used)
-    names = [names[j] for j in keep]
-    R_e = R_e[:, keep]
-    R_i = R_i[:, keep]
-
-    return ConstraintSystem(tuple(names), R_e, r_e, R_i, r_i)
-
-
-def _unit_rows(R: np.ndarray, r):
-    """Inequality rows (one, or a matrix of them) and their offsets, each
-    divided by the row's largest absolute entry: c R_j beta > c r_j is one
-    region for every c > 0, and so it has one set of rows."""
-    big = np.abs(R).max(axis=-1, initial=0.0)
-    return R / big[..., None], r / big
+    eq = np.array([con.rel == "=" for con in raw])
+    return ConstraintSystem(names, rows[eq], rhs[eq], rows[~eq], rhs[~eq])
 
 
 def _free_rows(R_e: np.ndarray, r_e: np.ndarray, R_i: np.ndarray,
@@ -466,15 +447,15 @@ def _free_rows(R_e: np.ndarray, r_e: np.ndarray, R_i: np.ndarray,
     return R_i[free], r_i[free]
 
 
-def _dedupe(rows: list[tuple[np.ndarray, float]]) -> list[tuple[np.ndarray, float]]:
-    kept: list[tuple[np.ndarray, float]] = []
-    for row, rhs in rows:
-        dup = any(np.abs(row - krow).max(initial=0.0) <= _ROW_TOL
-                  and abs(rhs - krhs) <= _ROW_TOL
-                  for krow, krhs in kept)
-        if not dup:
-            kept.append((row, rhs))
-    return kept
+def _dedupe(R: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``R @ beta > r`` without those equal, within _ROW_TOL, to
+    one before them."""
+    keep: list[int] = []
+    for j in range(len(r)):
+        if not ((np.abs(R[keep] - R[j]).max(axis=1, initial=0.0) <= _ROW_TOL)
+                & (np.abs(r[keep] - r[j]) <= _ROW_TOL)).any():
+            keep.append(j)
+    return R[keep], r[keep]
 
 
 def _implied(K: np.ndarray, k: np.ndarray, row: np.ndarray) -> float | None:
@@ -489,27 +470,21 @@ def _implied(K: np.ndarray, k: np.ndarray, row: np.ndarray) -> float | None:
     return float(coefs @ k)
 
 
-def _independent_equalities(rows: list[tuple[np.ndarray, float]],
-                            names: list[str]) -> list[tuple[np.ndarray, float]]:
-    kept: list[tuple[np.ndarray, float]] = []
-    for row, rhs in rows:
-        implied = _implied(*_stack(kept, len(row)), row)
+def _independent_equalities(R: np.ndarray, r: np.ndarray,
+                            names) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``R @ beta = r`` without those that the rows before them
+    imply; a row that they contradict is a ParseError."""
+    keep: list[int] = []
+    for j in range(len(r)):
+        implied = _implied(R[keep], r[keep], R[j])
         if implied is None:
-            kept.append((row, rhs))
-            continue
-        if abs(implied - rhs) > _ROW_TOL:
-            lhs = _format_row(row, names)
+            keep.append(j)
+        elif abs(implied - r[j]) > _ROW_TOL:
+            lhs = _format_row(R[j], names)
             raise ParseError(f"contradictory equality constraints: {lhs} = "
-                             f"{float(rhs)!r} stated, {lhs} = {implied!r} "
+                             f"{float(r[j])!r} stated, {lhs} = {implied!r} "
                              "implied by the equality rows before it")
-        # dependent and consistent: silently dropped
-    return kept
-
-
-def _stack(rows: list[tuple[np.ndarray, float]], p: int) -> tuple[np.ndarray, np.ndarray]:
-    if not rows:
-        return np.zeros((0, p)), np.zeros(0)
-    return np.array([r for r, _ in rows]), np.array([c for _, c in rows])
+    return R[keep], r[keep]
 
 
 def _format_row(row: np.ndarray, names: tuple[str, ...]) -> str:

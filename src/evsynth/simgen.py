@@ -421,7 +421,7 @@ def run_iteration(sim_id: int, cond_idx: int, n: int, r2: float, iteration: int,
     parsed = {text: hyp.parse(text) for text in hyp_texts}
     labels = {text: hyp.label_of(text) for text in hyp_texts}
 
-    base = dict(sim_id=sim_id, n=n, r2=r2, iteration=iteration, _cond=cond_idx)
+    base = dict(sim_id=sim_id, n=n, r2=r2, iteration=iteration)
     records: dict[str, list[bf.EvidenceRecord]] = {text: [] for text in hyp_texts}
     for entry in plan:
         keys = (seed, sim_id, cond_idx, iteration, entry.study_index)
@@ -489,25 +489,5 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         rows.extend(study_rows)
         rows.extend(agg_rows)
         skips.extend(skipped)
-    _check_aggregates(rows)
     return SimulationResult(RESULT_COLUMNS, rows, skips)
 
-
-def _check_aggregates(rows: list[dict]):
-    # every aggregate row must equal the sum of its per-study rows
-    sums: dict[tuple, list[float]] = {}
-    for row in rows:
-        if row.get("study") is not None:
-            key = (row["_cond"], row["iteration"],
-                   row["hypothesis"], row["alternative"])
-            sums.setdefault(key, []).append(row["log_bf"])
-    for row in rows:
-        if row.get("study") is None:
-            key = (row["_cond"], row["iteration"],
-                   row["hypothesis"], row["alternative"])
-            expected = synthesis.aggregate_log_bf(sums.get(key, ()))
-            got = row["agg_log_bf"]
-            if expected != got and abs(expected - got) > 1e-9:
-                raise bf.NumericError(
-                    f"aggregate cross-check failed for {key}: "
-                    f"{got!r} vs sum {expected!r}")

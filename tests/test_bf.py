@@ -32,7 +32,7 @@ from evsynth.hypothesis import (ConstraintSystem,
                                 EqualityComplementUnsupportedError,
                                 NameMappingError, parse)
 from oracles import (mc_orthant_prob, mc_prob_region, padded_transform,
-                     prob_region)
+                     prob_region, same_system)
 
 
 def normal_dist(mean, cov, names=None):
@@ -405,8 +405,12 @@ class TestDensityAtEquality:
                              R_e=np.array([[1.0, 0.0], [1.0, 1e-14]]),
                              r_e=np.zeros(2), R_i=np.zeros((0, 2)),
                              r_i=np.zeros(0))
-        with pytest.raises(NumericError):
-            density_at_equality(normal_dist([0.0, 0.0], np.eye(2)), h)
+        assert same_system(h, parse("b1 = 0 & b1 + 1e-14*b2 = 0"))
+        # independent rows on which the law's scale is singular
+        with pytest.raises(NumericError, match="scale is singular"):
+            density_at_equality(normal_dist([0.0, 0.0], [[1.0, 1.0],
+                                                         [1.0, 1.0]]),
+                                parse("b1 = 0 & b2 = 0"))
 
     @pytest.mark.parametrize("text", ["b1 = 0", "b1 = 0 & b2 > 0"])
     @pytest.mark.parametrize("df", [1e13, 1e30, math.inf])

@@ -3,12 +3,15 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evsynth import bf, glm, simgen
+from evsynth import hypothesis as hyp
 from evsynth.hypothesis import (ConstraintSystem, NameMappingError,
                                 ParseError, columns, parse,
                                 transform_constraints)
@@ -420,6 +423,16 @@ class TestDerivedGeometry:
         assert np.allclose(cs.center, [0.5], rtol=0.0, atol=1e-15)
         assert not cs.consistent
 
+    @pytest.mark.parametrize("text, consistent", [
+        # square and solvable; the residual is a rounding error of large
+        # offsets (4.8e-7 and 4.5e-8)
+        ("x1 - x2 > 1e10 & x2 > 3e9", True),
+        ("x1 = 123456789.123 & x2 > x1 + 1e8", True),
+        ("x1 > 0 & x1 > 1", False),
+        ("x1 > 1e6 & x1 > 2e6", False)])
+    def test_consistency_is_relative_to_the_offsets(self, text, consistent):
+        assert parse(text).consistent is consistent
+
     def test_arrays_are_read_only(self):
         cs = parse("b1 + b2 > 1 & b3 = 0.5")
         for array in (cs.R, cs.r, cs.center):
@@ -430,9 +443,9 @@ class TestDerivedGeometry:
         cs = parse("b1 + b2 > 1 & b3 = 0.5")
         eq_only = dataclasses.replace(cs, R_i=np.zeros((0, 3)), r_i=np.zeros(0))
         assert eq_only.rank == 1
-        assert np.allclose(eq_only.center, [0.0, 0.0, 0.5], rtol=0.0,
-                           atol=1e-15)
-        assert np.array_equal(eq_only.R, [[0.0, 0.0, 1.0]])
+        assert eq_only.param_names == ("b3",)
+        assert np.allclose(eq_only.center, [0.5], rtol=0.0, atol=1e-15)
+        assert np.array_equal(eq_only.R, [[1.0]])
         bad = parse("b1 > 0 & b1 > 1")
         mended = dataclasses.replace(bad, r_i=np.array([1.0, 1.0]))
         assert mended.consistent and not bad.consistent
@@ -501,3 +514,122 @@ class TestRowScaling:
                                  np.array([[1.0], [4.0]]), np.array([0.0, 4.0]))
         assert not built.consistent
         assert np.array_equal(built.center, parsed.center)
+
+
+@pytest.fixture(scope="module")
+def gaussian_fit():
+    """A gaussian fit at n = 100 over intercept, x1, ..., x6."""
+    return simgen.gen_dataset(simgen.DataGenSpec("gaussian", 100, 0.09),
+                              simgen.rng_stream(1),
+                              lambda raw: glm.fit(glm.add_intercept(raw)))
+
+
+def outcome(fit, build):
+    """The record, or the error, of ``build()`` evaluated on ``fit``, with
+    the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = bf.evaluate(fit, build(), label="h",
+                              rng=np.random.default_rng(0), draws=2000)
+        except (ValueError, ArithmeticError) as exc:
+            got = type(exc), str(exc)
+    return got, [str(w.message) for w in caught]
+
+
+class TestOneNormalForm:
+    """A system built from rows is normalized as the same rows parsed:
+    same names and rows, and the same record or error."""
+
+    @pytest.mark.parametrize("text, names, R_e, r_e, R_i, r_i", [
+        ("x1 = x2 & 2*x1 = 2*x2", ("x1", "x2"), [[1, -1], [2, -2]], [0, 0],
+         np.zeros((0, 2)), []),
+        ("3*x1 = 0.3", ("x1",), [[3]], [0.3], np.zeros((0, 1)), []),
+        ("x2 > 0", ("x2", "x7"), np.zeros((0, 2)), [], [[1, 0]], [0]),
+        ("x2 > x3 & 2*x2 > 2*x3", ("x2", "x3"), np.zeros((0, 2)), [],
+         [[1, -1], [2, -2]], [0, 0]),
+    ], ids=["dependent-equality", "scaled-equality", "zero-column",
+            "duplicate-inequality"])
+    def test_built_as_parsed(self, gaussian_fit, text, names, R_e, r_e,
+                             R_i, r_i):
+        built = ConstraintSystem(names, R_e, r_e, R_i, r_i)
+        assert same_system(built, parse(text))
+        assert built.n_eq + built.n_ineq == 1
+        record, caught = outcome(gaussian_fit, lambda: built)
+        assert isinstance(record, bf.EvidenceRecord) and caught == []
+        assert (record, caught) == outcome(gaussian_fit, lambda: parse(text))
+
+    def test_contradictory_equalities_raise_when_built(self):
+        with pytest.raises(ParseError) as parsed:
+            parse("x1 = 0 & x1 = 1")
+        with pytest.raises(ParseError) as built:
+            ConstraintSystem(("x1",), [[1.0], [1.0]], [0.0, 1.0],
+                             np.zeros((0, 1)), [])
+        assert str(built.value) == str(parsed.value)
+        assert "x1 = 1.0 stated, x1 = 0.0 implied" in str(built.value)
+
+    @pytest.mark.parametrize("c", [-7.0, -0.5, 2.0, 3.0])
+    def test_equality_row_scale_leaves_the_record(self, gaussian_fit, c):
+        # c times a row of small integers and a dyadic offset is exact, so
+        # the scaled row normalizes to the same bits
+        def system(c):
+            return ConstraintSystem(("x1", "x2", "x3"), [[c, -2.0 * c, 0.0]],
+                                    [0.75 * c], [[0.0, 1.0, -1.0]], [0.0])
+        assert same_system(system(c), system(1.0))
+        assert (outcome(gaussian_fit, lambda: system(c))
+                == outcome(gaussian_fit, lambda: system(1.0)))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_built_system_is_the_parsed_text(self, gaussian_fit, data):
+        n_eq, n_ineq = data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))
+        used = data.draw(st.integers(n_eq + 1, n_eq + 2))
+        nonzero_row = st.lists(st.integers(-3, 3).map(float), min_size=used,
+                               max_size=used).map(
+            lambda row: row if any(row) else [1.0] + row[1:])
+        base = np.array(data.draw(st.lists(nonzero_row, min_size=n_eq + n_ineq,
+                                           max_size=n_eq + n_ineq)))
+        offsets = data.draw(st.lists(st.integers(-4, 4).map(lambda k: k / 4),
+                                     min_size=len(base), max_size=len(base)))
+        rows = [(row, rhs, j < n_eq) for j, (row, rhs)
+                in enumerate(zip(base, offsets))]
+        if n_eq and data.draw(st.booleans()):
+            # a dependent, consistent equality row
+            rows.insert(n_eq, (rows[0][0] * 2.0, rows[0][1] * 2.0, True))
+        if data.draw(st.booleans()):
+            rows.append(rows[-1])            # a duplicate inequality row
+        scale = st.floats(0.01, 100.0)
+        rows = [(row * c, rhs * c, eq) for (row, rhs, eq), c
+                in zip(rows, data.draw(st.lists(scale, min_size=len(rows),
+                                                max_size=len(rows))))]
+        # columns in order of first appearance, as parsing names them, and
+        # zero columns, named outside the fit, anywhere among them
+        R = np.array([row for row, _, _ in rows])
+        R = R[:, np.argsort([np.flatnonzero(R[:, j])[0] if R[:, j].any()
+                             else len(R) for j in range(used)], kind="stable")]
+        names = [f"x{j + 1}" for j in range(used)]
+        for k in range(data.draw(st.integers(0, 2))):
+            at = data.draw(st.integers(0, len(names)))
+            names.insert(at, f"z{k + 1}")
+            R = np.insert(R, at, 0.0, axis=1)
+        eq = np.array([e for _, _, e in rows])
+        r = np.array([rhs for _, rhs, _ in rows])
+        text = " & ".join(f"{hyp._format_row(row, names)} "
+                          f"{'=' if e else '>'} {float(rhs)!r}"
+                          for row, rhs, e in zip(R, r, eq))
+
+        def build():
+            return ConstraintSystem(tuple(names), R[eq], r[eq], R[~eq], r[~eq])
+
+        def parsed():
+            return parse(text)
+        for make in (build, parsed):
+            try:
+                make()
+            except ParseError as exc:
+                with pytest.raises(ParseError) as other:
+                    (parsed if make is build else build)()
+                assert str(other.value) == str(exc)
+                return
+        assert same_system(build(), parsed())
+        assert outcome(gaussian_fit, build) == outcome(gaussian_fit, parsed)

@@ -35,8 +35,9 @@ each with its relative change, by::
 
     PYTHONPATH=src python tests/test_regression.py --diff
 
-then regenerates the files with the commands above and says why in
-CHANGES.md.
+which exits 1 when a field moves and 0 when none does, so a script can
+gate on it; it then regenerates the files with the commands above and says
+why in CHANGES.md.
 """
 
 import argparse
@@ -189,7 +190,8 @@ if __name__ == "__main__":
     fresh = [record.to_dict() for record in records()]
     if parser.parse_args().diff:
         with open(DATA / "records.json", encoding="utf-8") as fh:
-            print("\n".join(moved_fields(json.load(fh), fresh))
-                  or "no field differs")
+            moved = moved_fields(json.load(fh), fresh)
+        print("\n".join(moved) or "no field differs")
+        raise SystemExit(1 if moved else 0)
     else:
         print(json.dumps(fresh, indent=1))

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from evsynth import simgen
+from evsynth import bf, simgen
 from evsynth.glm import DataError, Dataset, SeparationError, add_intercept, fit
 from evsynth.simgen import (DEFAULT_RHO, DEFAULT_WEIGHTS, DataGenSpec,
                             PersistentSeparationError, StudyPlanEntry,
@@ -448,3 +448,29 @@ class TestLazyStream:
         assert config.conditions == ((0, 25, 0.09), (1, 25, 0.25),
                                      (2, 50, 0.09), (3, 50, 0.25))
         assert seeded == []
+
+
+@pytest.mark.parametrize("sim_id,decomposed",
+                         [(sim_id, False) for sim_id in simgen.SIMULATION_IDS]
+                         + [(11, True)])
+def test_aggregates_are_the_sums_of_their_studies(sim_id, decomposed):
+    # independent arithmetic: math.fsum is exact before its one rounding, so
+    # a left-to-right sum of k terms is within k ulps of their magnitudes; a
+    # shared +inf or -inf is the fsum itself
+    n_studies = 4 if sim_id in (9, 10, 11) else None
+    rows, aggs, skips = simgen.run_iteration(sim_id, 0, 100, 0.25, 0, 1, 2000,
+                                             bf.ALTERNATIVES, n_studies,
+                                             decomposed)
+    assert skips == [] and aggs
+    assert len(aggs) * (n_studies or 3) == len(rows)
+    for agg in aggs:
+        logs = [row["log_bf"] for row in rows
+                if (row["hypothesis"], row["alternative"])
+                == (agg["hypothesis"], agg["alternative"])]
+        assert len(logs) == (n_studies or 3)
+        want = math.fsum(logs)
+        if math.isinf(want):
+            assert agg["agg_log_bf"] == want
+        else:
+            bound = len(logs) * 2.0 ** -52 * math.fsum(map(abs, logs))
+            assert abs(agg["agg_log_bf"] - want) <= bound
