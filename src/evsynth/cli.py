@@ -100,15 +100,8 @@ def cmd_analyze(args) -> int:
     cs = hyp.parse(args.hypothesis)
     _check_outputs([("--out", args.out)], [("--data", args.data)])
     predictors = args.predictors.split(",") if args.predictors else None
-    d = glm.dataset_from_csv(args.data, args.outcome, predictors,
-                             family=args.family,
-                             intercept=not args.no_intercept)
-    try:
-        fit = glm.fit(d)
-    except glm.GlmError as exc:
-        # reworded in place: the type and a SeparationError's trace stay
-        exc.args = (f"{args.data}: {exc}",)
-        raise
+    fit = glm.fit_csv(args.data, args.outcome, predictors, family=args.family,
+                      intercept=not args.no_intercept)
     record = bf.evaluate(fit, cs, label=hyp.label_of(args.hypothesis),
                          study_id=args.study_id or Path(args.data).stem,
                          frac=args.fraction, rng=simgen.LazyStream(args.seed),

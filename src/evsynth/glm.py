@@ -30,7 +30,7 @@ import functools
 import io
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -157,13 +157,8 @@ def dataset_from_csv(path, outcome: str, predictors: list[str] | None = None,
     is read by ``csv.reader`` and the used columns of the body by numpy's C
     reader.  A file that reader cannot take exactly as ``csv.reader`` plus
     ``float()`` would is parsed again cell by cell, which is also where
-    every data error is worded; both give the same doubles.
-
-    The last parsed table is kept for the next call: a call on the same
-    bytes with the same ``outcome``, ``predictors`` and
-    ``csv.field_size_limit()`` skips the parse, whatever the path.  One
-    table is kept per process; a parse that fails is not kept.  Every call
-    still builds and checks its own :class:`Dataset` with writable arrays.
+    every data error is worded; both give the same doubles.  Nothing is
+    kept between calls: every call reads, parses and checks its file.
 
     Parameters
     ----------
@@ -184,41 +179,86 @@ def dataset_from_csv(path, outcome: str, predictors: list[str] | None = None,
         listed among the predictors, or columns a :class:`Dataset` rejects;
         every message names the file.
     """
-    global _last_parse
+    raw = _csv_bytes(path, outcome, predictors)
+    return _dataset(path, raw, outcome, predictors, family, intercept)
+
+
+def fit_csv(path, outcome: str, predictors: list[str] | None = None,
+            family: str = "gaussian", intercept: bool = True) -> FitResult:
+    """:func:`fit` of :func:`dataset_from_csv`'s Dataset, with every error
+    message naming the file.
+
+    The file is read once, as bytes.  The last fit is kept for the next
+    call: a call on the same bytes with the same ``outcome``,
+    ``predictors``, ``csv.field_size_limit()``, ``family`` and
+    ``intercept``, under the same fit settings (``COND_LIMIT``,
+    ``MAX_ITER``, ``GRAD_TOL``, ``SEPARATION_EPS`` and
+    ``SEPARATION_BETA_LIMIT``), skips the parse, the Dataset checks and the
+    fit, whatever the path.  One fit is kept per process; a call whose parse,
+    checks or fit raises keeps nothing, so a repeat fails as a cold call
+    does.  Every call returns its own :class:`FitResult`, with writable
+    ``beta`` and ``cov`` and a ``trace`` list that no other call shares.
+
+    Raises
+    ------
+    DataError
+        As :func:`dataset_from_csv` does.
+    GlmError
+        Any error of :func:`fit`, its message prefixed with the path; the
+        type, and a :class:`SeparationError`'s trace, are kept.
+    """
+    global _last_fit
+    raw = _csv_bytes(path, outcome, predictors)
+    key = (raw, outcome, None if predictors is None else tuple(predictors),
+           csv.field_size_limit(), family, intercept, COND_LIMIT, MAX_ITER,
+           GRAD_TOL, SEPARATION_EPS, SEPARATION_BETA_LIMIT)
+    last_key, kept = _last_fit
+    if last_key != key:
+        d = _dataset(path, raw, outcome, predictors, family, intercept)
+        try:
+            kept = fit(d)
+        except GlmError as exc:
+            # reworded in place: the type and a SeparationError's trace stay
+            exc.args = (f"{path}: {exc}",)
+            raise
+        _last_fit = key, kept
+    # the kept fit never leaves the memo: a caller may change what it gets
+    return replace(kept, beta=kept.beta.copy(), cov=kept.cov.copy(),
+                   trace=list(kept.trace))
+
+
+# (key, FitResult) of the last fit that succeeded; the key holds the file's
+# bytes and every other input of the parse and the fit.  Kept as one tuple,
+# replaced in one assignment, so a concurrent caller sees a key with its
+# own fit.
+_last_fit: tuple = (None, None)
+
+
+def _csv_bytes(path, outcome: str, predictors: list[str] | None) -> bytes:
+    """The bytes of the file at ``path``, once an outcome listed among the
+    predictors has been refused without reading it."""
     if predictors is not None and outcome in predictors:
         raise DataError(f"{path}: outcome column {outcome!r} is also listed "
                         f"as a predictor")
     with open(path, "rb") as fh:
-        raw = fh.read()
-    key = (raw, outcome, None if predictors is None else tuple(predictors),
-           csv.field_size_limit())
-    last_key, parsed = _last_parse
-    if last_key != key:
-        parsed = _c_parsed_table(raw, outcome, predictors)
-        if parsed is None:
-            parsed = _cell_parsed_table(path, raw, outcome, predictors)
-        names, table = parsed
-        table.flags.writeable = False
-        # a tuple: the names may be the caller's list, which it can change
-        parsed = tuple(names), table
-        _last_parse = key, parsed
+        return fh.read()
+
+
+def _dataset(path, raw: bytes, outcome: str, predictors: list[str] | None,
+             family: str, intercept: bool) -> Dataset:
+    """The checked Dataset of ``raw``, the bytes of the file at ``path``."""
+    parsed = _c_parsed_table(raw, outcome, predictors)
+    if parsed is None:
+        parsed = _cell_parsed_table(path, raw, outcome, predictors)
     names, table = parsed
     try:
         # contiguous copies, laid out as the per-cell reader's arrays always
-        # were (BLAS results can depend on the layout), and never views of
-        # the kept table
+        # were: BLAS results can depend on the layout
         d = Dataset(np.array(table[:, 1:], order="C"),
                     np.array(table[:, 0], order="C"), family, names)
         return add_intercept(d) if intercept else d
     except DataError as exc:
         raise DataError(f"{path}: {exc}") from None
-
-
-# (key, (predictor names, read-only table)) of the last parse that
-# succeeded; the key holds the file's bytes and every other input of the
-# parse.  Kept as one tuple, replaced in one assignment, so a concurrent
-# caller sees a key with its own table.
-_last_parse: tuple = (None, None)
 
 
 def _text(raw: bytes):

@@ -27,13 +27,15 @@ form, so one region gives one set of rows however it was stated.  In
 order, it scales each equality row so its first nonzero entry is +1;
 drops each equality row that the rows before it imply (one in their row
 space, within 1e-10) when it agrees with them, and raises a
-:class:`ParseError` when it contradicts them; divides each inequality row
-and its offset by the row's largest absolute entry; drops each inequality
-row equal to one before it (within 1e-10); prunes names whose column is
-zero in every row; and decides each inequality row that the equality rows
-fix (one in their row space): the row holds on the whole boundary, and is
-dropped, when the value they imply for it exceeds its offset, and leaves
-no region, a :class:`ParseError`, otherwise.
+:class:`ParseError` when it contradicts them (the offsets differing by
+more than 1e-10 times the larger of 1 and their magnitudes); divides
+each inequality row and its offset by the row's largest absolute entry;
+drops each inequality row equal to one before it (within 1e-10); prunes
+names whose column is zero in every row; and decides each inequality row
+that the equality rows fix (one in their row space): the row holds on the
+whole boundary, and is dropped, when the value they imply for it exceeds
+its offset by more than that slack, and leaves no region, a
+:class:`ParseError`, otherwise.
 """
 
 from __future__ import annotations
@@ -432,14 +434,14 @@ def _free_rows(R_e: np.ndarray, r_e: np.ndarray, R_i: np.ndarray,
                r_i: np.ndarray, names) -> tuple[np.ndarray, np.ndarray]:
     """The inequality rows that the equality rows do not fix.  A fixed row
     holds on the whole equality boundary, and is dropped, when the value
-    they imply exceeds its offset by more than _ROW_TOL; otherwise the
-    region is empty, a ParseError."""
+    they imply exceeds its offset by more than ``_row_slack``; otherwise
+    the region is empty, a ParseError."""
     free = np.ones(len(r_i), dtype=bool)
     for j in range(len(r_i)):
         implied = _implied(R_e, r_e, R_i[j])
         if implied is None:
             continue
-        if not implied - r_i[j] > _ROW_TOL:
+        if not implied - r_i[j] > _row_slack(r_i[j], implied):
             lhs = _format_row(R_i[j], names)
             raise ParseError(f"empty region: {lhs} > {float(r_i[j])!r} stated, "
                              f"{lhs} = {implied!r} implied by the equality rows")
@@ -470,16 +472,25 @@ def _implied(K: np.ndarray, k: np.ndarray, row: np.ndarray) -> float | None:
     return float(coefs @ k)
 
 
+def _row_slack(stated: float, implied: float) -> float:
+    """How far a value the equality rows imply may stand from a stated
+    offset and still count as equal to it: _ROW_TOL, relative to the larger
+    of 1 and both magnitudes.  Large offsets are judged by their own
+    rounding; two values of size 1 or less, by _ROW_TOL itself."""
+    return _ROW_TOL * max(1.0, abs(stated), abs(implied))
+
+
 def _independent_equalities(R: np.ndarray, r: np.ndarray,
                             names) -> tuple[np.ndarray, np.ndarray]:
     """The rows ``R @ beta = r`` without those that the rows before them
-    imply; a row that they contradict is a ParseError."""
+    imply; a row that they contradict, by more than ``_row_slack``, is a
+    ParseError."""
     keep: list[int] = []
     for j in range(len(r)):
         implied = _implied(R[keep], r[keep], R[j])
         if implied is None:
             keep.append(j)
-        elif abs(implied - r[j]) > _ROW_TOL:
+        elif abs(implied - r[j]) > _row_slack(r[j], implied):
             lhs = _format_row(R[j], names)
             raise ParseError(f"contradictory equality constraints: {lhs} = "
                              f"{float(r[j])!r} stated, {lhs} = {implied!r} "

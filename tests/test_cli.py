@@ -167,7 +167,7 @@ class TestAnalyze:
         def unread(*args, **kwargs):
             raise AssertionError("the data file was read")
 
-        monkeypatch.setattr(cli.glm, "dataset_from_csv", unread)
+        monkeypatch.setattr(cli.glm, "fit_csv", unread)
         for data in (strong_effect_csv, bad, tmp_path / "absent.csv"):
             code = cli.main(["analyze", "--data", str(data),
                              "--family", "gaussian", "--outcome", "y",
@@ -251,7 +251,7 @@ class TestAnalyze:
         def unreachable(*args, **kwargs):
             raise AssertionError("the data was read")
 
-        monkeypatch.setattr(cli.glm, "dataset_from_csv", unreachable)
+        monkeypatch.setattr(cli.glm, "fit_csv", unreachable)
         out = tmp_path / "absent" / "r.json" if where == "missing-dir" else tmp_path
         code = cli.main(["analyze", "--data", str(strong_effect_csv),
                          "--family", "gaussian", "--outcome", "y",
@@ -269,7 +269,7 @@ class TestAnalyze:
 
         before = strong_effect_csv.read_bytes()
         out = same_file(strong_effect_csv, tmp_path, alias)
-        monkeypatch.setattr(cli.glm, "dataset_from_csv", unreachable)
+        monkeypatch.setattr(cli.glm, "fit_csv", unreachable)
         code = cli.main(["analyze", "--data", str(strong_effect_csv),
                          "--family", "gaussian", "--outcome", "y",
                          "--hypothesis", "x1 > 0", "--seed", "3",

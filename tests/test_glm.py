@@ -535,6 +535,43 @@ def load_outcome(load, *args):
             d.X.flags.c_contiguous, d.y.flags.c_contiguous)
 
 
+def reference_fit(path, *args):
+    """:func:`fit` of ``reference_dataset``, every fit error naming the
+    file as ``fit_csv`` words it."""
+    d = reference_dataset(path, *args)
+    try:
+        return fit(d)
+    except glm.GlmError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def fit_outcome(load, *args):
+    """What a fitting loader gives: the fit's exact bytes, or its error."""
+    try:
+        r = load(*args)
+    except Exception as exc:  # noqa: BLE001 - any difference must show
+        return type(exc).__name__, str(exc)
+    return (r.names, r.family, r.n, r.beta.tobytes(), r.cov.tobytes(),
+            r.trace)
+
+
+def study_csv(tmp_path, family):
+    """A 200-row study of outcome ``y`` on ``x1`` to ``x6`` for
+    ``family``, written as ``analyze`` reads it."""
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(200, 6))
+    eta = X @ np.array([0.0, 0.2, 0.3, 0.4, 0.5, 0.6])
+    y = (eta + rng.normal(size=200) if family == "gaussian"
+         else (eta + rng.normal(size=200) > 0).astype(float))
+    data = tmp_path / f"{family}.csv"
+    with open(data, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["y"] + [f"x{j}" for j in range(1, 7)])
+        w.writerows([[repr(v) for v in row]
+                     for row in np.column_stack([y, X]).tolist()])
+    return data
+
+
 def assert_matches_reference(path, text, outcome="y", predictors=None,
                              family="gaussian", intercept=True):
     path.write_bytes(text.encode("utf-8"))
@@ -627,10 +664,13 @@ class TestCsvReaderDifferential:
         ("", ["y"]),
     ])
     def test_contract_cases(self, tmp_path, monkeypatch, text, predictors):
-        monkeypatch.setattr(glm, "_last_parse", (None, None))
+        monkeypatch.setattr(glm, "_last_fit", (None, None))
+        path = tmp_path / "data.csv"
+        assert_matches_reference(path, text, predictors=predictors)
+        args = (path, "y", predictors, "gaussian", True)
         for _ in ("cold", "warm"):
-            assert_matches_reference(tmp_path / "data.csv", text,
-                                     predictors=predictors)
+            assert (fit_outcome(glm.fit_csv, *args)
+                    == fit_outcome(reference_fit, *args))
 
     def test_plain_files_take_the_c_reader(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -643,46 +683,61 @@ class TestCsvReaderDifferential:
 
 
 class TestParsedTableMemo:
-    """``dataset_from_csv`` keeps the last parsed table: a call on the same
-    bytes and columns gives what a cold call gives, without the parse."""
+    """``fit_csv`` keeps the last study's fit: a call on the same bytes,
+    columns, family and intercept gives what a cold call gives, without
+    parsing the table or fitting it again."""
 
-    GOOD = "y,a,b\n1,2,3\n4,5,7\n6,8,9\n2,2,1\n"
-    OTHER = "y,a,b\n1,2,3\n4,5,7\n6,8,9\n2,2,5\n"
+    GOOD = "y,a,b\n1,2,3\n4,5,7\n6,8,9\n2,2,1\n5,1,4\n3,7,2\n"
+    OTHER = "y,a,b\n1,2,3\n4,5,7\n6,8,9\n2,2,1\n5,1,4\n3,7,6\n"
 
     @pytest.fixture(autouse=True)
     def cold(self, monkeypatch):
-        monkeypatch.setattr(glm, "_last_parse", (None, None))
+        monkeypatch.setattr(glm, "_last_fit", (None, None))
 
     @staticmethod
     def cold_outcome(monkeypatch, *args):
-        monkeypatch.setattr(glm, "_last_parse", (None, None))
-        return load_outcome(dataset_from_csv, *args)
+        monkeypatch.setattr(glm, "_last_fit", (None, None))
+        return fit_outcome(glm.fit_csv, *args)
+
+    @staticmethod
+    def spy(monkeypatch, name):
+        calls = []
+        original = getattr(glm, name)
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(glm, name, counted)
+        return calls
 
     def test_same_size_rewrite_with_old_mtime_is_read(self, tmp_path):
         path = tmp_path / "data.csv"
+        args = (path, "y", None, "gaussian", False)
         path.write_text(self.GOOD, encoding="utf-8")
-        before = dataset_from_csv(path, "y", intercept=False)
+        before = fit_outcome(glm.fit_csv, *args)
+        assert before == fit_outcome(reference_fit, *args)
         stat = os.stat(path)
         path.write_text(self.OTHER, encoding="utf-8")
         os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
         assert os.stat(path).st_size == stat.st_size
-        after = dataset_from_csv(path, "y", intercept=False)
-        assert before.X[:, 1].tolist() == [3.0, 7.0, 9.0, 1.0]
-        assert after.X[:, 1].tolist() == [3.0, 7.0, 9.0, 5.0]
+        after = fit_outcome(glm.fit_csv, *args)
+        assert after == fit_outcome(reference_fit, *args)
+        assert after != before
 
     def test_bad_file_after_a_good_one_fails_as_cold(self, tmp_path,
                                                      monkeypatch):
         path = tmp_path / "data.csv"
         args = (path, "y", None, "gaussian", True)
         path.write_text(self.GOOD, encoding="utf-8")
-        good = load_outcome(dataset_from_csv, *args)
+        good = fit_outcome(glm.fit_csv, *args)
         path.write_text("y,a,b\n1,2,3\n4,oops,7\n6,8,9\n", encoding="utf-8")
-        bad = load_outcome(dataset_from_csv, *args)
+        bad = fit_outcome(glm.fit_csv, *args)
         assert bad[0] == "DataError" and "data row 2" in bad[1]
-        assert load_outcome(dataset_from_csv, *args) == bad
+        assert fit_outcome(glm.fit_csv, *args) == bad
         assert bad == self.cold_outcome(monkeypatch, *args)
         path.write_text(self.GOOD, encoding="utf-8")
-        assert load_outcome(dataset_from_csv, *args) == good
+        assert fit_outcome(glm.fit_csv, *args) == good
 
     def test_lowered_field_size_limit_reads_as_cold(self, tmp_path,
                                                     monkeypatch):
@@ -690,10 +745,10 @@ class TestParsedTableMemo:
         path.write_text("y,a\n1,2.000000000000000\n3,4\n5,7\n",
                         encoding="utf-8")
         args = (path, "y", None, "gaussian", True)
-        assert load_outcome(dataset_from_csv, *args)[0] == ("intercept", "a")
+        assert fit_outcome(glm.fit_csv, *args)[0] == ("intercept", "a")
         limit = csv.field_size_limit(10)
         try:
-            warm = load_outcome(dataset_from_csv, *args)
+            warm = fit_outcome(glm.fit_csv, *args)
             assert warm == self.cold_outcome(monkeypatch, *args)
         finally:
             csv.field_size_limit(limit)
@@ -701,83 +756,84 @@ class TestParsedTableMemo:
                                      f"field limit (10)")
 
     def test_one_parse_per_content(self, tmp_path, monkeypatch):
-        parses = []
-        c_parsed_table = glm._c_parsed_table
-
-        def spy(*args):
-            parses.append(args[0])
-            return c_parsed_table(*args)
-
-        monkeypatch.setattr(glm, "_c_parsed_table", spy)
+        parses = self.spy(monkeypatch, "_c_parsed_table")
+        fits = self.spy(monkeypatch, "fit")
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         a.write_text(self.GOOD, encoding="utf-8")
         b.write_text(self.OTHER, encoding="utf-8")
         for path in (a, a, a):
-            dataset_from_csv(path, "y")
-        assert len(parses) == 1
+            glm.fit_csv(path, "y")
+        assert len(parses) == len(fits) == 1
         parses.clear()
-        monkeypatch.setattr(glm, "_last_parse", (None, None))
+        fits.clear()
+        monkeypatch.setattr(glm, "_last_fit", (None, None))
         for path in (a, b, a):
-            dataset_from_csv(path, "y")
-        assert len(parses) == 3
-        # other columns of the same bytes are another parse
+            glm.fit_csv(path, "y")
+        assert len(parses) == len(fits) == 3
+        # other columns or intercept on the same bytes parse and fit again
         parses.clear()
-        dataset_from_csv(a, "y", ["b"])
-        dataset_from_csv(a, "a")
-        assert len(parses) == 2
+        fits.clear()
+        glm.fit_csv(a, "y", ["b"])
+        glm.fit_csv(a, "a")
+        glm.fit_csv(a, "a", intercept=False)
+        assert len(parses) == len(fits) == 3
+
+    def test_changed_fit_setting_fits_again(self, tmp_path, monkeypatch):
+        path = study_csv(tmp_path, "logit")
+        glm.fit_csv(path, "y", family="logit")
+        monkeypatch.setattr(glm, "MAX_ITER", 1)
+        with pytest.raises(NotConvergedError,
+                           match=f"^{re.escape(str(path))}: .*in 1 iterations"):
+            glm.fit_csv(path, "y", family="logit")
 
     def test_caller_changing_its_predictor_list(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(self.GOOD, encoding="utf-8")
         predictors = ["a"]
-        dataset_from_csv(path, "y", predictors)
+        glm.fit_csv(path, "y", predictors)
         predictors.append("b")
-        assert dataset_from_csv(path, "y", ["a"]).names == ("intercept", "a")
-        assert dataset_from_csv(path, "y", predictors).names == \
+        assert glm.fit_csv(path, "y", ["a"]).names == ("intercept", "a")
+        assert glm.fit_csv(path, "y", predictors).names == \
             ("intercept", "a", "b")
 
     @pytest.mark.parametrize("predictors,intercept", [
-        (None, True), (None, False), (["b"], False), ([], False)])
+        (None, True), (None, False), (["b"], False), (["a"], False)])
     def test_arrays_are_writable_and_not_kept(self, tmp_path, predictors,
                                               intercept):
         path = tmp_path / "data.csv"
-        path.write_text(self.GOOD, encoding="utf-8")
-        first = dataset_from_csv(path, "y", predictors, intercept=intercept)
-        second = dataset_from_csv(path, "y", predictors, intercept=intercept)
-        kept = glm._last_parse[1][1]
-        assert not kept.flags.writeable
-        for d in (first, second):
-            assert d.X.flags.writeable and d.y.flags.writeable
-            assert d.X.flags.c_contiguous and d.y.flags.c_contiguous
-            assert not np.shares_memory(d.X, kept)
-            assert not np.shares_memory(d.y, kept)
-        assert not np.shares_memory(first.y, second.y)
-        first.y[0] = 99.0
-        assert second.y[0] == 1.0
-        assert dataset_from_csv(path, "y", predictors,
-                                intercept=intercept).y[0] == 1.0
+        rows = [(i % 2, i * 0.37 % 1.3, (i * 0.71) % 2.1) for i in range(40)]
+        path.write_text("y,a,b\n" + "".join(f"{y},{a!r},{b!r}\n"
+                                            for y, a, b in rows),
+                        encoding="utf-8")
+        args = (path, "y", predictors, "logit", intercept)
+        first, second = glm.fit_csv(*args), glm.fit_csv(*args)
+        kept = glm._last_fit[1]
+        for r in (first, second):
+            assert r.beta.flags.writeable and r.cov.flags.writeable
+            assert not np.shares_memory(r.beta, kept.beta)
+            assert not np.shares_memory(r.cov, kept.cov)
+            assert r.trace is not kept.trace
+        assert not np.shares_memory(first.beta, second.beta)
+        assert not np.shares_memory(first.cov, second.cov)
+        assert first.trace is not second.trace
+        assert first.trace == kept.trace and kept.trace
+        expected = fit_outcome(reference_fit, *args)
+        first.beta[0], first.cov[0, 0] = 99.0, 99.0
+        first.trace.clear()
+        assert fit_outcome(glm.fit_csv, *args) == expected
+        assert fit_outcome(lambda: second) == expected
 
-    @pytest.mark.parametrize("family", ["gaussian", "probit"])
+    @pytest.mark.parametrize("family", ["gaussian", "logit", "probit"])
     def test_analyze_records_equal_cold_calls(self, tmp_path, monkeypatch,
                                               family):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(200, 6))
-        eta = X @ np.array([0.0, 0.2, 0.3, 0.4, 0.5, 0.6])
-        y = (eta + rng.normal(size=200) if family == "gaussian"
-             else (eta + rng.normal(size=200) > 0).astype(float))
-        data = tmp_path / "study.csv"
-        with open(data, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["y"] + [f"x{j}" for j in range(1, 7)])
-            w.writerows([[repr(v) for v in row]
-                         for row in np.column_stack([y, X]).tolist()])
+        data = study_csv(tmp_path, family)
 
         def records(cold):
             out = []
             for j, text in enumerate(("x4 < x5 < x6", "{x2, x3, x4} > 0",
                                       "x6 > 0")):
                 if cold:
-                    monkeypatch.setattr(glm, "_last_parse", (None, None))
+                    monkeypatch.setattr(glm, "_last_fit", (None, None))
                 path = tmp_path / f"{cold}-{j}.json"
                 assert cli.main(["analyze", "--data", str(data), "--family",
                                  family, "--outcome", "y", "--hypothesis",
@@ -787,6 +843,52 @@ class TestParsedTableMemo:
             return out
 
         assert records(cold=False) == records(cold=True)
+
+    def test_analyze_fits_once_per_study(self, tmp_path, monkeypatch):
+        fits = self.spy(monkeypatch, "fit")
+        data = study_csv(tmp_path, "logit")
+
+        def analyze(text, *options):
+            return cli.main(["analyze", "--data", str(data), "--outcome", "y",
+                             "--hypothesis", text, "--seed", "3", "--out",
+                             str(tmp_path / "r.json"), *options])
+
+        for text in ("x4 < x5 < x6", "{x2, x3, x4} > 0", "x6 > 0"):
+            assert analyze(text, "--family", "logit") == 0
+        assert len(fits) == 1
+        # the same bytes under another family, or without the intercept,
+        # are other fits
+        assert analyze("x6 > 0", "--family", "probit") == 0
+        assert analyze("x6 > 0", "--family", "probit", "--no-intercept") == 0
+        assert analyze("x6 > 0", "--family", "probit", "--no-intercept") == 0
+        assert len(fits) == 3
+
+    def test_failed_fit_is_not_kept(self, tmp_path, monkeypatch, capsys):
+        fits = self.spy(monkeypatch, "fit")
+        single = tmp_path / "single.csv"
+        single.write_text("y,x1\n" + "".join(f"1,{i}\n" for i in range(20)),
+                          encoding="utf-8")
+        good = study_csv(tmp_path, "logit")
+        out = tmp_path / "r.json"
+
+        def analyze(data):
+            code = cli.main(["analyze", "--data", str(data), "--family",
+                             "logit", "--outcome", "y", "--hypothesis",
+                             "x1 > 0", "--seed", "3", "--out", str(out)])
+            written = out.read_bytes() if code == 0 else None
+            return code, capsys.readouterr().err, written
+
+        first = analyze(good)
+        assert first[0] == 0
+        out.unlink()
+        failed = analyze(single)
+        assert failed == (3, f"error: {single}: binomial response contains "
+                             f"a single class\n", None)
+        assert analyze(single) == failed
+        monkeypatch.setattr(glm, "_last_fit", (None, None))
+        assert analyze(single) == failed
+        assert analyze(good) == first
+        assert len(fits) == 5
 
 
 class TestDispatch:

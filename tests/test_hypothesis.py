@@ -167,6 +167,60 @@ class TestEqualityFixedRows:
         assert np.array_equal(cs.r_i, [0.2])
 
 
+# x1 = 0.65e9 on the boundary of the first two rows, which imply
+# 649999999.9999998 for it in floating point
+LARGE_OFFSETS = "x1 + x2 = 1e9 & x1 - x2 = 0.3e9"
+
+
+class TestLargeOffsets:
+    """Implied and stated offsets are compared relative to their size."""
+
+    def test_consistent_large_offsets_parse(self):
+        cs = parse(f"{LARGE_OFFSETS} & x1 = 0.65e9")
+        assert cs.n_eq == 2 and cs.n_ineq == 0
+        assert same_system(cs, parse(LARGE_OFFSETS))
+
+    def test_contradiction_still_raises(self):
+        with pytest.raises(ParseError, match="contradictory equality") as info:
+            parse(f"{LARGE_OFFSETS} & x1 = 0.65e9 + 1")
+        assert "x1 = 650000001.0 stated" in str(info.value)
+
+    def test_empty_region_still_raises(self):
+        with pytest.raises(ParseError, match="empty region") as info:
+            parse(f"{LARGE_OFFSETS} & x1 > 0.65e9")
+        assert "x1 > 650000000.0 stated" in str(info.value)
+
+    def test_small_offsets_decide_as_the_absolute_bound(self, monkeypatch):
+        # every bundled hypothesis, and systems whose equality rows fix or
+        # repeat a row at offsets of size 1 or less, give the rows or the
+        # error that the absolute bound _ROW_TOL gave
+        texts = {text for sim in simgen._SIMULATIONS.values()
+                 for text in sim.hypotheses + (sim.decomposed or ())}
+        texts |= {text for text, _ in EMPTY_FIXED + REDUNDANT_FIXED}
+        texts |= {"b1 = 0 & 2*b1 = 0", "b1 = 0 & b1 = 1",
+                  "b1 + b2 = 1 & b1 = 0 & b2 = 0", "x1 = 0.3 & x1 + 1e-11 > 0.3"}
+
+        def outcome():
+            hyp._parse.cache_clear()
+            out = {}
+            for text in sorted(texts):
+                try:
+                    cs = parse(text)
+                    out[text] = (cs.param_names, cs.R_e.tobytes(),
+                                 cs.r_e.tobytes(), cs.R_i.tobytes(),
+                                 cs.r_i.tobytes())
+                except ParseError as exc:
+                    out[text] = str(exc)
+            return out
+
+        try:
+            relative = outcome()
+            monkeypatch.setattr(hyp, "_row_slack", lambda *_: hyp._ROW_TOL)
+            assert outcome() == relative
+        finally:
+            hyp._parse.cache_clear()
+
+
 class TestErrors:
     @pytest.mark.parametrize("text", ["b1 > b1", "1 > 0", "b1 + 1 > b1"])
     def test_zero_coefficient_constraint(self, text):
