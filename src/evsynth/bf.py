@@ -9,7 +9,7 @@ the constraint point for equality constraints (the Savage-Dickey ratio).
 Mixed systems multiply the equality density ratio by the ratio of
 conditional inequality probabilities given the equalities.  A law enters
 through its block on the coefficients that the hypothesis constrains, and
-its densities, normal or Student-t, are exact at every df.
+its densities, normal or Student-t of any positive whole df, are exact.
 
 Region probabilities are deterministic where a closed form or a rule
 exists: for one inequality row, the exact CDF of an orthant, and of a
@@ -53,10 +53,10 @@ import warnings as _warnings
 from dataclasses import MISSING, asdict, dataclass
 
 import numpy as np
-from scipy.special import ndtr, owens_t, roots_jacobi, stdtr
+from scipy.special import ndtr, owens_t, stdtr
 
 from . import hypothesis as hyp
-from .glm import DataError, FitResult
+from .glm import FAMILIES, DataError, FitResult
 
 DEFAULT_DRAWS = 100_000
 ALTERNATIVES = ("unconstrained", "complement")
@@ -69,8 +69,8 @@ class NumericError(ArithmeticError):
 
 @dataclass(frozen=True)
 class CoefDistribution:
-    """Student-t distribution over named coefficients with ``df`` degrees
-    of freedom; above _CHI_DF_MAX, the default infinity included, it is
+    """Student-t distribution over named coefficients with a whole ``df``
+    of at least 1; above _CHI_DF_MAX, the default infinity included, it is
     the normal law, for densities and masses alike."""
 
     mean: np.ndarray
@@ -98,11 +98,14 @@ class CoefDistribution:
 
 
 def _check_law(df: float, *arrays: np.ndarray):
-    """ValueError unless a law's arrays are finite and its df positive."""
+    """ValueError unless a law's arrays are finite and its df a positive
+    whole number, or above _CHI_DF_MAX (the normal law)."""
     if not all(np.isfinite(a).all() for a in arrays):
         raise ValueError("mean and scale must be finite")
     if df is None or not df > 0:
         raise ValueError(f"degrees of freedom must be positive, got {df!r}")
+    if df <= _CHI_DF_MAX and df % 1:
+        raise ValueError(f"a Student-t df must be a whole number, got {df!r}")
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,12 @@ def json_safe(obj):
     return obj
 
 
-def _record_float(value) -> float:
-    """``float(value)``, or the ValueError of an evidence record field that
-    ``float()`` does not take."""
+def _record_float(key: str, value) -> float:
+    """``float(value)``, or the ValueError of evidence record field ``key``
+    when ``value`` is a bool or what ``float()`` does not take."""
+    if isinstance(value, bool):   # float(True) is 1.0
+        raise ValueError(f"evidence record field {key!r} must be a number, "
+                         f"got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -142,8 +148,8 @@ def _record_float(value) -> float:
 class EvidenceRecord:
     """One hypothesis evaluated in one study, checked when made (by
     :func:`bf_iu`, :meth:`from_dict` or directly): ValueError unless text
-    fields are strings, number fields (``log_bf_ic`` may be None) what
-    ``float()`` takes and not NaN (±inf, or "inf" / "-inf", is the
+    fields are strings, number fields (``log_bf_ic`` may be None) not bools,
+    what ``float()`` takes and not NaN (±inf, or "inf" / "-inf", is the
     sentinel), ``fit``, ``complexity`` and their ``mc_se_*`` non-negative,
     ``fit`` and ``complexity`` at most 1 when ``log_bf_ic`` is not None (an
     inequality-only hypothesis, whose masses are probabilities), counts
@@ -175,7 +181,7 @@ class EvidenceRecord:
             value = getattr(self, key)
             if type(value) is not float and (value is not None
                                              or key != "log_bf_ic"):
-                value = _record_float(value)
+                value = _record_float(key, value)
                 object.__setattr__(self, key, value)
             if value != value:
                 raise ValueError(f"evidence record field {key!r} is NaN")
@@ -192,7 +198,7 @@ class EvidenceRecord:
         for key in ("mc_draws", "n"):
             value = getattr(self, key)
             # an int is kept whole, past 2**53 too
-            count = value if type(value) is int else _record_float(value)
+            count = value if type(value) is int else _record_float(key, value)
             if not (count >= 0 and count % 1 == 0):   # inf % 1 is nan
                 raise ValueError(f"evidence record field {key!r} must be a "
                                  f"non-negative integer, got {value!r}")
@@ -237,8 +243,15 @@ class EvidenceRecord:
 
 def _law_dfs(fit: FitResult) -> tuple[float, float]:
     """The df of ``fit``'s posterior and adjusted prior: n - p and 1
-    (Student-t, Cauchy) for a gaussian fit, normal laws for a binomial one."""
-    return ((float(fit.n - fit.p), 1.0) if fit.family == "gaussian"
+    (Student-t, Cauchy) for a gaussian fit, normal laws for a binomial one;
+    ValueError for arrays not of shapes (p,), (p, p) or an unknown family."""
+    p = fit.p
+    if fit.beta.shape != (p,) or fit.cov.shape != (p, p):
+        raise ValueError(f"fit arrays of shapes {fit.beta.shape} and "
+                         f"{fit.cov.shape} do not match its {p} names")
+    if fit.family not in FAMILIES:
+        raise ValueError(f"unknown family {fit.family!r}")
+    return ((float(fit.n - p), 1.0) if fit.family == "gaussian"
             else (math.inf, math.inf))
 
 
@@ -328,17 +341,11 @@ def _legendre_rule() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, rules[0][1] / 2.0, rules[1][1] / 2.0
 
 
-@functools.lru_cache(maxsize=64)
-def _stieltjes_grid(beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """The 200-point Gauss-Jacobi rule on (-1, 1) for the weight
-    (1 + x)^beta, which discretizes the weight of :func:`_chi_rule`; built
-    on first use, not at import.  beta = 0, every integer df and every df
-    whose grid stays away from s = 0, is numpy's Gauss-Legendre rule; only
-    a non-integer df of 800 or less takes scipy.special's Gauss-Jacobi
-    rule, whose first use imports scipy.linalg."""
-    if beta == 0.0:
-        return np.polynomial.legendre.leggauss(200)
-    return roots_jacobi(200, 0.0, beta)
+@functools.cache
+def _stieltjes_grid() -> tuple[np.ndarray, np.ndarray]:
+    """The 200-point Gauss-Legendre rule on (-1, 1), which discretizes the
+    weight of :func:`_chi_rule`; built on first use, not at import."""
+    return np.polynomial.legendre.leggauss(200)
 
 
 # a law with more degrees of freedom is the normal law: the spread of s
@@ -362,20 +369,18 @@ def _chi_rule(df: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Computation and Approximation) on a 200-point Gauss grid over the
     weight's bulk, the nodes and weights from the eigenvectors of the
     Jacobi matrix, the 16-point rule from its leading block (Golub &
-    Welsch 1969, Math. Comp. 23:221).  Where the bulk reaches s = 0, the
-    grid's own weight s^beta takes the non-integer part of the power
-    s^(df - 1), so that what is left to discretize is smooth for any
-    df > 0; every integer df has beta = 0, a Gauss-Legendre grid.
+    Welsch 1969, Math. Comp. 23:221).  As df is whole
+    (:func:`_check_law`), the power s^(df - 1) is smooth where the bulk
+    reaches s = 0 too, so a Gauss-Legendre grid discretizes the weight.
     """
     # s in [a, b] is W = df s^2 in df -+ 40 sqrt(2 df) + 800: the chi-square
     # mass above is below exp(-400) (Laurent & Massart 2000, Ann. Statist.
     # 28:1302), the mass below smaller still
     spread = 40.0 / math.sqrt(2.0 * df)
     a, b = max(1.0 - spread, 0.0), 1.0 + spread
-    grid_power = 0.0 if a > 0.0 else df - 1.0 - max(math.floor(df - 1.0), 0)
-    x, w = _stieltjes_grid(grid_power)
+    x, w = _stieltjes_grid()
     s = (b - a) / 2.0 * x + (b + a) / 2.0
-    log_w = (df - 1.0 - grid_power) * np.log(s) - df * s * s / 2.0
+    log_w = (df - 1.0) * np.log(s) - df * s * s / 2.0
     w = w * np.exp(log_w - log_w.max())
     w /= w.sum()
     # orthonormal recurrence s p_k = beta_k p_(k+1) + alpha_k p_k + beta_(k-1) p_(k-1)
@@ -563,16 +568,11 @@ def _qmc_box(lo: np.ndarray, hi: np.ndarray, corr: np.ndarray,
     stopping on the first low value missed by up to 15 reported standard
     errors.  Returns (probability, error estimate, points used over all
     rules).  ``draws`` below 1 raises ValueError, and ``rng`` None takes a
-    fresh generator.  A Student-t law with df below 1 raises
-    :class:`NumericError`: there scipy's rule misses by many times the error
-    it reports.
+    fresh generator.
     """
     if draws < 1:
         raise ValueError(f"draws must be a positive integer, got {draws!r}")
     rng = np.random.default_rng() if rng is None else rng
-    if df < 1.0:
-        raise NumericError(
-            f"no lattice QMC mass for a Student-t law with df {df!r} below 1")
     # scipy.stats takes about as long to import as the rest of evsynth
     # together, and only four or more rows (or a three-row fallback) need it
     from scipy.stats._qmvnt import _qmvn, _qmvt
@@ -716,8 +716,7 @@ def _orthant_prob(mean: np.ndarray, scale: np.ndarray, df: float, rng,
     nonzero-mean three-row orthants Plackett's integral by the
     Gauss-Legendre rules of :func:`_tvn_orthant` while its error estimate
     is within QMC_SE.  The rest, four or more rows and three-row boxes
-    among them, takes randomized lattice QMC seeded from ``rng``; for a
-    Student-t law with df below 1 that rung raises :class:`NumericError`.
+    among them, takes randomized lattice QMC seeded from ``rng``.
     Error estimates are 0 for closed forms and one-row masses.
     """
     # a row with variance skips the reduction: single rows stay as cheap
@@ -937,11 +936,11 @@ def evaluate(fit: FitResult, h: hyp.ConstraintSystem, label: str,
     coefficients of ``h`` alone: the prior's block is ``h.center`` and
     S / b.  It builds neither law, and raises and warns as they do.
     """
+    post_df, prior_df = _law_dfs(fit)
     if frac is None:
         frac = default_fraction(fit, [h])
     cols = hyp.columns(h, fit.names)
     _warn_inconsistent(h)
-    post_df, prior_df = _law_dfs(fit)
     scale = fit.cov.take(cols, 0).take(cols, 1)
     prior_scale = scale / frac.b
     _check_law(post_df, fit.beta, fit.cov, prior_scale)

@@ -237,8 +237,9 @@ def cmd_simulate(args) -> int:
 
 def _aggregate_rows(path) -> dict[tuple, dict]:
     """A results CSV's aggregate log BFs and PMPs by condition; raises the
-    DataError that names the file and the header or data row at fault,
-    including a file that is not UTF-8 text."""
+    DataError that names the file and the header or data row at fault: a
+    file that is not UTF-8 text, a cell that is not a number, a NaN, or a
+    PMP outside [0, 1] (a log BF may be the +-inf sentinel)."""
     groups: dict[tuple, dict] = {}
     header, i = None, 0
     try:
@@ -257,11 +258,18 @@ def _aggregate_rows(path) -> dict[tuple, dict]:
                 for column, values in (("agg_log_bf", entry["log_bf"]),
                                        ("pmp", entry["pmp"])):
                     try:
-                        values.append(float(row[column]))
+                        value = float(row[column])
                     except (TypeError, ValueError):
                         raise glm.DataError(
                             f"{path}: non-numeric value {row[column]!r} in "
                             f"column {column!r}, data row {i}") from None
+                    if value != value or (column == "pmp"
+                                          and not 0.0 <= value <= 1.0):
+                        raise glm.DataError(
+                            f"{path}: value {row[column]!r} in column "
+                            f"{column!r}, data row {i}, is "
+                            f"{'NaN' if value != value else 'outside [0, 1]'}")
+                    values.append(value)
     except (UnicodeDecodeError, CsvError) as exc:
         raise glm.csv_read_error(path, exc, None if header is None else i) from None
     return groups

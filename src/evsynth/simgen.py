@@ -359,8 +359,10 @@ class SimulationConfig:
 
     A config plans its grid when it is made (see :attr:`conditions`), so a
     condition that no study can take raises ValueError before anything is
-    drawn: a run can take hours.  So does ``n_studies`` on a simulation
-    that is not a series (1-8), whose plan it would not change.
+    drawn: a run can take hours.  So does a value repeated in ``ns`` or
+    ``r2s``, whose conditions would repeat one iteration index from other
+    streams, and ``n_studies`` on a simulation that is not a series (1-8),
+    whose plan it would not change.
     """
 
     sim_id: int
@@ -375,6 +377,10 @@ class SimulationConfig:
     threads: int = 1
 
     def __post_init__(self):
+        for name, values in (("n", self.ns), ("r2", self.r2s)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"each {name} value may appear once, got "
+                                 f"{list(values)}")
         self.conditions   # plans the grid now
         if self.n_studies is not None and not _SIMULATIONS[self.sim_id].series:
             series = [i for i, sim in _SIMULATIONS.items() if sim.series]

@@ -62,10 +62,7 @@ def prob_region(dist: bf.CoefDistribution, h: hyp.ConstraintSystem,
     ``h`` must have inequality rows only; equality constraints take the
     density path.  Returns (probability, error estimate): 0 for closed
     forms and CDFs, the difference of two rules for quadrature (at least
-    ``bf._QUAD_FLOOR``) and one standard error for lattice QMC.  A
-    Student-t law with df below 1 whose mass needs lattice QMC (four or
-    more rows, a three-row box, or a three-row orthant the quadrature rule
-    cannot resolve) raises :class:`evsynth.bf.NumericError`.
+    ``bf._QUAD_FLOOR``) and one standard error for lattice QMC.
     """
     _inequality_only(h)
     eta = hyp.transform_constraints(h, dist.mean, dist.scale, dist.names,

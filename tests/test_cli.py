@@ -872,7 +872,8 @@ class TestSimulate:
         ("1", "25,200", "0.09,1.5", "r2 must lie in (0, 1)"),
         ("2", "25,8", "0.09", "n = 8 is too small for a gaussian study"),
         ("9", "25", "0.09,1.5", "r2 must lie in (0, 1)"),
-        ("9", "25,200,8", "0.09", "n = 8 is too small")])
+        ("9", "25,200,8", "0.09", "n = 8 is too small"),
+        ("9", "25", "0.09,0.25,0.09", "each r2 value may appear once")])
     def test_bad_grid_value_fails_before_any_draw(self, tmp_path, monkeypatch,
                                                   capsys, sim, n, r2, words):
         # the first conditions are valid: the whole grid is planned before
@@ -1121,9 +1122,10 @@ class TestReport:
         assert not any(map(math.isnan, q))
         assert q == sorted(q) and (q[0], q[-1]) == (min(values), max(values))
 
-    @pytest.mark.parametrize("column", ["agg_log_bf", "pmp"])
-    def test_non_numeric_cell_exit_3(self, tmp_path, capsys, column):
-        path = tmp_path / "bad.csv"
+    @staticmethod
+    def write_bad_cell(path, column, cell):
+        """Three aggregate rows of one condition, ``cell`` in ``column`` of
+        the second."""
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(cli.RESULT_COLUMNS)
@@ -1132,14 +1134,35 @@ class TestReport:
                                ("3", "gaussian", "100", "0.25", str(it), "",
                                 "h", "unconstrained", "", "", "", "1.5", "0.8")))
                 if it == 1:
-                    row[column] = "oops"
+                    row[column] = cell
                 w.writerow(row.values())
+
+    @pytest.mark.parametrize("column", ["agg_log_bf", "pmp"])
+    def test_non_numeric_cell_exit_3(self, tmp_path, capsys, column):
+        path = tmp_path / "bad.csv"
+        self.write_bad_cell(path, column, "oops")
         code = cli.main(["report", "--in", str(path),
                          "--out", str(tmp_path / "r.csv")])
         assert code == 3
         err = capsys.readouterr().err
         assert (f"{path}: non-numeric value 'oops' in column {column!r}, "
                 "data row 2") in err
+
+    @pytest.mark.parametrize("column,cell,what", [
+        ("agg_log_bf", "nan", "NaN"), ("pmp", "NaN", "NaN"),
+        ("pmp", "1.5", "outside [0, 1]"), ("pmp", "-0.25", "outside [0, 1]"),
+        ("pmp", "inf", "outside [0, 1]")])
+    def test_nan_or_out_of_range_cell_exit_3(self, tmp_path, capsys, column,
+                                             cell, what):
+        path = tmp_path / "bad.csv"
+        self.write_bad_cell(path, column, cell)
+        out = tmp_path / "r.csv"
+        code = cli.main(["report", "--in", str(path), "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: value {cell!r} in column {column!r}, "
+            f"data row 2, is {what}\n")
+        assert not out.exists()
 
     def test_no_aggregate_rows_exit_3(self, tmp_path, capsys):
         path = tmp_path / "studies.csv"

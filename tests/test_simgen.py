@@ -449,6 +449,16 @@ class TestLazyStream:
                                      (2, 50, 0.09), (3, 50, 0.25))
         assert seeded == []
 
+    @pytest.mark.parametrize("ns,r2s,words", [
+        ((25, 25), (0.09,), "each n value may appear once, got [25, 25]"),
+        ((25, 50), (0.25, 0.09, 0.25), "each r2 value may appear once")])
+    def test_a_repeated_grid_value_is_refused(self, seeded, ns, r2s, words):
+        # two conditions would share iteration 0 from different streams
+        with pytest.raises(ValueError, match=re.escape(words)):
+            simgen.SimulationConfig(sim_id=3, iterations=1, ns=ns, r2s=r2s,
+                                    seed=3)
+        assert seeded == []
+
 
 @pytest.mark.parametrize("sim_id,decomposed",
                          [(sim_id, False) for sim_id in simgen.SIMULATION_IDS]
