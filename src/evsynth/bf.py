@@ -133,8 +133,9 @@ def json_safe(obj):
 
 def _record_float(key: str, value) -> float:
     """``float(value)``, or the ValueError of evidence record field ``key``
-    when ``value`` is a bool or what ``float()`` does not take."""
-    if isinstance(value, bool):   # float(True) is 1.0
+    when ``value`` is a Python or numpy bool or what ``float()`` does not
+    take."""
+    if isinstance(value, (bool, np.bool_)):   # float(True) is 1.0
         raise ValueError(f"evidence record field {key!r} must be a number, "
                          f"got {value!r}")
     try:
@@ -148,7 +149,8 @@ def _record_float(key: str, value) -> float:
 class EvidenceRecord:
     """One hypothesis evaluated in one study, checked when made (by
     :func:`bf_iu`, :meth:`from_dict` or directly): ValueError unless text
-    fields are strings, number fields (``log_bf_ic`` may be None) not bools,
+    fields are strings, number and count fields (``log_bf_ic`` may be
+    None) not bools (Python's or numpy's),
     what ``float()`` takes and not NaN (±inf, or "inf" / "-inf", is the
     sentinel), ``fit``, ``complexity`` and their ``mc_se_*`` non-negative,
     ``fit`` and ``complexity`` at most 1 when ``log_bf_ic`` is not None (an

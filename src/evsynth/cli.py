@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
     # a malformed hypothesis exits 2 whatever the data file holds
     cs = hyp.parse(args.hypothesis)
     _check_outputs([("--out", args.out)], [("--data", args.data)])
-    predictors = args.predictors.split(",") if args.predictors else None
+    predictors = None if args.predictors is None else list(args.predictors)
     fit = glm.fit_csv(args.data, args.outcome, predictors, family=args.family,
                       intercept=not args.no_intercept)
     record = bf.evaluate(fit, cs, label=hyp.label_of(args.hypothesis),
@@ -342,6 +342,13 @@ def _list_of(convert, items: str, keyword: str | None = None):
     return parse
 
 
+def _column_name(text: str) -> str:
+    """``text``, or ValueError for an empty column name."""
+    if not text:
+        raise ValueError("empty column name")
+    return text
+
+
 def _int_from(lowest: int):
     """argparse type for integers of at least ``lowest`` (0 or 1)."""
     kind = "non-negative" if lowest == 0 else "positive"
@@ -379,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--data", required=True, help="input CSV with a header row")
     pa.add_argument("--family", required=True, choices=glm.FAMILIES)
     pa.add_argument("--outcome", required=True, help="outcome column name")
-    pa.add_argument("--predictors",
+    pa.add_argument("--predictors", type=_list_of(_column_name, "column names"),
                     help="comma-separated predictor columns (default: all others)")
     pa.add_argument("--hypothesis", required=True,
                     help="constraint string, e.g. 'x4 < x5 < x6'")

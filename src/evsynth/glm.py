@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -155,10 +154,16 @@ def dataset_from_csv(path, outcome: str, predictors: list[str] | None = None,
 
     The file is read once, as bytes, and parsed from that copy.  The header
     is read by ``csv.reader`` and the used columns of the body by numpy's C
-    reader.  A file that reader cannot take exactly as ``csv.reader`` plus
-    ``float()`` would is parsed again cell by cell, which is also where
-    every data error is worded; both give the same doubles.  Nothing is
-    kept between calls: every call reads, parses and checks its file.
+    reader, straight from the bytes.  One check of the whole file first
+    sends it cell by cell instead when the C reader could take it other
+    than ``csv.reader`` plus ``float()`` would: a quote below the header
+    line, a quoted header field left open at the line's end, a NUL or
+    separator U+001C to U+001F, a blank line, a lone CR, a line longer than
+    ``csv.field_size_limit()``, or bytes that are not UTF-8.  A file with a
+    cell the C reader rejects is parsed again cell by cell too, which is
+    where every data error is worded; both readers give the same doubles.
+    Nothing is kept between calls: every call reads, parses and checks its
+    file.
 
     Parameters
     ----------
@@ -261,53 +266,89 @@ def _dataset(path, raw: bytes, outcome: str, predictors: list[str] | None,
         raise DataError(f"{path}: {exc}") from None
 
 
-def _text(raw: bytes):
-    """``raw`` as the text file ``open(path, newline="", encoding="utf-8")``
-    gives."""
-    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="")
-
-
 def _c_parsed_table(raw: bytes, outcome: str, predictors: list[str] | None):
     """(predictor names, table with the outcome column first) parsed from a
     file's bytes by ``np.loadtxt``, or None when the file needs
     ``_cell_parsed_table``.
 
-    None is returned for any header problem, any cell numpy rejects
-    (blanks, text, ``1_0``) and any line the two readers could take
-    differently: ``loadtxt`` skips an empty line where ``csv.reader``
-    returns an empty row, splits inside quotes, strips the separators
-    U+001C to U+001F that ``float()`` rejects, and does not share csv's
-    NUL and field-size rules.  A cell numpy accepts is the double
+    The header is read by ``csv.reader`` and the body by numpy's C reader,
+    straight from ``raw``.  None is returned for a file with no line after
+    its header line, a header line that strict ``csv.reader`` refuses or
+    that lacks a used column, any cell numpy rejects (blanks, text,
+    ``1_0``) and any file ``_plain_lines`` refuses: there the two readers
+    could take a line differently.  A cell numpy accepts is the double
     ``float()`` gives: both parse with ``PyOS_string_to_double``.
     """
-    limit = csv.field_size_limit()
-
-    def checked(lines):
-        for line in lines:
-            if (line[0] in "\r\n" or '"' in line or "\0" in line
-                    or "\x1c" in line or "\x1d" in line or "\x1e" in line
-                    or "\x1f" in line or len(line) > limit):
-                raise ValueError("line needs the per-cell reader")
-            yield line
-
-    with _text(raw) as fh:
-        try:
-            header = next(csv.reader(fh))
-            if predictors is None:
-                predictors = [c for c in header if c != outcome]
-            used = [outcome, *predictors]
-            if not set(used) <= set(header):
-                return None
-            first = next(fh, None)  # loadtxt warns on an empty body
-            if first is None:
-                return None
-            table = np.loadtxt(checked(itertools.chain((first,), fh)),
-                               delimiter=",", comments=None,
-                               usecols=[header.index(c) for c in used],
-                               ndmin=2, dtype=float)
-        except (StopIteration, ValueError, csv.Error):
-            return None
+    header_end = raw.find(b"\n") + 1
+    if not 0 < header_end < len(raw) or not _plain_lines(raw, header_end):
+        return None
+    try:
+        # strict: a quoted field still open at the line's end, which would
+        # take in body lines, or any other quoting slip refuses the file
+        header = next(csv.reader([raw[:header_end].decode("utf-8")],
+                                 strict=True))
+    except csv.Error:
+        return None
+    if predictors is None:
+        predictors = [c for c in header if c != outcome]
+    used = [outcome, *predictors]
+    if not set(used) <= set(header):
+        return None
+    try:
+        table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None,
+                           skiprows=1, encoding="utf-8",
+                           usecols=[header.index(c) for c in used],
+                           ndmin=2, dtype=float)
+    except ValueError:
+        return None
     return predictors, table
+
+
+# bytes where the readers part: csv.reader has its own NUL rule (Python
+# 3.10 refuses NUL); np.loadtxt strips the separators U+001C to U+001F,
+# which float() rejects.  In UTF-8 each is its own byte and never part of
+# another character, as is the quote.
+_PER_CELL_BYTES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _plain_lines(raw: bytes, body: int) -> bool:
+    """Whether ``csv.reader`` and ``np.loadtxt`` split the file's bytes
+    into the same lines and cells: UTF-8 text without a byte of
+    ``_PER_CELL_BYTES``, with no quote from offset ``body`` (the first
+    byte after the header line) on, and every line ended by LF, CRLF or
+    the end of the file, not blank (``loadtxt`` skips a blank line where
+    ``csv.reader`` returns an empty row) and no longer, with its ending,
+    than ``csv.field_size_limit()`` bytes (``loadtxt`` has no field-size
+    rule).
+
+    ``loadtxt`` splits inside quotes, so a quote may stand only in the
+    header, which ``csv.reader`` reads.
+
+    Whole-buffer tests only: one-byte searches and one numpy pass over the
+    line feeds.
+    """
+    if raw.find(b'"', body) >= 0 or any(b in raw for b in _PER_CELL_BYTES):
+        return False
+    if not raw.isascii():
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return False
+    buf = np.frombuffer(raw, np.uint8)
+    lf = np.flatnonzero(buf == ord("\n"))
+    # each line's length with its LF; a last line without one is counted
+    # as if one ended it, so it is never blank
+    ends = lf if raw.endswith(b"\n") else np.append(lf, len(raw))
+    lengths = np.diff(ends, prepend=-1)
+    if (lengths == 1).any() or lengths.max() > csv.field_size_limit():
+        return False
+    if b"\r" in raw:
+        crlf = buf[lf - 1] == ord("\r")
+        # a CR not before an LF ends a line for csv.reader only
+        if (raw.count(b"\r") != np.count_nonzero(crlf)
+                or (crlf & (lengths[:len(lf)] == 2)).any()):
+            return False
+    return True
 
 
 def csv_read_error(path, exc: UnicodeDecodeError | csv.Error,
@@ -329,7 +370,8 @@ def _cell_parsed_table(path, raw: bytes, outcome: str,
     cell longer than ``csv.field_size_limit()``, or a file that is not
     UTF-8 text."""
     header, rows = None, []
-    with _text(raw) as fh:
+    # raw as the text file open(path, newline="", encoding="utf-8") gives
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

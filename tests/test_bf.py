@@ -1426,7 +1426,8 @@ class TestEvidenceRecord:
     @pytest.mark.parametrize("field,value", [
         ("mc_draws", 1.5), ("mc_draws", -1), ("n", -3.7), ("n", -3),
         ("mc_draws", "inf"), ("mass_method", "guess"), ("mass_method", 3),
-        ("mc_draws", True), ("n", True)])
+        ("mc_draws", True), ("n", True), ("mc_draws", np.True_),
+        ("n", np.False_)])
     def test_bad_counts_and_methods_rejected(self, field, value):
         data = dict(EvidenceRecord(study_id="s", hypothesis="h", fit=0.5,
                                    complexity=0.5, log_bf_iu=0.0, log_bf_ic=0.0,
@@ -1440,7 +1441,9 @@ class TestEvidenceRecord:
         ("n", -3), ("mc_draws", 1.5), ("hypothesis", 7), ("study_id", None),
         ("fit", 1.7), ("complexity", -0.2), ("mc_se_fit", -1),
         ("mc_se_complexity", -1e-300), ("fit", -math.inf),
-        ("complexity", math.inf), ("fit", True), ("log_bf_ic", False)])
+        ("complexity", math.inf), ("fit", True), ("log_bf_ic", False),
+        ("fit", np.True_), ("log_bf_iu", np.False_), ("mc_se_fit", np.False_),
+        ("mc_draws", np.True_), ("n", np.False_)])
     def test_invalid_record_rejected_at_construction(self, field, value):
         fields = dict(dict(study_id="s", hypothesis="h", fit=0.5,
                            complexity=0.5, log_bf_iu=0.0, log_bf_ic=0.0,
@@ -1493,7 +1496,8 @@ class TestEvidenceRecord:
             | st.floats().map(repr) | st.integers().map(str)
             | st.lists(st.integers(), max_size=2)
             | st.sampled_from([None, "inf", "-inf", "nan", "abc", "", " 3 ",
-                               True, 2 ** 60, 10 ** 400, -0.0, {}, "exact"]))
+                               True, np.True_, np.False_, 2 ** 60,
+                               10 ** 400, -0.0, {}, "exact"]))
 
     # the constructor once accepted the first three, which from_dict
     # rejected, and from_dict the fourth, which the constructor rejected
@@ -1511,6 +1515,9 @@ class TestEvidenceRecord:
     @example("mass_method", "mc")   # records of the sampler, kept loadable
     @example("fit", True)   # float(True) is 1.0, yet JSON's true is no number
     @example("n", True)
+    @example("fit", np.True_)   # numpy's bools are no numbers either
+    @example("mc_draws", np.True_)
+    @example("log_bf_ic", np.False_)
     @settings(max_examples=300, deadline=None)
     def test_constructor_and_from_dict_agree(self, key, value):
         data = dict(self.VALID, **{key: value})

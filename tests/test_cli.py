@@ -156,6 +156,26 @@ class TestAnalyze:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("predictors", ["", "x1,,x2", "x1,", ",x1"])
+    def test_empty_predictor_names_exit_2(self, strong_effect_csv, tmp_path,
+                                          capsys, monkeypatch, predictors):
+        # an empty list once read as "every other column"; the parser now
+        # refuses an empty name before the data file is read
+        def unread(*args, **kwargs):
+            raise AssertionError("the data file was read")
+
+        monkeypatch.setattr(cli.glm, "fit_csv", unread)
+        out = tmp_path / "rec.json"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", "--data", str(strong_effect_csv),
+                      "--family", "gaussian", "--outcome", "y",
+                      "--predictors", predictors, "--hypothesis", "x1 > 0",
+                      "--seed", "3", "--out", str(out)])
+        assert exc.value.code == 2
+        assert (f"argument --predictors: expected comma-separated column "
+                f"names, got {predictors!r}" in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_parse_error_exit_2(self, strong_effect_csv, tmp_path, capsys,
                                 monkeypatch):
         # the hypothesis is parsed before the data file is read, so a good

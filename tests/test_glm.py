@@ -486,13 +486,20 @@ def reference_dataset(path, outcome, predictors=None, family="gaussian",
     if predictors is not None and outcome in predictors:
         raise DataError(f"{path}: outcome column {outcome!r} is also listed "
                         f"as a predictor")
+    header, rows = None, []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
         try:
+            reader = csv.reader(fh)
             header = next(reader)
+            for row in reader:
+                rows.append(row)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc})") from None
+        except csv.Error as exc:
+            where = "header" if header is None else f"data row {len(rows) + 1}"
+            raise DataError(f"{path}: {where}: {exc}") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     if outcome not in header:
@@ -574,7 +581,9 @@ def study_csv(tmp_path, family):
 
 def assert_matches_reference(path, text, outcome="y", predictors=None,
                              family="gaussian", intercept=True):
-    path.write_bytes(text.encode("utf-8"))
+    """``text``, bytes or str written as UTF-8, loads as the reference
+    loads it."""
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     args = (path, outcome, predictors, family, intercept)
     assert load_outcome(dataset_from_csv, *args) == \
         load_outcome(reference_dataset, *args)
@@ -591,14 +600,17 @@ ODD_CELLS = st.sampled_from([
     "", " ", "\t", "\xa0", "oops", "1_0", "1__0", "_1", "1_", "nan", "NaN",
     "inf", "-inf", "Infinity", "1e500", "-0", ".5", "1.", "+1e-3", "0x10",
     "1e", "--1", "1 2", "\u0661", "2\xa0", '"3"', '" 4 "', '"1,5"', '"x,y"',
-    '"a""b"', '""', '"', "\x00", "2\x0b", "3\x1c"])
+    '"a""b"', '""', '"', "\x00", "2\x0b", "3\x1c", "\x1d4", "5\x1e", "\x1f"])
 TEXT_CELLS = st.sampled_from(["abc", "x y", "", '"q,r"', '"1,2,3"', "7"])
 
 
 @st.composite
 def csv_cases(draw):
-    """A CSV text near the contract's edges, and the loader arguments."""
-    header = draw(st.permutations(["y", "a", "b", "t"]))
+    """A CSV file's bytes near the contract's edges, the loader arguments
+    and the ``csv.field_size_limit()`` to read it under (None: the
+    default)."""
+    b_name = draw(st.sampled_from(["b", "b", "\u03b2"]))
+    header = draw(st.permutations(["y", "a", b_name, "t"]))
     text_cells = st.one_of(PADDED, TEXT_CELLS)
     rows = [[draw(text_cells if name == "t" else PADDED) for name in header]
             for _ in range(draw(st.sampled_from([6, 7, 8, 5, 1, 0])))]
@@ -615,16 +627,30 @@ def csv_cases(draw):
                                      min_size=1, max_size=2))
         else:
             rows.insert(draw(st.integers(0, len(rows))), [draw(PADS)])
-    lines = [",".join(header)] + [",".join(row) for row in rows]
-    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    names = list(header)
+    quoting = draw(st.sampled_from(["", "", "all", "open"]))
+    if quoting == "all":
+        names = [f'"{name}"' for name in names]
+    elif quoting == "open":   # csv.reader reads on to the file's next quote
+        j = draw(st.integers(0, 3))
+        names[j] = '"' + names[j]
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    style = draw(st.sampled_from(["\n", "\n", "\r\n", "\r\n", "\r", "mixed"]))
+    ends = st.sampled_from(["\n", "\r\n", "\r"] if style == "mixed" else [style])
     text = "".join(line + draw(ends) for line in lines[:-1]) + lines[-1]
     if draw(st.booleans()):
         text += draw(ends)
+    raw = (draw(st.sampled_from(["", "", "", "\ufeff"])) + text).encode("utf-8")
+    if draw(st.sampled_from([False, False, False, True])):
+        # a byte no UTF-8 text holds there
+        i = draw(st.integers(0, len(raw)))
+        raw = raw[:i] + draw(st.sampled_from([b"\xff", b"\xe9", b"\x80"])) + raw[i:]
     outcome = draw(st.sampled_from(["y", "y", "a"]))
     predictors = draw(st.sampled_from(
-        [["a"], None, ["b", "a"], ["a", "b"], ["t"], [], ["zz"]]))
+        [["a"], None, [b_name, "a"], ["a", b_name], ["t"], [], ["zz"]]))
     family = draw(st.sampled_from(["gaussian", "gaussian", "logit"]))
-    return text, outcome, predictors, family, draw(st.booleans())
+    limit = draw(st.sampled_from([None, None, None, 6, 12, 24]))
+    return raw, outcome, predictors, family, draw(st.booleans()), limit
 
 
 class TestCsvReaderDifferential:
@@ -635,7 +661,14 @@ class TestCsvReaderDifferential:
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_matches_reference(self, tmp_path, case):
-        assert_matches_reference(tmp_path / "data.csv", *case)
+        *args, limit = case
+        default = csv.field_size_limit()
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            assert_matches_reference(tmp_path / "data.csv", *args)
+        finally:
+            csv.field_size_limit(default)
 
     @pytest.mark.parametrize("text,predictors", [
         ("y,a,b\r\n1,2,3\r\n4,5,7\r\n6,8,9\r\n2,2,1\r\n", None),
@@ -662,6 +695,25 @@ class TestCsvReaderDifferential:
         ("", None),
         ("y,a\n1,2\n3,4\n5,7\n", ["a", "y"]),
         ("", ["y"]),
+        ("y,a\r\n1,2\r\n\r\n3,4\r\n5,7\r\n", None),
+        ("y,a\r\n1,2\r\n3,4\r\n5,7\r\n\r\n", None),
+        ("y,a\n1,2\n3,4\n5,7\r", None),
+        ("y,a\n1,2\n3,4\n5,7\n\r", None),
+        ("y,a\n1,2\n3,4\n5,7", None),
+        ("y,a\r\n1,2\r\n3,4\r\n5,7", None),
+        ("\ufeffy,a\n1,2\n3,4\n5,7\n", None),
+        ("\ufeffa,y\n1,2\n3,4\n5,7\n", None),
+        ("y,\u03b2\n1,2\n3,4\n5,7\n", None),
+        (b"y,a\xe9\n1,2\n3,4\n5,7\n", None),
+        (b"y,a\n1,2\n3,4\xff\n5,7\n", None),
+        ("y,a\n1\x00,2\n3,4\n5,7\n", None),
+        ("y,a\n1,2\x1d\n3,\x1e4\n5,7\x1f\n", None),
+        ("y,a\n", ["a"]),
+        ("y,a", None),
+        ('t,y,a\n"x,1,2,",3,4\n"x,5,6,",7,8\n"x,2,9,",1,1\n', ["a"]),
+        ('"y","a"\r\n1,2\r\n3,4\r\n5,7\r\n', None),
+        ('"y\n",a\n1,2\n3,4\n5,7\n', None),
+        ('"y,a\n1,2\n3,4\n5,7\n', None),
     ])
     def test_contract_cases(self, tmp_path, monkeypatch, text, predictors):
         monkeypatch.setattr(glm, "_last_fit", (None, None))
@@ -677,9 +729,36 @@ class TestCsvReaderDifferential:
         path.write_text("y,a,t\r\n1, 2.5,x\r\n3,-4e-3,y z\r\n", encoding="utf-8")
         names, table = glm._c_parsed_table(path.read_bytes(), "y", ["a"])
         assert names == ["a"] and table.tolist() == [[1.0, 2.5], [3.0, -0.004]]
+        raw = b'"y","a b",t\n1,2,x\n3,4,y z\n'
+        assert glm._c_parsed_table(raw, "y", ["a b"])[1].tolist() == \
+            [[1.0, 2.0], [3.0, 4.0]]
         for text in ("y,a\n1,2\n\n3,4\n", 'y,a\n1,"2"\n', "y,a\n1,2_0\n"):
             path.write_text(text, encoding="utf-8")
             assert glm._c_parsed_table(path.read_bytes(), "y", None) is None
+        # csv.reader takes the whole file into the open quote: one column
+        # named 'y,a\n1,2\n3,4\n' and no data rows
+        assert glm._c_parsed_table(b'"y,a\n1,2\n3,4\n', "y,a\n", []) is None
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("limit", [None, 16])
+    def test_files_above_the_field_size_limit_take_the_c_reader(self, end,
+                                                                limit):
+        # the limit holds a line, not the file: short lines take numpy's
+        # reader however long the file is
+        rows = [f"{i % 5},{i}.25" for i in range(20_000)]
+        raw = end.join(["y,a", *rows, ""]).encode("utf-8")
+        default = csv.field_size_limit()
+        try:
+            if limit is not None:
+                csv.field_size_limit(limit)
+            assert len(raw) > csv.field_size_limit()
+            parsed = glm._c_parsed_table(raw, "y", None)
+        finally:
+            csv.field_size_limit(default)
+        assert parsed is not None
+        names, table = parsed
+        assert names == ["a"] and table.shape == (20_000, 2)
+        assert table[-1].tolist() == [4.0, 19_999.25]
 
 
 class TestParsedTableMemo:

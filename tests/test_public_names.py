@@ -19,8 +19,9 @@ calls some of them positionally and reads fields of their results, so
 those call shapes and fields are pinned here too.  ``evsynth.bf``
 calls scipy's private lattice-QMC integrators, so a scipy release that
 changes their call signature must fail here rather than in a simulation.
-``evsynth.glm`` reads CSV bodies with ``np.loadtxt``, so a numpy release
-that changes the reader's keywords must fail here rather than in
+``evsynth.glm`` reads CSV bodies with ``np.loadtxt`` from the file's
+bytes, so a numpy release that changes the reader's keywords or its
+reading of a binary file-like object must fail here rather than in
 ``evsynth analyze``.
 """
 
@@ -28,6 +29,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import io
 import math
 from pathlib import Path
 
@@ -355,14 +357,15 @@ def test_scipy_lattice_qmc_signature():
         assert 0.0 < p < 1.0 and err >= 0.0 and 0 < used <= 100
 
 
-def test_numpy_loadtxt_reader(tmp_path):
-    assert {"delimiter", "comments", "usecols", "ndmin", "dtype"} <= set(
-        inspect.signature(np.loadtxt).parameters)
-    path = tmp_path / "two.csv"
-    path.write_text("y,a,b\n1, 2.5,x\n-3,4e-3,y\n", encoding="utf-8")
-    with open(path, newline="", encoding="utf-8") as fh:
-        next(fh)
-        table = np.loadtxt(fh, delimiter=",", comments=None, usecols=[1, 0],
+def test_numpy_loadtxt_reader():
+    assert {"delimiter", "comments", "skiprows", "encoding", "usecols",
+            "ndmin", "dtype"} <= set(inspect.signature(np.loadtxt).parameters)
+    # glm hands the file's bytes over as a binary file-like object, header
+    # included, and has numpy skip the header and decode the body as UTF-8
+    for end in (b"\n", b"\r\n"):
+        raw = end.join([b"y,a,\xce\xb2", b"1, 2.5,x", b"-3,4e-3,y", b""])
+        table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None,
+                           skiprows=1, encoding="utf-8", usecols=[1, 0],
                            ndmin=2, dtype=float)
-    assert table.shape == (2, 2) and table.dtype == np.float64
-    assert table.tolist() == [[2.5, 1.0], [0.004, -3.0]]
+        assert table.shape == (2, 2) and table.dtype == np.float64
+        assert table.tolist() == [[2.5, 1.0], [0.004, -3.0]]
